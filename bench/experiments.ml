@@ -9,8 +9,7 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
-module Counter = Aitf_stats.Counter
+module Span = Aitf_obs.Span
 module Table = Aitf_stats.Table
 module Rate_meter = Aitf_stats.Rate_meter
 open Aitf_net
@@ -87,12 +86,12 @@ let chain_params =
 (* ------------------------------------------------------------------ F1 -- *)
 
 (* Figure 1 + Section II-D: the example attack path walk-through. The
-   "figure" here is the protocol timeline; we reproduce it as the ordered
-   list of protocol events and check the round-1 outcome: blocked at
+   "figure" here is the protocol timeline; we reproduce it as the causal
+   span timeline of the request and check the round-1 outcome: blocked at
    B_gw1. *)
 let f1 () =
-  let sink, events = Trace.collecting_sink () in
-  Trace.add_sink sink;
+  let spans = Span.create () in
+  Span.attach spans;
   let sim = Sim.create () in
   let rng = Rng.create ~seed:1 in
   let topo = Chain.build sim Chain.default_spec in
@@ -104,17 +103,10 @@ let f1 () =
       ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker
   in
   Sim.run ~until:6.0 sim;
-  Trace.clear_sinks ();
-  let table =
-    Table.create ~title:"F1  Figure-1 walk-through (protocol timeline)"
-      ~columns:[ "t (s)"; "node"; "event" ]
-  in
-  List.iter
-    (fun (e : Trace.event) ->
-      Table.add_row table
-        [ Printf.sprintf "%.3f" e.Trace.time; e.Trace.category; e.Trace.message ])
-    (events ());
-  emit table;
+  Span.detach ();
+  print_endline "== F1  Figure-1 walk-through (protocol timeline) ==";
+  print_string (Span.timeline spans);
+  print_newline ();
   let b_gw1 = List.hd d.Chain.attacker_gateways in
   let verdict =
     Table.create ~title:"F1  round-1 outcome"
@@ -124,7 +116,7 @@ let f1 () =
     [
       "flow blocked at B_gw1 (closest AITF node)";
       "yes";
-      Table.cell_bool (Counter.get (Gateway.counters b_gw1) "filter-long" >= 1);
+      Table.cell_bool (Gateway.count b_gw1 Gateway.Filter_long >= 1);
     ];
   Table.add_row verdict
     [
@@ -146,7 +138,8 @@ let f1 () =
       "escalation needed";
       "no";
       Table.cell_bool
-        (not (Scenarios.counter_total d.Chain.victim_gateways "escalated" = 0));
+        (Scenarios.counter_total d.Chain.victim_gateways
+           Gateway.Escalated <> 0);
     ];
   emit verdict
 
@@ -418,11 +411,11 @@ let e4 () =
       Table.cell_int (Formulas.attacker_gateway_filters ~r2 ~t_filter);
       Table.cell_int (Filter_table.peak_occupancy (Gateway.filters b_gw1));
     ];
-  let policed = Counter.get (Gateway.counters b_gw1) "req-policed" in
+  let policed = Gateway.count b_gw1 Gateway.Req_policed in
   let offered = float_of_int (policed) +. float_of_int
-    (Counter.get (Gateway.counters b_gw1) "req-attacker-role" - policed) in
+    (Gateway.count b_gw1 Gateway.Req_attacker_role - policed) in
   ignore offered;
-  let total = Counter.get (Gateway.counters b_gw1) "req-attacker-role" in
+  let total = Gateway.count b_gw1 Gateway.Req_attacker_role in
   Table.add_row table
     [
       "requests policed away";
@@ -543,8 +536,8 @@ let e6 () =
         match
           List.find_opt
             (fun (_, gw) ->
-              Counter.get (Gateway.counters gw) "filter-long" > 0
-              || Counter.get (Gateway.counters gw) "filter-long-self" > 0)
+              Gateway.count gw Gateway.Filter_long > 0
+              || Gateway.count gw Gateway.Filter_long_self > 0)
             (attacker_side @ List.rev victim_side)
         with
         | Some (name, _) -> name
@@ -627,8 +620,8 @@ let e7 () =
     let b_gw1 = List.hd d.Chain.attacker_gateways in
     ( Host_agent.Victim.good_bytes d.Chain.victim_agent,
       1e6 *. 12.0 /. 8.,
-      Counter.get (Gateway.counters b_gw1) "handshake-fail",
-      Counter.get (Gateway.counters b_gw1) "filter-long" )
+      Gateway.count b_gw1 Gateway.Handshake_fail,
+      Gateway.count b_gw1 Gateway.Filter_long )
   in
   let on, offered, fails, filt_on = run ~handshake:true in
   let off, _, _, filt_off = run ~handshake:false in
@@ -717,7 +710,7 @@ let e8 () =
          (d.Chain.victim_gateways @ d.Chain.attacker_gateways))
   in
   let aitf_msgs =
-    Scenarios.counter_total d.Chain.victim_gateways "req-propagated"
+    Scenarios.counter_total d.Chain.victim_gateways Gateway.Req_propagated
     + Host_agent.Victim.requests_sent d.Chain.victim_agent
   in
   let aitf =
@@ -866,7 +859,7 @@ let e9 () =
       in
       let isp_filters =
         Array.fold_left
-          (fun acc gw -> acc + Counter.get (Gateway.counters gw) "filter-long")
+          (fun acc gw -> acc + Gateway.count gw Gateway.Filter_long)
           0 d.Hierarchy.isp_gateways
       in
       let offered = 2e5 *. 6.0 /. 8. in
@@ -928,7 +921,7 @@ let a1 () =
           (Sim.at sim t (fun () ->
                if
                  !landed = None
-                 && Counter.get (Gateway.counters b_gw1) "filter-long" > 0
+                 && Gateway.count b_gw1 Gateway.Filter_long > 0
                then landed := Some t;
                poll (t +. 0.01)))
     in
@@ -1056,8 +1049,8 @@ let e10 () =
     let b_gw1 = List.hd d.Chain.attacker_gateways in
     ( Host_agent.Victim.attack_bytes d.Chain.victim_agent,
       Host_agent.Victim.requests_sent d.Chain.victim_agent,
-      Counter.get (Gateway.counters b_gw1) "req-attacker-role",
-      Counter.get (Gateway.counters b_gw1) "filter-long",
+      Gateway.count b_gw1 Gateway.Req_attacker_role,
+      Gateway.count b_gw1 Gateway.Filter_long,
       match guard with Some g -> Ingress.egress_drops g | None -> 0 )
   in
   let d_off, req_off, srv_off, filt_off, _ = run ~egress:false in
@@ -1242,8 +1235,8 @@ let e12 () =
       Array.fold_left
         (fun acc gw ->
           acc
-          + Counter.get (Gateway.counters gw) "filter-long"
-          + Counter.get (Gateway.counters gw) "filter-long-self")
+          + Gateway.count gw Gateway.Filter_long
+          + Gateway.count gw Gateway.Filter_long_self)
         0 gws
     in
     let at_stubs = count_filters d.Random_net.stub_gateways in
@@ -1329,8 +1322,8 @@ let a3 () =
     let vgw = List.hd d.Chain.victim_gateways in
     ( Host_agent.Victim.attack_bytes d.Chain.victim_agent,
       Host_agent.Victim.good_bytes d.Chain.victim_agent,
-      Counter.get (Gateway.counters vgw) "filter-full",
-      Counter.get (Gateway.counters vgw) "filter-aggregated" )
+      Gateway.count vgw Gateway.Filter_full,
+      Gateway.count vgw Gateway.Filter_aggregated )
   in
   let atk_off, good_off, full_off, _ = run ~aggregate:false in
   let atk_on, good_on, _, agg_on = run ~aggregate:true in
@@ -1638,7 +1631,7 @@ let e14 () =
     let filters =
       match (d, manual) with
       | Some d, _ ->
-        Scenarios.counter_total d.Chain.attacker_gateways "filter-long"
+        Scenarios.counter_total d.Chain.attacker_gateways Gateway.Filter_long
       | _, Some m -> Aitf_workload.Manual_defense.filters_installed m
       | _ -> 0
     in
@@ -2504,7 +2497,6 @@ let e21 () =
 
 let e22 () =
   let module As_scenario = Aitf_workload.As_scenario in
-  let module Span = Aitf_obs.Span in
   let module Json = Aitf_obs.Json in
   Aitf_parallel.Sched.set_default_clock Unix.gettimeofday;
   let sources =

@@ -32,7 +32,6 @@
 *)
 
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
 module Series = Aitf_stats.Series
 module Table = Aitf_stats.Table
 open Aitf_core
@@ -201,9 +200,9 @@ let obs_term =
           profile; slo })
     $ spans $ flight $ flight_dump $ flight_dump_file $ profile $ slo)
 
-let obs_attach (o : obs_opts) =
+let obs_attach ?(trace = false) (o : obs_opts) =
   let collector =
-    if o.spans_file <> None || o.slo <> None then begin
+    if trace || o.spans_file <> None || o.slo <> None then begin
       let t = Aitf_obs.Span.create () in
       Aitf_obs.Span.attach t;
       Some t
@@ -245,7 +244,8 @@ let obs_attach (o : obs_opts) =
 (* Detach everything (reverse order), export the span forest, and surface
    the profiler through the registry so the JSON run report written later
    carries the hot-path buckets. *)
-let obs_finish (o : obs_opts) (st : obs_state) ~registry ~now =
+let obs_finish ?(trace = false) (o : obs_opts) (st : obs_state) ~registry
+    ~now =
   (match st.profiler with
   | None -> ()
   | Some p ->
@@ -267,6 +267,7 @@ let obs_finish (o : obs_opts) (st : obs_state) ~registry ~now =
   | None -> ()
   | Some t ->
     Aitf_obs.Span.detach ();
+    if trace then print_string (Aitf_obs.Span.timeline t);
     (match o.spans_file with
     | None -> ()
     | Some file ->
@@ -326,7 +327,9 @@ let run_cmd =
   in
   let trace =
     Arg.(value & flag & info [ "trace" ]
-           ~doc:"Print the protocol event timeline while running.")
+           ~doc:"Print the protocol timeline after the run: every span \
+                 start, finish and event of the causal span collector, \
+                 in time order.")
   in
   let csv =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
@@ -435,7 +438,6 @@ let run_cmd =
       metrics_interval traceback loss burst_loss dup flap ctrl_retries
       ctrl_rto adversary overload filter_capacity engine hybrid_epoch
       probe_rate obs =
-    if trace then Trace.add_sink (Trace.printing_sink ());
     let registry =
       if metrics <> None || metrics_csv <> None then begin
         let reg = Aitf_obs.Metrics.create () in
@@ -444,7 +446,7 @@ let run_cmd =
       end
       else None
     in
-    let obs_state = obs_attach obs in
+    let obs_state = obs_attach ~trace obs in
     let config =
       {
         Config.default with
@@ -499,8 +501,7 @@ let run_cmd =
     in
     let r = Scenarios.run_chain params in
     Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
-    if trace then Trace.clear_sinks ();
+    obs_finish ~trace obs obs_state ~registry ~now:duration;
     let table =
       Table.create ~title:"scenario result" ~columns:[ "metric"; "value" ]
     in

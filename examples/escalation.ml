@@ -12,15 +12,15 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
-module Counter = Aitf_stats.Counter
+module Span = Aitf_obs.Span
 open Aitf_net
 open Aitf_core
 open Aitf_topo
 module Traffic = Aitf_workload.Traffic
 
 let () =
-  Trace.add_sink (Trace.printing_sink ());
+  let spans = Span.create () in
+  Span.attach spans;
   let sim = Sim.create () in
   let rng = Rng.create ~seed:3 in
   let topo = Chain.build sim Chain.default_spec in
@@ -56,20 +56,22 @@ let () =
   in
   print_endline "=== escalation with a fully non-cooperative attacker side ===\n";
   Sim.run ~until:8.0 sim;
+  Span.detach ();
+  print_string (Span.timeline spans);
   print_newline ();
   List.iteri
     (fun i gw ->
       Printf.printf "G_gw%d: escalations=%d, temp filters=%d, long filters=%d\n"
         (i + 1)
-        (Counter.get (Gateway.counters gw) "escalated")
-        (Counter.get (Gateway.counters gw) "filter-temp")
-        (Counter.get (Gateway.counters gw) "filter-long"
-        + Counter.get (Gateway.counters gw) "filter-long-self"))
+        (Gateway.count gw Gateway.Escalated)
+        (Gateway.count gw Gateway.Filter_temp)
+        (Gateway.count gw Gateway.Filter_long
+        + Gateway.count gw Gateway.Filter_long_self))
     d.Chain.victim_gateways;
   List.iteri
     (fun i gw ->
       Printf.printf "B_gw%d: requests ignored=%d\n" (i + 1)
-        (Counter.get (Gateway.counters gw) "ignored-unresponsive"))
+        (Gateway.count gw Gateway.Ignored_unresponsive))
     d.Chain.attacker_gateways;
   let meter = Host_agent.Victim.attack_meter d.Chain.victim_agent in
   Printf.printf "\nattack bandwidth at the victim now: %.0f bit/s\n"

@@ -11,15 +11,13 @@
      dune exec examples/onoff_attack.exe
 *)
 
-module Trace = Aitf_engine.Trace
 open Aitf_core
 module Scenarios = Aitf_workload.Scenarios
 
 let base_config =
   { (Config.with_timescale Config.default 0.1) with Config.grace = 0.3 }
 
-let run ~label ~shadow_horizon ~traced =
-  if traced then Trace.add_sink (Trace.printing_sink ());
+let run ~label ~shadow_horizon =
   let config = { base_config with Config.t_filter = shadow_horizon } in
   (* t_filter doubles as the shadow TTL; to cripple the shadow while keeping
      the attacker-side blocking interval comparable we instead shorten the
@@ -36,7 +34,6 @@ let run ~label ~shadow_horizon ~traced =
     }
   in
   let r = Scenarios.run_chain params in
-  if traced then Trace.clear_sinks ();
   Printf.printf "%-28s leaked %7.0f of %8.0f bytes (r = %.4f), escalations = %d\n"
     label r.Scenarios.attack_received_bytes r.Scenarios.attack_offered_bytes
     r.Scenarios.r_measured r.Scenarios.escalations;
@@ -45,8 +42,8 @@ let run ~label ~shadow_horizon ~traced =
 let () =
   print_endline "=== on-off attacker vs the shadow cache ===";
   print_endline "B_gw1 ignores requests; the attacker plays on-off.\n";
-  let with_shadow = run ~label:"with shadow (T = 6 s)" ~shadow_horizon:6.0 ~traced:false in
-  let weak_shadow = run ~label:"short shadow (T = 1.5 s)" ~shadow_horizon:1.5 ~traced:false in
+  let with_shadow = run ~label:"with shadow (T = 6 s)" ~shadow_horizon:6.0 in
+  let weak_shadow = run ~label:"short shadow (T = 1.5 s)" ~shadow_horizon:1.5 in
   print_newline ();
   Printf.printf
     "With the full-T shadow the gateway escalates past the complicit B_gw1\n\

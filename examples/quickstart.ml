@@ -9,7 +9,7 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
+module Span = Aitf_obs.Span
 module Rate_meter = Aitf_stats.Rate_meter
 open Aitf_net
 open Aitf_core
@@ -17,8 +17,9 @@ open Aitf_topo
 module Traffic = Aitf_workload.Traffic
 
 let () =
-  (* Print the protocol timeline as it happens. *)
-  Trace.add_sink (Trace.printing_sink ());
+  (* Collect the causal span forest; its timeline is printed after the run. *)
+  let spans = Span.create () in
+  Span.attach spans;
 
   let sim = Sim.create () in
   let rng = Rng.create ~seed:1 in
@@ -44,8 +45,10 @@ let () =
   in
 
   print_endline "=== AITF quickstart: Figure-1 attack path ===";
-  print_endline "    (timeline below: time [node] event)";
+  print_endline "    (timeline below: time [node] #request event)";
   Sim.run ~until:10.0 sim;
+  Span.detach ();
+  print_string (Span.timeline spans);
 
   let victim = d.Chain.victim_agent in
   let meter = Host_agent.Victim.attack_meter victim in

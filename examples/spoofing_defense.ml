@@ -12,7 +12,6 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Counter = Aitf_stats.Counter
 open Aitf_net
 open Aitf_filter
 open Aitf_core
@@ -73,7 +72,7 @@ let run ~handshake =
   let b_gw1 = List.hd d.Chain.attacker_gateways in
   let received = Host_agent.Victim.good_bytes d.Chain.victim_agent in
   let offered = 1e6 *. 12.0 /. 8. in
-  (received, offered, Counter.get (Gateway.counters b_gw1) "handshake-fail",
+  (received, offered, Gateway.count b_gw1 Gateway.Handshake_fail,
    Filter_table.occupancy (Gateway.filters b_gw1))
 
 let () =

@@ -10,7 +10,6 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Counter = Aitf_stats.Counter
 module Table = Aitf_stats.Table
 open Aitf_net
 open Aitf_core
@@ -47,7 +46,7 @@ let run ~make =
         (Sim.at sim t (fun () ->
              if
                !landed = None
-               && Counter.get (Gateway.counters b_gw1) "filter-long" > 0
+               && Gateway.count b_gw1 Gateway.Filter_long > 0
              then landed := Some (t -. 1.0);
              poll (t +. 0.01)))
   in

@@ -1,18 +1,10 @@
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
-module Counter = Aitf_stats.Counter
 module Message = Aitf_core.Message
 module Wire = Aitf_core.Wire
 open Aitf_net
 open Aitf_filter
 
 type violation_kind = Silent | Bad_signature | Replayed | Not_policing
-
-let violation_name = function
-  | Silent -> "silent"
-  | Bad_signature -> "bad-signature"
-  | Replayed -> "replayed"
-  | Not_policing -> "not-policing"
 
 type config = {
   k : int;  (* violations that convict a gateway *)
@@ -60,12 +52,10 @@ type t = {
   violation_counts : (Addr.t, int) Hashtbl.t;
   flagged_tbl : (Addr.t, unit) Hashtbl.t;
   seen_seq : (Addr.t * int, unit) Hashtbl.t;  (* replay detection per issuer *)
-  counters : Counter.t;
   mutable receipts_verified : int;
   mutable receipts_rejected : int;
 }
 
-let counters t = t.counters
 let receipts_verified t = t.receipts_verified
 let receipts_rejected t = t.receipts_rejected
 let flagged_gateway t a = Hashtbl.mem t.flagged_tbl a
@@ -78,18 +68,13 @@ let violations t =
   Hashtbl.fold (fun a n acc -> (a, n) :: acc) t.violation_counts []
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
 
-let trace _t ~now fmt = Trace.emitf ~time:now ~category:"auditor" fmt
-
 let violate t ~now (x : expectation) gw kind =
-  Counter.incr t.counters ("violation-" ^ violation_name kind);
   let total =
     1 + Option.value ~default:0 (Hashtbl.find_opt t.violation_counts gw)
   in
   Hashtbl.replace t.violation_counts gw total;
   let n = 1 + Option.value ~default:0 (Hashtbl.find_opt x.x_strikes gw) in
   Hashtbl.replace x.x_strikes gw n;
-  trace t ~now "violation (%s) strike #%d (total %d) against %a on %a"
-    (violation_name kind) n total Addr.pp gw Flow_label.pp x.x_flow;
   (* Probing backs off exponentially: the next violation on this flow needs
      fresh evidence and a widening quiet window, so a single sustained
      leak converts into distinct probes, not an instant conviction. *)
@@ -108,8 +93,6 @@ let violate t ~now (x : expectation) gw kind =
   in
   if n >= needed && not (Hashtbl.mem t.flagged_tbl gw) then begin
     Hashtbl.replace t.flagged_tbl gw ();
-    Counter.incr t.counters "gateway-flagged";
-    trace t ~now "flagging %a after %d violations" Addr.pp gw n;
     t.on_flag gw
   end
 
@@ -238,7 +221,6 @@ let on_receipt ?now t (r : Message.receipt) =
   in
   if not authentic then begin
     t.receipts_rejected <- t.receipts_rejected + 1;
-    Counter.incr t.counters "receipt-bad-sig";
     (* A receipt in a gateway's name that fails under that gateway's key:
        either a forger without key material or tampering in flight. The
        named issuer claimed to police and provably is not. *)
@@ -252,7 +234,6 @@ let on_receipt ?now t (r : Message.receipt) =
     in
     if stale then begin
       t.receipts_rejected <- t.receipts_rejected + 1;
-      Counter.incr t.counters "receipt-replayed";
       (* Same discipline as the handshake's nonce cache: a re-used sequence
          number is a replay, never fresh evidence of policing. Membership,
          not a high-water mark — receipts for different flows from one
@@ -264,7 +245,6 @@ let on_receipt ?now t (r : Message.receipt) =
     else begin
       Hashtbl.replace t.seen_seq (r.Message.rc_gateway, r.Message.rc_seq) ();
       t.receipts_verified <- t.receipts_verified + 1;
-      Counter.incr t.counters "receipt-verified";
       if not (Hashtbl.mem t.flagged_tbl r.Message.rc_gateway) then begin
         match Hashtbl.find_opt t.expectations r.Message.rc_flow with
         | None -> ()
@@ -293,7 +273,6 @@ let create ?(config = default_config) ~verify ~gateway ~on_flag sim =
       violation_counts = Hashtbl.create 8;
       flagged_tbl = Hashtbl.create 4;
       seen_seq = Hashtbl.create 64;
-      counters = Counter.create ();
       receipts_verified = 0;
       receipts_rejected = 0;
     }

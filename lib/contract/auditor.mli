@@ -95,9 +95,3 @@ val violations : t -> (Addr.t * int) list
 
 val receipts_verified : t -> int
 val receipts_rejected : t -> int
-
-val counters : t -> Aitf_stats.Counter.t
-(** ["receipt-verified"], ["receipt-bad-sig"], ["receipt-replayed"],
-    ["violation-silent"], ["violation-bad-signature"],
-    ["violation-replayed"], ["violation-not-policing"],
-    ["gateway-flagged"]. *)

@@ -1,7 +1,5 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
-module Counter = Aitf_stats.Counter
 module Spie = Aitf_traceback.Spie
 module Span = Aitf_obs.Span
 open Aitf_net
@@ -53,6 +51,76 @@ type contract_state = {
          install does not stack a second stream on the first *)
 }
 
+type counter =
+  | Req_victim_role | Req_attacker_role | Req_propagated | Req_duplicate
+  | Req_policed | Req_policed_client | Req_invalid | Req_not_on_path
+  | Req_no_path | Req_bad_auth | Req_to_attacker | Req_to_attacker_ignored
+  | Policer_overflow | Ignored_unresponsive | Handshake_ok | Handshake_fail
+  | Handshake_unverifiable | Filter_temp | Filter_long | Filter_long_self
+  | Filter_full | Filter_aggregated | Shadow_full | Escalated
+  | Terminal_filter | Disconnect_host | Disconnect_peer | Ctrl_retransmit
+  | Ctrl_gave_up | Traceback_pending | Traceback_done | Traceback_failed
+  | Placement_report | Receipt_issued | Receipt_forged | Receipt_replayed
+  | Contract_ignored | Contract_partial | Contract_failover | Peer_flagged
+  | Flagged_skipped
+
+let counter_name = function
+  | Req_victim_role -> "req-victim-role"
+  | Req_attacker_role -> "req-attacker-role"
+  | Req_propagated -> "req-propagated"
+  | Req_duplicate -> "req-duplicate"
+  | Req_policed -> "req-policed"
+  | Req_policed_client -> "req-policed-client"
+  | Req_invalid -> "req-invalid"
+  | Req_not_on_path -> "req-not-on-path"
+  | Req_no_path -> "req-no-path"
+  | Req_bad_auth -> "req-bad-auth"
+  | Req_to_attacker -> "req-to-attacker"
+  | Req_to_attacker_ignored -> "req-to-attacker-ignored"
+  | Policer_overflow -> "policer-overflow"
+  | Ignored_unresponsive -> "ignored-unresponsive"
+  | Handshake_ok -> "handshake-ok"
+  | Handshake_fail -> "handshake-fail"
+  | Handshake_unverifiable -> "handshake-unverifiable"
+  | Filter_temp -> "filter-temp"
+  | Filter_long -> "filter-long"
+  | Filter_long_self -> "filter-long-self"
+  | Filter_full -> "filter-full"
+  | Filter_aggregated -> "filter-aggregated"
+  | Shadow_full -> "shadow-full"
+  | Escalated -> "escalated"
+  | Terminal_filter -> "terminal-filter"
+  | Disconnect_host -> "disconnect-host"
+  | Disconnect_peer -> "disconnect-peer"
+  | Ctrl_retransmit -> "ctrl-retransmit"
+  | Ctrl_gave_up -> "ctrl-gave-up"
+  | Traceback_pending -> "traceback-pending"
+  | Traceback_done -> "traceback-done"
+  | Traceback_failed -> "traceback-failed"
+  | Placement_report -> "placement-report"
+  | Receipt_issued -> "receipt-issued"
+  | Receipt_forged -> "receipt-forged"
+  | Receipt_replayed -> "receipt-replayed"
+  | Contract_ignored -> "contract-ignored"
+  | Contract_partial -> "contract-partial"
+  | Contract_failover -> "contract-failover"
+  | Peer_flagged -> "peer-flagged"
+  | Flagged_skipped -> "flagged-skipped"
+
+let all_counters =
+  [
+    Req_victim_role; Req_attacker_role; Req_propagated; Req_duplicate;
+    Req_policed; Req_policed_client; Req_invalid; Req_not_on_path;
+    Req_no_path; Req_bad_auth; Req_to_attacker; Req_to_attacker_ignored;
+    Policer_overflow; Ignored_unresponsive; Handshake_ok; Handshake_fail;
+    Handshake_unverifiable; Filter_temp; Filter_long; Filter_long_self;
+    Filter_full; Filter_aggregated; Shadow_full; Escalated; Terminal_filter;
+    Disconnect_host; Disconnect_peer; Ctrl_retransmit; Ctrl_gave_up;
+    Traceback_pending; Traceback_done; Traceback_failed; Placement_report;
+    Receipt_issued; Receipt_forged; Receipt_replayed; Contract_ignored;
+    Contract_partial; Contract_failover; Peer_flagged; Flagged_skipped
+  ]
+
 type t = {
   net : Network.t;
   sim : Sim.t;
@@ -86,7 +154,7 @@ type t = {
   flagged : (Addr.t, unit) Hashtbl.t;
       (* peers the auditor convicted of lying; engage skips them *)
   blocklist : (Addr.t, float) Hashtbl.t;
-  counters : Counter.t;
+  counters : (counter, int) Hashtbl.t;
   mutable requests_received : int;
   ttf : Aitf_obs.Metrics.timer option;
       (* time-to-filter histogram; None when no registry was attached *)
@@ -109,7 +177,8 @@ let filter_install ?rate_limit ?corr ?requestor t label ~duration =
   | None -> Filter_table.install ?rate_limit ?corr t.filters label ~duration
 let shadow_occupancy t = Shadow_cache.occupancy t.shadow
 let shadow_peak t = Shadow_cache.peak_occupancy t.shadow
-let counters t = t.counters
+let count t c = Option.value ~default:0 (Hashtbl.find_opt t.counters c)
+let bump t c = Hashtbl.replace t.counters c (count t c + 1)
 let requests_received t = t.requests_received
 let tracked_requestors t = Hashtbl.length t.policers
 
@@ -125,9 +194,6 @@ let active_flows t =
       let e = Shadow_cache.data entry in
       acc := (e.flow, phase_name e.phase) :: !acc);
   List.sort (fun (a, _) (b, _) -> Flow_label.compare a b) !acc
-
-let trace t fmt =
-  Trace.emitf ~time:(Sim.now t.sim) ~category:t.node.Node.name fmt
 
 let in_cone t a = Option.is_some (Lpm.lookup t.client_cone a)
 
@@ -165,7 +231,7 @@ let policer_for t requestor =
       && not (Hashtbl.mem t.overrides requestor)
       && not (in_cone t requestor)
     then begin
-      Counter.incr t.counters "policer-overflow";
+      bump t Policer_overflow;
       t.overflow_policer
     end
     else begin
@@ -204,8 +270,7 @@ let blocklisted t a =
 let disconnect_host t a =
   Hashtbl.replace t.blocklist a
     (Sim.now t.sim +. t.config.Config.disconnect_duration);
-  Counter.incr t.counters "disconnect-host";
-  trace t "disconnecting non-compliant host %a" Addr.pp a
+  bump t Disconnect_host
 
 (* --- verifiable-contract layer (docs/CONTRACTS.md) ----------------------- *)
 
@@ -229,25 +294,25 @@ let enable_contracts ?(refresh = 5.0) t ~sign ~verify =
       let p metric = "gateway." ^ t.node.Node.name ^ "." ^ metric in
       register_counter reg (p "receipts_issued") ~unit_:"receipts"
         ~help:"Genuine install receipts issued (first send and refreshes)"
-        (fun () -> float_of_int (Counter.get t.counters "receipt-issued"));
+        (fun () -> float_of_int (count t Receipt_issued));
       register_counter reg (p "receipts_forged") ~unit_:"receipts"
         ~help:"Fabricated receipts sent by a Forge_receipts gateway"
-        (fun () -> float_of_int (Counter.get t.counters "receipt-forged"));
+        (fun () -> float_of_int (count t Receipt_forged));
       register_counter reg (p "receipts_replayed") ~unit_:"receipts"
         ~help:"Stale receipts re-sent by a Replay_receipts gateway"
-        (fun () -> float_of_int (Counter.get t.counters "receipt-replayed"));
+        (fun () -> float_of_int (count t Receipt_replayed));
       register_counter reg (p "contracts_ignored") ~unit_:"requests"
         ~help:"Requests accepted then ignored by a Byzantine behaviour"
-        (fun () -> float_of_int (Counter.get t.counters "contract-ignored"));
+        (fun () -> float_of_int (count t Contract_ignored));
       register_counter reg (p "requests_bad_auth") ~unit_:"requests"
         ~help:"Requests dropped because their keyed digest did not verify"
-        (fun () -> float_of_int (Counter.get t.counters "req-bad-auth"));
+        (fun () -> float_of_int (count t Req_bad_auth));
       register_gauge reg (p "peers_flagged") ~unit_:"gateways"
         ~help:"Peers the auditor convicted of lying (skipped by engage)"
         (fun () -> float_of_int (Hashtbl.length t.flagged));
       register_counter reg (p "contract_failovers") ~unit_:"flows"
         ~help:"Flows re-engaged past a flagged Byzantine gateway" (fun () ->
-          float_of_int (Counter.get t.counters "contract-failover")))
+          float_of_int (count t Contract_failover)))
 
 let contracts_enabled t = Option.is_some t.contracts
 
@@ -262,8 +327,7 @@ let contract_behavior t =
 let flag_peer t peer =
   if not (Hashtbl.mem t.flagged peer) then begin
     Hashtbl.replace t.flagged peer ();
-    Counter.incr t.counters "peer-flagged";
-    trace t "peer %a flagged as Byzantine" Addr.pp peer
+    bump t Peer_flagged
   end
 
 let flagged_peers t =
@@ -303,7 +367,7 @@ let start_receipt_stream t cs ~flow ~victim ~corr ~mk ~live =
     Hashtbl.replace cs.cs_streams flow ();
     let send_one () =
       let r, counter = mk () in
-      Counter.incr t.counters counter;
+      bump t counter;
       Span.event ~node:t.node.Node.name ~corr ~now:(Sim.now t.sim)
         "receipt-issued";
       send t ~dst:victim (Message.Install_receipt r)
@@ -333,7 +397,7 @@ let install_temp t (e : flow_entry) =
        ~duration:t.config.Config.t_tmp
    with
   | Ok h ->
-    Counter.incr t.counters "filter-temp";
+    bump t Filter_temp;
     e.temp_handle <- Some h
   | Error `Table_full ->
     e.temp_handle <- None;
@@ -348,13 +412,13 @@ let install_temp t (e : flow_entry) =
           ~duration:t.config.Config.t_tmp
       with
       | Ok h ->
-        Counter.incr t.counters "filter-aggregated";
+        bump t Filter_aggregated;
         (* The aggregate's hits over-approximate this flow's leakage — good
            enough for the silence detector, which only asks "still leaking?". *)
         e.temp_handle <- Some h
-      | Error `Table_full -> Counter.incr t.counters "filter-full"
+      | Error `Table_full -> bump t Filter_full
     end
-    else Counter.incr t.counters "filter-full");
+    else bump t Filter_full);
   (match e.temp_handle with
   | Some _ ->
     Span.start ~corr:e.corr ~stage:Span.Temp_filter ~node:t.node.Node.name
@@ -383,7 +447,7 @@ let install_long t (e : flow_entry) =
       ~corr:e.corr t e.flow ~duration:e.duration
   with
   | Ok _ ->
-    Counter.incr t.counters "filter-long";
+    bump t Filter_long;
     let now = Sim.now t.sim in
     Span.start ~corr:e.corr ~stage:Span.Permanent_filter
       ~node:t.node.Node.name ~now;
@@ -391,7 +455,7 @@ let install_long t (e : flow_entry) =
        closer to the attacker cooperated. No-op if comply already fired. *)
     Span.complete ~corr:e.corr ~now
   | Error `Table_full ->
-    Counter.incr t.counters "filter-full";
+    bump t Filter_full;
     Span.event ~node:t.node.Node.name ~corr:e.corr ~now:(Sim.now t.sim)
       "filter-full"
 
@@ -399,7 +463,7 @@ let install_long t (e : flow_entry) =
    filter ourselves and, when enforcement is on, disconnect the peering
    that delivers the flow. *)
 let terminal t (e : flow_entry) =
-  Counter.incr t.counters "terminal-filter";
+  bump t Terminal_filter;
   install_long t e;
   e.phase <- Delegated;
   if t.config.Config.disconnect then begin
@@ -408,10 +472,7 @@ let terminal t (e : flow_entry) =
       match Lpm.lookup t.node.Node.fib a with
       | Some port when port.Node.inter_as ->
         if Network.disconnect_port t.net t.node ~peer_id:port.Node.peer_id
-        then begin
-          Counter.incr t.counters "disconnect-peer";
-          trace t "disconnected peering towards %a" Addr.pp a
-        end
+        then bump t Disconnect_peer
       | Some _ | None -> ())
     | Flow_label.Any | Flow_label.Net _ -> ()
   end
@@ -429,9 +490,8 @@ let managed_placement t =
 (* Hand the flow to the placement controller: the gateway keeps only its
    temporary local protection; the controller owns the long filters. *)
 let delegate_to_placement t (e : flow_entry) p =
-  Counter.incr t.counters "placement-report";
+  bump t Placement_report;
   e.phase <- Delegated;
-  trace t "reporting %a to the placement controller" Flow_label.pp e.flow;
   Placement.report p
     {
       Placement.flow = e.flow;
@@ -453,7 +513,7 @@ let rec engage t (e : flow_entry) =
       match List.nth_opt e.path e.round with
       | Some gw when Hashtbl.mem t.flagged gw && not (Addr.equal gw (addr t))
         ->
-        Counter.incr t.counters "flagged-skipped";
+        bump t Flagged_skipped;
         e.round <- e.round + 1;
         skip ()
       | Some _ | None -> ()
@@ -468,16 +528,14 @@ let rec engage t (e : flow_entry) =
     | None -> terminal t e
     | Some gw when Addr.equal gw (addr t) ->
       (* The path has climbed up to us: filter here for the full T. *)
-      Counter.incr t.counters "filter-long-self";
+      bump t Filter_long_self;
       install_long t e;
       e.phase <- Delegated
     | Some gw -> (
       match managed_placement t with
       | Some p -> delegate_to_placement t e p
       | None ->
-      Counter.incr t.counters "req-propagated";
-      trace t "round %d: asking %a to block %a" e.round Addr.pp gw
-        Flow_label.pp e.flow;
+      bump t Req_propagated;
       let req =
         sign_request t
           {
@@ -494,16 +552,13 @@ let rec engage t (e : flow_entry) =
       send t ~dst:gw (Message.Filtering_request req);
       arm_ctrl_retry t e
         ~resend:(fun () -> send t ~dst:gw (Message.Filtering_request req))
-        ~gave_up:(fun () ->
-          trace t "no response from %a for %a; escalating on silence"
-            Addr.pp gw Flow_label.pp e.flow;
-          escalate t e))
+        ~gave_up:(fun () -> escalate t e))
 
 (* A shadow hit while monitoring: the attacker's side did not take over
    (non-cooperation or an on-off game). Re-protect and escalate. *)
 and escalate t (e : flow_entry) =
   e.round <- e.round + 1;
-  Counter.incr t.counters "escalated";
+  bump t Escalated;
   Span.event ~node:t.node.Node.name ~corr:e.corr ~now:(Sim.now t.sim)
     "escalate";
   if e.round >= t.config.Config.max_rounds then terminal t e
@@ -519,8 +574,6 @@ and escalate t (e : flow_entry) =
     | Some up ->
       install_temp t e;
       e.phase <- Delegated;
-      trace t "escalating %a to upstream %a (round %d)" Flow_label.pp e.flow
-        Addr.pp up e.round;
       let req =
         sign_request t
           {
@@ -540,8 +593,6 @@ and escalate t (e : flow_entry) =
         ~gave_up:(fun () ->
           (* The whole upstream direction is silent: nobody above us will
              help, so keep a terminal filter ourselves. *)
-          trace t "upstream %a silent for %a; terminal filtering" Addr.pp up
-            Flow_label.pp e.flow;
           terminal t e)
     | None ->
       (* Top-level gateway: play the next round ourselves. *)
@@ -568,7 +619,7 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
                let hits = entry_hits e in
                if hits > e.sent_hits then
                  if attempt <= t.config.Config.ctrl_retries then begin
-                   Counter.incr t.counters "ctrl-retransmit";
+                   bump t Ctrl_retransmit;
                    Span.event ~node:t.node.Node.name ~corr:e.corr
                      ~now:(Sim.now t.sim) "ctrl-retransmit";
                    e.sent_hits <- hits;
@@ -576,7 +627,7 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
                    arm (rto *. t.config.Config.ctrl_backoff) (attempt + 1)
                  end
                  else begin
-                   Counter.incr t.counters "ctrl-gave-up";
+                   bump t Ctrl_gave_up;
                    Span.event ~node:t.node.Node.name ~corr:e.corr
                      ~now:(Sim.now t.sim) "ctrl-gave-up";
                    gave_up ()
@@ -605,15 +656,13 @@ let fail_over t ~peer =
   let stuck = List.sort (fun a b -> Flow_label.compare a.flow b.flow) !stuck in
   List.iter
     (fun e ->
-      Counter.incr t.counters "contract-failover";
-      trace t "failing %a over past flagged %a" Flow_label.pp e.flow Addr.pp
-        peer;
+      bump t Contract_failover;
       engage t e)
     stuck;
   List.length stuck
 
 let victim_role t (req : Message.request) =
-  Counter.incr t.counters "req-victim-role";
+  bump t Req_victim_role;
   (* The request reached a victim's gateway: the Request leg is over,
      whatever we decide to do with it. No-op on duplicates. *)
   Span.finish ~corr:req.Message.corr ~stage:Span.Request ~now:(Sim.now t.sim)
@@ -633,11 +682,11 @@ let victim_role t (req : Message.request) =
   match duplicate_of with
   | Some entry ->
     Shadow_cache.refresh t.shadow entry ~ttl:t.config.Config.t_filter;
-    Counter.incr t.counters "req-duplicate"
+    bump t Req_duplicate
   | None -> (
   let bucket = policer_for t req.Message.requestor in
   if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
-    Counter.incr t.counters "req-policed";
+    bump t Req_policed;
     Span.event ~node:t.node.Node.name ~corr:req.Message.corr
       ~now:(Sim.now t.sim) "req-policed"
   end
@@ -650,7 +699,7 @@ let victim_role t (req : Message.request) =
       match req.Message.flow.Flow_label.dst with
       | Flow_label.Host d -> in_cone t d
       | Flow_label.Any | Flow_label.Net _ -> false)
-  then Counter.incr t.counters "req-invalid"
+  then bump t Req_invalid
   else
     match Shadow_cache.find t.shadow req.Message.flow with
     | Some entry ->
@@ -680,16 +729,16 @@ let victim_role t (req : Message.request) =
         Shadow_cache.insert t.shadow req.Message.flow
           ~ttl:t.config.Config.t_filter e
       with
-      | Error `Full -> Counter.incr t.counters "shadow-full"
+      | Error `Full -> bump t Shadow_full
       | Ok _ -> (
         match (req.Message.path, t.config.Config.traceback) with
         | [], Config.Spie_query _ ->
-          Counter.incr t.counters "traceback-pending";
+          bump t Traceback_pending;
           install_temp t e;
           e.phase <- Awaiting_path
         | [], Config.Path_in_request ->
           (* Nothing to propagate to; protect locally only. *)
-          Counter.incr t.counters "req-no-path";
+          bump t Req_no_path;
           install_temp t e
         | _ :: _, _ -> engage t e)))
 
@@ -710,14 +759,14 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
   | Error `Table_full ->
     (* Out of filters: we cannot honor the request; escalation will route
        around us. *)
-    Counter.incr t.counters "filter-full";
+    bump t Filter_full;
     let now = Sim.now t.sim in
     Span.event ~node:t.node.Node.name ~corr:req.Message.corr ~now
       "filter-full";
     Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
       ~stage:Span.Verification ~now ()
   | Ok handle ->
-    Counter.incr t.counters "filter-long";
+    bump t Filter_long;
     let now = Sim.now t.sim in
     (match t.ttf with
     | Some tm -> Aitf_obs.Metrics.observe tm (now -. received_at)
@@ -729,8 +778,6 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
     Span.start ~corr:req.Message.corr ~stage:Span.Permanent_filter
       ~node:t.node.Node.name ~now;
     Span.complete ~corr:req.Message.corr ~now;
-    trace t "blocking %a for %gs" Flow_label.pp req.Message.flow
-      req.Message.duration;
     (match (receipts, req.Message.flow.Flow_label.dst) with
     | Some cs, Flow_label.Host victim ->
       let flow = req.Message.flow in
@@ -749,13 +796,13 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
                 rc_hits = Filter_table.hits handle;
                 rc_auth = 0L;
               },
-            "receipt-issued" ))
+            Receipt_issued ))
     | _ -> ());
     (match req.Message.flow.Flow_label.src with
     | Flow_label.Host client when in_cone t client ->
       let bucket = client_policer_for t client in
       if Token_bucket.allow bucket ~now:(Sim.now t.sim) then begin
-        Counter.incr t.counters "req-to-attacker";
+        bump t Req_to_attacker;
         Span.start ~corr:req.Message.corr ~stage:Span.Counter_request
           ~node:t.node.Node.name ~now:(Sim.now t.sim);
         send t ~dst:client
@@ -769,7 +816,7 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
                 }))
       end
       else begin
-        Counter.incr t.counters "req-policed-client";
+        bump t Req_policed_client;
         Span.event ~node:t.node.Node.name ~corr:req.Message.corr
           ~now:(Sim.now t.sim) "req-policed-client"
       end;
@@ -803,10 +850,10 @@ let comply_byzantine t cs ~received_at (req : Message.request) =
     (* Accept-then-ignore: the requestor moved on believing we took over,
        nothing was installed, and no receipt will ever arrive. Silence is
        the tell the auditor keys on. *)
-    Counter.incr t.counters "contract-ignored";
+    bump t Contract_ignored;
     finish_span ()
   | Forge_receipts -> (
-    Counter.incr t.counters "contract-ignored";
+    bump t Contract_ignored;
     finish_span ();
     match req.Message.flow.Flow_label.dst with
     | Flow_label.Any | Flow_label.Net _ -> ()
@@ -835,14 +882,14 @@ let comply_byzantine t cs ~received_at (req : Message.request) =
               }
           in
           ( { r with Message.rc_auth = Int64.lognot r.Message.rc_auth },
-            "receipt-forged" )))
+            Receipt_forged )))
   | Replay_receipts -> (
     (* Install just long enough for the first receipt to be genuine, then
        replay that exact receipt — stale sequence number and all — at every
        refresh while the filter itself has long lapsed. *)
     match req.Message.flow.Flow_label.dst with
     | Flow_label.Any | Flow_label.Net _ ->
-      Counter.incr t.counters "contract-ignored";
+      bump t Contract_ignored;
       finish_span ()
     | Flow_label.Host victim -> (
       let flow = req.Message.flow in
@@ -852,10 +899,10 @@ let comply_byzantine t cs ~received_at (req : Message.request) =
           ~requestor:req.Message.requestor t flow ~duration:short
       with
       | Error `Table_full ->
-        Counter.incr t.counters "filter-full";
+        bump t Filter_full;
         finish_span ()
       | Ok handle ->
-        Counter.incr t.counters "filter-long";
+        bump t Filter_long;
         (match t.ttf with
         | Some tm ->
           Aitf_obs.Metrics.observe tm (Sim.now t.sim -. received_at)
@@ -881,9 +928,7 @@ let comply_byzantine t cs ~received_at (req : Message.request) =
         start_receipt_stream t cs ~flow ~victim ~corr:req.Message.corr
           ~live:(fun () -> Sim.now t.sim < until)
           ~mk:(fun () ->
-            let counter =
-              if !sent then "receipt-replayed" else "receipt-issued"
-            in
+            let counter = if !sent then Receipt_replayed else Receipt_issued in
             sent := true;
             (first, counter))))
 
@@ -896,13 +941,13 @@ let comply t ~received_at (req : Message.request) =
     | Partial_policing leak ->
       (* Installs a rate-limited filter but issues receipts claiming full
          policing; caught by the auditor's arrival evidence. *)
-      Counter.incr t.counters "contract-partial";
+      bump t Contract_partial;
       comply_install ~leak ~receipts:cs t ~received_at req
     | Accept_ignore | Forge_receipts | Replay_receipts ->
       comply_byzantine t cs ~received_at req)
 
 let attacker_role t (req : Message.request) =
-  Counter.incr t.counters "req-attacker-role";
+  bump t Req_attacker_role;
   let received_at = Sim.now t.sim in
   if Option.is_some (Filter_table.find t.filters req.Message.flow) then begin
     (* Already blocking this flow; just refresh. Classified before the
@@ -913,21 +958,21 @@ let attacker_role t (req : Message.request) =
     ignore
       (Filter_table.install ?rate_limit:(long_rate_limit t) t.filters
          req.Message.flow ~duration:req.Message.duration);
-    Counter.incr t.counters "req-duplicate"
+    bump t Req_duplicate
   end
   else if Hashtbl.mem t.verifying req.Message.flow then
     (* A handshake for this flow is already in flight; the duplicate
        neither starts a second one nor costs the requestor anything. *)
-    Counter.incr t.counters "req-duplicate"
+    bump t Req_duplicate
   else
     let bucket = policer_for t req.Message.requestor in
   if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
-    Counter.incr t.counters "req-policed";
+    bump t Req_policed;
     Span.event ~node:t.node.Node.name ~corr:req.Message.corr
       ~now:(Sim.now t.sim) "req-policed"
   end
   else if t.policy = Policy.Unresponsive then
-    Counter.incr t.counters "ignored-unresponsive"
+    bump t Ignored_unresponsive
   else if
     not
       (List.exists (Addr.equal (addr t)) req.Message.path
@@ -935,7 +980,7 @@ let attacker_role t (req : Message.request) =
       match req.Message.flow.Flow_label.src with
       | Flow_label.Host a -> in_cone t a
       | Flow_label.Any | Flow_label.Net _ -> false)
-  then Counter.incr t.counters "req-not-on-path"
+  then bump t Req_not_on_path
   else if not t.config.Config.handshake then begin
     Span.start ~corr:req.Message.corr ~stage:Span.Verification
       ~node:t.node.Node.name ~now:received_at;
@@ -945,8 +990,6 @@ let attacker_role t (req : Message.request) =
     match req.Message.flow.Flow_label.dst with
     | Flow_label.Host victim ->
       Hashtbl.replace t.verifying req.Message.flow ();
-      trace t "verifying %a with %a" Flow_label.pp req.Message.flow Addr.pp
-        victim;
       Span.start ~corr:req.Message.corr ~stage:Span.Verification
         ~node:t.node.Node.name ~now:received_at;
       let first_tx = ref true in
@@ -965,11 +1008,11 @@ let attacker_role t (req : Message.request) =
            ~on_result:(fun ok ->
              Hashtbl.remove t.verifying req.Message.flow;
              if ok then begin
-               Counter.incr t.counters "handshake-ok";
+               bump t Handshake_ok;
                comply t ~received_at req
              end
              else begin
-               Counter.incr t.counters "handshake-fail";
+               bump t Handshake_fail;
                let now = Sim.now t.sim in
                Span.event ~node:t.node.Node.name ~corr:req.Message.corr ~now
                  "handshake-fail";
@@ -978,7 +1021,7 @@ let attacker_role t (req : Message.request) =
              end))
     | Flow_label.Any | Flow_label.Net _ ->
       (* No single victim to query; treat as unverifiable. *)
-      Counter.incr t.counters "handshake-unverifiable"
+      bump t Handshake_unverifiable
 
 (* --- message dispatch & forwarding hook --------------------------------- *)
 
@@ -987,7 +1030,7 @@ let on_request t (req : Message.request) =
   if not (request_authentic t req) then begin
     (* With contracts on, an unsigned or tampered request is dropped before
        it can spend anyone's R1 budget or install anything. *)
-    Counter.incr t.counters "req-bad-auth";
+    bump t Req_bad_auth;
     Span.event ~node:t.node.Node.name ~corr:req.Message.corr
       ~now:(Sim.now t.sim) "req-bad-auth"
   end
@@ -997,7 +1040,7 @@ let on_request t (req : Message.request) =
   | Message.To_attacker_gateway -> attacker_role t req
   | Message.To_attacker ->
     (* Gateways are not traffic sources; nothing to stop. *)
-    Counter.incr t.counters "req-to-attacker-ignored"
+    bump t Req_to_attacker_ignored
 
 (* SPIE capture: the first packet blocked (or shadow-matched) for a flow
    whose path we still owe is the traceback specimen. *)
@@ -1012,9 +1055,9 @@ let capture_for_traceback t (pkt : Packet.t) =
       let path, latency = Spie.reconstruct spie ~from:t.node pkt in
       ignore
         (Sim.after ~label:"gw-traceback" t.sim latency (fun () ->
-             if path = [] then Counter.incr t.counters "traceback-failed"
+             if path = [] then bump t Traceback_failed
              else begin
-               Counter.incr t.counters "traceback-done";
+               bump t Traceback_done;
                e.path <- path;
                engage t e
              end))
@@ -1043,7 +1086,6 @@ let hook t (_node : Node.t) (pkt : Packet.t) =
           Shadow_cache.remove t.shadow entry
         else begin
           Shadow_cache.refresh t.shadow entry ~ttl:t.config.Config.t_filter;
-          trace t "flow %a reappeared; escalating" Flow_label.pp e.flow;
           escalate t e
         end
       | Awaiting_path -> capture_for_traceback t pkt
@@ -1125,7 +1167,7 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       contracts = None;
       flagged = Hashtbl.create 4;
       blocklist = Hashtbl.create 8;
-      counters = Counter.create ();
+      counters = Hashtbl.create 16;
       requests_received = 0;
       ttf;
     }
@@ -1159,26 +1201,26 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       register_counter reg (p "policer_drops") ~unit_:"requests"
         ~help:"Requests dropped by the R1/R2 token-bucket policers" (fun () ->
           float_of_int
-            (Counter.get t.counters "req-policed"
-            + Counter.get t.counters "req-policed-client"));
+            (count t Req_policed
+            + count t Req_policed_client));
       register_counter reg (p "escalations") ~unit_:"requests"
         ~help:"Rounds escalated after a flow reappeared" (fun () ->
-          float_of_int (Counter.get t.counters "escalated"));
+          float_of_int (count t Escalated));
       register_counter reg (p "handshakes_ok") ~unit_:"handshakes"
         ~help:"Three-way handshakes that verified the victim" (fun () ->
-          float_of_int (Counter.get t.counters "handshake-ok"));
+          float_of_int (count t Handshake_ok));
       register_counter reg (p "handshakes_failed") ~unit_:"handshakes"
         ~help:"Three-way handshakes that timed out or failed" (fun () ->
-          float_of_int (Counter.get t.counters "handshake-fail"));
+          float_of_int (count t Handshake_fail));
       register_counter reg (p "filters_temp_installed") ~unit_:"filters"
         ~help:"Temporary (Ttmp) filter installs" (fun () ->
-          float_of_int (Counter.get t.counters "filter-temp"));
+          float_of_int (count t Filter_temp));
       register_counter reg (p "filters_long_installed") ~unit_:"filters"
         ~help:"Long (T) filter installs, local self-installs included"
         (fun () ->
           float_of_int
-            (Counter.get t.counters "filter-long"
-            + Counter.get t.counters "filter-long-self"));
+            (count t Filter_long
+            + count t Filter_long_self));
       register_gauge reg (p "tracked_requestors") ~unit_:"requestors"
         ~help:"Requestors with a dedicated policer bucket" (fun () ->
           float_of_int (Hashtbl.length t.policers));
@@ -1186,12 +1228,12 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
         ~help:
           "Filtering requests retransmitted because the temporary filter \
            kept taking hits after the previous transmission" (fun () ->
-          float_of_int (Counter.get t.counters "ctrl-retransmit"));
+          float_of_int (count t Ctrl_retransmit));
       register_counter reg (p "ctrl_gave_up") ~unit_:"flows"
         ~help:
           "Flows whose counterpart stayed silent through the whole retry \
            budget (escalated or filtered terminally on silence)" (fun () ->
-          float_of_int (Counter.get t.counters "ctrl-gave-up"));
+          float_of_int (count t Ctrl_gave_up));
       register_counter reg (p "handshake_retransmits") ~unit_:"messages"
         ~help:"Verification queries retransmitted after a timeout" (fun () ->
           float_of_int (Handshake.retransmits t.handshakes));

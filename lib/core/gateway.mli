@@ -23,7 +23,7 @@
     filter's hit counters — a client still sending after the grace period is
     disconnected (blocklisted) when disconnection is enabled.
 
-    Statistics for every decision are exposed through {!counters}. *)
+    Statistics for every decision are exposed through {!count}. *)
 
 open Aitf_net
 open Aitf_filter
@@ -80,13 +80,59 @@ val shadow_peak : t -> int
 val blocklisted : t -> Addr.t -> bool
 (** Is this host currently disconnected? *)
 
-val counters : t -> Aitf_stats.Counter.t
-(** Decision counters, e.g. ["req-victim-role"], ["req-attacker-role"],
-    ["req-policed"], ["req-policed-client"], ["req-duplicate"],
-    ["handshake-ok"], ["handshake-fail"], ["filter-temp"],
-    ["filter-long"], ["filter-full"], ["escalated"], ["terminal-filter"],
-    ["disconnect-host"], ["disconnect-peer"], ["ignored-unresponsive"],
-    ["req-invalid"]. *)
+(** One decision counter per protocol outcome. {!counter_name} gives the
+    name the [--stats] table prints (docs/OPERATIONS.md). *)
+type counter =
+  | Req_victim_role  (** request handled as victim's gateway *)
+  | Req_attacker_role  (** request handled as attacker's gateway *)
+  | Req_propagated  (** request sent on to this round's attacker side *)
+  | Req_duplicate  (** retransmitted or duplicated request, a free no-op *)
+  | Req_policed  (** dropped by the requestor's R1/remote policer *)
+  | Req_policed_client  (** to-attacker request held back by R2 *)
+  | Req_invalid  (** requestor or victim outside the customer cone *)
+  | Req_not_on_path  (** attacker-side request for a flow not via us *)
+  | Req_no_path  (** no path to propagate along: local protection only *)
+  | Req_bad_auth  (** keyed digest did not verify (contracts on) *)
+  | Req_to_attacker  (** request forwarded to the attacking client *)
+  | Req_to_attacker_ignored  (** to-attacker request addressed to us *)
+  | Policer_overflow  (** requestor past the tracking bound, shared bucket *)
+  | Ignored_unresponsive  (** dropped by an [Unresponsive] gateway *)
+  | Handshake_ok
+  | Handshake_fail
+  | Handshake_unverifiable  (** no single victim to query *)
+  | Filter_temp  (** temporary (Ttmp) filter installed *)
+  | Filter_long  (** long (T) filter installed for a request *)
+  | Filter_long_self  (** path climbed to us: long filter kept locally *)
+  | Filter_full  (** install refused, table full *)
+  | Filter_aggregated  (** wildcard aggregate installed under pressure *)
+  | Shadow_full  (** request not logged, shadow cache full *)
+  | Escalated  (** round escalated after the flow reappeared *)
+  | Terminal_filter  (** path exhausted: filtering terminally *)
+  | Disconnect_host  (** non-compliant client blocklisted *)
+  | Disconnect_peer  (** peering towards the attacker cut *)
+  | Ctrl_retransmit  (** request resent, temp filter still hit *)
+  | Ctrl_gave_up  (** retry budget exhausted *)
+  | Traceback_pending  (** SPIE mode: waiting for a specimen packet *)
+  | Traceback_done
+  | Traceback_failed
+  | Placement_report  (** evidence handed to the placement controller *)
+  | Receipt_issued  (** genuine install receipt sent *)
+  | Receipt_forged  (** fabricated receipt sent ([Forge_receipts]) *)
+  | Receipt_replayed  (** stale receipt re-sent ([Replay_receipts]) *)
+  | Contract_ignored  (** request accepted then ignored (Byzantine) *)
+  | Contract_partial  (** request rate-limited only ([Partial_policing]) *)
+  | Contract_failover  (** flow re-engaged past a flagged peer *)
+  | Peer_flagged  (** peer recorded as Byzantine *)
+  | Flagged_skipped  (** flagged path entry skipped by engage *)
+
+val counter_name : counter -> string
+(** Kebab-case name, e.g. ["req-victim-role"]; distinct per counter. *)
+
+val all_counters : counter list
+(** Every counter, in declaration order. *)
+
+val count : t -> counter -> int
+(** How often this gateway took the decision so far. *)
 
 val requests_received : t -> int
 (** Filtering requests that reached this gateway (before policing). *)
@@ -110,7 +156,7 @@ val tracked_requestors : t -> int
     - outgoing filtering requests carry a keyed digest of their canonical
       wire bytes ({!Wire.signing_bytes}) under this gateway's key, and
       incoming requests are verified against the requestor's key
-      (failures counted as ["req-bad-auth"] and dropped);
+      (failures counted as [Req_bad_auth] and dropped);
     - honoring a request also issues an {e install receipt} to the flow's
       victim, refreshed every [refresh] seconds while the filter stays
       resident, so a victim-side auditor ([Aitf_contract.Auditor]) can

@@ -1,5 +1,4 @@
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
 module Rate_meter = Aitf_stats.Rate_meter
 module Ppm = Aitf_traceback.Ppm
 module Span = Aitf_obs.Span
@@ -55,9 +54,6 @@ module Victim = struct
   }
 
   let node t = t.node
-
-  let trace t fmt =
-    Trace.emitf ~time:(Sim.now t.sim) ~category:t.node.Node.name fmt
 
   let send t ~dst payload =
     Network.originate t.net t.node
@@ -122,8 +118,6 @@ module Victim = struct
                      t.requests_retransmitted <- t.requests_retransmitted + 1;
                      Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
                        "victim-retransmit";
-                     trace t "re-requesting block of %a (attempt %d)"
-                       Flow_label.pp flow (attempt + 1);
                      send t ~dst:t.gateway (request_message t flow path)
                    end
                    else begin
@@ -150,7 +144,6 @@ module Victim = struct
       t.requests_sent <- t.requests_sent + 1;
       Hashtbl.replace t.requested flow
         (Sim.now t.sim +. t.config.Config.t_filter);
-      trace t "requesting block of %a" Flow_label.pp flow;
       Span.start ~corr:(corr_of t flow) ~stage:Span.Request
         ~node:t.node.Node.name ~now:(Sim.now t.sim);
       let payload = request_message t flow path in

@@ -1,5 +1,4 @@
 module Sim = Aitf_engine.Sim
-module Trace = Aitf_engine.Trace
 open Aitf_net
 open Aitf_filter
 
@@ -55,8 +54,6 @@ let on_detect t flow (pkt : Packet.t) =
             ~victim:(node t).Node.name ~now:(Sim.now t.sim);
         c
     in
-    Trace.emitf ~time:(Sim.now t.sim) ~category:(node t).Node.name
-      "requesting block of %a on behalf of a legacy host" Flow_label.pp flow;
     Aitf_obs.Span.start ~corr ~stage:Aitf_obs.Span.Request
       ~node:(node t).Node.name ~now:(Sim.now t.sim);
     send t ~dst:(node t).Node.addr

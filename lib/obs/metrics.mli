@@ -9,8 +9,8 @@
     doing. Timers are the one push-based kind (value distributions such as
     time-to-filter have no state to read back); components hold a
     [timer option] that is [None] when no registry was attached at
-    creation, so a disabled observation costs one branch — mirroring
-    {!Aitf_engine.Trace}'s zero-sink design.
+    creation, so a disabled observation costs one branch — the same
+    off-by-default design as {!Span} collection.
 
     {b Naming.} Dot-separated, instance-qualified:
     [<layer>.<instance>.<metric>], e.g. [gateway.B_gw1.filters.occupancy].
@@ -18,7 +18,7 @@
     fresh registry per run — component creation registers instance metrics,
     so replaying a scenario against the same registry would collide.
 
-    {b Attachment.} Like tracing, instrumentation is off by default. A
+    {b Attachment.} Like span tracing, instrumentation is off by default. A
     scenario attaches a registry ({!attach}) before building its world;
     every component created while one is attached self-registers. Detach
     when the run's report has been taken. *)

@@ -25,7 +25,7 @@ let stage_index = function
 let all_stages =
   [ Detect; Request; Temp_filter; Verification; Counter_request; Permanent_filter ]
 
-type event = { at : float; label : string }
+type event = { at : float; label : string; by : string option }
 
 type span = {
   span_corr : int;
@@ -247,7 +247,7 @@ let newest_open t ?node ~corr () =
 
 let event ?node ~corr ~now label =
   with_t (fun t ->
-      let e = { at = now; label } in
+      let e = { at = now; label; by = node } in
       match newest_open t ?node ~corr () with
       | Some s -> s.span_events <- e :: s.span_events
       | None -> (
@@ -258,12 +258,13 @@ let event ?node ~corr ~now label =
 let root_event ~corr ~now label =
   with_t (fun t ->
       match find_or_orphan t ~corr ~now with
-      | Some r -> r.root_events <- { at = now; label } :: r.root_events
+      | Some r ->
+        r.root_events <- { at = now; label; by = None } :: r.root_events
       | None -> ())
 
 let stage_event ?node ~corr ~stage ~now label =
   with_t (fun t ->
-      let e = { at = now; label } in
+      let e = { at = now; label; by = node } in
       match peek_open t ?node ~corr ~stage () with
       | Some s -> s.span_events <- e :: s.span_events
       | None -> (
@@ -700,3 +701,33 @@ let summary ?(percentiles = [ 50.; 90.; 99. ]) t =
              (stage_name stage) v))
     percentiles;
   Buffer.contents buf
+
+(* --- timeline ---------------------------------------------------------------- *)
+
+(* Each root contributes its lines in causal order (open, then per span:
+   start, events, finish), so the stable sort keeps that order on ties. *)
+let timeline t =
+  let lines = ref [] in
+  List.iter
+    (fun r ->
+      let add at node what =
+        lines := (at, node, Printf.sprintf "#%d %s" r.corr what) :: !lines
+      in
+      let by e default = Option.value e.by ~default in
+      add r.opened_at r.victim ("open " ^ r.flow);
+      List.iter
+        (fun e -> add e.at (by e r.victim) e.label)
+        (List.rev r.root_events);
+      List.iter
+        (fun s ->
+          let stage = stage_name s.stage in
+          add s.started_at s.node ("start " ^ stage);
+          List.iter (fun e -> add e.at (by e s.node) e.label) (events_of s);
+          Option.iter (fun at -> add at s.node ("finish " ^ stage)) s.finished_at)
+        (spans_of r))
+    (roots t);
+  List.rev !lines
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
+  |> List.map (fun (at, node, msg) ->
+         Printf.sprintf "%10.4f  [%-12s] %s\n" at node msg)
+  |> String.concat ""

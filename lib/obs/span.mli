@@ -13,9 +13,9 @@
     JSON (loadable in Perfetto) plus a human-readable critical-path
     summary.
 
-    Like {!Aitf_engine.Trace} and {!Metrics}, collection is off by
-    default and attached process-globally ({!attach}); every recording
-    entry point is a single branch when no collector is attached.
+    Like {!Metrics}, collection is off by default and attached
+    process-globally ({!attach}); every recording entry point is a
+    single branch when no collector is attached.
     Recording never schedules events and never consumes randomness, and
     {!mint} runs unconditionally off a plain counter, so a traced run is
     bit-identical to an untraced one (same seed, same event sequence).
@@ -50,7 +50,11 @@ type stage =
 val stage_name : stage -> string
 (** Kebab-case name, e.g. ["temp-filter"]. *)
 
-type event = { at : float; label : string }
+type event = {
+  at : float;
+  label : string;
+  by : string option;  (** node that recorded it, when the recorder named one *)
+}
 (** A point annotation inside a span or at the root. *)
 
 type span = {
@@ -242,3 +246,11 @@ val summary : ?percentiles:float list -> t -> string
 (** Human-readable critical-path summary: per-stage duration
     percentiles across all roots (default p50/p90/p99) plus, per
     percentile, which stage dominated time-to-filter. *)
+
+val timeline : t -> string
+(** The span forest as text, one line per moment in time order:
+    ["%10.4f  [node] #corr what"], where [what] is a root's opening (with
+    its flow), a span's [start]/[finish] with its stage, or an event
+    label. An event is tagged with the node that recorded it, else with
+    its span's node, else with the victim. What [aitf_sim run --trace]
+    prints. *)

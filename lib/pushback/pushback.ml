@@ -1,6 +1,5 @@
 module Sim = Aitf_engine.Sim
 module Timer = Aitf_engine.Timer
-module Trace = Aitf_engine.Trace
 open Aitf_net
 
 type config = {
@@ -70,10 +69,6 @@ and t = {
 let config t = t.cfg
 
 let aggregate_of t (dst : Addr.t) = Addr.prefix dst t.cfg.aggregate_prefix_len
-
-let trace r fmt =
-  Trace.emitf ~time:(Sim.now (Network.sim r.rt.net)) ~category:r.node.Node.name
-    fmt
 
 (* --- rate limiting ------------------------------------------------------ *)
 
@@ -174,9 +169,6 @@ let propagate r l =
       let share = l.rate /. float_of_int (List.length chosen) in
       List.iter
         (fun (hop, _) ->
-          trace r "pushback %s to %s at %.0f B/s"
-            (Addr.prefix_to_string l.aggregate)
-            (Addr.to_string hop) share;
           send_request r ~dst:hop ~aggregate:l.aggregate ~rate:share
             ~depth:(l.depth - 1))
         chosen
@@ -205,8 +197,6 @@ let install_limiter r ~aggregate ~rate ~depth =
     in
     Hashtbl.replace r.limiters aggregate l;
     r.rt.installed <- r.rt.installed + 1;
-    trace r "limiting %s to %.0f B/s (depth %d)"
-      (Addr.prefix_to_string aggregate) rate depth;
     (* After the feedback delay, if the aggregate still arrives well above
        the limit, recruit the upstream neighbors. *)
     ignore

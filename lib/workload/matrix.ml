@@ -139,8 +139,8 @@ let run_chain_cell cell () =
       ("r_measured", fl r.r_measured);
       ("escalations", it r.escalations);
       ("requests_sent", it r.requests_sent);
-      ("filters", it (counter_total gws "filter-temp"
-                      + counter_total gws "filter-long"));
+      ("filters", it (counter_total gws Gateway.Filter_temp
+                      + counter_total gws Gateway.Filter_long));
       ("faults_injected", it r.faults_injected);
       ("collateral_packets", it r.collateral_packets);
       ("events", it r.events_processed);

@@ -560,8 +560,8 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
     rr_requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
     rr_filters =
-      Scenarios.counter_total all_gws "filter-temp"
-      + Scenarios.counter_total all_gws "filter-long";
+      Scenarios.counter_total all_gws Gateway.Filter_temp
+      + Scenarios.counter_total all_gws Gateway.Filter_long;
     rr_absorbed = Array.fold_left (fun acc r -> acc + !r) 0 absorbed;
     rr_events = Sim.events_processed sim;
     rr_victim_rate;

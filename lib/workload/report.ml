@@ -1,6 +1,5 @@
 module Sim = Aitf_engine.Sim
 module Table = Aitf_stats.Table
-module Counter = Aitf_stats.Counter
 open Aitf_net
 
 let drops_summary (n : Node.t) =
@@ -66,8 +65,10 @@ let gateway_table gws =
     (fun gw ->
       let filters = Aitf_core.Gateway.filters gw in
       let counters =
-        Counter.to_list (Aitf_core.Gateway.counters gw)
+        Aitf_core.Gateway.(
+          List.map (fun c -> (counter_name c, count gw c)) all_counters)
         |> List.filter (fun (_, v) -> v > 0)
+        |> List.sort compare
         |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
         |> String.concat " "
       in

@@ -3,7 +3,6 @@ module Rng = Aitf_engine.Rng
 module Sched = Aitf_parallel.Sched
 module Series = Aitf_stats.Series
 module Rate_meter = Aitf_stats.Rate_meter
-module Counter = Aitf_stats.Counter
 module Fluid = Aitf_flowsim.Fluid
 module Sampler = Aitf_flowsim.Sampler
 open Aitf_net
@@ -78,9 +77,8 @@ type chain_result = {
   events_processed : int;
 }
 
-let counter_total gws name =
-  List.fold_left (fun acc gw -> acc + Counter.get (Gateway.counters gw) name) 0
-    gws
+let counter_total gws c =
+  List.fold_left (fun acc gw -> acc + Gateway.count gw c) 0 gws
 
 (* These fixed small topologies are never sharded: with [?sched] they run
    entirely on the scheduler's global sim. The seam exists so tests can
@@ -350,7 +348,8 @@ let run_chain ?sched params =
     good_offered_bytes;
     good_received_bytes;
     victim_rate;
-    escalations = counter_total deployed.Chain.victim_gateways "escalated";
+    escalations =
+      counter_total deployed.Chain.victim_gateways Gateway.Escalated;
     requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
     requests_retransmitted =
@@ -358,11 +357,11 @@ let run_chain ?sched params =
     ctrl_retransmits =
       counter_total
         (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways)
-        "ctrl-retransmit";
+        Gateway.Ctrl_retransmit;
     ctrl_gave_up =
       counter_total
         (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways)
-        "ctrl-gave-up";
+        Gateway.Ctrl_gave_up;
     faults_injected =
       List.fold_left
         (fun acc i -> acc + Aitf_fault.Fault.drops_injected i)
@@ -582,7 +581,7 @@ let run_flood ?sched p =
   run_sched ?sched ~until:p.flood_duration sim;
   let filters_at gws =
     Array.fold_left
-      (fun acc gw -> acc + Counter.get (Gateway.counters gw) "filter-long")
+      (fun acc gw -> acc + Gateway.count gw Gateway.Filter_long)
       0 gws
   in
   let leaf_filters, isp_filters =
@@ -779,7 +778,8 @@ let run_swarm ?sched p =
     swarm_requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
     swarm_filters =
-      counter_total all_gws "filter-temp" + counter_total all_gws "filter-long";
+      counter_total all_gws Gateway.Filter_temp
+      + counter_total all_gws Gateway.Filter_long;
     swarm_absorbed = List.fold_left (fun acc r -> acc + !r) 0 !absorbed;
     swarm_events = Sim.events_processed sim;
     swarm_sampler;

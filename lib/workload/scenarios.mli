@@ -103,7 +103,7 @@ val time_to_suppress : chain_result -> threshold:float -> float option
     bandwidth fell (and stayed, for one sample) below [threshold] × the
     offered rate. *)
 
-val counter_total : Gateway.t list -> string -> int
+val counter_total : Gateway.t list -> Gateway.counter -> int
 (** Sum one counter over several gateways. *)
 
 (** {1 Distributed flood on the provider hierarchy}

@@ -177,7 +177,7 @@ let test_shadow_exhaustion_burns_r1 () =
   checkb "flood emitted" true (Adversary.requests_sent adv > 1000);
   let policer_drops =
     Scenarios.counter_total r.Scenarios.deployed.Chain.victim_gateways
-      "req-policed"
+      Gateway.Req_policed
   in
   checkb "policer sheds most of the flood" true
     (policer_drops > Adversary.requests_sent adv / 2);

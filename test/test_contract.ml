@@ -6,7 +6,6 @@
    regime the bench (E20) gates on. *)
 
 module Sim = Aitf_engine.Sim
-module Counter = Aitf_stats.Counter
 module Signing = Aitf_contract.Signing
 module Auditor = Aitf_contract.Auditor
 module Adversary = Aitf_adversary.Adversary

@@ -4,7 +4,6 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Counter = Aitf_stats.Counter
 open Aitf_net
 open Aitf_filter
 open Aitf_core
@@ -236,7 +235,6 @@ let make_rig ?(config = fast_config) ?(attacker_strategy = Policy.Ignores)
 
 let victim_gw r = List.hd r.d.Chain.victim_gateways
 let attacker_gw r i = List.nth r.d.Chain.attacker_gateways i
-let gw_counter gw name = Counter.get (Gateway.counters gw) name
 
 let test_protocol_basic_block () =
   let r = make_rig () in
@@ -246,10 +244,13 @@ let test_protocol_basic_block () =
   checkb "victim sent request" true
     (Host_agent.Victim.requests_sent r.d.Chain.victim_agent >= 1);
   checkb "victim gw handled request" true
-    (gw_counter (victim_gw r) "req-victim-role" >= 1);
-  checki "propagated exactly once" 1 (gw_counter (victim_gw r) "req-propagated");
-  checki "attacker gw long filter" 1 (gw_counter (attacker_gw r 0) "filter-long");
-  checki "handshake ok" 1 (gw_counter (attacker_gw r 0) "handshake-ok");
+    (Gateway.count (victim_gw r) Gateway.Req_victim_role >= 1);
+  checki "propagated exactly once" 1
+    (Gateway.count (victim_gw r) Gateway.Req_propagated);
+  checki "attacker gw long filter" 1
+    (Gateway.count (attacker_gw r 0) Gateway.Filter_long);
+  checki "handshake ok" 1
+    (Gateway.count (attacker_gw r 0) Gateway.Handshake_ok);
   (* The flow is actually dead at the victim: no packets in the last second. *)
   let meter = Host_agent.Victim.attack_meter r.d.Chain.victim_agent in
   checkb "flow suppressed" true
@@ -285,12 +286,16 @@ let test_protocol_escalation_unresponsive_gw () =
       ~attacker_strategy:(Policy.On_off { off_time = 0.15 }) ()
   in
   Sim.run ~until:3.0 r.sim;
-  checkb "B_gw1 ignored" true (gw_counter (attacker_gw r 0) "ignored-unresponsive" >= 1);
-  checkb "victim gw escalated" true (gw_counter (victim_gw r) "escalated" >= 1);
+  checkb "B_gw1 ignored" true
+    (Gateway.count (attacker_gw r 0) Gateway.Ignored_unresponsive >= 1);
+  checkb "victim gw escalated" true
+    (Gateway.count (victim_gw r) Gateway.Escalated >= 1);
   (* Round 2: the second gateway ends up filtering. *)
-  checkb "B_gw2 filters" true (gw_counter (attacker_gw r 1) "filter-long" >= 1);
+  checkb "B_gw2 filters" true
+    (Gateway.count (attacker_gw r 1) Gateway.Filter_long >= 1);
   let g_gw2 = List.nth r.d.Chain.victim_gateways 1 in
-  checkb "G_gw2 played victim gw" true (gw_counter g_gw2 "req-victim-role" >= 1)
+  checkb "G_gw2 played victim gw" true
+    (Gateway.count g_gw2 Gateway.Req_victim_role >= 1)
 
 let test_protocol_terminal_when_all_unresponsive () =
   let r = make_rig ~n_non_coop:3 ~attacker_strategy:Policy.Ignores () in
@@ -298,7 +303,8 @@ let test_protocol_terminal_when_all_unresponsive () =
   let top = List.nth r.d.Chain.victim_gateways 2 in
   (* The top victim-side gateway ends up holding a long filter itself. *)
   checkb "terminal filtering at G_gw3" true
-    (gw_counter top "filter-long-self" >= 1 || gw_counter top "terminal-filter" >= 1);
+    (Gateway.count top Gateway.Filter_long_self >= 1
+    || Gateway.count top Gateway.Terminal_filter >= 1);
   let meter = Host_agent.Victim.attack_meter r.d.Chain.victim_agent in
   checkb "flow still suppressed" true
     (Aitf_stats.Rate_meter.rate meter ~now:(Sim.now r.sim) = 0.)
@@ -309,7 +315,8 @@ let test_protocol_disconnection () =
   Sim.run ~until:4.0 r.sim;
   (* The ignoring attacker keeps hitting B_gw1's filter past the grace
      period and gets blocklisted. *)
-  checki "disconnected" 1 (gw_counter (attacker_gw r 0) "disconnect-host");
+  checki "disconnected" 1
+    (Gateway.count (attacker_gw r 0) Gateway.Disconnect_host);
   checkb "blocklisted" true
     (Gateway.blocklisted (attacker_gw r 0) r.topo.Chain.attacker.Node.addr)
 
@@ -381,7 +388,7 @@ let test_protocol_handshake_blocks_forgery () =
               (Message.Filtering_request forged))));
   Sim.run ~until:4.0 sim;
   let bgw1 = List.hd d.Chain.attacker_gateways in
-  checki "verification failed" 1 (Counter.get (Gateway.counters bgw1) "handshake-fail");
+  checki "verification failed" 1 (Gateway.count bgw1 Gateway.Handshake_fail);
   checki "no filter installed" 0 (Filter_table.occupancy (Gateway.filters bgw1));
   checkb "legit flow unharmed" true
     (Host_agent.Victim.good_bytes d.Chain.victim_agent > 30_000.)
@@ -493,7 +500,7 @@ let test_protocol_gateway_polices_remote_requests () =
                 (Message.Filtering_request (mk i)))
          done));
   Sim.run ~until:0.4 r.sim;
-  checkb "policed" true (gw_counter bgw1 "req-policed" >= 8)
+  checkb "policed" true (Gateway.count bgw1 Gateway.Req_policed >= 8)
 
 let test_protocol_invalid_requestor_rejected () =
   (* A request whose requestor is outside the gateway's customer cone must
@@ -519,7 +526,8 @@ let test_protocol_invalid_requestor_rejected () =
                    auth = 0L;
                  }))));
   Sim.run ~until:0.4 r.sim;
-  checki "rejected as invalid" 1 (gw_counter (victim_gw r) "req-invalid")
+  checki "rejected as invalid" 1
+    (Gateway.count (victim_gw r) Gateway.Req_invalid)
 
 let test_protocol_not_on_path_rejected () =
   (* An attacker-gateway request whose path does not include the gateway
@@ -546,7 +554,7 @@ let test_protocol_not_on_path_rejected () =
                    auth = 0L;
                  }))));
   Sim.run ~until:0.4 r.sim;
-  checki "refused" 1 (gw_counter bgw1 "req-not-on-path")
+  checki "refused" 1 (Gateway.count bgw1 Gateway.Req_not_on_path)
 
 let test_protocol_duplicate_requests_coalesce () =
   let r = make_rig () in
@@ -554,8 +562,8 @@ let test_protocol_duplicate_requests_coalesce () =
   (* The victim keeps leaking packets during the first Td+Tr window and
      min_report_gap is small, so several requests go out; the gateway must
      treat the repeats as duplicates, not open new rounds. *)
-  let dup = gw_counter (victim_gw r) "req-duplicate" in
-  let prop = gw_counter (victim_gw r) "req-propagated" in
+  let dup = Gateway.count (victim_gw r) Gateway.Req_duplicate in
+  let prop = Gateway.count (victim_gw r) Gateway.Req_propagated in
   checkb "at most one propagation per round" true (prop <= 2);
   checkb "repeats counted as duplicates" true
     (dup >= Host_agent.Victim.requests_sent r.d.Chain.victim_agent - prop)
@@ -615,11 +623,11 @@ let test_protocol_client_policer_r2 () =
              (Message.Verification_reply { flow; nonce }))
       | _ -> prev n pkt);
   Sim.run ~until:3.0 sim;
-  let c = Gateway.counters bgw1 in
-  checkb "filters installed for all" true (Counter.get c "filter-long" >= 5);
-  checkb "client spared" true (Counter.get c "req-policed-client" >= 3);
+  let c = Gateway.count bgw1 in
+  checkb "filters installed for all" true (c Gateway.Filter_long >= 5);
+  checkb "client spared" true (c Gateway.Req_policed_client >= 3);
   checkb "client contacted at most burst+rate*time" true
-    (Counter.get c "req-to-attacker" <= 2)
+    (c Gateway.Req_to_attacker <= 2)
 
 let test_protocol_filter_capacity_exhaustion () =
   (* Victim gateway with a single filter slot: the second simultaneous flow
@@ -648,9 +656,9 @@ let test_protocol_filter_capacity_exhaustion () =
   Sim.run ~until:1.0 sim;
   let vgw = List.hd d.Chain.victim_gateways in
   checkb "capacity hit recorded" true
-    (Counter.get (Gateway.counters vgw) "filter-full" >= 1);
+    (Gateway.count vgw Gateway.Filter_full >= 1);
   checkb "still propagated all" true
-    (Counter.get (Gateway.counters vgw) "req-propagated" >= 3)
+    (Gateway.count vgw Gateway.Req_propagated >= 3)
 
 let test_protocol_spie_traceback_mode () =
   let sim = Sim.create () in
@@ -670,9 +678,9 @@ let test_protocol_spie_traceback_mode () =
   let vgw = List.hd d.Chain.victim_gateways in
   let bgw1 = List.hd d.Chain.attacker_gateways in
   checkb "traceback ran" true
-    (Counter.get (Gateway.counters vgw) "traceback-done" >= 1);
+    (Gateway.count vgw Gateway.Traceback_done >= 1);
   checkb "attacker gw filtered" true
-    (Counter.get (Gateway.counters bgw1) "filter-long" >= 1)
+    (Gateway.count bgw1 Gateway.Filter_long >= 1)
 
 let test_protocol_ppm_path_source () =
   let sim = Sim.create () in
@@ -698,7 +706,7 @@ let test_protocol_ppm_path_source () =
   checkb "request eventually sent with ppm path" true
     (Host_agent.Victim.requests_sent d.Chain.victim_agent >= 1);
   checkb "attacker gw filtered" true
-    (Counter.get (Gateway.counters bgw1) "filter-long" >= 1)
+    (Gateway.count bgw1 Gateway.Filter_long >= 1)
 
 let test_protocol_victim_answers_queries () =
   let r = make_rig () in
@@ -714,7 +722,8 @@ let test_protocol_onoff_detected_by_shadow () =
       ~attacker_strategy:(Policy.On_off { off_time = 0.15 }) ()
   in
   Sim.run ~until:3.0 r.sim;
-  checkb "escalated via shadow" true (gw_counter (victim_gw r) "escalated" >= 1)
+  checkb "escalated via shadow" true
+    (Gateway.count (victim_gw r) Gateway.Escalated >= 1)
 
 (* --- Wire codec ------------------------------------------------------------- *)
 
@@ -990,7 +999,7 @@ let test_protocol_aggregation_protects_under_pressure () =
   Sim.run ~until:0.8 sim;
   let vgw = List.hd d.Chain.victim_gateways in
   checkb "aggregate installed" true
-    (Counter.get (Gateway.counters vgw) "filter-aggregated" >= 1);
+    (Gateway.count vgw Gateway.Filter_aggregated >= 1);
   (* The wildcard must be live and blocking everything to the victim. *)
   let probe =
     Packet.make ~src:(addr "20.0.3.200") ~dst:topo.Chain.victim.Node.addr
@@ -1049,7 +1058,7 @@ let test_contract_apply_polices_both_directions () =
          ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker)
   done;
   Sim.run ~until:0.8 sim;
-  checkb "R1 enforced" true (gw_counter vgw "req-policed" >= 6)
+  checkb "R1 enforced" true (Gateway.count vgw Gateway.Req_policed >= 6)
 
 let test_protocol_active_flows_observability () =
   let r = make_rig () in
@@ -1102,12 +1111,12 @@ let test_protocol_policer_table_bounded () =
   done;
   Sim.run ~until:1.5 r.sim;
   let gw = attacker_gw r 0 in
-  let c = Gateway.counters gw in
+  let c = Gateway.count gw in
   checkb "tracking bounded" true (Gateway.tracked_requestors gw <= 4096);
   checkb "overflow bucket engaged" true
-    (Counter.get c "policer-overflow" > 0);
+    (c Gateway.Policer_overflow > 0);
   checkb "overflow collectively policed" true
-    (Counter.get c "req-policed" > 500);
+    (c Gateway.Req_policed > 500);
   (* The rig's genuine attack flow is legitimately filtered; none of the
      5000 forged flows may be. *)
   checkb "only the genuine flow filtered" true
@@ -1178,12 +1187,12 @@ let test_legacy_protection_end_to_end () =
   checkb "protector answered the handshake" true
     (Legacy.queries_answered protector >= 1);
   checki "attacker-side filter installed" 1
-    (Counter.get (Gateway.counters b) "handshake-ok");
+    (Gateway.count b Gateway.Handshake_ok);
   checkb "flow suppressed (leak under 15% of offered)" true
     (float_of_int !data < 0.15 *. (8e5 *. 3.5 /. 8. /. 1000.));
   checki "legacy host saw no protocol messages" 0 !control;
   checkb "victim-side gateway served the request" true
-    (Counter.get (Gateway.counters g) "req-victim-role" >= 1)
+    (Gateway.count g Gateway.Req_victim_role >= 1)
 
 let test_legacy_ignores_unprotected () =
   let sim, net, _, attacker, _, _, protector = legacy_rig () in
@@ -1237,13 +1246,13 @@ let test_protocol_matrix () =
             (Aitf_stats.Rate_meter.rate meter ~now:(Sim.now r.sim) = 0.);
           let holder = attacker_gw r k in
           checkb (label ^ ": filter at k-th gateway") true
-            (gw_counter holder "filter-long" >= 1);
+            (Gateway.count holder Gateway.Filter_long >= 1);
           (* No attacker-side gateway closer to the attacker holds one. *)
           for j = 0 to k - 1 do
             checkb
               (Printf.sprintf "%s: B_gw%d holds nothing" label (j + 1))
               true
-              (gw_counter (attacker_gw r j) "filter-long" = 0)
+              (Gateway.count (attacker_gw r j) Gateway.Filter_long = 0)
           done)
         [ 0; 1; 2 ])
     strategies
@@ -1261,7 +1270,7 @@ let test_protocol_replay_after_t_rejected () =
   Sim.run ~until:3.0 r.sim;
   (* the genuine round happened *)
   checki "genuine filter installed" 1
-    (gw_counter (attacker_gw r 0) "filter-long");
+    (Gateway.count (attacker_gw r 0) Gateway.Filter_long);
   let replayed =
     {
       Message.flow =
@@ -1285,9 +1294,9 @@ let test_protocol_replay_after_t_rejected () =
               ~dst:(List.hd r.topo.Chain.attacker_gws).Node.addr
               (Message.Filtering_request replayed))));
   Sim.run ~until:17.0 r.sim;
-  let c = Gateway.counters (attacker_gw r 0) in
+  let c = Gateway.count (attacker_gw r 0) in
   checkb "replay failed verification" true
-    (Counter.get c "handshake-fail" >= 1);
+    (c Gateway.Handshake_fail >= 1);
   checki "no filter from the replay" 0
     (Filter_table.occupancy (Gateway.filters (attacker_gw r 0)))
 

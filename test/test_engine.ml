@@ -6,7 +6,6 @@ module Event_queue = Aitf_engine.Event_queue
 module Sim = Aitf_engine.Sim
 module Timer = Aitf_engine.Timer
 module Rng = Aitf_engine.Rng
-module Trace = Aitf_engine.Trace
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -457,37 +456,6 @@ let sim_order_matches_reference =
       in
       List.rev !fired = expected)
 
-(* --- Trace --------------------------------------------------------------- *)
-
-let test_trace_disabled_by_default () =
-  Trace.clear_sinks ();
-  checkb "disabled" false (Trace.enabled ());
-  Trace.emit ~time:1.0 ~category:"x" "hello"
-
-let test_trace_collecting () =
-  Trace.clear_sinks ();
-  let sink, events = Trace.collecting_sink () in
-  Trace.add_sink sink;
-  Trace.emit ~time:1.0 ~category:"cat" "one";
-  Trace.emitf ~time:2.0 ~category:"cat" "two %d" 2;
-  let evs = events () in
-  Trace.clear_sinks ();
-  checki "two events" 2 (List.length evs);
-  let e = List.nth evs 1 in
-  check Alcotest.string "formatted" "two 2" e.Trace.message;
-  checkf "time" 2.0 e.Trace.time
-
-let test_trace_multiple_sinks () =
-  Trace.clear_sinks ();
-  let s1, e1 = Trace.collecting_sink () in
-  let s2, e2 = Trace.collecting_sink () in
-  Trace.add_sink s1;
-  Trace.add_sink s2;
-  Trace.emit ~time:0.5 ~category:"c" "msg";
-  Trace.clear_sinks ();
-  checki "sink1" 1 (List.length (e1 ()));
-  checki "sink2" 1 (List.length (e2 ()))
-
 let () =
   Alcotest.run "aitf_engine"
     [
@@ -556,11 +524,5 @@ let () =
           Alcotest.test_case "pick" `Quick test_rng_pick;
           QCheck_alcotest.to_alcotest exponential_positive;
           QCheck_alcotest.to_alcotest sim_order_matches_reference;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "collecting" `Quick test_trace_collecting;
-          Alcotest.test_case "multiple sinks" `Quick test_trace_multiple_sinks;
         ] );
     ]

@@ -8,7 +8,6 @@ module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Heap = Aitf_engine.Heap
 module Event_queue = Aitf_engine.Event_queue
-module Counter = Aitf_stats.Counter
 module Fault = Aitf_fault.Fault
 open Aitf_net
 open Aitf_filter
@@ -288,11 +287,11 @@ let test_victim_gateway_duplicate_free () =
   let occupancy_after_first = Filter_table.occupancy (Gateway.filters gw) in
   gw_node.Node.local_deliver gw_node (pkt ());
   gw_node.Node.local_deliver gw_node (pkt ());
-  let c = Gateway.counters gw in
-  checki "duplicates recognised" 2 (Counter.get c "req-duplicate");
+  let c = Gateway.count gw in
+  checki "duplicates recognised" 2 (c Gateway.Req_duplicate);
   (* Pre-fix, the duplicate hit the empty one-token bucket first and was
      misclassified as a contract violation. *)
-  checki "bucket untouched by duplicates" 0 (Counter.get c "req-policed");
+  checki "bucket untouched by duplicates" 0 (c Gateway.Req_policed);
   checki "filter not double-installed" occupancy_after_first
     (Filter_table.occupancy (Gateway.filters gw))
 
@@ -328,13 +327,13 @@ let test_attacker_gateway_duplicate_free () =
   in
   let pkt () = Message.packet ~src:(addr "10.0.0.1") ~dst:(addr "20.0.0.1") req in
   gw_node.Node.local_deliver gw_node (pkt ());
-  let c = Gateway.counters gw in
-  checki "long filter installed once" 1 (Counter.get c "filter-long");
+  let c = Gateway.count gw in
+  checki "long filter installed once" 1 (c Gateway.Filter_long);
   gw_node.Node.local_deliver gw_node (pkt ());
   gw_node.Node.local_deliver gw_node (pkt ());
-  checki "duplicates recognised" 2 (Counter.get c "req-duplicate");
-  checki "bucket untouched by duplicates" 0 (Counter.get c "req-policed");
-  checki "still exactly one install" 1 (Counter.get c "filter-long");
+  checki "duplicates recognised" 2 (c Gateway.Req_duplicate);
+  checki "bucket untouched by duplicates" 0 (c Gateway.Req_policed);
+  checki "still exactly one install" 1 (c Gateway.Filter_long);
   checki "occupancy is one filter" 1 (Filter_table.occupancy (Gateway.filters gw))
 
 (* --- End-to-end: the protocol under control-plane faults ------------------ *)
@@ -376,10 +375,10 @@ let test_duplicated_control_plane_is_noop () =
        whether the protocol outcome changed. *)
     let g_gw1 = List.hd d.Aitf_topo.Chain.victim_gateways in
     let b_gw1 = List.hd d.Aitf_topo.Chain.attacker_gateways in
-    let cb = Gateway.counters b_gw1 in
-    ( Counter.get cb "handshake-ok",
-      Counter.get cb "filter-long",
-      Counter.get (Gateway.counters g_gw1) "req-duplicate",
+    let cb = Gateway.count b_gw1 in
+    ( cb Gateway.Handshake_ok,
+      cb Gateway.Filter_long,
+      Gateway.count g_gw1 Gateway.Req_duplicate,
       r )
   in
   let ok_clean, long_clean, _, r_clean = run [] in

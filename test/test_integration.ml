@@ -3,7 +3,6 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Counter = Aitf_stats.Counter
 module Rate_meter = Aitf_stats.Rate_meter
 open Aitf_net
 open Aitf_core
@@ -179,7 +178,7 @@ let test_filters_at_the_leaves () =
     (fun isp row ->
       Array.iter
         (fun gw ->
-          let n = Counter.get (Gateway.counters gw) "filter-long" in
+          let n = Gateway.count gw Gateway.Filter_long in
           leaf_filters := !leaf_filters + n;
           if isp = 0 then checki "victim-side net gw holds none" 0 n)
         row)
@@ -188,7 +187,7 @@ let test_filters_at_the_leaves () =
   Array.iter
     (fun gw ->
       checki "isp gateways hold no long filters" 0
-        (Counter.get (Gateway.counters gw) "filter-long"))
+        (Gateway.count gw Gateway.Filter_long))
     d.Hierarchy.isp_gateways
 
 (* --- Pushback baseline comparison ------------------------------------------- *)
@@ -234,7 +233,7 @@ let test_full_run_deterministic () =
     ( r.Scenarios.attack_received_bytes,
       r.Scenarios.requests_sent,
       Scenarios.counter_total r.Scenarios.deployed.Chain.attacker_gateways
-        "filter-long" )
+        Gateway.Filter_long )
   in
   checkb "identical runs" true (run () = run ())
 
@@ -296,16 +295,15 @@ let test_lossy_control_channel_converges () =
 
 (* --- Golden trace of the Figure-1 round --------------------------------------- *)
 
-let test_figure1_golden_trace () =
-  let sink, events = Aitf_engine.Trace.collecting_sink () in
-  Aitf_engine.Trace.add_sink sink;
+(* The F1 scenario: the Figure-1 chain with a complying attacker, one
+   2 Mbit/s flood from t = 1 s, run to t = 5 s. *)
+let figure1 () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:1 in
   let topo = Chain.build sim Chain.default_spec in
   let d =
     Chain.deploy ~attacker_strategy:Policy.Complies ~config:cfg ~rng topo
   in
-  ignore d;
   let (_ : Traffic.t) =
     Traffic.cbr
       ~gate:(Host_agent.Attacker.gate d.Chain.attacker_agent)
@@ -313,12 +311,57 @@ let test_figure1_golden_trace () =
       ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker
   in
   Sim.run ~until:5.0 sim;
-  Aitf_engine.Trace.clear_sinks ();
-  let who = List.map (fun (e : Aitf_engine.Trace.event) -> e.category) (events ()) in
-  check (Alcotest.list Alcotest.string)
-    "exact actor sequence of round 1"
-    [ "G_host"; "G_gw1"; "B_gw1"; "B_gw1" ]
-    who
+  d
+
+(* Round 1 as the span forest records it: one request, whose stages open
+   at the victim, its gateway and B_gw1 in exactly this order. *)
+let test_figure1_golden_trace () =
+  let module Span = Aitf_obs.Span in
+  let spans = Span.create () in
+  Span.attach spans;
+  ignore (Fun.protect ~finally:Span.detach figure1);
+  let starts =
+    List.concat_map
+      (fun r ->
+        List.map
+          (fun (s : Span.span) -> (s.Span.node, Span.stage_name s.Span.stage))
+          (Span.spans_of r))
+      (Span.roots spans)
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "exact (node, stage) starts of round 1"
+    [
+      ("G_host", "detect");
+      ("G_host", "request");
+      ("G_gw1", "temp-filter");
+      ("B_gw1", "verification");
+      ("B_gw1", "permanent-filter");
+      ("B_gw1", "counter-request");
+    ]
+    starts
+
+(* The --stats gateway table's name=value column for F1, pinned string for
+   string: the counter names are part of the CLI's output. *)
+let test_figure1_gateway_counters () =
+  let d = figure1 () in
+  let table =
+    Aitf_workload.Report.gateway_table
+      (d.Chain.victim_gateways @ d.Chain.attacker_gateways)
+  in
+  check (Alcotest.list Alcotest.string) "counters column"
+    [
+      "filter-temp=1 req-propagated=1 req-victim-role=1";
+      "";
+      "";
+      "filter-long=1 handshake-ok=1 req-attacker-role=1 req-to-attacker=1";
+      "";
+      "";
+    ]
+    (List.map (fun row -> List.nth row 5) (Aitf_stats.Table.rows table));
+  let names = List.map Gateway.counter_name Gateway.all_counters in
+  checki "every counter has its own name" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
 
 (* The observability layer sees the same walk-through: with a registry
    attached, the F1 scenario must leave a populated time-to-filter
@@ -442,6 +485,8 @@ let () =
             test_lossy_control_channel_converges;
           Alcotest.test_case "figure-1 golden trace" `Quick
             test_figure1_golden_trace;
+          Alcotest.test_case "figure-1 gateway counters" `Quick
+            test_figure1_gateway_counters;
           Alcotest.test_case "figure-1 time-to-filter observed" `Slow
             test_figure1_time_to_filter_observed;
         ] );

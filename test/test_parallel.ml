@@ -143,18 +143,19 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
     done
   done;
   let log = Array.make shards [] in
-  let expected = ref 0 and executed = ref 0 in
+  (* Bumped from every worker domain, hence atomic. *)
+  let expected = Atomic.make 0 and executed = Atomic.make 0 in
   let record shard kind sim =
     log.(shard) <-
       { x_shard = shard; x_time = Sim.now sim; x_kind = kind } :: log.(shard);
-    incr executed
+    Atomic.incr executed
   in
   for s = 0 to shards - 1 do
     let sim = Sched.shard_sim sched s in
     let period = 0.01 +. (0.003 *. float_of_int (s + 1)) in
     let rec tick i =
       if Sim.now sim +. period <= until then begin
-        incr expected;
+        Atomic.incr expected;
         ignore
           (Sim.after sim period (fun () ->
                record s `Local sim;
@@ -163,7 +164,7 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
                let dst = (s + 1 + (i mod (shards - 1))) mod shards in
                let t = Sim.now sim +. lookaheads.(s).(dst) in
                if t <= until then begin
-                 incr expected;
+                 Atomic.incr expected;
                  Sched.post sched ~dst ~time:t (fun () ->
                      record dst `Msg (Sched.shard_sim sched dst))
                end;
@@ -172,7 +173,7 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
     in
     ignore (tick 0);
     for k = 1 to ticks do
-      incr expected;
+      Atomic.incr expected;
       ignore
         (Sim.at sim
            (0.005 *. float_of_int (k * (s + 1)))
@@ -180,7 +181,7 @@ let run_random_topology ~shards ~lookaheads ~ticks ~until =
     done
   done;
   Sched.run ~until sched;
-  (Array.map List.rev log, !expected, !executed)
+  (Array.map List.rev log, Atomic.get expected, Atomic.get executed)
 
 let ordering_property (shards, las) =
   let lookaheads = Array.of_list (List.map Array.of_list las) in

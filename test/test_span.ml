@@ -117,6 +117,34 @@ let test_slo_fires_on_breach () =
       let r = Option.get (Span.find_root t slow) in
       checkf "first completion wins" 2.0 (Option.get r.Span.completed_at))
 
+(* One line per moment, in time order; ties keep causal order (a span's
+   finish before the next one's start); each event carries the node that
+   recorded it, falling back to its span's node, then to the victim. *)
+let test_timeline () =
+  with_collector (fun t ->
+      let corr = 7 in
+      Span.root ~corr ~flow:"a -> v" ~victim:"V" ~now:0.;
+      Span.start ~corr ~stage:Span.Detect ~node:"V" ~now:0.;
+      Span.finish ~corr ~stage:Span.Detect ~now:0.1 ();
+      Span.start ~corr ~stage:Span.Temp_filter ~node:"G" ~now:0.1;
+      Span.event ~corr ~now:0.2 "in span";
+      Span.finish ~corr ~stage:Span.Temp_filter ~now:0.3 ();
+      Span.event ~node:"H" ~corr ~now:0.4 "named node";
+      Span.root_event ~corr ~now:0.05 "at root";
+      checks "timeline"
+        (String.concat ""
+           [
+             "    0.0000  [V           ] #7 open a -> v\n";
+             "    0.0000  [V           ] #7 start detect\n";
+             "    0.0500  [V           ] #7 at root\n";
+             "    0.1000  [V           ] #7 finish detect\n";
+             "    0.1000  [G           ] #7 start temp-filter\n";
+             "    0.2000  [G           ] #7 in span\n";
+             "    0.3000  [G           ] #7 finish temp-filter\n";
+             "    0.4000  [H           ] #7 named node\n";
+           ])
+        (Span.timeline t))
+
 (* --- shard merge ------------------------------------------------------------ *)
 
 let record_into c f =
@@ -416,6 +444,7 @@ let () =
           Alcotest.test_case "nonce binding" `Quick test_nonce_binding;
           Alcotest.test_case "slo fires on breach" `Quick
             test_slo_fires_on_breach;
+          Alcotest.test_case "timeline" `Quick test_timeline;
         ] );
       ( "merge",
         [

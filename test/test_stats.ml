@@ -1,6 +1,5 @@
-(* Tests for aitf_stats: counters, rate meters, series, summaries, tables. *)
+(* Tests for aitf_stats: rate meters, series, summaries, tables. *)
 
-module Counter = Aitf_stats.Counter
 module Rate_meter = Aitf_stats.Rate_meter
 module Series = Aitf_stats.Series
 module Summary = Aitf_stats.Summary
@@ -11,37 +10,6 @@ let checki = check Alcotest.int
 let checkb = check Alcotest.bool
 let checks = check Alcotest.string
 let checkf = check (Alcotest.float 1e-9)
-
-(* --- Counter -------------------------------------------------------------- *)
-
-let test_counter_basics () =
-  let c = Counter.create () in
-  checki "absent is zero" 0 (Counter.get c "x");
-  Counter.incr c "x";
-  Counter.incr c "x";
-  Counter.incr ~by:5 c "y";
-  checki "x" 2 (Counter.get c "x");
-  checki "y" 5 (Counter.get c "y");
-  Counter.set c "y" 1;
-  checki "set" 1 (Counter.get c "y")
-
-let test_counter_to_list_sorted () =
-  let c = Counter.create () in
-  Counter.incr c "zeta";
-  Counter.incr c "alpha";
-  Counter.incr c "mid";
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "sorted"
-    [ ("alpha", 1); ("mid", 1); ("zeta", 1) ]
-    (Counter.to_list c)
-
-let test_counter_reset () =
-  let c = Counter.create () in
-  Counter.incr c "x";
-  Counter.reset c;
-  checki "cleared" 0 (Counter.get c "x");
-  checki "empty list" 0 (List.length (Counter.to_list c))
 
 (* --- Rate meter ------------------------------------------------------------ *)
 
@@ -236,12 +204,6 @@ let test_table_cells () =
 let () =
   Alcotest.run "aitf_stats"
     [
-      ( "counter",
-        [
-          Alcotest.test_case "basics" `Quick test_counter_basics;
-          Alcotest.test_case "sorted list" `Quick test_counter_to_list_sorted;
-          Alcotest.test_case "reset" `Quick test_counter_reset;
-        ] );
       ( "rate_meter",
         [
           Alcotest.test_case "windowed rate" `Quick test_meter_windowed_rate;

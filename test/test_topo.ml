@@ -205,7 +205,7 @@ let test_hierarchy_deploy_and_protocol () =
   checkb "victim requested" true (Host_agent.Victim.requests_sent victim >= 1);
   let zombie_gw = d.Hierarchy.net_gateways.(1).(0) in
   checkb "zombie's gateway filters" true
-    (Aitf_stats.Counter.get (Gateway.counters zombie_gw) "filter-long" >= 1);
+    (Gateway.count zombie_gw Gateway.Filter_long >= 1);
   (* Other enterprise gateways hold nothing. *)
   let other_gw = d.Hierarchy.net_gateways.(1).(1) in
   checki "bystander gateway idle" 0
@@ -248,15 +248,11 @@ let test_hierarchy_escalation_to_isp () =
   let rogue_gw = d.Hierarchy.net_gateways.(1).(0) in
   let isp_gw = d.Hierarchy.isp_gateways.(1) in
   checkb "rogue gateway ignored the request" true
-    (Aitf_stats.Counter.get (Gateway.counters rogue_gw) "ignored-unresponsive"
-    >= 1);
+    (Gateway.count rogue_gw Gateway.Ignored_unresponsive >= 1);
   checkb "ISP gateway took over" true
-    (Aitf_stats.Counter.get (Gateway.counters isp_gw) "filter-long" >= 1);
+    (Gateway.count isp_gw Gateway.Filter_long >= 1);
   checkb "victim-side escalated" true
-    (Aitf_stats.Counter.get
-       (Gateway.counters d.Hierarchy.net_gateways.(0).(0))
-       "escalated"
-    >= 1)
+    (Gateway.count d.Hierarchy.net_gateways.(0).(0) Gateway.Escalated >= 1)
 
 (* --- Random_net ---------------------------------------------------------------- *)
 
@@ -351,9 +347,8 @@ let test_random_deploy_protocol () =
   in
   Sim.run ~until:3.0 sim;
   checkb "blocked at the attacker's stub gateway" true
-    (Aitf_stats.Counter.get
-       (Gateway.counters d.Random_net.stub_gateways.(attacker_stub))
-       "filter-long"
+    (Gateway.count d.Random_net.stub_gateways.(attacker_stub)
+       Gateway.Filter_long
     >= 1)
 
 (* --- As_graph ---------------------------------------------------------------- *)
@@ -501,9 +496,7 @@ let test_as_deploy_protocol () =
   Sim.run ~until:3.0 sim;
   checkb "victim requested" true (Host_agent.Victim.requests_sent vagent >= 1);
   checkb "attacker's domain gateway filters" true
-    (Aitf_stats.Counter.get (Gateway.counters d.As_graph.gateways.(42))
-       "filter-long"
-    >= 1)
+    (Gateway.count d.As_graph.gateways.(42) Gateway.Filter_long >= 1)
 
 let () =
   Alcotest.run "aitf_topo"
