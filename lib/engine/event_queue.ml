@@ -56,28 +56,37 @@ let cancel h =
 let is_cancelled h = h.cancelled
 
 let rec drop_cancelled q =
-  match Heap.peek q.heap with
-  | Some e when e.cancelled ->
-    ignore (Heap.pop q.heap);
+  if (not (Heap.is_empty q.heap)) && (Heap.top q.heap).cancelled then begin
+    ignore (Heap.take q.heap);
     q.cancelled_pending <- q.cancelled_pending - 1;
     drop_cancelled q
-  | _ -> ()
-
-let next_time q =
-  drop_cancelled q;
-  match Heap.peek q.heap with None -> None | Some e -> Some e.time
-
-let pop q =
-  drop_cancelled q;
-  match Heap.pop q.heap with
-  | None -> None
-  | Some e -> Some (e.time, e.label, e.action)
-
-let length q = Heap.length q.heap - q.cancelled_pending
+  end
 
 let is_empty q =
   drop_cancelled q;
   Heap.is_empty q.heap
+
+let head q =
+  drop_cancelled q;
+  Heap.top q.heap
+
+let take q =
+  drop_cancelled q;
+  Heap.take q.heap
+
+let time e = e.time
+let label e = e.label
+let fire e = e.action ()
+
+let next_time q = if is_empty q then None else Some (Heap.top q.heap).time
+
+let pop q =
+  if is_empty q then None
+  else
+    let e = Heap.take q.heap in
+    Some (e.time, e.label, e.action)
+
+let length q = Heap.length q.heap - q.cancelled_pending
 
 let total_scheduled q = q.next_seq
 let total_cancelled q = q.total_cancelled

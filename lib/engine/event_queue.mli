@@ -45,3 +45,26 @@ val total_cancelled : t -> int
 
 val max_length : t -> int
 (** Peak live (non-cancelled) queue length observed so far. *)
+
+(** {1 Allocation-free access}
+
+    {!next_time} and {!pop} wrap their result in an option (and [pop] in a
+    tuple) on every call. The event loop instead checks {!is_empty} and
+    then reads the head through these, which allocate nothing. *)
+
+val head : t -> handle
+(** The earliest pending event, left in the queue.
+    @raise Invalid_argument if none is pending. *)
+
+val take : t -> handle
+(** Remove and return the earliest pending event.
+    @raise Invalid_argument if none is pending. *)
+
+val time : handle -> float
+(** The event's timestamp. *)
+
+val label : handle -> string option
+(** The event's category label. *)
+
+val fire : handle -> unit
+(** Run the event's action. *)

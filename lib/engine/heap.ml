@@ -64,28 +64,31 @@ let push h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let top h =
+  if h.size = 0 then invalid_arg "Heap.top: empty heap";
+  h.data.(0)
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      (* Overwrite the vacated slot with an alias of a live element, so the
-         array does not retain the value that just moved out of it (nor,
-         transitively, the popped one) past its heap lifetime. *)
-      h.data.(h.size) <- h.data.(0);
-      sift_down h 0;
-      shrink h
-    end
-    else
-      (* Popped the last element: the array holds nothing but stale
-         references (including [grow]'s seed copies) — drop it wholesale. *)
-      h.data <- [||];
-    Some top
+let take h =
+  if h.size = 0 then invalid_arg "Heap.take: empty heap";
+  let top = h.data.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    (* Overwrite the vacated slot with an alias of a live element, so the
+       array does not retain the value that just moved out of it (nor,
+       transitively, the popped one) past its heap lifetime. *)
+    h.data.(h.size) <- h.data.(0);
+    sift_down h 0;
+    shrink h
   end
+  else
+    (* Popped the last element: the array holds nothing but stale
+       references (including [grow]'s seed copies) — drop it wholesale. *)
+    h.data <- [||];
+  top
+
+let peek h = if h.size = 0 then None else Some (top h)
+let pop h = if h.size = 0 then None else Some (take h)
 
 let clear h =
   h.data <- [||];

@@ -26,6 +26,15 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element. O(log n). *)
 
+val top : 'a t -> 'a
+(** [top h] is {!peek} without the option, so a hot loop that has just
+    checked {!is_empty} allocates nothing.
+    @raise Invalid_argument if [h] is empty. *)
+
+val take : 'a t -> 'a
+(** [take h] is {!pop} without the option.
+    @raise Invalid_argument if [h] is empty. *)
+
 val clear : 'a t -> unit
 (** Remove every element. The backing store is released. *)
 

@@ -50,62 +50,88 @@ let after ?label sim delay f =
 
 let cancel = Event_queue.cancel
 
+(* Run one event already taken off the queue. The loops below peek the
+   head with [Event_queue.head] after [is_empty] and take it with
+   [Event_queue.take], so executing an event allocates nothing. *)
+let exec sim e =
+  sim.now <- Event_queue.time e;
+  sim.events_processed <- sim.events_processed + 1;
+  match sim.profile_hook with
+  | None -> Event_queue.fire e
+  | Some probe ->
+    let t0 = Sys.time () in
+    Event_queue.fire e;
+    probe (Event_queue.label e) (Sys.time () -. t0)
+      (Event_queue.length sim.queue)
+
 let step sim =
-  match Event_queue.pop sim.queue with
-  | None -> false
-  | Some (time, label, action) ->
-    sim.now <- time;
-    sim.events_processed <- sim.events_processed + 1;
-    (match sim.profile_hook with
-    | None -> action ()
-    | Some probe ->
-      let t0 = Sys.time () in
-      action ();
-      probe label (Sys.time () -. t0) (Event_queue.length sim.queue));
+  if Event_queue.is_empty sim.queue then false
+  else begin
+    exec sim (Event_queue.take sim.queue);
     true
+  end
+
+(* The two drain loops are top-level functions over plain arguments, so a
+   run allocates no closure or ref of its own either. [drain_until] runs
+   every event not after [horizon] while [budget] (negative: unbounded)
+   lasts and returns what is left of it. *)
+let rec drain_until sim horizon budget =
+  if sim.stop_requested || budget = 0 || Event_queue.is_empty sim.queue then
+    budget
+  else if Event_queue.time (Event_queue.head sim.queue) > horizon then budget
+  else begin
+    exec sim (Event_queue.take sim.queue);
+    drain_until sim horizon (if budget > 0 then budget - 1 else budget)
+  end
+
+let rec drain_window sim ~inclusive horizon =
+  if sim.stop_requested || Event_queue.is_empty sim.queue then ()
+  else
+    let t = Event_queue.time (Event_queue.head sim.queue) in
+    if if inclusive then t <= horizon else t < horizon then begin
+      exec sim (Event_queue.take sim.queue);
+      drain_window sim ~inclusive horizon
+    end
+
+(* Re-entrancy guard around a drain loop: [start] before it, [finish] after
+   it however it ends. *)
+let start sim what =
+  if sim.running then invalid_arg (what ^ ": already running");
+  sim.running <- true;
+  sim.stop_requested <- false
+
+let finish sim = sim.running <- false
+
+let reraise sim e =
+  let bt = Printexc.get_raw_backtrace () in
+  finish sim;
+  Printexc.raise_with_backtrace e bt
 
 let run ?until ?max_events sim =
-  if sim.running then invalid_arg "Sim.run: already running";
-  sim.running <- true;
-  sim.stop_requested <- false;
+  start sim "Sim.run";
   let horizon = match until with None -> infinity | Some t -> t in
-  let budget = ref (match max_events with None -> -1 | Some n -> n) in
-  let rec loop () =
-    if sim.stop_requested || !budget = 0 then ()
-    else
-      match Event_queue.next_time sim.queue with
-      | None -> ()
-      | Some t when t > horizon -> ()
-      | Some _ ->
-        ignore (step sim);
-        if !budget > 0 then decr budget;
-        loop ()
+  let budget = match max_events with None -> -1 | Some n -> n in
+  let left =
+    match drain_until sim horizon budget with
+    | left ->
+      finish sim;
+      left
+    | exception e -> reraise sim e
   in
-  Fun.protect ~finally:(fun () -> sim.running <- false) loop;
   (* Only advance the clock to the horizon when the run actually drained
      that far (not when stopped or event-budget-exhausted mid-way). *)
   match until with
-  | Some t when t > sim.now && (not sim.stop_requested) && !budget <> 0 ->
+  | Some t when t > sim.now && (not sim.stop_requested) && left <> 0 ->
     sim.now <- t
   | _ -> ()
 
 let next_time sim = Event_queue.next_time sim.queue
 
 let run_window ?(inclusive = false) sim ~horizon =
-  if sim.running then invalid_arg "Sim.run_window: already running";
-  sim.running <- true;
-  sim.stop_requested <- false;
-  let executable t = if inclusive then t <= horizon else t < horizon in
-  let rec loop () =
-    if sim.stop_requested then ()
-    else
-      match Event_queue.next_time sim.queue with
-      | Some t when executable t ->
-        ignore (step sim);
-        loop ()
-      | _ -> ()
-  in
-  Fun.protect ~finally:(fun () -> sim.running <- false) loop
+  start sim "Sim.run_window";
+  match drain_window sim ~inclusive horizon with
+  | () -> finish sim
+  | exception e -> reraise sim e
 
 let advance_to sim time =
   (match Event_queue.next_time sim.queue with

@@ -1,0 +1,99 @@
+open Aitf_net
+
+(* Buckets of (label, value) pairs in an array whose length is a power of
+   two, indexed by the mixed key. A bucket can hold several address pairs,
+   so every lookup compares the labels' addresses exactly. *)
+type 'a t = {
+  mutable buckets : (Flow_label.t * 'a) list array;
+  mutable count : int;
+}
+
+let create n =
+  let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+  { buckets = Array.make (pow2 16) []; count = 0 }
+
+(* The two unsigned addresses, [src] shifted over [dst] by 31 bits so that
+   the 64 bits fold into a 63-bit native int; [src]'s lowest bit and
+   [dst]'s highest one land on the same bit. *)
+let key src dst =
+  ((Int32.to_int src land 0xFFFF_FFFF) lsl 31)
+  lxor (Int32.to_int dst land 0xFFFF_FFFF)
+
+(* MurmurHash3's 64-bit finaliser, with its multipliers cut to OCaml's
+   63-bit ints (both stay odd), so that every key bit reaches the low bits
+   the bucket index takes. *)
+let mix k =
+  let k = k lxor (k lsr 33) in
+  let k = k * 0x3F51_AFD7_ED55_8CCD in
+  let k = k lxor (k lsr 33) in
+  let k = k * 0x04CE_B9FE_1A85_EC53 in
+  k lxor (k lsr 33)
+
+let slot buckets src dst = mix (key src dst) land (Array.length buckets - 1)
+
+let label_pair (l : Flow_label.t) =
+  match (l.src, l.dst) with
+  | Host s, Host d when Flow_label.is_exact l -> (s, d)
+  | _ -> invalid_arg "Exact_index: not an exact label"
+
+let label_slot buckets l =
+  let s, d = label_pair l in
+  slot buckets s d
+
+let has label bucket = List.exists (fun (l, _) -> Flow_label.equal l label) bucket
+
+let without label bucket =
+  List.filter (fun (l, _) -> not (Flow_label.equal l label)) bucket
+
+(* Double the array once it holds two entries per bucket on average. *)
+let grow t =
+  let old = t.buckets in
+  let buckets = Array.make (2 * Array.length old) [] in
+  Array.iter
+    (List.iter (fun ((l, _) as e) ->
+         let i = label_slot buckets l in
+         buckets.(i) <- e :: buckets.(i)))
+    old;
+  t.buckets <- buckets
+
+let replace t label v =
+  let i = label_slot t.buckets label in
+  let bucket = t.buckets.(i) in
+  if has label bucket then t.buckets.(i) <- (label, v) :: without label bucket
+  else begin
+    t.buckets.(i) <- (label, v) :: bucket;
+    t.count <- t.count + 1;
+    if t.count > 2 * Array.length t.buckets then grow t
+  end
+
+let remove t label =
+  let i = label_slot t.buckets label in
+  if has label t.buckets.(i) then begin
+    t.buckets.(i) <- without label t.buckets.(i);
+    t.count <- t.count - 1
+  end
+
+let same_pair (l : Flow_label.t) src dst =
+  match (l.src, l.dst) with
+  | Host s, Host d -> Addr.equal s src && Addr.equal d dst
+  | _ -> false
+
+let rec find_unqualified src dst = function
+  | [] -> None
+  | ((l : Flow_label.t), v) :: rest -> (
+    match l.proto with
+    | None when same_pair l src dst -> Some v
+    | _ -> find_unqualified src dst rest)
+
+let rec find_proto src dst (proto : int) = function
+  | [] -> None
+  | ((l : Flow_label.t), v) :: rest -> (
+    match l.proto with
+    | Some p when p = proto && same_pair l src dst -> Some v
+    | _ -> find_proto src dst proto rest)
+
+let probe t (pkt : Packet.t) =
+  let bucket = t.buckets.(slot t.buckets pkt.src pkt.dst) in
+  match find_unqualified pkt.src pkt.dst bucket with
+  | Some _ as found -> found
+  | None -> find_proto pkt.src pkt.dst pkt.proto bucket

@@ -22,7 +22,7 @@ type change = Installed of handle | Removed of handle
 type t = {
   sim : Sim.t;
   capacity : int;
-  exact : (Flow_label.t, handle) Hashtbl.t;
+  exact : handle Exact_index.t;
   mutable wildcards : handle list;
   by_label : (Flow_label.t, handle) Hashtbl.t;
   mutable occupancy : int;
@@ -39,7 +39,7 @@ let create sim ~capacity =
   {
     sim;
     capacity;
-    exact = Hashtbl.create 64;
+    exact = Exact_index.create 64;
     wildcards = [];
     by_label = Hashtbl.create 64;
     occupancy = 0;
@@ -60,7 +60,7 @@ let detach t h =
     (match h.expiry_event with Some e -> Sim.cancel e | None -> ());
     h.expiry_event <- None;
     Hashtbl.remove t.by_label h.label;
-    if Flow_label.is_exact h.label then Hashtbl.remove t.exact h.label
+    if Flow_label.is_exact h.label then Exact_index.remove t.exact h.label
     else t.wildcards <- List.filter (fun w -> w != h) t.wildcards;
     t.occupancy <- t.occupancy - 1;
     notify t (Removed h)
@@ -148,7 +148,7 @@ let install ?rate_limit ?corr t label ~duration =
         }
       in
       Hashtbl.replace t.by_label label h;
-      if Flow_label.is_exact label then Hashtbl.replace t.exact label h
+      if Flow_label.is_exact label then Exact_index.replace t.exact label h
       else t.wildcards <- insert_wildcard h t.wildcards;
       t.occupancy <- t.occupancy + 1;
       if t.occupancy > t.peak then t.peak <- t.occupancy;
@@ -180,49 +180,43 @@ let hits h = h.hits
 let hit_bytes h = h.hit_bytes
 let last_hit h = h.last_hit
 
-(* The labels an exact-match probe must try for a packet: host-pair with and
-   without the protocol qualifier. *)
-let probe_exact t (pkt : Packet.t) =
-  let pair = Flow_label.host_pair pkt.src pkt.dst in
-  match Hashtbl.find_opt t.exact pair with
-  | Some h when h.alive -> Some h
-  | _ -> (
-    let with_proto = { pair with Flow_label.proto = Some pkt.proto } in
-    match Hashtbl.find_opt t.exact with_proto with
-    | Some h when h.alive -> Some h
-    | _ -> None)
+(* Exact labels first (host pair, then host pair + proto), then the
+   wildcards in their most-specific-first order. Neither step allocates
+   unless it finds an entry. *)
+let rec scan_wildcards pkt = function
+  | [] -> None
+  | h :: rest ->
+    if h.alive && Flow_label.matches h.label pkt then Some h
+    else scan_wildcards pkt rest
 
 let matching_entry t pkt =
-  match probe_exact t pkt with
-  | Some h -> Some h
-  | None ->
-    List.find_opt
-      (fun h -> h.alive && Flow_label.matches h.label pkt)
-      t.wildcards
+  match Exact_index.probe t.exact pkt with
+  | Some _ as found -> found
+  | None -> scan_wildcards pkt t.wildcards
+
+let record_hit t h (pkt : Packet.t) =
+  h.hits <- h.hits + 1;
+  h.hit_bytes <- h.hit_bytes + pkt.size;
+  h.last_hit <- Some (Sim.now t.sim);
+  t.blocked_packets <- t.blocked_packets + 1;
+  t.blocked_bytes <- t.blocked_bytes + pkt.size
 
 let blocking_entry t pkt =
   match matching_entry t pkt with
   | None -> None
-  | Some h -> (
-    let record_hit () =
-      h.hits <- h.hits + 1;
-      h.hit_bytes <- h.hit_bytes + pkt.Packet.size;
-      h.last_hit <- Some (Sim.now t.sim);
-      t.blocked_packets <- t.blocked_packets + 1;
-      t.blocked_bytes <- t.blocked_bytes + pkt.Packet.size
-    in
+  | Some h as found -> (
     match h.limiter with
     | None ->
-      record_hit ();
-      Some h
+      record_hit t h pkt;
+      found
     | Some bucket ->
       if
         Token_bucket.allow bucket ~now:(Sim.now t.sim)
           ~cost:(float_of_int pkt.Packet.size)
       then None
       else begin
-        record_hit ();
-        Some h
+        record_hit t h pkt;
+        found
       end)
 
 let blocks t pkt = Option.is_some (blocking_entry t pkt)

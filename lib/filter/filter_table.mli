@@ -7,8 +7,9 @@
     (compare with nv = R1·Ttmp and na = R2·T), capacity rejections, and how
     much traffic each filter actually blocked.
 
-    Matching is O(1) for exact host-pair labels (hash probes) plus a linear
-    scan of the few wildcard entries. *)
+    Matching is O(1) for exact host-pair labels (int-keyed probes, see
+    {!Exact_index}) plus a linear scan of the few wildcard entries; a miss
+    allocates nothing. *)
 
 open Aitf_net
 

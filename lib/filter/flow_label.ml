@@ -27,7 +27,7 @@ let sel_matches sel addr =
   | Host a -> Addr.equal a addr
   | Net p -> Addr.prefix_mem p addr
 
-let qual_matches q v = match q with None -> true | Some x -> x = v
+let qual_matches q (v : int) = match q with None -> true | Some x -> x = v
 
 let matches t (pkt : Packet.t) =
   sel_matches t.src pkt.src

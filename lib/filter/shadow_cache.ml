@@ -13,7 +13,7 @@ type 'a entry = {
 type 'a t = {
   sim : Sim.t;
   capacity : int;
-  exact : (Flow_label.t, 'a entry) Hashtbl.t;
+  exact : 'a entry Exact_index.t;
   mutable wildcards : 'a entry list;
   by_label : (Flow_label.t, 'a entry) Hashtbl.t;
   mutable occupancy : int;
@@ -29,7 +29,7 @@ let create sim ~capacity =
   {
     sim;
     capacity;
-    exact = Hashtbl.create 256;
+    exact = Exact_index.create 256;
     wildcards = [];
     by_label = Hashtbl.create 256;
     occupancy = 0;
@@ -46,7 +46,7 @@ let detach t e =
     (match e.expiry_event with Some ev -> Sim.cancel ev | None -> ());
     e.expiry_event <- None;
     Hashtbl.remove t.by_label e.label;
-    if Flow_label.is_exact e.label then Hashtbl.remove t.exact e.label
+    if Flow_label.is_exact e.label then Exact_index.remove t.exact e.label
     else t.wildcards <- List.filter (fun w -> w != e) t.wildcards;
     t.occupancy <- t.occupancy - 1
   end
@@ -84,7 +84,7 @@ let insert t label ~ttl data =
         }
       in
       Hashtbl.replace t.by_label label e;
-      if Flow_label.is_exact label then Hashtbl.replace t.exact label e
+      if Flow_label.is_exact label then Exact_index.replace t.exact label e
       else t.wildcards <- e :: t.wildcards;
       t.occupancy <- t.occupancy + 1;
       if t.occupancy > t.peak then t.peak <- t.occupancy;
@@ -98,19 +98,19 @@ let find t label =
   | Some e when e.alive -> Some e
   | _ -> None
 
+let rec scan_wildcards pkt = function
+  | [] -> None
+  | e :: rest ->
+    if e.alive && Flow_label.matches e.label pkt then Some e
+    else scan_wildcards pkt rest
+
+(* Same order as [Filter_table.matching_entry]: host pair, host pair +
+   proto, then the wildcards (newest first). *)
 let match_packet t (pkt : Packet.t) =
-  let pair = Flow_label.host_pair pkt.src pkt.dst in
   let result =
-    match Hashtbl.find_opt t.exact pair with
-    | Some e when e.alive -> Some e
-    | _ -> (
-      let with_proto = { pair with Flow_label.proto = Some pkt.proto } in
-      match Hashtbl.find_opt t.exact with_proto with
-      | Some e when e.alive -> Some e
-      | _ ->
-        List.find_opt
-          (fun e -> e.alive && Flow_label.matches e.label pkt)
-          t.wildcards)
+    match Exact_index.probe t.exact pkt with
+    | Some _ as found -> found
+    | None -> scan_wildcards pkt t.wildcards
   in
   (match result with
   | Some _ -> t.hits <- t.hits + 1

@@ -62,7 +62,15 @@ let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.base) p.len
 
 let pp_prefix fmt p = Format.pp_print_string fmt (prefix_to_string p)
 
-let prefix_mem p a = Int32.equal (Int32.logand a (mask_of_len p.len)) p.base
+(* [a land mask = base], computed on sign-extended native ints (63 bits:
+   OCaml 5 targets only 64-bit machines) so that no [int32] mask is boxed
+   per call. For [1 <= len <= 32] the native mask
+   [-1 lsl (32 - len)] is exactly the sign extension of the [int32] mask,
+   and sign extension commutes with [land] and is injective, so the result
+   equals the [int32] test bit for bit, whatever [base] holds. *)
+let prefix_mem p a =
+  if p.len = 0 then Int32.equal p.base 0l
+  else Int32.to_int a land (-1 lsl (32 - p.len)) = Int32.to_int p.base
 
 let prefix_compare p q =
   let c = Int32.compare p.base q.base in

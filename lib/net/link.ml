@@ -24,7 +24,8 @@ type t = {
   discipline : discipline;
   rng : Rng.t;
   mutable avg_queue : float;  (* EWMA of queued bytes, for RED *)
-  mutable idle_since : float option;  (* set while the transmitter is idle *)
+  mutable idle_since : float option;
+      (* set while the transmitter is idle; only RED links track it *)
   mutable early_drops : int;
   (* Fluid coupling (hybrid engine): the rate plane publishes how much
      aggregate traffic is offered to / admitted by this link, and discrete
@@ -159,17 +160,23 @@ let tx_label = Some "link-tx"
 let delivery_label = Some "link-delivery"
 
 let rec start_transmission t =
-  match Queue.take_opt t.queue with
-  | None ->
+  if Queue.is_empty t.queue then begin
     t.busy <- false;
-    t.idle_since <- Some (Sim.now t.sim)
-  | Some pkt ->
+    (* Only RED's idle correction reads [idle_since]; a drop-tail link
+       skips the [Some] it would allocate. *)
+    match t.discipline with
+    | Red _ -> t.idle_since <- Some (Sim.now t.sim)
+    | Drop_tail -> ()
+  end
+  else begin
+    let pkt = Queue.take t.queue in
     t.busy <- true;
     t.idle_since <- None;
     t.queued_bytes <- t.queued_bytes - pkt.size;
-    Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
-      ~link:t.name ~kind:Aitf_obs.Flight.Dequeue ~size:pkt.size
-      ~queue_depth:t.queued_bytes ();
+    if Aitf_obs.Flight.enabled () then
+      Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
+        ~link:t.name ~kind:Aitf_obs.Flight.Dequeue ~size:pkt.size
+        ~queue_depth:t.queued_bytes ();
     let serialization = float_of_int (pkt.size * 8) /. t.bandwidth in
     (* Under fluid saturation the queue is full in steady state, so a packet
        that does get through waits a full queue's worth of serialisation. *)
@@ -208,6 +215,7 @@ let rec start_transmission t =
              | Some _ | None -> drop t "link-down" pkt));
            update_red_avg t;
            start_transmission t))
+  end
 
 (* RED decision on enqueue: drop probabilistically between the thresholds.
    The average itself is maintained by [update_red_avg]. *)
@@ -255,9 +263,10 @@ let send t pkt =
     else begin
       Queue.add pkt t.queue;
       t.queued_bytes <- t.queued_bytes + pkt.size;
-      Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
-        ~link:t.name ~kind:Aitf_obs.Flight.Enqueue ~size:pkt.size
-        ~queue_depth:t.queued_bytes ();
+      if Aitf_obs.Flight.enabled () then
+        Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim)
+          ~node:t.tx_node ~link:t.name ~kind:Aitf_obs.Flight.Enqueue
+          ~size:pkt.size ~queue_depth:t.queued_bytes ();
       if not t.busy then start_transmission t
     end
   end

@@ -107,11 +107,14 @@ let connect ?(queue_capacity = 65536) ?discipline ?name t a b ~bandwidth
       ~name:(Printf.sprintf "%s->%s" b.Node.name a.Node.name)
       ~bandwidth ~delay ~queue_capacity
   in
+  (* Each direction's [last_hop] value is built once here, not per
+     delivery. *)
+  let from_a = Some a.Node.addr and from_b = Some b.Node.addr in
   Link.set_deliver ab (fun pkt ->
-      pkt.Packet.last_hop <- Some a.Node.addr;
+      pkt.Packet.last_hop <- from_a;
       receive b pkt);
   Link.set_deliver ba (fun pkt ->
-      pkt.Packet.last_hop <- Some b.Node.addr;
+      pkt.Packet.last_hop <- from_b;
       receive a pkt);
   let inter_as = a.Node.as_id <> b.Node.as_id in
   a.Node.ports <-

@@ -17,15 +17,41 @@ type t = {
   payload : payload;
 }
 
+(* Ids come off a plain counter in the main domain. Worker domains of the
+   parallel engine each mint from their own stride ([bind_domain]), as
+   [Span] does for correlation ids: a shared counter would lose
+   increments and repeat ids under concurrent [make]s. *)
 let next_id = ref 0
 let reset_ids () = next_id := 0
+
+type stride = { mutable active : bool; mutable next : int }
+
+let stride_key : stride Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { active = false; next = 0 })
+
+let bind_domain ~id_base =
+  let s = Domain.DLS.get stride_key in
+  s.active <- true;
+  s.next <- id_base
+
+let mint_id () =
+  let s = Domain.DLS.get stride_key in
+  if s.active then begin
+    let id = s.next in
+    s.next <- id + 1;
+    id
+  end
+  else begin
+    let id = !next_id in
+    next_id := id + 1;
+    id
+  end
 
 let route_record_limit = 16
 
 let make ?spoofed_src ?(proto = 17) ?(sport = 0) ?(dport = 0) ?(ttl = 64) ~src
     ~dst ~size payload =
-  let id = !next_id in
-  incr next_id;
+  let id = mint_id () in
   let header_src = match spoofed_src with None -> src | Some s -> s in
   {
     id;

@@ -69,4 +69,10 @@ val pp : Format.formatter -> t -> unit
 (** One-line rendering for traces: id, src -> dst, size and payload kind. *)
 
 val reset_ids : unit -> unit
-(** Reset the global id counter (between independent test runs). *)
+(** Reset the main domain's id counter (between independent test runs). *)
+
+val bind_domain : id_base:int -> unit
+(** Mint the calling domain's packet ids from its own stride: [id_base],
+    [id_base + 1], ... instead of the main domain's shared counter.
+    Parallel-engine workers call this at spawn with disjoint bases, so
+    concurrent {!make}s never repeat an id. *)

@@ -50,7 +50,10 @@ let detach_from sim =
   overrides := List.filter (fun (s, _) -> s != sim) !overrides
 
 let attached () = !current
-let enabled () = Option.is_some !current || !overrides <> []
+(* A pattern match rather than [<> []], which would call the polymorphic
+   comparison: link recording sites call this once per packet. *)
+let enabled () =
+  Option.is_some !current || match !overrides with [] -> false | _ -> true
 
 let write t ~time ~node ~link ~kind ~size ~queue_depth =
   t.buf.(t.next) <- Some { time; node; link; kind; size; queue_depth };

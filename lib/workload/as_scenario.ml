@@ -123,7 +123,8 @@ let run p =
   let sim = Sched.global sched in
   (* Shard-clean tracing: each worker domain gets its own span collector
      (orphan mode on — roots for ids minted in other shards materialise as
-     placeholders) plus a disjoint correlation-id stride; [Span.merge_into]
+     placeholders) plus disjoint correlation-id and packet-id strides
+     (SPIE digests hash packet ids); [Span.merge_into]
      reunites everything after the run. The master collector also runs in
      orphan mode while sharded: coordinator-context recording (the fluid
      mirror) sees shard-minted ids too. Workers mint from their stride
@@ -144,6 +145,7 @@ let run p =
   in
   if shards > 1 then
     Sched.set_worker_init sched (fun ~shard ->
+        Packet.bind_domain ~id_base:((shard + 1) lsl 40);
         Span.bind_domain
           ?collector:
             (if shard_spans = [||] then None else Some shard_spans.(shard))

@@ -805,6 +805,208 @@ let test_shadow_remove_and_iter () =
   checki "one live entry" 1 !n;
   checkb "removed entry dead" false (Shadow_cache.live e)
 
+(* --- Classifier equivalence ----------------------------------------------- *)
+
+(* A small address universe, so generated labels repeat (refreshes) and
+   overlap (order matters). Pairs [(s, d)] and [(s xor 1, d xor 0x80000000)]
+   share an [Exact_index] key: 10.0.0.0/10.0.0.1 and 10.0.0.2/10.0.0.3
+   against 20.0.0.5/148.0.0.5 collide. *)
+let cls_srcs = Array.map addr [| "10.0.0.0"; "10.0.0.1"; "10.0.0.2"; "10.0.0.3"; "11.0.0.1" |]
+let cls_dsts = Array.map addr [| "20.0.0.5"; "148.0.0.5" |]
+let cls_protos = [| 6; 17 |]
+
+let test_exact_key_collides () =
+  let s = cls_srcs.(0) and d = cls_dsts.(0) in
+  checkb "collision pair shares a key" true
+    (Exact_index.key s d = Exact_index.key cls_srcs.(1) cls_dsts.(1));
+  checkb "other pairs differ" true
+    (Exact_index.key s d <> Exact_index.key cls_srcs.(1) cls_dsts.(0))
+
+let cls_label_gen =
+  let open QCheck.Gen in
+  let host arr = map (fun a -> Flow_label.Host a) (oneofa arr) in
+  let net l = map (fun p -> Flow_label.Net (Addr.prefix_of_string p)) (oneofl l) in
+  let src =
+    frequency
+      [ (4, host cls_srcs);
+        (2, net [ "10.0.0.0/30"; "10.0.0.0/31"; "10.0.0.2/31"; "10.0.0.0/8"; "0.0.0.0/0" ]);
+        (1, return Flow_label.Any) ]
+  in
+  let dst =
+    frequency
+      [ (4, host cls_dsts); (1, net [ "20.0.0.0/8"; "128.0.0.0/1" ]); (1, return Flow_label.Any) ]
+  in
+  let* src = src in
+  let* dst = dst in
+  let* proto = oneofl [ None; Some 6; Some 17 ] in
+  let+ sport = frequency [ (4, return None); (1, oneofl [ Some 0; Some 1 ]) ] in
+  { Flow_label.src; dst; proto; sport; dport = None }
+
+type cls_op =
+  | Install of Flow_label.t * int
+  | Refresh of Flow_label.t * int
+  | Remove of Flow_label.t
+  | Advance of int
+
+let cls_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [ (5, map2 (fun l d -> Install (l, d)) cls_label_gen (int_range 1 6));
+      (2, map2 (fun l d -> Refresh (l, d)) cls_label_gen (int_range 1 6));
+      (2, map (fun l -> Remove l) cls_label_gen);
+      (2, map (fun d -> Advance d) (int_range 1 3)) ]
+
+let cls_op_print = function
+  | Install (l, d) -> Printf.sprintf "install %s for %d" (Flow_label.to_string l) d
+  | Refresh (l, d) -> Printf.sprintf "refresh %s for %d" (Flow_label.to_string l) d
+  | Remove l -> "remove " ^ Flow_label.to_string l
+  | Advance d -> Printf.sprintf "advance %d" d
+
+let cls_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map cls_op_print ops))
+    QCheck.Gen.(list_size (int_range 1 40) cls_op_gen)
+
+(* The reference model: live labels with their expiry and install order. *)
+type cls_ref = { label : Flow_label.t; mutable expires : int; seq : int }
+
+let cls_packets =
+  List.concat_map
+    (fun src ->
+      List.concat_map
+        (fun dst ->
+          List.map (fun proto -> data_packet ~proto ~src ~dst ()) (Array.to_list cls_protos))
+        (Array.to_list cls_dsts))
+    (Array.to_list cls_srcs)
+
+(* The documented match order, as a linear scan: host pair, host pair +
+   proto, then the wildcards in [wild_order]. *)
+let reference_match ~wild_order live (pkt : Packet.t) =
+  let exact proto =
+    List.find_opt
+      (fun r ->
+        Flow_label.is_exact r.label
+        && r.label.src = Flow_label.Host pkt.src
+        && r.label.dst = Flow_label.Host pkt.dst
+        && r.label.proto = proto)
+      live
+  in
+  match exact None with
+  | Some r -> Some r.label
+  | None -> (
+    match exact (Some pkt.proto) with
+    | Some r -> Some r.label
+    | None ->
+      List.filter (fun r -> not (Flow_label.is_exact r.label)) live
+      |> List.sort wild_order
+      |> List.find_opt (fun r -> Flow_label.matches r.label pkt)
+      |> Option.map (fun r -> r.label))
+
+(* Run [ops] against a real classifier and the reference, comparing every
+   probe packet's match after every step. *)
+let classifier_agrees ~wild_order ~create ~install ~refresh ~remove ~probes ops =
+  let sim = Sim.create () in
+  let c = create sim in
+  let live = ref [] and now = ref 0 and seq = ref 0 in
+  let find l = List.find_opt (fun r -> Flow_label.equal r.label l) !live in
+  let step = function
+    | Install (l, d) -> (
+      install c l (float_of_int d);
+      match find l with
+      | Some r -> r.expires <- max r.expires (!now + d)
+      | None ->
+        incr seq;
+        live := { label = l; expires = !now + d; seq = !seq } :: !live)
+    | Refresh (l, d) -> (
+      refresh c l (float_of_int d);
+      match find l with Some r -> r.expires <- max r.expires (!now + d) | None -> ())
+    | Remove l ->
+      remove c l;
+      live := List.filter (fun r -> not (Flow_label.equal r.label l)) !live
+    | Advance d ->
+      now := !now + d;
+      Sim.run ~until:(float_of_int !now) sim;
+      live := List.filter (fun r -> r.expires > !now) !live
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      List.for_all
+        (fun pkt ->
+          let expected = reference_match ~wild_order !live pkt in
+          List.for_all (fun got -> Option.equal Flow_label.equal got expected) (probes c pkt))
+        cls_packets)
+    ops
+
+(* The table scans its wildcards most-specific-first, ties by label. *)
+let filter_table_order a b =
+  let c = Int.compare (Flow_label.specificity b.label) (Flow_label.specificity a.label) in
+  if c <> 0 then c else Flow_label.compare a.label b.label
+
+let filter_table_classifier =
+  QCheck.Test.make ~name:"filter table matches the reference scan" ~count:300 cls_ops_arb
+    (classifier_agrees ~wild_order:filter_table_order
+       ~create:(fun sim -> Filter_table.create sim ~capacity:1000)
+       ~install:(fun t l duration -> ignore (Filter_table.install t l ~duration))
+       ~refresh:(fun t l duration ->
+         if Option.is_some (Filter_table.find t l) then
+           ignore (Filter_table.install t l ~duration))
+       ~remove:(fun t l -> Option.iter (Filter_table.remove t) (Filter_table.find t l))
+       ~probes:(fun t pkt ->
+         let label = Option.map Filter_table.label in
+         [ label (Filter_table.matching_entry t pkt); label (Filter_table.blocking_entry t pkt) ]))
+
+(* The cache scans its wildcards newest first. *)
+let shadow_cache_classifier =
+  QCheck.Test.make ~name:"shadow cache matches the reference scan" ~count:300 cls_ops_arb
+    (classifier_agrees
+       ~wild_order:(fun a b -> Int.compare b.seq a.seq)
+       ~create:(fun sim -> Shadow_cache.create sim ~capacity:1000)
+       ~install:(fun c l ttl -> ignore (Shadow_cache.insert c l ~ttl ()))
+       ~refresh:(fun c l ttl ->
+         Option.iter (fun e -> Shadow_cache.refresh c e ~ttl) (Shadow_cache.find c l))
+       ~remove:(fun c l -> Option.iter (Shadow_cache.remove c) (Shadow_cache.find c l))
+       ~probes:(fun c pkt -> [ Option.map Shadow_cache.label (Shadow_cache.match_packet c pkt) ]))
+
+(* --- Allocation ------------------------------------------------------------- *)
+
+(* Words the minor heap gained over 10^4 calls of [f] (native code only:
+   bytecode boxes values the native compiler keeps unboxed). *)
+let minor_words_10k f =
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+(* 1000 exact host-pair filters to one victim plus [wildcards] prefix
+   filters that match neither, and a probe [blocking_entry] misses. *)
+let miss_words ~wildcards =
+  let t = Filter_table.create (Sim.create ()) ~capacity:4096 in
+  let victim = addr "20.0.0.10" in
+  for i = 0 to 999 do
+    ignore (Filter_table.install t (Flow_label.host_pair (Addr.add (addr "10.0.0.0") i) victim) ~duration:1e9)
+  done;
+  for i = 0 to wildcards - 1 do
+    ignore
+      (Filter_table.install t
+         (Flow_label.from_net (Addr.prefix (Addr.add (addr "30.0.0.0") (i * 256)) 24) victim)
+         ~duration:1e9)
+  done;
+  let pkt = data_packet ~src:(addr "11.0.0.1") ~dst:victim () in
+  minor_words_10k (fun () -> ignore (Filter_table.blocking_entry t pkt))
+
+let test_exact_miss_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let words = miss_words ~wildcards:0 in
+    checkb (Printf.sprintf "%.0f words for 10^4 misses" words) true (words < 32.)
+  end
+
+let test_wildcard_miss_allocation () =
+  if Sys.backend_type = Sys.Native then
+    check (Alcotest.float 0.) "100 wildcards cost no words over none"
+      (miss_words ~wildcards:0) (miss_words ~wildcards:100)
+
 (* --- Token bucket ---------------------------------------------------------- *)
 
 let test_bucket_burst_then_deny () =
@@ -910,6 +1112,16 @@ let () =
           Alcotest.test_case "mixed accounting" `Quick
             test_table_accounting_mixed;
           QCheck_alcotest.to_alcotest table_soundness;
+        ] );
+      ( "classifier",
+        [
+          Alcotest.test_case "exact key collisions" `Quick test_exact_key_collides;
+          QCheck_alcotest.to_alcotest filter_table_classifier;
+          QCheck_alcotest.to_alcotest shadow_cache_classifier;
+          Alcotest.test_case "exact miss allocates nothing" `Quick
+            test_exact_miss_allocation;
+          Alcotest.test_case "wildcard scan allocates nothing" `Quick
+            test_wildcard_miss_allocation;
         ] );
       ( "overload",
         [

@@ -59,6 +59,18 @@ let test_prefix_membership () =
   checkb "default route matches all" true
     (Addr.prefix_mem zero (Addr.of_string "250.1.2.3"))
 
+(* [prefix_mem] tests its mask on native ints; it must agree bit for bit
+   with the [int32] mask test. Half the probes are the base with one bit
+   flipped, so they sit on either side of the prefix boundary. *)
+let prefix_mem_vs_int32_mask =
+  QCheck.Test.make ~name:"prefix_mem equals the int32 mask test" ~count:2000
+    QCheck.(triple int32 (int_bound 32) (pair int32 (int_bound 63)))
+    (fun (base, len, (a, flip)) ->
+      let p = Addr.prefix base len in
+      let a = if flip < 32 then Int32.logxor base (Int32.shift_left 1l flip) else a in
+      let mask = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len) in
+      Addr.prefix_mem p a = Int32.equal (Int32.logand a mask) p.Addr.base)
+
 let test_prefix_len_bounds () =
   checkb "len 33 rejected" true
     (try
@@ -88,6 +100,26 @@ let test_packet_make () =
       (Packet.Data { flow_id = 1; attack = false })
   in
   checki "ids increment" 1 q.Packet.id
+
+(* Two worker domains minting packets at once each get their own stride,
+   and neither disturbs the main domain's counter. *)
+let test_packet_ids_per_domain () =
+  let n = 20_000 in
+  let mk () =
+    Packet.make ~src:(addr "1.0.0.1") ~dst:(addr "2.0.0.2") ~size:100
+      (Packet.Data { flow_id = 1; attack = false })
+  in
+  let before = (mk ()).Packet.id in
+  let worker base () =
+    Packet.bind_domain ~id_base:base;
+    Array.init n (fun _ -> (mk ()).Packet.id)
+  in
+  let d1 = Domain.spawn (worker (1 lsl 40)) in
+  let d2 = Domain.spawn (worker (2 lsl 40)) in
+  let ids1 = Domain.join d1 and ids2 = Domain.join d2 in
+  checkb "domain 1 mints its stride" true (ids1 = Array.init n (fun i -> (1 lsl 40) + i));
+  checkb "domain 2 mints its stride" true (ids2 = Array.init n (fun i -> (2 lsl 40) + i));
+  checki "main counter untouched" (before + 1) (mk ()).Packet.id
 
 let test_packet_spoofing () =
   let p =
@@ -723,10 +755,12 @@ let () =
             test_prefix_normalisation;
           Alcotest.test_case "prefix membership" `Quick test_prefix_membership;
           Alcotest.test_case "prefix bounds" `Quick test_prefix_len_bounds;
+          QCheck_alcotest.to_alcotest prefix_mem_vs_int32_mask;
         ] );
       ( "packet",
         [
           Alcotest.test_case "make" `Quick test_packet_make;
+          Alcotest.test_case "ids per domain" `Quick test_packet_ids_per_domain;
           Alcotest.test_case "spoofing" `Quick test_packet_spoofing;
           Alcotest.test_case "route record" `Quick test_packet_route_record;
           Alcotest.test_case "route record bounded" `Quick
