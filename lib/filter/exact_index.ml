@@ -15,9 +15,9 @@ let create n =
 (* The two unsigned addresses, [src] shifted over [dst] by 31 bits so that
    the 64 bits fold into a 63-bit native int; [src]'s lowest bit and
    [dst]'s highest one land on the same bit. *)
-let key src dst =
-  ((Int32.to_int src land 0xFFFF_FFFF) lsl 31)
-  lxor (Int32.to_int dst land 0xFFFF_FFFF)
+let u32 = Addr.to_unsigned
+let key_u src dst = (src lsl 31) lxor dst
+let key src dst = key_u (u32 src) (u32 dst)
 
 (* MurmurHash3's 64-bit finaliser, with its multipliers cut to OCaml's
    63-bit ints (both stay odd), so that every key bit reaches the low bits
@@ -29,7 +29,7 @@ let mix k =
   let k = k * 0x04CE_B9FE_1A85_EC53 in
   k lxor (k lsr 33)
 
-let slot buckets src dst = mix (key src dst) land (Array.length buckets - 1)
+let slot buckets src dst = mix (key_u src dst) land (Array.length buckets - 1)
 
 let label_pair (l : Flow_label.t) =
   match (l.src, l.dst) with
@@ -38,7 +38,7 @@ let label_pair (l : Flow_label.t) =
 
 let label_slot buckets l =
   let s, d = label_pair l in
-  slot buckets s d
+  slot buckets (u32 s) (u32 d)
 
 let has label bucket = List.exists (fun (l, _) -> Flow_label.equal l label) bucket
 
@@ -75,7 +75,7 @@ let remove t label =
 
 let same_pair (l : Flow_label.t) src dst =
   match (l.src, l.dst) with
-  | Host s, Host d -> Addr.equal s src && Addr.equal d dst
+  | Host s, Host d -> u32 s = src && u32 d = dst
   | _ -> false
 
 let rec find_unqualified src dst = function
@@ -92,8 +92,18 @@ let rec find_proto src dst (proto : int) = function
     | Some p when p = proto && same_pair l src dst -> Some v
     | _ -> find_proto src dst proto rest)
 
-let probe t (pkt : Packet.t) =
-  let bucket = t.buckets.(slot t.buckets pkt.src pkt.dst) in
-  match find_unqualified pkt.src pkt.dst bucket with
+let find t ~src ~dst ~proto =
+  let bucket = t.buckets.(slot t.buckets src dst) in
+  match find_unqualified src dst bucket with
   | Some _ as found -> found
-  | None -> find_proto pkt.src pkt.dst pkt.proto bucket
+  | None -> find_proto src dst proto bucket
+
+let probe t (pkt : Packet.t) =
+  find t ~src:(u32 pkt.src) ~dst:(u32 pkt.dst) ~proto:pkt.proto
+
+let length t = t.count
+
+let fold f t acc =
+  Array.fold_left
+    (List.fold_left (fun acc (l, v) -> f l v acc))
+    acc t.buckets

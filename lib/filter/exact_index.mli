@@ -26,7 +26,17 @@ val replace : 'a t -> Flow_label.t -> 'a -> unit
 val remove : 'a t -> Flow_label.t -> unit
 (** Drop the value filed under an equal label, if any. *)
 
+val find : 'a t -> src:int -> dst:int -> proto:int -> 'a option
+(** The value filed under [src -> dst] with no [proto] qualifier, else the
+    one filed under that pair with this [proto]. The addresses are given
+    as unsigned ints ([0 .. 0xFFFF_FFFF]), so a caller walking an address
+    range builds no [Addr.t]. Allocates nothing unless it finds one. *)
+
 val probe : 'a t -> Packet.t -> 'a option
-(** The value filed under [pkt.src -> pkt.dst] with no [proto] qualifier,
-    else the one filed under that pair with [proto = pkt.proto]. Allocates
-    nothing unless it finds one. *)
+(** {!find} on the packet's header [src], [dst] and [proto]. *)
+
+val length : 'a t -> int
+(** The number of labels filed. *)
+
+val fold : (Flow_label.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** Fold over every filed label and its value, in bucket order. *)

@@ -194,6 +194,105 @@ let matching_entry t pkt =
   | Some _ as found -> found
   | None -> scan_wildcards pkt t.wildcards
 
+(* --- range classification ---------------------------------------------- *)
+
+let u32 = Addr.to_unsigned
+
+(* The unsigned source block a selector covers ([Addr.prefix] bases are
+   always masked to their length). *)
+let src_block : Flow_label.sel -> int * int = function
+  | Any -> (0, 0xFFFF_FFFF)
+  | Host a -> (u32 a, u32 a)
+  | Net p ->
+    let base = u32 p.base in
+    (base, base + (1 lsl (32 - p.len)) - 1)
+
+let qual_accepts q (v : int) = match q with None -> true | Some x -> x = v
+
+(* Does the wildcard accept a header with this [dst], [proto] and ports 0,
+   whatever its source? *)
+let accepts ~dst ~proto h =
+  let l = h.label in
+  h.alive
+  && Flow_label.sel_matches l.dst dst
+  && qual_accepts l.proto proto && qual_accepts l.sport 0
+  && qual_accepts l.dport 0
+
+(* The wildcards accepting the header, in scan order, each with its source
+   block clipped to [lo..hi]. *)
+let range_candidates t ~dst ~proto ~lo ~hi =
+  List.filter_map
+    (fun h ->
+      if accepts ~dst ~proto h then
+        let a, b = src_block h.label.src in
+        let a = max a lo and b = min b hi in
+        if a <= b then Some (a, b, Some h) else None
+      else None)
+    t.wildcards
+
+(* The sources in [lo..hi] with an exact entry towards [dst], ascending,
+   each with the entry the probe finds. A range no longer than the index
+   probes each address; a longer one folds the index once for the
+   sources it names. *)
+let exact_points t ~dst ~proto ~lo ~hi =
+  let n = Exact_index.length t.exact and d = u32 dst in
+  let sources =
+    if n = 0 then []
+    else if hi - lo < n then List.init (hi - lo + 1) (fun i -> lo + i)
+    else
+      Exact_index.fold
+        (fun (l : Flow_label.t) _ acc ->
+          match (l.src, l.dst) with
+          | Host s, Host d' when u32 d' = d && lo <= u32 s && u32 s <= hi ->
+            u32 s :: acc
+          | _ -> acc)
+        t.exact []
+      |> List.sort_uniq Int.compare
+  in
+  List.filter_map
+    (fun x ->
+      match Exact_index.find t.exact ~src:x ~dst:d ~proto with
+      | Some _ as e -> Some (x, e)
+      | None -> None)
+    sources
+
+(* Every source where the answer can change starts a segment: each
+   candidate block's ends and each exact point and its successor. A
+   segment's answer is its exact entry, else the first candidate covering
+   its start (no block ends inside it), so match order holds by
+   construction. Adjacent segments with one answer merge into a run. *)
+let classify_range t ~dst ~proto ~lo ~hi f =
+  if lo < 0 || hi > 0xFFFF_FFFF || lo > hi then
+    invalid_arg "Filter_table.classify_range: bad source range";
+  let cands = range_candidates t ~dst ~proto ~lo ~hi in
+  let points = exact_points t ~dst ~proto ~lo ~hi in
+  let starts =
+    List.concat_map (fun (a, b, _) -> [ a; b + 1 ]) cands
+    @ List.concat_map (fun (x, _) -> [ x; x + 1 ]) points
+    |> List.filter (fun s -> lo < s && s <= hi)
+    |> List.sort_uniq Int.compare
+  in
+  let rec cover s = function
+    | [] -> None
+    | (a, b, e) :: rest -> if a <= s && s <= b then e else cover s rest
+  in
+  let entry_at s = function
+    | (x, e) :: rest when x = s -> (e, rest)
+    | points -> (cover s cands, points)
+  in
+  let rec go run_lo run_e points = function
+    | [] -> f run_lo hi run_e
+    | s :: starts ->
+      let e, points = entry_at s points in
+      if Option.equal ( == ) e run_e then go run_lo run_e points starts
+      else begin
+        f run_lo (s - 1) run_e;
+        go s e points starts
+      end
+  in
+  let e, points = entry_at lo points in
+  go lo e points starts
+
 let record_hit t h (pkt : Packet.t) =
   h.hits <- h.hits + 1;
   h.hit_bytes <- h.hit_bytes + pkt.size;

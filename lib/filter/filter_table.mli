@@ -9,7 +9,8 @@
 
     Matching is O(1) for exact host-pair labels (int-keyed probes, see
     {!Exact_index}) plus a linear scan of the few wildcard entries; a miss
-    allocates nothing. *)
+    allocates nothing. {!classify_range} answers the same question for a
+    whole range of sources at once, in one walk over the table. *)
 
 open Aitf_net
 
@@ -113,9 +114,33 @@ val would_block : t -> Packet.t -> bool
 
 val matching_entry : t -> Packet.t -> handle option
 (** The live entry that would act on the packet (most-specific-first, like
-    {!blocks}), without touching hit counters or limiter token state — the
-    query the fluid engine uses to mirror a source's fate into the rate
-    domain. *)
+    {!blocks}), without touching hit counters or limiter token state. *)
+
+val classify_range :
+  t ->
+  dst:Addr.t ->
+  proto:int ->
+  lo:int ->
+  hi:int ->
+  (int -> int -> handle option -> unit) ->
+  unit
+(** [classify_range t ~dst ~proto ~lo ~hi f] classifies every source in
+    [lo..hi] (unsigned addresses, [0 <= lo <= hi <= 0xFFFF_FFFF]) at once:
+    it calls [f a b entry], in ascending order, for each maximal run
+    [a..b] whose packets (header [src] in [a..b], this [dst] and [proto],
+    ports 0) all get [entry] from {!matching_entry}. The runs cover
+    [lo..hi] exactly and adjacent runs carry different entries ([None]:
+    no filter acts). Touches no counters or limiter state and builds no
+    packet — the query the fluid engine mirrors aggregate filters with.
+
+    Each live wildcard whose destination, [proto] and port qualifiers
+    accept the header contributes its source block ([Any] the whole
+    space, a prefix its block, a host one address); a run's wildcard is
+    the first in scan order covering it. Exact entries override it at
+    single sources, unqualified before [proto]-qualified: a range no
+    longer than the exact index probes each source, a longer one folds
+    the index once.
+    @raise Invalid_argument on a range outside the unsigned space. *)
 
 val occupancy : t -> int
 val capacity : t -> int

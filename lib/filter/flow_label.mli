@@ -35,6 +35,9 @@ val from_host : Addr.t -> t
 (** All traffic from one source, any destination — used for disconnection
     blocklists. *)
 
+val sel_matches : sel -> Addr.t -> bool
+(** Does the address fall under the selector? *)
+
 val matches : t -> Packet.t -> bool
 (** Does the packet fall under the label? Compares against the {e header}
     source, so spoofed packets match labels naming the spoofed address. *)

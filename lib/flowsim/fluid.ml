@@ -17,7 +17,7 @@ type agg = {
   dst : Addr.t;
   attack : bool;
   flow_id : int;
-  pkt_size : int;  (* bytes, for probe-rate derivation and label matching *)
+  pkt_size : int;  (* bytes, for probe-rate derivation *)
   link_idx : int array;  (* hop s crosses this link (index into t.links) *)
   fnodes : Node.t array;  (* filter stage before hop s; fnodes.(0) = origin *)
   mask : int array;  (* per source: bit s = blocked at stage s *)
@@ -217,53 +217,21 @@ let set_cap agg idx stage c =
       true
     end
 
-(* Re-derive one source's fate at one stage from the stage's table itself —
-   ground truth, so overlapping filters and refreshes that change the action
-   need no bookkeeping of their own. *)
-let reeval t agg stage idx =
-  match Hashtbl.find_opt t.tables agg.fnodes.(stage).Node.id with
-  | None -> false
-  | Some table ->
-    let src = Addr.add agg.src_base idx in
-    let pkt =
-      Packet.make ~src ~dst:agg.dst ~size:agg.pkt_size
-        (Packet.Data { flow_id = agg.flow_id; attack = agg.attack })
-    in
-    let bit = 1 lsl stage in
-    let block, cap =
-      match Filter_table.matching_entry table pkt with
-      | None -> (false, infinity)
-      | Some h -> (
-        match Filter_table.rate_limit h with
-        | None -> (true, infinity)
-        | Some bytes_rate -> (false, bytes_rate *. 8.))
-    in
-    let nw =
-      if block then agg.mask.(idx) lor bit else agg.mask.(idx) land lnot bit
-    in
-    let a = set_mask agg idx nw in
-    let b = set_cap agg idx stage cap in
-    a || b
-
-let addr_int (a : Addr.t) = Int32.to_int a land 0xFFFFFFFF
-
-let dst_matches sel dst =
-  match sel with
-  | Flow_label.Any -> true
-  | Flow_label.Host a -> Addr.equal a dst
-  | Flow_label.Net p -> Addr.prefix_mem p dst
+(* The protocol fluid traffic carries: [Packet.make]'s default, as on the
+   sampler's probe packets. *)
+let data_proto = 17
 
 (* The source-index range a label's source selector can possibly touch —
-   just a bound; [reeval] decides per source. *)
+   just a bound; the table's classification decides per source. *)
 let src_range agg sel =
-  let base = addr_int agg.src_base in
+  let base = Addr.to_unsigned agg.src_base in
   match sel with
   | Flow_label.Any -> Some (0, agg.n - 1)
   | Flow_label.Host a ->
-    let off = addr_int a - base in
+    let off = Addr.to_unsigned a - base in
     if off >= 0 && off < agg.n then Some (off, off) else None
   | Flow_label.Net p ->
-    let pb = addr_int p.Addr.base in
+    let pb = Addr.to_unsigned p.Addr.base in
     let span = 1 lsl (32 - p.Addr.len) in
     let lo = max base pb in
     let hi = min (base + agg.n - 1) (pb + span - 1) in
@@ -290,34 +258,58 @@ let annotate_change ~now change =
         | Filter_table.Removed _ -> "fluid-mirror-remove")
     | None -> ()
 
+(* Re-derive the fate at [stage] of every source in [lo..hi] from the
+   stage's table itself — ground truth, so overlapping filters and
+   refreshes that change the action need no bookkeeping of their own. The
+   table classifies the range into runs sharing one entry; each run's fate
+   is worked out once and written over its sources. *)
+let reclassify table agg stage ~lo ~hi =
+  let base = Addr.to_unsigned agg.src_base in
+  let bit = 1 lsl stage in
+  let changed = ref false in
+  Filter_table.classify_range table ~dst:agg.dst ~proto:data_proto
+    ~lo:(base + lo) ~hi:(base + hi) (fun a b entry ->
+      let block, cap =
+        match entry with
+        | None -> (false, infinity)
+        | Some h -> (
+          match Filter_table.rate_limit h with
+          | None -> (true, infinity)
+          | Some bytes_rate -> (false, bytes_rate *. 8.))
+      in
+      for idx = a - base to b - base do
+        let m = agg.mask.(idx) in
+        let nw = if block then m lor bit else m land lnot bit in
+        let m_changed = set_mask agg idx nw in
+        let c_changed = set_cap agg idx stage cap in
+        if m_changed || c_changed then changed := true
+      done);
+  !changed
+
 let on_change t node_id change =
   let h =
     match change with
     | Filter_table.Installed h | Filter_table.Removed h -> h
   in
   let label = Filter_table.label h in
-  match Hashtbl.find_opt t.subs node_id with
-  | None -> ()
-  | Some stages ->
+  match (Hashtbl.find_opt t.subs node_id, Hashtbl.find_opt t.tables node_id) with
+  | Some stages, Some table ->
     List.iter
       (fun (agg, stage) ->
-        if dst_matches label.Flow_label.dst agg.dst then
+        if Flow_label.sel_matches label.Flow_label.dst agg.dst then
           match src_range agg label.Flow_label.src with
           | None -> ()
           | Some (lo, hi) ->
-            let changed = ref false in
-            for idx = lo to hi do
-              if reeval t agg stage idx then changed := true
-            done;
-            if !changed then mark_dirty t)
+            if reclassify table agg stage ~lo ~hi then mark_dirty t)
       stages
+  | _ -> ()
 
 let attach_table ?defer t ~node table =
   Hashtbl.replace t.tables node.Node.id table;
   let mirror ev = on_change t node.Node.id ev in
   (* In sharded runs filter changes happen during shard windows while the
      fluid state is shared: the mirror update is deferred to the barrier
-     (where [on_change]'s reeval re-derives ground truth from the table,
+     (where [on_change] re-derives ground truth from the table,
      so late application is safe and idempotent). The span annotation is
      NOT deferred — it must record in the subscriber's context at the
      table clock's exact instant, or traces would depend on the shard
@@ -427,6 +419,8 @@ let add_aggregate ?(pkt_size = 1000) ?(flow_id = 0) ?(stop = infinity) t
     ~origin ~src_base ~n ~rate ~dst ~attack ~start =
   if n <= 0 then invalid_arg "Fluid.add_aggregate: n must be positive";
   if rate <= 0. then invalid_arg "Fluid.add_aggregate: rate must be positive";
+  if Addr.to_unsigned src_base + n - 1 > 0xFFFF_FFFF then
+    invalid_arg "Fluid.add_aggregate: source range runs past 255.255.255.255";
   let links, fnodes = derive_path t ~origin ~dst in
   let k = Array.length links in
   if k = 0 then invalid_arg "Fluid.add_aggregate: origin is the destination";
@@ -529,7 +523,7 @@ let active agg = agg.active
 let source_addr agg idx = Addr.add agg.src_base idx
 
 let source_index agg addr =
-  let off = addr_int addr - addr_int agg.src_base in
+  let off = Addr.to_unsigned addr - Addr.to_unsigned agg.src_base in
   if off >= 0 && off < agg.n then Some off else None
 
 let source_sending agg idx =

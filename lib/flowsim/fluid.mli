@@ -15,10 +15,12 @@
     and evictions are mirrored onto the per-source block masks — blocking
     filters zero a source's rate at that hop, rate-limit filters cap it.
 
-    The engine never creates packets; the {!Sampler} materialises
-    representative probe packets from aggregates so the unchanged AITF
-    control plane (route records, flow matching, detection, handshakes)
-    keeps working. *)
+    The engine never creates packets, not even to mirror a filter: it
+    asks the table to classify whole source ranges
+    ({!Aitf_filter.Filter_table.classify_range}). The {!Sampler}
+    materialises representative probe packets from aggregates so the
+    unchanged AITF control plane (route records, flow matching,
+    detection, handshakes) keeps working. *)
 
 open Aitf_net
 open Aitf_filter
@@ -48,18 +50,25 @@ val add_aggregate :
     [origin], together offering [rate] bits/s to [dst] from [start] until
     [stop] (default: forever). The path is derived by walking FIBs, so
     routes must be computed first. [pkt_size] (default 1000 B) is the
-    notional packet size used for probe-rate derivation and flow-label
-    matching. *)
+    notional packet size used for probe-rate derivation.
+    @raise Invalid_argument when the range runs past 255.255.255.255:
+    source addresses are unsigned and do not wrap. *)
 
 val attach_table :
   ?defer:((unit -> unit) -> unit) -> t -> node:Node.t -> Filter_table.t -> unit
 (** Mirror [table]'s state onto every aggregate stage sitting at [node].
-    Attach tables before they hold any entries (scenario setup time): only
-    changes after attachment are observed. [?defer] wraps the change
-    callback (default: run immediately); the parallel engine passes
-    [Sched.defer] so shard-phase filter changes mutate the shared fluid
-    state only at barriers — safe because the mirror re-derives ground
-    truth from the table on every change. *)
+    On each change, every stage the changed label can touch has the
+    label's share of its source range re-classified against the whole
+    table ({!Aitf_filter.Filter_table.classify_range}, header [proto] 17
+    and ports 0, as on the sampler's probes): each run of sources sharing
+    one matching entry gets that entry's fate — blocked, capped at its
+    rate limit, or passed — in one pass over the run. Attach tables
+    before they hold any entries (scenario setup time): only changes
+    after attachment are observed. [?defer] wraps the change callback
+    (default: run immediately); the parallel engine passes [Sched.defer]
+    so shard-phase filter changes mutate the shared fluid state only at
+    barriers — safe because the mirror re-derives ground truth from the
+    table on every change. *)
 
 val set_block : t -> agg -> idx:int -> stage:int -> bool -> unit
 (** Manually block/unblock one source at one stage — the bridge used by

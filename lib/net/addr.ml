@@ -33,6 +33,7 @@ let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 let succ a = Int32.add a 1l
 let add a n = Int32.add a (Int32.of_int n)
+let to_unsigned a = Int32.to_int a land 0xFFFF_FFFF
 
 let bit a i =
   if i < 0 || i > 31 then invalid_arg "Addr.bit: index out of range";

@@ -28,6 +28,10 @@ val succ : t -> t
 val add : t -> int -> t
 (** [add a n] offsets [a] by [n] addresses. *)
 
+val to_unsigned : t -> int
+(** The address as an unsigned int in [0 .. 0xFFFF_FFFF], so that
+    numeric order is address order. *)
+
 val bit : t -> int -> bool
 (** [bit a i] is bit [i] of [a], where bit 0 is the most significant —
     the order in which an LPM trie consumes bits. [i] must be in [0, 31]. *)

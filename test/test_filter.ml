@@ -842,30 +842,41 @@ let cls_label_gen =
   let+ sport = frequency [ (4, return None); (1, oneofl [ Some 0; Some 1 ]) ] in
   { Flow_label.src; dst; proto; sport; dport = None }
 
+(* Installs and refreshes carry an optional rate limit (bytes/s). *)
 type cls_op =
-  | Install of Flow_label.t * int
-  | Refresh of Flow_label.t * int
+  | Install of Flow_label.t * int * float option
+  | Refresh of Flow_label.t * int * float option
   | Remove of Flow_label.t
   | Advance of int
 
-let cls_op_gen =
+let cls_op_gen ~label ~rate =
   let open QCheck.Gen in
   frequency
-    [ (5, map2 (fun l d -> Install (l, d)) cls_label_gen (int_range 1 6));
-      (2, map2 (fun l d -> Refresh (l, d)) cls_label_gen (int_range 1 6));
-      (2, map (fun l -> Remove l) cls_label_gen);
+    [ (5, map3 (fun l d r -> Install (l, d, r)) label (int_range 1 6) rate);
+      (2, map3 (fun l d r -> Refresh (l, d, r)) label (int_range 1 6) rate);
+      (2, map (fun l -> Remove l) label);
       (2, map (fun d -> Advance d) (int_range 1 3)) ]
 
-let cls_op_print = function
-  | Install (l, d) -> Printf.sprintf "install %s for %d" (Flow_label.to_string l) d
-  | Refresh (l, d) -> Printf.sprintf "refresh %s for %d" (Flow_label.to_string l) d
+let cls_op_print op =
+  let rate = function None -> "" | Some r -> Printf.sprintf " at %g B/s" r in
+  match op with
+  | Install (l, d, r) ->
+    Printf.sprintf "install %s for %d%s" (Flow_label.to_string l) d (rate r)
+  | Refresh (l, d, r) ->
+    Printf.sprintf "refresh %s for %d%s" (Flow_label.to_string l) d (rate r)
   | Remove l -> "remove " ^ Flow_label.to_string l
   | Advance d -> Printf.sprintf "advance %d" d
 
+let cls_ops_gen ~label ~rate =
+  QCheck.Gen.(list_size (int_range 1 40) (cls_op_gen ~label ~rate))
+
+let cls_ops_print ops = String.concat "; " (List.map cls_op_print ops)
+
+(* Block-only ops: a rate limit would let [blocking_entry] pass packets
+   [matching_entry] matches. *)
 let cls_ops_arb =
-  QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map cls_op_print ops))
-    QCheck.Gen.(list_size (int_range 1 40) cls_op_gen)
+  QCheck.make ~print:cls_ops_print
+    (cls_ops_gen ~label:cls_label_gen ~rate:(QCheck.Gen.return None))
 
 (* The reference model: live labels with their expiry and install order. *)
 type cls_ref = { label : Flow_label.t; mutable expires : int; seq : int }
@@ -910,14 +921,14 @@ let classifier_agrees ~wild_order ~create ~install ~refresh ~remove ~probes ops 
   let live = ref [] and now = ref 0 and seq = ref 0 in
   let find l = List.find_opt (fun r -> Flow_label.equal r.label l) !live in
   let step = function
-    | Install (l, d) -> (
+    | Install (l, d, _) -> (
       install c l (float_of_int d);
       match find l with
       | Some r -> r.expires <- max r.expires (!now + d)
       | None ->
         incr seq;
         live := { label = l; expires = !now + d; seq = !seq } :: !live)
-    | Refresh (l, d) -> (
+    | Refresh (l, d, _) -> (
       refresh c l (float_of_int d);
       match find l with Some r -> r.expires <- max r.expires (!now + d) | None -> ())
     | Remove l ->
@@ -967,6 +978,175 @@ let shadow_cache_classifier =
          Option.iter (fun e -> Shadow_cache.refresh c e ~ttl) (Shadow_cache.find c l))
        ~remove:(fun c l -> Option.iter (Shadow_cache.remove c) (Shadow_cache.find c l))
        ~probes:(fun c pkt -> [ Option.map Shadow_cache.label (Shadow_cache.match_packet c pkt) ]))
+
+(* --- Range classification --------------------------------------------------- *)
+
+let u32 = Addr.to_unsigned
+let max_u32 = 0xFFFF_FFFF
+
+(* Sources at both ends of the unsigned space and around the prefix
+   boundaries below, so blocks start, end and nest inside probed ranges. *)
+let range_srcs =
+  Array.map addr
+    [| "0.0.0.0"; "10.0.0.0"; "10.0.0.1"; "10.0.0.2"; "10.0.0.3"; "10.0.0.5"; "11.0.0.1";
+       "127.255.255.255"; "128.0.0.0"; "255.255.255.254"; "255.255.255.255" |]
+
+let range_nets =
+  List.map Addr.prefix_of_string
+    [ "10.0.0.0/30"; "10.0.0.0/31"; "10.0.0.2/31"; "10.0.0.4/30"; "10.0.0.0/8"; "0.0.0.0/0";
+      "128.0.0.0/1"; "255.255.255.254/31" ]
+
+let range_label_gen =
+  let open QCheck.Gen in
+  let src =
+    frequency
+      [ (4, map (fun a -> Flow_label.Host a) (oneofa range_srcs));
+        (3, map (fun p -> Flow_label.Net p) (oneofl range_nets));
+        (1, return Flow_label.Any) ]
+  in
+  let dst =
+    frequency
+      [ (4, map (fun a -> Flow_label.Host a) (oneofa cls_dsts));
+        (1, map (fun p -> Flow_label.Net (Addr.prefix_of_string p))
+              (oneofl [ "20.0.0.0/8"; "128.0.0.0/1" ]));
+        (1, return Flow_label.Any) ]
+  in
+  let port = frequency [ (6, return None); (1, oneofl [ Some 0; Some 1 ]) ] in
+  let* src = src in
+  let* dst = dst in
+  let* proto = oneofl [ None; Some 6; Some 17 ] in
+  let* sport = port in
+  let+ dport = port in
+  { Flow_label.src; dst; proto; sport; dport }
+
+(* Every source where an answer can change, and its neighbours. *)
+let range_points =
+  let block (p : Addr.prefix) = (u32 p.base, u32 p.base + (1 lsl (32 - p.len)) - 1) in
+  List.concat_map (fun a -> [ u32 a - 1; u32 a; u32 a + 1 ]) (Array.to_list range_srcs)
+  @ List.concat_map (fun p -> let a, b = block p in [ a - 1; a; b; b + 1 ]) range_nets
+  |> List.filter (fun x -> 0 <= x && x <= max_u32)
+  |> List.sort_uniq Int.compare
+
+(* Fixed ranges: the whole space, one source, and 2- and 4-source ranges
+   (short enough to probe when a few exact entries are live); plus random
+   ones between boundary points. *)
+let range_gen =
+  let open QCheck.Gen in
+  let ten = u32 (addr "10.0.0.0") in
+  let+ random =
+    list_size (int_range 1 6)
+      (map2 (fun a b -> (min a b, max a b)) (oneofl range_points) (oneofl range_points))
+  in
+  [ (0, max_u32); (ten + 1, ten + 1); (ten, ten + 1); (ten, ten + 3) ] @ random
+
+let range_case_arb =
+  let rate =
+    QCheck.Gen.(
+      frequency [ (3, return None); (1, map (fun r -> Some (float_of_int r)) (int_range 100 5000)) ])
+  in
+  QCheck.make
+    ~print:(fun (ops, ranges) ->
+      cls_ops_print ops ^ " | ranges "
+      ^ String.concat ", " (List.map (fun (a, b) -> Printf.sprintf "%d..%d" a b) ranges))
+    QCheck.Gen.(pair (cls_ops_gen ~label:range_label_gen ~rate) range_gen)
+
+(* The runs [classify_range] reports, in call order. *)
+let runs_of t ~dst ~proto ~lo ~hi =
+  let runs = ref [] in
+  Filter_table.classify_range t ~dst ~proto ~lo ~hi (fun a b e -> runs := (a, b, e) :: !runs);
+  List.rev !runs
+
+(* The runs tile [lo..hi], adjacent runs differ, and every boundary point
+   and run end gets the entry [matching_entry] gives its packet. *)
+let runs_agree t ~dst ~proto ~lo ~hi =
+  let runs = runs_of t ~dst ~proto ~lo ~hi in
+  let same a b = match (a, b) with None, None -> true | Some x, Some y -> x == y | _ -> false in
+  let rec tiles next = function
+    | [] -> next = hi + 1
+    | (a, b, _) :: rest -> a = next && a <= b && tiles (b + 1) rest
+  in
+  let rec differ = function
+    | (_, _, e1) :: ((_, _, e2) :: _ as rest) -> (not (same e1 e2)) && differ rest
+    | _ -> true
+  in
+  let entry x =
+    Filter_table.matching_entry t (data_packet ~proto ~src:(Int32.of_int x) ~dst ())
+  in
+  tiles lo runs && differ runs
+  && List.for_all
+       (fun (a, b, e) ->
+         List.for_all
+           (fun x -> same (entry x) e)
+           (a :: b :: List.filter (fun x -> a <= x && x <= b) range_points))
+       runs
+
+let classify_range_agrees =
+  QCheck.Test.make ~name:"classify_range agrees with matching_entry" ~count:200 range_case_arb
+    (fun (ops, ranges) ->
+      let sim = Sim.create () in
+      let t = Filter_table.create sim ~capacity:1000 in
+      let now = ref 0 in
+      let step = function
+        | Install (l, d, rate_limit) | Refresh (l, d, rate_limit) ->
+          ignore (Filter_table.install ?rate_limit t l ~duration:(float_of_int d))
+        | Remove l -> Option.iter (Filter_table.remove t) (Filter_table.find t l)
+        | Advance d ->
+          now := !now + d;
+          Sim.run ~until:(float_of_int !now) sim
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          Array.for_all
+            (fun dst ->
+              Array.for_all
+                (fun proto ->
+                  List.for_all (fun (lo, hi) -> runs_agree t ~dst ~proto ~lo ~hi) ranges)
+                cls_protos)
+            cls_dsts)
+        ops)
+
+(* Exact entries split runs at single sources, unqualified before
+   proto-qualified, over a rate-limited /30 inside a blocking [Any]. The
+   4-source range is no longer than the 4-entry index, so its sources are
+   probed; the 5-source one folds the index. Both give one answer. *)
+let test_classify_range_exact_paths () =
+  let t = Filter_table.create (Sim.create ()) ~capacity:64 in
+  let victim = addr "20.0.0.5" in
+  let src i = Addr.add (addr "10.0.0.0") i in
+  let install ?rate_limit ?proto s =
+    let label = Flow_label.v ?proto s (Flow_label.Host victim) in
+    match Filter_table.install ?rate_limit t label ~duration:1e9 with
+    | Ok h -> h
+    | Error `Table_full -> Alcotest.fail "table full"
+  in
+  let any = install Flow_label.Any in
+  let net = install ~rate_limit:1000. (Flow_label.Net (Addr.prefix_of_string "10.0.0.0/30")) in
+  let one = install (Flow_label.Host (src 1)) in
+  ignore (install ~proto:17 (Flow_label.Host (src 1)));
+  ignore (install ~proto:6 (Flow_label.Host (src 2)));
+  let three = install (Flow_label.Host (src 3)) in
+  let lo = u32 (src 0) in
+  let expect =
+    [ (lo, lo, net); (lo + 1, lo + 1, one); (lo + 2, lo + 2, net); (lo + 3, lo + 3, three) ]
+  in
+  let check_runs msg expected got =
+    checkb msg true
+      (List.length expected = List.length got
+      && List.for_all2
+           (fun (a, b, h) (a', b', e) ->
+             a = a' && b = b' && match e with Some h' -> h' == h | None -> false)
+           expected got)
+  in
+  check_runs "probed" expect (runs_of t ~dst:victim ~proto:17 ~lo ~hi:(lo + 3));
+  check_runs "folded" (expect @ [ (lo + 4, lo + 4, any) ])
+    (runs_of t ~dst:victim ~proto:17 ~lo ~hi:(lo + 4));
+  check_runs "whole space"
+    (((0, lo - 1, any) :: expect) @ [ (lo + 4, max_u32, any) ])
+    (runs_of t ~dst:victim ~proto:17 ~lo:0 ~hi:max_u32);
+  Alcotest.check_raises "past the unsigned space"
+    (Invalid_argument "Filter_table.classify_range: bad source range") (fun () ->
+      Filter_table.classify_range t ~dst:victim ~proto:17 ~lo:0 ~hi:(max_u32 + 1) (fun _ _ _ -> ()))
 
 (* --- Allocation ------------------------------------------------------------- *)
 
@@ -1118,6 +1298,9 @@ let () =
           Alcotest.test_case "exact key collisions" `Quick test_exact_key_collides;
           QCheck_alcotest.to_alcotest filter_table_classifier;
           QCheck_alcotest.to_alcotest shadow_cache_classifier;
+          QCheck_alcotest.to_alcotest classify_range_agrees;
+          Alcotest.test_case "classify_range exact paths" `Quick
+            test_classify_range_exact_paths;
           Alcotest.test_case "exact miss allocates nothing" `Quick
             test_exact_miss_allocation;
           Alcotest.test_case "wildcard scan allocates nothing" `Quick

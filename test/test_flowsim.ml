@@ -153,6 +153,88 @@ let test_multi_source_range () =
   close "prefix blocks all" 0. (Fluid.delivered_rate a);
   checki "all blocked" 100 (Fluid.blocked_sources a)
 
+(* 64 sources at 2.0.0.0..63 behind one router table, aggregate active. *)
+let range_setup ?(n = 64) ?(rate = 6.4e6) () =
+  let sim = Sim.create () in
+  let net, s1, _, dst = line_topo sim in
+  let eng = Fluid.create net in
+  let router = Option.get (Network.node_by_addr net (Addr.of_string "1.0.0.1")) in
+  let table = Filter_table.create sim ~capacity:64 in
+  Fluid.attach_table eng ~node:router table;
+  let a =
+    Fluid.add_aggregate eng ~origin:s1 ~src_base:(Addr.of_string "2.0.0.0") ~n
+      ~rate ~dst:dst.Node.addr ~attack:true ~start:0.
+  in
+  Sim.run ~until:1. sim;
+  (sim, eng, table, a, dst.Node.addr)
+
+(* A rate-limited /28 inside a blocking [Any -> victim] at the same stage:
+   the /28 is more specific, so its 16 sources pass capped and the other
+   48 die; removing it leaves the block over all 64. *)
+let test_rate_limited_hole () =
+  let n = 64 and rate = 6.4e6 in
+  let _, eng, table, a, victim = range_setup ~n ~rate () in
+  let per_src = rate /. float_of_int n in
+  let cap_bytes = 5000. in
+  let install ?rate_limit label =
+    match Filter_table.install ?rate_limit table label ~duration:1e6 with
+    | Ok h -> h
+    | Error `Table_full -> Alcotest.fail "table full"
+  in
+  ignore (install (Flow_label.v Flow_label.Any (Flow_label.Host victim)));
+  let hole =
+    install ~rate_limit:cap_bytes
+      (Flow_label.v
+         (Flow_label.Net (Addr.prefix_of_string "2.0.0.16/28"))
+         (Flow_label.Host victim))
+  in
+  checki "all but the /28 blocked" (n - 16) (Fluid.blocked_sources a);
+  Fluid.recompute eng;
+  close "16 capped sources delivered"
+    (16. *. Float.min (cap_bytes *. 8.) per_src)
+    (Fluid.delivered_rate a);
+  Filter_table.remove table hole;
+  checki "all blocked once the /28 goes" n (Fluid.blocked_sources a);
+  Fluid.recompute eng;
+  close "nothing delivered" 0. (Fluid.delivered_rate a)
+
+(* The mirror classifies ranges against the table; it builds no packet, so
+   it takes no packet id however many sources a filter covers. *)
+let test_mirror_mints_no_ids () =
+  let _, _, table, a, victim = range_setup ~n:1000 ~rate:8e6 () in
+  let mint () =
+    (Packet.make ~src:(Addr.of_string "9.9.9.9") ~dst:victim ~size:40
+       (Packet.Data { flow_id = 0; attack = false }))
+      .Packet.id
+  in
+  let before = mint () in
+  ignore
+    (Filter_table.install table
+       (Flow_label.v
+          (Flow_label.Net (Addr.prefix_of_string "2.0.0.0/22"))
+          (Flow_label.Host victim))
+       ~duration:1e6);
+  checki "all 1000 mirrored" 1000 (Fluid.blocked_sources a);
+  checki "consecutive ids" (before + 1) (mint ())
+
+(* Source addresses are unsigned: a range must end by 255.255.255.255. *)
+let test_wrapping_range_rejected () =
+  let sim = Sim.create () in
+  let net, s1, _, dst = line_topo sim in
+  let eng = Fluid.create net in
+  let add n =
+    Fluid.add_aggregate eng ~origin:s1
+      ~src_base:(Addr.of_string "255.255.255.250")
+      ~n ~rate:1e6 ~dst:dst.Node.addr ~attack:true ~start:0.
+  in
+  let a = add 6 in
+  checkb "ends at the last address" true
+    (Addr.equal (Fluid.source_addr a 5) (Addr.of_string "255.255.255.255"));
+  Alcotest.check_raises "one past the end"
+    (Invalid_argument
+       "Fluid.add_aggregate: source range runs past 255.255.255.255")
+    (fun () -> ignore (add 7))
+
 let test_sampler_probes () =
   let sim = Sim.create () in
   let net, s1, _, dst = line_topo sim in
@@ -299,6 +381,12 @@ let () =
             test_filter_expiry_unblocks;
           Alcotest.test_case "multi-source ranges" `Quick
             test_multi_source_range;
+          Alcotest.test_case "rate-limited hole in a block" `Quick
+            test_rate_limited_hole;
+          Alcotest.test_case "mirror mints no packet ids" `Quick
+            test_mirror_mints_no_ids;
+          Alcotest.test_case "wrapping range rejected" `Quick
+            test_wrapping_range_rejected;
           Alcotest.test_case "sampler probes" `Quick test_sampler_probes;
         ] );
       ( "hybrid",
