@@ -175,6 +175,7 @@ let launch_route_forgery t env ~innocent =
       (match pkt.Packet.payload with
       | Packet.Data { attack = true; _ } ->
         t.stamps_forged <- t.stamps_forged + 1;
+        (* A single stamp reads the same in either order. *)
         pkt.Packet.route_record <- [ innocent ]
       | _ -> ());
       Node.Continue)

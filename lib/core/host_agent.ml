@@ -180,7 +180,7 @@ module Victim = struct
     Span.finish ~node:t.node.Node.name ~corr:(corr_of t flow)
       ~stage:Span.Detect ~now:(Sim.now t.sim) ();
     match t.path_source with
-    | From_route_record -> send_request t flow pkt.route_record
+    | From_route_record -> send_request t flow (Packet.recorded_route pkt)
     | Gateway_traceback -> send_request t flow []
     | From_ppm collector -> (
       match ppm_path_ready t collector with

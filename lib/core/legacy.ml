@@ -62,7 +62,7 @@ let on_detect t flow (pkt : Packet.t) =
            Message.flow;
            target = Message.To_victim_gateway;
            duration = config.Config.t_filter;
-           path = pkt.route_record;
+           path = Packet.recorded_route pkt;
            hops = 0;
            requestor = (node t).Node.addr;
            corr;

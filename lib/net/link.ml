@@ -5,6 +5,19 @@ type discipline =
   | Drop_tail
   | Red of { min_th : int; max_th : int; max_p : float }
 
+(* The transmitter's clock, in a record of floats only so that OCaml
+   stores the fields unboxed and a send updates them without allocating. *)
+type clock = {
+  mutable busy_until : float;
+      (* end of the last accepted packet's serialisation; [neg_infinity]
+         before the first. The transmitter is busy while it is [>= now]. *)
+  mutable avg_queue : float;  (* EWMA of queued bytes, for RED *)
+  mutable idle_since : float;
+      (* RED only: the serialisation end after which the transmitter went
+         idle, or [nan] while an accepted packet's end is still to be
+         replayed into [avg_queue] *)
+}
+
 type t = {
   sim : Sim.t;
   name : string;
@@ -13,9 +26,15 @@ type t = {
   delay : float;
   queue_capacity : int;
   mutable deliver : (Packet.t -> unit) option;
-  queue : Packet.t Queue.t;
+  clock : clock;
+  (* The backlog: accepted packets that have not started transmission, as
+     a FIFO ring of (start time, size). [send] fixes each packet's start
+     when it accepts it; entries are reclaimed once their start is past. *)
+  mutable starts : float array;
+  mutable sizes : int array;
+  mutable head : int;
+  mutable count : int;
   mutable queued_bytes : int;
-  mutable busy : bool;
   mutable is_up : bool;
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -23,9 +42,6 @@ type t = {
   mutable dropped_bytes : int;
   discipline : discipline;
   rng : Rng.t;
-  mutable avg_queue : float;  (* EWMA of queued bytes, for RED *)
-  mutable idle_since : float option;
-      (* set while the transmitter is idle; only RED links track it *)
   mutable early_drops : int;
   (* Fluid coupling (hybrid engine): the rate plane publishes how much
      aggregate traffic is offered to / admitted by this link, and discrete
@@ -40,6 +56,66 @@ type t = {
      posted through this callback as a timestamped message. *)
   mutable remote : (time:float -> (unit -> unit) -> unit) option;
 }
+
+let red_weight = 0.02
+let is_red t = match t.discipline with Red _ -> true | Drop_tail -> false
+
+(* One step of RED's average towards the backlog [bytes]. *)
+let red_ewma t bytes =
+  let c = t.clock in
+  c.avg_queue <-
+    ((1. -. red_weight) *. c.avg_queue) +. (red_weight *. float_of_int bytes)
+
+(* Retire the backlog entries whose transmission started before [now]. An
+   entry starting exactly at [now] stays queued: a send at that instant
+   finds the transmitter still busy with the packet ahead of it. On a RED
+   link this also replays the average, in order, at every serialisation
+   end before [now], with the backlog as it was at that instant; after the
+   last end, with nothing left waiting, the link is idle from that end. *)
+let reclaim t now =
+  let red = is_red t in
+  while t.count > 0 && Array.unsafe_get t.starts t.head < now do
+    let start = Array.unsafe_get t.starts t.head
+    and size = Array.unsafe_get t.sizes t.head in
+    if red then red_ewma t t.queued_bytes;
+    t.head <- (t.head + 1) land (Array.length t.starts - 1);
+    t.count <- t.count - 1;
+    t.queued_bytes <- t.queued_bytes - size;
+    if Aitf_obs.Flight.enabled () then
+      Aitf_obs.Flight.note ~sim:t.sim ~time:start ~node:t.tx_node ~link:t.name
+        ~kind:Aitf_obs.Flight.Dequeue ~size ~queue_depth:t.queued_bytes ()
+  done;
+  let c = t.clock in
+  if red && t.count = 0 && c.busy_until < now && Float.is_nan c.idle_since
+  then begin
+    red_ewma t 0;
+    c.idle_since <- c.busy_until
+  end
+
+let push_backlog t start size =
+  let cap = Array.length t.starts in
+  if t.count = cap then begin
+    (* Grow to the next power of two, unrolling the ring from [head]. *)
+    let cap' = if cap = 0 then 8 else 2 * cap in
+    let starts = Array.make cap' 0. and sizes = Array.make cap' 0 in
+    for i = 0 to t.count - 1 do
+      let j = (t.head + i) land (cap - 1) in
+      starts.(i) <- t.starts.(j);
+      sizes.(i) <- t.sizes.(j)
+    done;
+    t.starts <- starts;
+    t.sizes <- sizes;
+    t.head <- 0
+  end;
+  let i = (t.head + t.count) land (Array.length t.starts - 1) in
+  Array.unsafe_set t.starts i start;
+  Array.unsafe_set t.sizes i size;
+  t.count <- t.count + 1;
+  t.queued_bytes <- t.queued_bytes + size
+
+let queued_bytes t =
+  reclaim t (Sim.now t.sim);
+  t.queued_bytes
 
 let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
     ~queue_capacity =
@@ -61,9 +137,12 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
       delay;
       queue_capacity;
       deliver = None;
-      queue = Queue.create ();
+      clock = { busy_until = neg_infinity; avg_queue = 0.; idle_since = 0. };
+      starts = [||];
+      sizes = [||];
+      head = 0;
+      count = 0;
       queued_bytes = 0;
-      busy = false;
       is_up = true;
       tx_packets = 0;
       tx_bytes = 0;
@@ -71,8 +150,6 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
       dropped_bytes = 0;
       discipline;
       rng = Rng.create ~seed:(Hashtbl.hash name);
-      avg_queue = 0.;
-      idle_since = Some 0.;
       early_drops = 0;
       fluid_offered = 0.;
       fluid_admitted = 0.;
@@ -94,7 +171,7 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
         (fun () -> float_of_int t.dropped_packets);
       register_gauge reg (p "queued_bytes") ~unit_:"bytes"
         ~help:"Current queue occupancy" (fun () ->
-          float_of_int t.queued_bytes);
+          float_of_int (queued_bytes t));
       register_gauge reg (p "utilization") ~unit_:"ratio"
         ~help:"Cumulative bits sent over bandwidth x elapsed virtual time"
         (fun () ->
@@ -126,109 +203,40 @@ let drop t reason (pkt : Packet.t) =
       ~kind:(Aitf_obs.Flight.Drop reason)
       ~size:pkt.size ~queue_depth:t.queued_bytes ()
 
-let red_weight = 0.02
-
-(* EWMA maintenance for RED, run on every send and on every transmission
-   completion. An idle spell first decays the average as if [m] average-sized
-   packets had been serviced over it (the standard RED idle correction), so a
-   stale high average cannot early-drop the first packets after the link has
-   drained. *)
-let update_red_avg t =
-  match t.discipline with
-  | Drop_tail -> ()
-  | Red _ ->
-    (match t.idle_since with
-    | Some since ->
-      let idle = Sim.now t.sim -. since in
-      if idle > 0. then begin
-        let mean_pkt =
-          if t.tx_packets > 0 then
-            float_of_int t.tx_bytes /. float_of_int t.tx_packets
-          else 500.
-        in
-        let s = mean_pkt *. 8. /. t.bandwidth in
-        let m = idle /. Float.max s 1e-9 in
-        t.avg_queue <- t.avg_queue *. ((1. -. red_weight) ** m)
-      end
-    | None -> ());
-    t.avg_queue <-
-      ((1. -. red_weight) *. t.avg_queue)
-      +. (red_weight *. float_of_int t.queued_bytes)
-
-(* Hoisted so the hot path does not allocate a [Some] per event. *)
-let tx_label = Some "link-tx"
-let delivery_label = Some "link-delivery"
-
-let rec start_transmission t =
-  if Queue.is_empty t.queue then begin
-    t.busy <- false;
-    (* Only RED's idle correction reads [idle_since]; a drop-tail link
-       skips the [Some] it would allocate. *)
-    match t.discipline with
-    | Red _ -> t.idle_since <- Some (Sim.now t.sim)
-    | Drop_tail -> ()
-  end
-  else begin
-    let pkt = Queue.take t.queue in
-    t.busy <- true;
-    t.idle_since <- None;
-    t.queued_bytes <- t.queued_bytes - pkt.size;
-    if Aitf_obs.Flight.enabled () then
-      Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
-        ~link:t.name ~kind:Aitf_obs.Flight.Dequeue ~size:pkt.size
-        ~queue_depth:t.queued_bytes ();
-    let serialization = float_of_int (pkt.size * 8) /. t.bandwidth in
-    (* Under fluid saturation the queue is full in steady state, so a packet
-       that does get through waits a full queue's worth of serialisation. *)
-    let fluid_wait =
-      if t.fluid_offered > t.bandwidth then
-        float_of_int (t.queue_capacity * 8) /. t.bandwidth
-      else 0.
-    in
-    ignore
-      (Sim.after ?label:tx_label t.sim serialization (fun () ->
-           (match t.remote with
-           | None ->
-             (* Whether the serialised packet counts as transmitted or
-                dropped is decided once, at delivery time — never both. *)
-             ignore
-               (Sim.after ?label:delivery_label t.sim (t.delay +. fluid_wait)
-                  (fun () ->
-                    match t.deliver with
-                    | Some f when t.is_up ->
-                      t.tx_packets <- t.tx_packets + 1;
-                      t.tx_bytes <- t.tx_bytes + pkt.size;
-                      f pkt
-                    | Some _ | None -> drop t "link-down" pkt))
-           | Some post -> (
-             (* Cross-shard link: decide transmitted-vs-dropped now, when
-                serialisation completes, because the link's own state must
-                not be touched from the far end's scheduler later. Only
-                the deliver callback crosses the shard boundary. *)
-             match t.deliver with
-             | Some f when t.is_up ->
-               t.tx_packets <- t.tx_packets + 1;
-               t.tx_bytes <- t.tx_bytes + pkt.size;
-               post
-                 ~time:(Sim.now t.sim +. t.delay +. fluid_wait)
-                 (fun () -> f pkt)
-             | Some _ | None -> drop t "link-down" pkt));
-           update_red_avg t;
-           start_transmission t))
-  end
+(* RED's update on a send, after [reclaim] has replayed every earlier
+   serialisation end. An idle spell first decays the average as if [m]
+   average-sized packets had been serviced over it (the standard RED idle
+   correction), so a stale high average cannot early-drop the first
+   packets after the link has drained. *)
+let red_on_send t now =
+  let c = t.clock in
+  if not (Float.is_nan c.idle_since) then begin
+    let idle = now -. c.idle_since in
+    if idle > 0. then begin
+      let mean_pkt =
+        if t.tx_packets > 0 then
+          float_of_int t.tx_bytes /. float_of_int t.tx_packets
+        else 500.
+      in
+      let s = mean_pkt *. 8. /. t.bandwidth in
+      let m = idle /. Float.max s 1e-9 in
+      c.avg_queue <- c.avg_queue *. ((1. -. red_weight) ** m)
+    end
+  end;
+  red_ewma t t.queued_bytes
 
 (* RED decision on enqueue: drop probabilistically between the thresholds.
-   The average itself is maintained by [update_red_avg]. *)
+   The average itself is maintained by [reclaim] and [red_on_send]. *)
 let red_rejects t =
   match t.discipline with
   | Drop_tail -> false
   | Red { min_th; max_th; max_p } ->
-    if t.avg_queue <= float_of_int min_th then false
-    else if t.avg_queue >= float_of_int max_th then true
+    let avg = t.clock.avg_queue in
+    if avg <= float_of_int min_th then false
+    else if avg >= float_of_int max_th then true
     else
       let ramp =
-        (t.avg_queue -. float_of_int min_th)
-        /. float_of_int (max_th - min_th)
+        (avg -. float_of_int min_th) /. float_of_int (max_th - min_th)
       in
       Rng.bernoulli t.rng ~p:(max_p *. ramp)
 
@@ -240,7 +248,68 @@ let set_fluid t ~offered ~admitted =
   t.fluid_offered <- offered;
   t.fluid_admitted <- admitted
 
+(* Hoisted so the hot path does not allocate a [Some] per event. *)
+let delivery_label = Some "link-delivery"
+
+(* Whether a delivered packet counts as transmitted or dropped is decided
+   once, at delivery time — never both. *)
+let arrive t (pkt : Packet.t) =
+  match t.deliver with
+  | Some f when t.is_up ->
+    t.tx_packets <- t.tx_packets + 1;
+    t.tx_bytes <- t.tx_bytes + pkt.size;
+    f pkt
+  | Some _ | None -> drop t "link-down" pkt
+
+(* Accept [pkt] at [now]: fix its transmission start (now on an idle link,
+   else the end of the last accepted packet), its serialisation end and
+   its delivery time, and schedule the delivery, the packet's only event. *)
+let accept t (pkt : Packet.t) now busy =
+  let c = t.clock in
+  let start = if busy then c.busy_until else now in
+  let fin = start +. (float_of_int (pkt.size * 8) /. t.bandwidth) in
+  c.busy_until <- fin;
+  if is_red t then c.idle_since <- nan;
+  if busy then push_backlog t start pkt.size;
+  if Aitf_obs.Flight.enabled () then begin
+    let note kind queue_depth =
+      Aitf_obs.Flight.note ~sim:t.sim ~time:now ~node:t.tx_node ~link:t.name
+        ~kind ~size:pkt.size ~queue_depth ()
+    in
+    (* A queued packet's dequeue is noted when [reclaim] retires it. *)
+    if busy then note Aitf_obs.Flight.Enqueue t.queued_bytes
+    else begin
+      note Aitf_obs.Flight.Enqueue (t.queued_bytes + pkt.size);
+      note Aitf_obs.Flight.Dequeue t.queued_bytes
+    end
+  end;
+  (* Under fluid saturation the queue is full in steady state, so a packet
+     that does get through waits a full queue's worth of serialisation. *)
+  let fluid_wait =
+    if t.fluid_offered > t.bandwidth then
+      float_of_int (t.queue_capacity * 8) /. t.bandwidth
+    else 0.
+  in
+  match t.remote with
+  | None ->
+    ignore
+      (Sim.at ?label:delivery_label t.sim
+         (fin +. (t.delay +. fluid_wait))
+         (fun () -> arrive t pkt))
+  | Some post -> (
+    (* Cross-shard link: decide transmitted-vs-dropped now, because the
+       link's own state must not be touched from the far end's scheduler
+       later. Only the deliver callback crosses the shard boundary. *)
+    match t.deliver with
+    | Some f when t.is_up ->
+      t.tx_packets <- t.tx_packets + 1;
+      t.tx_bytes <- t.tx_bytes + pkt.size;
+      post ~time:(fin +. t.delay +. fluid_wait) (fun () -> f pkt)
+    | Some _ | None -> drop t "link-down" pkt)
+
 let send t pkt =
+  let now = Sim.now t.sim in
+  reclaim t now;
   if not t.is_up then drop t "link-down" pkt
   else if
     (* Discrete packets compete with the fluid load: a saturated link drops
@@ -253,22 +322,15 @@ let send t pkt =
     drop t "fluid-loss" pkt
   end
   else begin
-    update_red_avg t;
-    if t.busy && t.queued_bytes + pkt.Packet.size > t.queue_capacity then
+    if is_red t then red_on_send t now;
+    let busy = t.clock.busy_until >= now in
+    if busy && t.queued_bytes + pkt.Packet.size > t.queue_capacity then
       drop t "queue-overflow" pkt
-    else if t.busy && red_rejects t then begin
+    else if busy && red_rejects t then begin
       t.early_drops <- t.early_drops + 1;
       drop t "red-early-drop" pkt
     end
-    else begin
-      Queue.add pkt t.queue;
-      t.queued_bytes <- t.queued_bytes + pkt.size;
-      if Aitf_obs.Flight.enabled () then
-        Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim)
-          ~node:t.tx_node ~link:t.name ~kind:Aitf_obs.Flight.Enqueue
-          ~size:pkt.size ~queue_depth:t.queued_bytes ();
-      if not t.busy then start_transmission t
-    end
+    else accept t pkt now busy
   end
 
 let fluid_offered t = t.fluid_offered
@@ -279,7 +341,6 @@ let bandwidth t = t.bandwidth
 let delay t = t.delay
 let up t = t.is_up
 let set_up t v = t.is_up <- v
-let queued_bytes t = t.queued_bytes
 let discipline t = t.discipline
 let early_drops t = t.early_drops
 let tx_packets t = t.tx_packets

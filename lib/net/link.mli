@@ -7,6 +7,15 @@
     network layer. Congestion — the heart of a DoS attack — emerges from the
     queue filling and dropping the excess.
 
+    A FIFO transmitter's future is fixed once a packet is accepted, so
+    {!send} decides it all at once: the packet's transmission start (now,
+    or the end of the packet ahead of it), its serialisation end and its
+    delivery time. A hop costs one engine event, the delivery. The queue
+    is a backlog of accepted packets that have not started yet; entries
+    are reclaimed lazily, on the next {!send} or {!queued_bytes}, once
+    their start time has passed. A send at the very instant the packet
+    in service ends finds the transmitter still busy.
+
     Bidirectional connectivity is two links (see {!Network.connect}). *)
 
 type t
@@ -49,18 +58,21 @@ val wrap_deliver : t -> ((Packet.t -> unit) -> Packet.t -> unit) -> unit
 val set_remote : t -> (time:float -> (unit -> unit) -> unit) -> unit
 (** Cross-shard delivery seam, alongside {!wrap_deliver}/{!set_fluid}:
     when set, the link no longer schedules its delivery event on its own
-    scheduler. Instead, once serialisation completes it decides the
-    transmitted-vs-dropped outcome locally (counters, link-down) and posts
-    the deliver callback through [post ~time] as a timestamped message —
-    the parallel engine enqueues it into the destination shard's inbox,
-    safe to execute once every shard's clock plus the minimum cross-shard
-    latency has passed [time]. Fault wrappers installed via
-    {!wrap_deliver} run inside the posted closure, i.e. on the receiving
-    shard. *)
+    scheduler. Instead, when {!send} accepts a packet it decides the
+    transmitted-vs-dropped outcome locally (counters, link-down as of the
+    send) and posts the deliver callback through [post ~time], [time]
+    being the packet's delivery time, as a timestamped message — the
+    parallel engine enqueues it into the destination shard's inbox, safe
+    to execute once every shard's clock plus the minimum cross-shard
+    latency has passed [time]. Posting at the send rather than at the end
+    of serialisation only widens that margin. Fault wrappers installed
+    via {!wrap_deliver} run inside the posted closure, i.e. on the
+    receiving shard. *)
 
 val send : t -> Packet.t -> unit
-(** Enqueue a packet for transmission; drops it (and counts the drop) if the
-    queue cannot hold it. *)
+(** Accept a packet for transmission and schedule its delivery; drops it
+    (and counts the drop) if the queue cannot hold it. A packet on a
+    same-shard link is still checked against {!up} at delivery. *)
 
 val name : t -> string
 val bandwidth : t -> float
@@ -72,6 +84,7 @@ val set_up : t -> bool -> unit
     used to model disconnection. *)
 
 val queued_bytes : t -> int
+(** Bytes accepted but not yet started, as of the current virtual time. *)
 
 val discipline : t -> discipline
 

@@ -71,9 +71,13 @@ let make ?spoofed_src ?(proto = 17) ?(sport = 0) ?(dport = 0) ?(ttl = 64) ~src
 
 let is_control p = match p.payload with Data _ -> false | _ -> true
 
+(* Newest stamp first, so a stamp is one cons; the bounded length test
+   stops after [route_record_limit] cells. *)
 let record_route p addr =
-  if List.length p.route_record < route_record_limit then
-    p.route_record <- p.route_record @ [ addr ]
+  if List.compare_length_with p.route_record route_record_limit < 0 then
+    p.route_record <- addr :: p.route_record
+
+let recorded_route p = List.rev p.route_record
 
 let payload_kind p =
   match p.payload with

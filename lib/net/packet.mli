@@ -9,8 +9,9 @@
     measurement and never consulted by protocol code.
 
     [route_record] models in-packet traceback (TRIAD-style, [CG00]): each
-    AITF border router that forwards the packet appends its address, oldest
-    (closest to the attacker) first. [ppm_mark] carries a Savage-style
+    AITF border router that forwards the packet stamps its address. The
+    field holds the stamps newest first; {!recorded_route} reads them in
+    traversal order, oldest (closest to the attacker) first. [ppm_mark] carries a Savage-style
     probabilistic edge mark: [(edge_start, edge_end, distance)]. *)
 
 type payload = ..
@@ -31,7 +32,8 @@ type t = {
   dport : int;  (** destination port *)
   size : int;  (** bytes on the wire *)
   mutable ttl : int;
-  mutable route_record : Addr.t list;  (** attacker-side first *)
+  mutable route_record : Addr.t list;
+      (** newest stamp first; read it with {!recorded_route} *)
   mutable ppm_mark : (Addr.t * Addr.t * int) option;
   mutable last_hop : Addr.t option;
       (** address of the node that transmitted the packet last (set by the
@@ -59,8 +61,12 @@ val is_control : t -> bool
 (** [true] for anything that is not {!Data} — i.e. protocol messages. *)
 
 val record_route : t -> Addr.t -> unit
-(** Append a border-router address to the route record (bounded; further
-    appends beyond the bound are dropped, mirroring limited header space). *)
+(** Stamp a border-router address onto the route record (bounded; stamps
+    beyond the bound are dropped, mirroring limited header space). Costs
+    one list cell, whatever the record's length. *)
+
+val recorded_route : t -> Addr.t list
+(** The route record in traversal order, attacker-side first. *)
 
 val route_record_limit : int
 (** Maximum number of recorded addresses (16). *)

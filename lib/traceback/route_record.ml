@@ -6,6 +6,6 @@ let hook (node : Node.t) (pkt : Packet.t) =
 
 let install node = Node.add_hook node hook
 
-let path (pkt : Packet.t) = pkt.route_record
+let path = Packet.recorded_route
 
 let gateway_for_round path ~round = List.nth_opt path round

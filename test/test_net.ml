@@ -139,7 +139,7 @@ let test_packet_route_record () =
   Packet.record_route p (addr "4.0.0.1");
   check (Alcotest.list Alcotest.string) "traversal order"
     [ "3.0.0.1"; "4.0.0.1" ]
-    (List.map Addr.to_string p.Packet.route_record)
+    (List.map Addr.to_string (Packet.recorded_route p))
 
 let test_packet_route_record_bounded () =
   let p =
@@ -497,6 +497,275 @@ let test_link_red_deterministic () =
   in
   checkb "same name, same RED decisions" true (run () = run ())
 
+(* The two-event transmitter [Link] used to be, kept as the reference for
+   its one-event schedule: each serialisation end is an event, which
+   schedules the packet's delivery and starts the next queued packet.
+   Drop-tail or RED, no fluid load, same-shard delivery. *)
+module Two_event = struct
+  type t = {
+    sim : Sim.t;
+    bandwidth : float;
+    delay : float;
+    capacity : int;
+    red : (int * int * float) option;
+    rng : Aitf_engine.Rng.t;
+    queue : Packet.t Queue.t;
+    deliver : Packet.t -> unit;
+    mutable queued : int;
+    mutable busy : bool;
+    mutable up : bool;
+    mutable avg : float;
+    mutable idle_since : float option;
+    mutable tx_packets : int;
+    mutable tx_bytes : int;
+    mutable dropped : int;
+    mutable dropped_bytes : int;
+    mutable early : int;
+  }
+
+  let create sim ~name ~bandwidth ~delay ~capacity ~red deliver =
+    {
+      sim;
+      bandwidth;
+      delay;
+      capacity;
+      red;
+      rng = Aitf_engine.Rng.create ~seed:(Hashtbl.hash name);
+      queue = Queue.create ();
+      deliver;
+      queued = 0;
+      busy = false;
+      up = true;
+      avg = 0.;
+      idle_since = Some 0.;
+      tx_packets = 0;
+      tx_bytes = 0;
+      dropped = 0;
+      dropped_bytes = 0;
+      early = 0;
+    }
+
+  let drop t (p : Packet.t) =
+    t.dropped <- t.dropped + 1;
+    t.dropped_bytes <- t.dropped_bytes + p.size
+
+  let update_avg t =
+    if t.red <> None then begin
+      (match t.idle_since with
+      | Some since ->
+        let idle = Sim.now t.sim -. since in
+        if idle > 0. then begin
+          let mean =
+            if t.tx_packets > 0 then
+              float_of_int t.tx_bytes /. float_of_int t.tx_packets
+            else 500.
+          in
+          let m = idle /. Float.max (mean *. 8. /. t.bandwidth) 1e-9 in
+          t.avg <- t.avg *. ((1. -. 0.02) ** m)
+        end
+      | None -> ());
+      t.avg <- ((1. -. 0.02) *. t.avg) +. (0.02 *. float_of_int t.queued)
+    end
+
+  let rec start t =
+    match Queue.take_opt t.queue with
+    | None ->
+      t.busy <- false;
+      t.idle_since <- Some (Sim.now t.sim)
+    | Some p ->
+      t.busy <- true;
+      t.idle_since <- None;
+      t.queued <- t.queued - p.size;
+      let ser = float_of_int (p.size * 8) /. t.bandwidth in
+      ignore
+        (Sim.after t.sim ser (fun () ->
+             ignore
+               (Sim.after t.sim t.delay (fun () ->
+                    if t.up then begin
+                      t.tx_packets <- t.tx_packets + 1;
+                      t.tx_bytes <- t.tx_bytes + p.size;
+                      t.deliver p
+                    end
+                    else drop t p));
+             update_avg t;
+             start t))
+
+  let rejects t =
+    match t.red with
+    | None -> false
+    | Some (min_th, max_th, max_p) ->
+      if t.avg <= float_of_int min_th then false
+      else if t.avg >= float_of_int max_th then true
+      else
+        Aitf_engine.Rng.bernoulli t.rng
+          ~p:(max_p *. (t.avg -. float_of_int min_th)
+              /. float_of_int (max_th - min_th))
+
+  let send t (p : Packet.t) =
+    if not t.up then drop t p
+    else begin
+      update_avg t;
+      if t.busy && t.queued + p.size > t.capacity then drop t p
+      else if t.busy && rejects t then begin
+        t.early <- t.early + 1;
+        drop t p
+      end
+      else begin
+        Queue.add p t.queue;
+        t.queued <- t.queued + p.size;
+        if not t.busy then start t
+      end
+    end
+end
+
+(* One send schedule: (slot, size) sends on a 1/8 s grid, where an 8 kbit/s
+   link serialises 125 bytes per slot, so sends land exactly on
+   serialisation ends; sizes include 0-byte probes. *)
+type schedule = {
+  sends : (int * int) list;
+  red : bool;
+  capacity : int;
+  flap : (int * int) option;  (* down at one slot, up again at another *)
+}
+
+let schedule_gen =
+  QCheck.Gen.(
+    let slot = int_bound 40 in
+    let size = oneofl [ 0; 125; 250; 375; 500; 1000 ] in
+    map
+      (fun (sends, red, capacity, flap) -> { sends; red; capacity; flap })
+      (quad
+         (list_size (int_range 1 30) (pair slot size))
+         bool
+         (oneofl [ 0; 125; 250; 1000; 2000 ])
+         (opt (pair slot slot))))
+
+let print_schedule s =
+  Printf.sprintf "red=%b capacity=%d flap=%s sends=[%s]" s.red s.capacity
+    (match s.flap with
+    | None -> "none"
+    | Some (d, u) -> Printf.sprintf "%d..%d" d u)
+    (String.concat "; "
+       (List.map (fun (k, b) -> Printf.sprintf "%d:%dB" k b) s.sends))
+
+(* Run [s] through [Link] or the reference: the deliveries in order as
+   (send index, time), [queued_bytes] after every send, and the counters
+   (tx packets, tx bytes, dropped packets, dropped bytes, early drops). *)
+let run_schedule ~reference s =
+  let sim = Sim.create () in
+  let delivered = ref [] and queued = ref [] in
+  let deliver (p : Packet.t) =
+    match p.payload with
+    | Packet.Data { flow_id; _ } ->
+      delivered := (flow_id, Sim.now sim) :: !delivered
+    | _ -> ()
+  in
+  let red = if s.red then Some (50, 800, 0.7) else None in
+  let name = "eq" and bandwidth = 8000. and delay = 0.25 in
+  let send, queued_bytes, set_up, counters =
+    if reference then
+      let r =
+        Two_event.create sim ~name ~bandwidth ~delay ~capacity:s.capacity ~red
+          deliver
+      in
+      ( Two_event.send r,
+        (fun () -> r.Two_event.queued),
+        (fun v -> r.Two_event.up <- v),
+        fun () ->
+          Two_event.
+            (r.tx_packets, r.tx_bytes, r.dropped, r.dropped_bytes, r.early) )
+    else
+      let discipline =
+        Option.map
+          (fun (min_th, max_th, max_p) -> Link.Red { min_th; max_th; max_p })
+          red
+      in
+      let l =
+        Link.create ?discipline sim ~name ~bandwidth ~delay
+          ~queue_capacity:s.capacity
+      in
+      Link.set_deliver l deliver;
+      ( Link.send l,
+        (fun () -> Link.queued_bytes l),
+        Link.set_up l,
+        fun () ->
+          Link.
+            ( tx_packets l,
+              tx_bytes l,
+              dropped_packets l,
+              dropped_bytes l,
+              early_drops l ) )
+  in
+  let at k f = ignore (Sim.at sim (float_of_int k *. 0.125) f) in
+  (* Every send is scheduled before any serialisation starts, so a send
+     that ties with a serialisation end runs before it in the reference:
+     the order the one-event link assumes. *)
+  List.iteri
+    (fun i (k, size) ->
+      let p =
+        Packet.make ~src:(addr "1.0.0.1") ~dst:(addr "2.0.0.2") ~size
+          (Packet.Data { flow_id = i; attack = false })
+      in
+      at k (fun () ->
+          send p;
+          queued := queued_bytes () :: !queued))
+    s.sends;
+  Option.iter
+    (fun (down, up) ->
+      at down (fun () -> set_up false);
+      at up (fun () -> set_up true))
+    s.flap;
+  Sim.run sim;
+  (List.rev !delivered, List.rev !queued, counters ())
+
+let link_matches_two_event_reference =
+  QCheck.Test.make ~name:"link matches the two-event reference" ~count:500
+    (QCheck.make ~print:print_schedule schedule_gen)
+    (fun s -> run_schedule ~reference:false s = run_schedule ~reference:true s)
+
+(* A packet crossing [k] idle links in a row costs [k] events: each hop
+   schedules only its delivery. *)
+let test_link_one_event_per_hop () =
+  List.iter
+    (fun k ->
+      let sim = Sim.create () in
+      let links =
+        Array.init k (fun i ->
+            Link.create sim ~name:(Printf.sprintf "h%d" i) ~bandwidth:1e6
+              ~delay:0.01 ~queue_capacity:10000)
+      in
+      let arrived = ref 0 in
+      Array.iteri
+        (fun i l ->
+          Link.set_deliver l (fun p ->
+              if i + 1 < k then Link.send links.(i + 1) p else incr arrived))
+        links;
+      Link.send links.(0) (mk_packet ());
+      Sim.run sim;
+      checki "arrived" 1 !arrived;
+      checki (Printf.sprintf "%d hops, %d events" k k) k
+        (Sim.events_processed sim))
+    [ 1; 2; 5 ]
+
+let test_link_no_tx_event () =
+  let sim = Sim.create () in
+  let labels = Hashtbl.create 4 in
+  Sim.set_profile_hook sim (fun label _ _ -> Hashtbl.replace labels label ());
+  let l =
+    Link.create sim ~name:"busy" ~bandwidth:8000. ~delay:0.1
+      ~queue_capacity:1500
+  in
+  let received = ref 0 in
+  Link.set_deliver l (fun _ -> incr received);
+  for _ = 1 to 5 do
+    Link.send l (mk_packet ())
+  done;
+  Sim.run sim;
+  checki "two delivered, three dropped" 2 !received;
+  checki "one event per delivered packet" 2 (Sim.events_processed sim);
+  checkb "only link-delivery events" true
+    (List.of_seq (Hashtbl.to_seq_keys labels) = [ Some "link-delivery" ])
+
 (* --- Network ------------------------------------------------------------- *)
 
 (* A -- B -- C line with a host on each end. *)
@@ -795,6 +1064,12 @@ let () =
             test_link_red_below_threshold_is_droptail;
           Alcotest.test_case "red deterministic" `Quick
             test_link_red_deterministic;
+          Alcotest.test_case "one event per hop" `Quick
+            test_link_one_event_per_hop;
+          Alcotest.test_case "no link-tx event" `Quick test_link_no_tx_event;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 17 |])
+            link_matches_two_event_reference;
         ] );
       ( "network",
         [

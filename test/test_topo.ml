@@ -80,7 +80,7 @@ let test_chain_route_record_path () =
   let prev = t.Chain.victim.Node.local_deliver in
   t.Chain.victim.Node.local_deliver <-
     (fun node pkt ->
-      if !path = [] then path := pkt.Packet.route_record;
+      if !path = [] then path := Packet.recorded_route pkt;
       prev node pkt);
   Network.originate t.Chain.net t.Chain.attacker
     (Packet.make ~src:t.Chain.attacker.Node.addr ~dst:t.Chain.victim.Node.addr
