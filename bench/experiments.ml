@@ -2133,7 +2133,7 @@ let e19 () =
     | Some d -> d
     | None -> "test/goldens"
   in
-  let s = Matrix.run ~clock:Unix.gettimeofday ~smoke ~goldens_dir () in
+  let s = Matrix.run ~smoke ~goldens_dir () in
   let table =
     Table.create
       ~title:"E19  golden-trace matrix: perf trajectory per cell"
@@ -2359,7 +2359,6 @@ let e21 () =
   let module As_scenario = Aitf_workload.As_scenario in
   let module Sched = Aitf_parallel.Sched in
   let module Json = Aitf_obs.Json in
-  Sched.set_default_clock Unix.gettimeofday;
   let cap =
     match Sys.getenv_opt "E21_MAX_SOURCES" with
     | Some s -> (try int_of_string s with _ -> 1_000_000)
@@ -2498,7 +2497,6 @@ let e21 () =
 let e22 () =
   let module As_scenario = Aitf_workload.As_scenario in
   let module Json = Aitf_obs.Json in
-  Aitf_parallel.Sched.set_default_clock Unix.gettimeofday;
   let sources =
     match Sys.getenv_opt "E22_MAX_SOURCES" with
     | Some s -> (try min 100_000 (int_of_string s) with _ -> 100_000)
@@ -2544,7 +2542,6 @@ let e22 () =
       let t0 = Unix.gettimeofday () in
       let plain = As_scenario.run (params shards) in
       let wall_plain = Unix.gettimeofday () -. t0 in
-      Span.reset_mint ();
       let sp = Span.create () in
       Span.attach sp;
       let t1 = Unix.gettimeofday () in

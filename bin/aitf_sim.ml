@@ -1376,7 +1376,7 @@ let matrix_cmd =
         Matrix.cells
     else begin
       let s =
-        Matrix.run ~clock:Unix.gettimeofday ~only ~smoke ~bless ~shards
+        Matrix.run ~only ~smoke ~bless ~shards
           ~goldens_dir:goldens ()
       in
       Matrix.print_summary s;
@@ -1520,10 +1520,6 @@ let replay_cmd =
     term
 
 let () =
-  (* Parallel-engine barrier stalls are measured on the real clock for
-     every command (the library default is a zero clock so pure-library
-     users stay deterministic). *)
-  Aitf_parallel.Sched.set_default_clock Unix.gettimeofday;
   let info =
     Cmd.info "aitf_sim" ~version:"1.0.0"
       ~doc:"Active Internet Traffic Filtering simulator (Argyraki & Cheriton)"

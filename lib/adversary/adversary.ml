@@ -181,7 +181,7 @@ let launch_route_forgery t env ~innocent =
       Node.Continue)
 
 let register_metrics t =
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached t.sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric =
         Printf.sprintf "adversary.%s.%s" (kind t.playbook) metric

@@ -284,7 +284,7 @@ let create ?(config = default_config) ~verify ~gateway ~on_flag sim =
            arm ()))
   in
   arm ();
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = "auditor." ^ metric in
       register_counter reg (p "receipts_verified") ~unit_:"receipts"

@@ -289,7 +289,7 @@ let enable_contracts ?(refresh = 5.0) t ~sign ~verify =
       };
   (* Registered here, not in [create], so pre-contract runs expose exactly
      the pre-contract metric set. *)
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached t.sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = "gateway." ^ t.node.Node.name ^ "." ^ metric in
       register_counter reg (p "receipts_issued") ~unit_:"receipts"
@@ -368,7 +368,7 @@ let start_receipt_stream t cs ~flow ~victim ~corr ~mk ~live =
     let send_one () =
       let r, counter = mk () in
       bump t counter;
-      Span.event ~node:t.node.Node.name ~corr ~now:(Sim.now t.sim)
+      Span.event t.sim ~node:t.node.Node.name ~corr
         "receipt-issued";
       send t ~dst:victim (Message.Install_receipt r)
     in
@@ -388,10 +388,8 @@ let start_receipt_stream t cs ~flow ~victim ~corr ~mk ~live =
 (* --- victim's-gateway role ---------------------------------------------- *)
 
 let install_temp t (e : flow_entry) =
-  let now = Sim.now t.sim in
   (* A re-engage supersedes the previous round's temp-filter span. *)
-  Span.finish ~node:t.node.Node.name ~corr:e.corr ~stage:Span.Temp_filter ~now
-    ();
+  Span.finish t.sim ~node:t.node.Node.name ~corr:e.corr ~stage:Span.Temp_filter;
   (match
      filter_install ~requestor:e.requestor ~corr:e.corr t e.flow
        ~duration:t.config.Config.t_tmp
@@ -421,18 +419,17 @@ let install_temp t (e : flow_entry) =
     else bump t Filter_full);
   (match e.temp_handle with
   | Some _ ->
-    Span.start ~corr:e.corr ~stage:Span.Temp_filter ~node:t.node.Node.name
-      ~now
+    Span.start t.sim ~corr:e.corr ~stage:Span.Temp_filter ~node:t.node.Node.name
   | None ->
-    Span.event ~node:t.node.Node.name ~corr:e.corr ~now "filter-full");
+    Span.event t.sim ~node:t.node.Node.name ~corr:e.corr "filter-full");
   e.gen <- e.gen + 1;
   e.phase <- Filtering;
   let gen = e.gen in
   ignore
     (Sim.after ~label:"gw-ttmp-expiry" t.sim t.config.Config.t_tmp (fun () ->
          if e.gen = gen then begin
-           Span.finish ~node:t.node.Node.name ~corr:e.corr
-             ~stage:Span.Temp_filter ~now:(Sim.now t.sim) ();
+           Span.finish t.sim ~node:t.node.Node.name ~corr:e.corr
+             ~stage:Span.Temp_filter;
            if e.phase = Filtering then e.phase <- Monitoring
          end))
 
@@ -448,15 +445,14 @@ let install_long t (e : flow_entry) =
   with
   | Ok _ ->
     bump t Filter_long;
-    let now = Sim.now t.sim in
-    Span.start ~corr:e.corr ~stage:Span.Permanent_filter
-      ~node:t.node.Node.name ~now;
+    Span.start t.sim ~corr:e.corr ~stage:Span.Permanent_filter
+      ~node:t.node.Node.name;
     (* A victim-side long filter ends the request's story even when nobody
        closer to the attacker cooperated. No-op if comply already fired. *)
-    Span.complete ~corr:e.corr ~now
+    Span.complete t.sim ~corr:e.corr
   | Error `Table_full ->
     bump t Filter_full;
-    Span.event ~node:t.node.Node.name ~corr:e.corr ~now:(Sim.now t.sim)
+    Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
       "filter-full"
 
 (* Last resort: nobody closer to the attacker will filter. Keep a full-T
@@ -559,7 +555,7 @@ let rec engage t (e : flow_entry) =
 and escalate t (e : flow_entry) =
   e.round <- e.round + 1;
   bump t Escalated;
-  Span.event ~node:t.node.Node.name ~corr:e.corr ~now:(Sim.now t.sim)
+  Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
     "escalate";
   if e.round >= t.config.Config.max_rounds then terminal t e
   else
@@ -620,16 +616,16 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
                if hits > e.sent_hits then
                  if attempt <= t.config.Config.ctrl_retries then begin
                    bump t Ctrl_retransmit;
-                   Span.event ~node:t.node.Node.name ~corr:e.corr
-                     ~now:(Sim.now t.sim) "ctrl-retransmit";
+                   Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
+                     "ctrl-retransmit";
                    e.sent_hits <- hits;
                    resend ();
                    arm (rto *. t.config.Config.ctrl_backoff) (attempt + 1)
                  end
                  else begin
                    bump t Ctrl_gave_up;
-                   Span.event ~node:t.node.Node.name ~corr:e.corr
-                     ~now:(Sim.now t.sim) "ctrl-gave-up";
+                   Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
+                     "ctrl-gave-up";
                    gave_up ()
                  end
              end))
@@ -665,8 +661,7 @@ let victim_role t (req : Message.request) =
   bump t Req_victim_role;
   (* The request reached a victim's gateway: the Request leg is over,
      whatever we decide to do with it. No-op on duplicates. *)
-  Span.finish ~corr:req.Message.corr ~stage:Span.Request ~now:(Sim.now t.sim)
-    ();
+  Span.finish t.sim ~corr:req.Message.corr ~stage:Span.Request;
   let duplicate_of =
     (* A request for a flow we are already actively filtering is a
        retransmission or a duplicated packet. Recognise it before touching
@@ -687,8 +682,7 @@ let victim_role t (req : Message.request) =
   let bucket = policer_for t req.Message.requestor in
   if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
     bump t Req_policed;
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr
-      ~now:(Sim.now t.sim) "req-policed"
+    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr "req-policed"
   end
   else if
     (* Trivial verification via ingress filtering: the requestor and the
@@ -760,11 +754,10 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
     (* Out of filters: we cannot honor the request; escalation will route
        around us. *)
     bump t Filter_full;
-    let now = Sim.now t.sim in
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr ~now
+    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
       "filter-full";
-    Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
-      ~stage:Span.Verification ~now ()
+    Span.finish t.sim ~node:t.node.Node.name ~corr:req.Message.corr
+      ~stage:Span.Verification
   | Ok handle ->
     bump t Filter_long;
     let now = Sim.now t.sim in
@@ -773,11 +766,11 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
     | None -> ());
     (* The Verification span runs receipt -> install, so its duration is
        by construction the time-to-filter observation above. *)
-    Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
-      ~stage:Span.Verification ~now ();
-    Span.start ~corr:req.Message.corr ~stage:Span.Permanent_filter
-      ~node:t.node.Node.name ~now;
-    Span.complete ~corr:req.Message.corr ~now;
+    Span.finish t.sim ~node:t.node.Node.name ~corr:req.Message.corr
+      ~stage:Span.Verification;
+    Span.start t.sim ~corr:req.Message.corr ~stage:Span.Permanent_filter
+      ~node:t.node.Node.name;
+    Span.complete t.sim ~corr:req.Message.corr;
     (match (receipts, req.Message.flow.Flow_label.dst) with
     | Some cs, Flow_label.Host victim ->
       let flow = req.Message.flow in
@@ -803,8 +796,8 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
       let bucket = client_policer_for t client in
       if Token_bucket.allow bucket ~now:(Sim.now t.sim) then begin
         bump t Req_to_attacker;
-        Span.start ~corr:req.Message.corr ~stage:Span.Counter_request
-          ~node:t.node.Node.name ~now:(Sim.now t.sim);
+        Span.start t.sim ~corr:req.Message.corr ~stage:Span.Counter_request
+          ~node:t.node.Node.name;
         send t ~dst:client
           (Message.Filtering_request
              (sign_request t
@@ -817,8 +810,8 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
       end
       else begin
         bump t Req_policed_client;
-        Span.event ~node:t.node.Node.name ~corr:req.Message.corr
-          ~now:(Sim.now t.sim) "req-policed-client"
+        Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
+          "req-policed-client"
       end;
       (* Compliance monitoring: a client still hitting the filter after the
          grace period gets disconnected. *)
@@ -841,8 +834,8 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
    so from here the gateway controls what (if anything) really happens. *)
 let comply_byzantine t cs ~received_at (req : Message.request) =
   let finish_span () =
-    Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
-      ~stage:Span.Verification ~now:(Sim.now t.sim) ()
+    Span.finish t.sim ~node:t.node.Node.name ~corr:req.Message.corr
+      ~stage:Span.Verification
   in
   match cs.cs_behavior with
   | Honest | Partial_policing _ -> assert false (* dispatched in [comply] *)
@@ -968,8 +961,7 @@ let attacker_role t (req : Message.request) =
     let bucket = policer_for t req.Message.requestor in
   if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
     bump t Req_policed;
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr
-      ~now:(Sim.now t.sim) "req-policed"
+    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr "req-policed"
   end
   else if t.policy = Policy.Unresponsive then
     bump t Ignored_unresponsive
@@ -982,27 +974,27 @@ let attacker_role t (req : Message.request) =
       | Flow_label.Any | Flow_label.Net _ -> false)
   then bump t Req_not_on_path
   else if not t.config.Config.handshake then begin
-    Span.start ~corr:req.Message.corr ~stage:Span.Verification
-      ~node:t.node.Node.name ~now:received_at;
+    Span.start t.sim ~corr:req.Message.corr ~stage:Span.Verification
+      ~node:t.node.Node.name;
     comply t ~received_at req
   end
   else
     match req.Message.flow.Flow_label.dst with
     | Flow_label.Host victim ->
       Hashtbl.replace t.verifying req.Message.flow ();
-      Span.start ~corr:req.Message.corr ~stage:Span.Verification
-        ~node:t.node.Node.name ~now:received_at;
+      Span.start t.sim ~corr:req.Message.corr ~stage:Span.Verification
+        ~node:t.node.Node.name;
       let first_tx = ref true in
       ignore
         (Handshake.start t.handshakes ~flow:req.Message.flow
            ~send:(fun nonce ->
              if !first_tx then begin
                first_tx := false;
-               Span.bind_nonce ~corr:req.Message.corr ~nonce
+               Span.bind_nonce t.sim ~corr:req.Message.corr ~nonce
              end
              else
-               Span.event ~node:t.node.Node.name ~corr:req.Message.corr
-                 ~now:(Sim.now t.sim) "handshake-retransmit";
+               Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
+                 "handshake-retransmit";
              send t ~dst:victim
                (Message.Verification_query { flow = req.Message.flow; nonce }))
            ~on_result:(fun ok ->
@@ -1013,11 +1005,10 @@ let attacker_role t (req : Message.request) =
              end
              else begin
                bump t Handshake_fail;
-               let now = Sim.now t.sim in
-               Span.event ~node:t.node.Node.name ~corr:req.Message.corr ~now
+               Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
                  "handshake-fail";
-               Span.finish ~node:t.node.Node.name ~corr:req.Message.corr
-                 ~stage:Span.Verification ~now ()
+               Span.finish t.sim ~node:t.node.Node.name ~corr:req.Message.corr
+                 ~stage:Span.Verification
              end))
     | Flow_label.Any | Flow_label.Net _ ->
       (* No single victim to query; treat as unverifiable. *)
@@ -1031,8 +1022,8 @@ let on_request t (req : Message.request) =
     (* With contracts on, an unsigned or tampered request is dropped before
        it can spend anyone's R1 budget or install anything. *)
     bump t Req_bad_auth;
-    Span.event ~node:t.node.Node.name ~corr:req.Message.corr
-      ~now:(Sim.now t.sim) "req-bad-auth"
+    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
+      "req-bad-auth"
   end
   else
     match req.Message.target with
@@ -1114,7 +1105,7 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
   List.iter (fun p -> Lpm.insert cone p ()) clients;
   let prefix = "gateway." ^ node.Node.name in
   let ttf =
-    Aitf_obs.Metrics.timer_if_attached
+    Aitf_obs.Metrics.timer_if_attached sim
       (prefix ^ ".time_to_filter")
       ~unit_:"s"
       ~help:
@@ -1177,17 +1168,17 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
      this engine-agnostic: the hybrid engine's fluid mirror watches the same
      seam, so both engines close the same spans. Only when a collector is
      attached at build time, so untraced runs pay nothing. *)
-  if Span.enabled () then
+  if Span.enabled sim then
     Filter_table.subscribe filters (fun change ->
         match change with
         | Filter_table.Removed h -> (
           match Filter_table.corr h with
           | Some corr ->
-            Span.finish ~node:node.Node.name ~corr
-              ~stage:Span.Permanent_filter ~now:(Sim.now sim) ()
+            Span.finish sim ~node:node.Node.name ~corr
+              ~stage:Span.Permanent_filter
           | None -> ())
         | Filter_table.Installed _ -> ());
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = prefix ^ "." ^ metric in
       Filter_table.register_metrics t.filters reg ~prefix:(p "filters");

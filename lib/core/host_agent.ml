@@ -116,13 +116,13 @@ module Victim = struct
                  if attempt <= t.config.Config.ctrl_retries then begin
                    if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
                      t.requests_retransmitted <- t.requests_retransmitted + 1;
-                     Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+                     Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
                        "victim-retransmit";
                      send t ~dst:t.gateway (request_message t flow path)
                    end
                    else begin
                      t.requests_suppressed <- t.requests_suppressed + 1;
-                     Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+                     Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
                        "request-suppressed"
                    end;
                    sent_at := Sim.now t.sim;
@@ -130,7 +130,7 @@ module Victim = struct
                  end
                  else begin
                    t.requests_gave_up <- t.requests_gave_up + 1;
-                   Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+                   Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
                      "victim-gave-up";
                    Hashtbl.remove t.retrying flow
                  end
@@ -144,8 +144,8 @@ module Victim = struct
       t.requests_sent <- t.requests_sent + 1;
       Hashtbl.replace t.requested flow
         (Sim.now t.sim +. t.config.Config.t_filter);
-      Span.start ~corr:(corr_of t flow) ~stage:Span.Request
-        ~node:t.node.Node.name ~now:(Sim.now t.sim);
+      Span.start t.sim ~corr:(corr_of t flow) ~stage:Span.Request
+        ~node:t.node.Node.name;
       let payload = request_message t flow path in
       (match (t.request_observer, payload) with
       | Some f, Message.Filtering_request req -> f req
@@ -155,7 +155,7 @@ module Victim = struct
     end
     else begin
       t.requests_suppressed <- t.requests_suppressed + 1;
-      Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+      Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
         "request-suppressed"
     end
 
@@ -177,8 +177,8 @@ module Victim = struct
   (* Detection fired (first time after Td, or instantly on reappearance):
      assemble the attack path per the configured traceback source. *)
   let on_detect t flow (pkt : Packet.t) =
-    Span.finish ~node:t.node.Node.name ~corr:(corr_of t flow)
-      ~stage:Span.Detect ~now:(Sim.now t.sim) ();
+    Span.finish t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
+      ~stage:Span.Detect;
     match t.path_source with
     | From_route_record -> send_request t flow (Packet.recorded_route pkt)
     | Gateway_traceback -> send_request t flow []
@@ -218,13 +218,13 @@ module Victim = struct
         Hashtbl.replace t.per_flow label c;
         (* First attack packet of this flow: mint the flow's correlation id
            and open its request tree. Detection starts counting here. *)
-        let corr = Span.mint () in
+        let corr = Span.mint t.sim in
         Hashtbl.replace t.corrs label corr;
-        if Span.enabled () then begin
-          Span.root ~corr
+        if Span.enabled t.sim then begin
+          Span.root t.sim ~corr
             ~flow:(Format.asprintf "%a" Flow_label.pp label)
-            ~victim:t.node.Node.name ~now;
-          Span.start ~corr ~stage:Span.Detect ~node:t.node.Node.name ~now
+            ~victim:t.node.Node.name;
+          Span.start t.sim ~corr ~stage:Span.Detect ~node:t.node.Node.name
         end;
         c
     in
@@ -250,7 +250,7 @@ module Victim = struct
       (* "Do you really not want this flow?" — confirm iff we asked. *)
       if requested_live t flow then begin
         t.queries_answered <- t.queries_answered + 1;
-        Span.event ~node:t.node.Node.name ~corr:(corr_of t flow) ~now:(Sim.now t.sim)
+        Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
           "victim-confirmed";
         send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
       end
@@ -300,7 +300,7 @@ module Victim = struct
       Some
         (Detection.create sim ~td ~min_report_gap:config.Config.min_report_gap
            ~on_detect:(fun flow pkt -> on_detect t flow pkt));
-    Aitf_obs.Metrics.if_attached (fun reg ->
+    Aitf_obs.Metrics.if_attached t.sim (fun reg ->
         let open Aitf_obs.Metrics in
         let p metric =
           Printf.sprintf "victim.%s.%s" node.Node.name metric
@@ -394,8 +394,7 @@ module Attacker = struct
     t.requests_received <- t.requests_received + 1;
     (* The counter-request reached the attacking host — however it responds,
        the Counter_request leg (gateway -> attacker) is over. *)
-    Span.finish ~corr:req.Message.corr ~stage:Span.Counter_request
-      ~now:(Sim.now t.sim) ();
+    Span.finish t.sim ~corr:req.Message.corr ~stage:Span.Counter_request;
     match t.strategy with
     | Policy.Ignores -> ()
     | Policy.Complies -> (
@@ -433,7 +432,7 @@ module Attacker = struct
         flows_stopped = 0;
       }
     in
-    Aitf_obs.Metrics.if_attached (fun reg ->
+    Aitf_obs.Metrics.if_attached t.sim (fun reg ->
         let open Aitf_obs.Metrics in
         let p metric =
           Printf.sprintf "attacker.%s.%s" node.Node.name metric

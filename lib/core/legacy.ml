@@ -46,16 +46,16 @@ let on_detect t flow (pkt : Packet.t) =
       match Hashtbl.find_opt t.corrs flow with
       | Some c -> c
       | None ->
-        let c = Aitf_obs.Span.mint () in
+        let c = Aitf_obs.Span.mint t.sim in
         Hashtbl.replace t.corrs flow c;
-        if Aitf_obs.Span.enabled () then
-          Aitf_obs.Span.root ~corr:c
+        if Aitf_obs.Span.enabled t.sim then
+          Aitf_obs.Span.root t.sim ~corr:c
             ~flow:(Format.asprintf "%a" Flow_label.pp flow)
-            ~victim:(node t).Node.name ~now:(Sim.now t.sim);
+            ~victim:(node t).Node.name;
         c
     in
-    Aitf_obs.Span.start ~corr ~stage:Aitf_obs.Span.Request
-      ~node:(node t).Node.name ~now:(Sim.now t.sim);
+    Aitf_obs.Span.start t.sim ~corr ~stage:Aitf_obs.Span.Request
+      ~node:(node t).Node.name;
     send t ~dst:(node t).Node.addr
       (Message.Filtering_request
          {

@@ -58,7 +58,6 @@ type t = {
   defer_seq : int array;
   sync : sync;
   mutable running : bool;
-  mutable clock : unit -> float;
   mutable worker_init : shard:int -> unit;
   (* stats *)
   mutable s_windows : int;
@@ -80,8 +79,7 @@ type t = {
 let ctx_key : (int * Sim.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let default_clock = ref Sys.time
-let set_default_clock f = default_clock := f
+let set_default_clock f = Sim.set_ambient Sim.clock f
 
 let create ~shards () =
   if shards < 1 then
@@ -114,7 +112,6 @@ let create ~shards () =
         failure = None;
       };
     running = false;
-    clock = !default_clock;
     worker_init = (fun ~shard:_ -> ());
     s_windows = 0;
     s_global = 0;
@@ -132,7 +129,6 @@ let shard_sim t i = t.sims.(i)
 let shard_sims t = t.sims
 let global t = t.global_sim
 let lookahead t = t.min_lookahead
-let set_clock t clock = t.clock <- clock
 
 let set_worker_init t f =
   if t.running then invalid_arg "Sched.set_worker_init: already running";
@@ -255,11 +251,10 @@ let drain_deferred t =
 let worker t i () =
   Domain.DLS.set ctx_key (Some (i, t.sims.(i)));
   let sync = t.sync in
-  (* Per-domain setup installed by the scenario (span collector binding,
-     mint stride, ...). A failure here must not kill the worker — the
-     barrier protocol needs every worker looping — so it is parked in
-     [sync.failure] and re-raised on the coordinator at the first
-     window. *)
+  (* Per-domain setup installed by the scenario (the packet-id stride). A
+     failure here must not kill the worker — the barrier protocol needs
+     every worker looping — so it is parked in [sync.failure] and
+     re-raised on the coordinator at the first window. *)
   (try t.worker_init ~shard:i
    with e ->
      Mutex.lock sync.m;
@@ -298,11 +293,12 @@ let run_shard_window t ~horizon ~inclusive =
   sync.remaining <- t.n;
   sync.gen <- sync.gen + 1;
   Condition.broadcast sync.work;
-  let t0 = t.clock () in
+  let clock = Sim.get t.global_sim Sim.clock in
+  let t0 = clock () in
   while sync.remaining > 0 do
     Condition.wait sync.done_ sync.m
   done;
-  let stall = t.clock () -. t0 in
+  let stall = clock () -. t0 in
   t.s_stall <- t.s_stall +. stall;
   let failure = sync.failure in
   sync.failure <- None;

@@ -105,10 +105,12 @@ val shard_events : t -> int array
 val set_worker_init : t -> (shard:int -> unit) -> unit
 (** Hook run once by each worker domain at spawn, after it has marked
     itself as executing [shard] — the seam for per-domain setup that
-    must happen on the worker itself (e.g. [Span.bind_domain]: installing
-    the shard's span collector and correlation-id stride in the worker's
-    domain-local storage). Exceptions raised by the hook are re-raised on
-    the coordinator at the first window.
+    must happen on the worker itself (e.g. [Packet.bind_domain]: the
+    shard's packet-id stride in the worker's domain-local storage).
+    Per-shard run context — span collector, flight ring, profiler,
+    correlation-id base — belongs in the shard's world instead
+    ([Sim.set] on {!shard_sim} before {!run}). Exceptions raised by the
+    hook are re-raised on the coordinator at the first window.
     @raise Invalid_argument if called while {!run} is active. *)
 
 type window_record = {
@@ -136,24 +138,18 @@ type stats = {
   deferred : int;  (** deferred thunks replayed at barriers *)
   stall_seconds : float;
       (** coordinator time spent blocked waiting for the slowest shard of
-          each window (wall-clock via [clock], nondeterministic) *)
+          each window (wall-clock by the global world's [Sim.clock],
+          nondeterministic) *)
 }
 
 val stats : t -> stats
 (** Snapshot of the synchronization counters — the null-message/barrier
     accounting surfaced in run reports and BENCH_E21.json. *)
 
-val set_clock : t -> (unit -> float) -> unit
-(** Clock used for {!stats}.stall_seconds only (default
-    {!set_default_clock}'s clock, initially [Sys.time] — process CPU
-    time; callers with access to [Unix.gettimeofday] should install it
-    for meaningful stall fractions). Never read on the simulation
-    path. *)
-
 val set_default_clock : (unit -> float) -> unit
-(** Clock inherited by every scheduler created afterwards — how the CLI
-    reaches schedulers that scenarios create internally (this library
-    cannot depend on [unix] itself). *)
+(** Set the ambient [Sim.clock] (default [Unix.gettimeofday]), inherited
+    by every scheduler created afterwards: it times {!stats}.stall_seconds
+    and the profiler. Never read on the simulation path. *)
 
 val register_metrics : t -> Aitf_obs.Metrics.t -> prefix:string -> unit
 (** Register pull gauges over the live scheduler in [reg]:

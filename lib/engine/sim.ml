@@ -1,39 +1,91 @@
 type handle = Event_queue.handle
 
+(* Sim-local storage: each key mints its own extensible-variant
+   constructor, so a slot is stored and read back without a cast. *)
+type slot = ..
+type slot += Unset
+
+type probe = string option -> float -> int -> unit
+
+let next_key = Atomic.make 0
+
+module Key = struct
+  type 'a t = {
+    id : int;
+    init : unit -> 'a;
+    inj : 'a -> slot;
+    prj : slot -> 'a;
+  }
+
+  let create (type a) (init : unit -> a) : a t =
+    let module M = struct
+      type slot += Slot of a
+    end in
+    {
+      id = Atomic.fetch_and_add next_key 1;
+      init;
+      inj = (fun v -> M.Slot v);
+      prj = (function M.Slot v -> v | _ -> assert false);
+    }
+end
+
+(* What [attach]-style calls write and [create] copies; never read mid-run. *)
+let ambient_slots : slot array ref = ref [||]
+
 type t = {
   queue : Event_queue.t;
   mutable now : float;
   mutable running : bool;
   mutable stop_requested : bool;
   mutable events_processed : int;
-  mutable profile_hook : (string option -> float -> int -> unit) option;
+  mutable slots : slot array;
+  mutable probe : probe option;
+      (* [profiler]'s slot, mirrored so the per-event check is one load *)
 }
 
-(* Opt-in profiler hook (installed by [Aitf_obs.Profile], which sits above
-   this library in the dependency graph). The hook is per-instance so that
-   several worlds in one process — matrix cells, the shards of a parallel
-   run — can't interleave their buckets; the default slot seeds every world
-   created while it is set, which is how [Profile.attach] keeps hooking
-   scenario-created sims it never sees. Receives the event's category
-   label, its wall-clock CPU cost in seconds, and the queue depth after it
-   ran. One branch per event when unset. *)
-let default_profile_hook : (string option -> float -> int -> unit) option ref
-    =
-  ref None
+let profiler : probe option Key.t = Key.create (fun () -> None)
+let clock : (unit -> float) Key.t = Key.create (fun () -> Unix.gettimeofday)
 
-let set_default_profile_hook f = default_profile_hook := Some f
-let clear_default_profile_hook () = default_profile_hook := None
-let set_profile_hook sim f = sim.profile_hook <- Some f
-let clear_profile_hook sim = sim.profile_hook <- None
+let slot slots (k : _ Key.t) =
+  if k.id < Array.length slots then Array.unsafe_get slots k.id else Unset
+
+let write slots (k : _ Key.t) v =
+  let n = Array.length slots in
+  let slots =
+    if k.id < n then slots
+    else Array.init (k.id + 1) (fun i -> if i < n then slots.(i) else Unset)
+  in
+  slots.(k.id) <- k.inj v;
+  slots
+
+let set sim k v =
+  sim.slots <- write sim.slots k v;
+  if k.id = profiler.id then sim.probe <- profiler.prj sim.slots.(k.id)
+
+let get sim (k : _ Key.t) =
+  match slot sim.slots k with
+  | Unset ->
+    let v = k.init () in
+    set sim k v;
+    v
+  | s -> k.prj s
+
+let set_ambient k v = ambient_slots := write !ambient_slots k v
+
+let ambient (k : _ Key.t) =
+  match slot !ambient_slots k with Unset -> k.init () | s -> k.prj s
 
 let create () =
+  let slots = Array.copy !ambient_slots in
   {
     queue = Event_queue.create ();
     now = 0.0;
     running = false;
     stop_requested = false;
     events_processed = 0;
-    profile_hook = !default_profile_hook;
+    slots;
+    probe =
+      (match slot slots profiler with Unset -> None | s -> profiler.prj s);
   }
 
 let now sim = sim.now
@@ -56,13 +108,13 @@ let cancel = Event_queue.cancel
 let exec sim e =
   sim.now <- Event_queue.time e;
   sim.events_processed <- sim.events_processed + 1;
-  match sim.profile_hook with
+  match sim.probe with
   | None -> Event_queue.fire e
   | Some probe ->
-    let t0 = Sys.time () in
+    let clock = get sim clock in
+    let t0 = clock () in
     Event_queue.fire e;
-    probe (Event_queue.label e) (Sys.time () -. t0)
-      (Event_queue.length sim.queue)
+    probe (Event_queue.label e) (clock () -. t0) (Event_queue.length sim.queue)
 
 let step sim =
   if Event_queue.is_empty sim.queue then false

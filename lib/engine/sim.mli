@@ -5,7 +5,16 @@
     closures against it. Execution is strictly single-threaded and
     deterministic: events fire in (time, insertion-order) order.
 
-    Times are absolute, in seconds. Use {!after} for relative scheduling. *)
+    Times are absolute, in seconds. Use {!after} for relative scheduling.
+
+    A world also carries its run's context in typed slots ({!Key}, {!get},
+    {!set}: the [Domain.DLS] shape, keyed by world instead of by domain) —
+    the wall {!clock}, the {!profiler}, and what the layers above keep per
+    run (span collector, flight ring, metrics registry, correlation ids).
+    Code reads it from the world it already holds, so two worlds in one
+    process never share it by accident. {!create} copies the {e ambient}
+    context ({!set_ambient}): an [attach] before a scenario reaches the
+    worlds the scenario creates, and no world created earlier. *)
 
 type t
 
@@ -13,14 +22,44 @@ type handle = Event_queue.handle
 (** Cancellation token for a scheduled event. *)
 
 val create : unit -> t
-(** A fresh world at time [0.0] with no pending events. *)
+(** A fresh world at time [0.0] with no pending events and a copy of the
+    ambient context. *)
+
+module Key : sig
+  type 'a t
+
+  val create : (unit -> 'a) -> 'a t
+  (** A new slot. A world whose slot was never set (here or in the ambient
+      context it copied) gets the initialiser's value on first {!get}. *)
+end
+
+val get : t -> 'a Key.t -> 'a
+val set : t -> 'a Key.t -> 'a -> unit
+
+val set_ambient : 'a Key.t -> 'a -> unit
+(** Set the slot in the ambient context; call it between runs only. *)
+
+val ambient : 'a Key.t -> 'a
+
+type probe = string option -> float -> int -> unit
+
+val profiler : probe option Key.t
+(** Per-event probe ([Aitf_obs.Profile]): after each event it receives the
+    event's label, its cost in {!clock} seconds and the live queue depth.
+    One branch per event when [None]. Wall time is nondeterministic: the
+    probe must never feed back into simulation state. *)
+
+val clock : (unit -> float) Key.t
+(** Wall clock for everything that times a run (the profiler, the
+    parallel scheduler's windows, the golden matrix's cells); default
+    [Unix.gettimeofday]. Never read on the simulation path. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
 
 val at : ?label:string -> t -> float -> (unit -> unit) -> handle
 (** [at sim time f] schedules [f] at absolute [time]. [?label] names the
-    event's category for the opt-in profiler (see {!set_profile_hook}); it
+    event's category for the opt-in profiler (see {!profiler}); it
     never affects ordering or execution.
     @raise Invalid_argument if [time] is in the past or not finite. *)
 
@@ -79,26 +118,3 @@ val total_scheduled : t -> int
 val total_cancelled : t -> int
 (** Monotone count of cancellations that took effect; with
     {!total_scheduled} this yields the cancelled fraction. *)
-
-val set_profile_hook : t -> (string option -> float -> int -> unit) -> unit
-(** Install this world's per-event profiler probe: after each event
-    executes, the probe receives its category label, its wall-clock CPU
-    cost in seconds and the live queue depth. The hook is per-instance so
-    that two engines in one process (matrix cells, parallel shards) cannot
-    interleave buckets. One branch per event when no probe is installed.
-    Timing uses the process clock, so anything derived from it is
-    nondeterministic — the probe must never feed back into simulation
-    state. *)
-
-val clear_profile_hook : t -> unit
-(** Remove this world's profiler probe (used between runs and tests). *)
-
-val set_default_profile_hook : (string option -> float -> int -> unit) -> unit
-(** Install the probe inherited by every world subsequently created
-    ({!create} copies the default into the instance slot). This is how
-    [Profile.attach] hooks sims that scenarios create internally. Worlds
-    that already exist are unaffected. *)
-
-val clear_default_profile_hook : unit -> unit
-(** Stop seeding new worlds with a probe. Existing instances keep theirs
-    until {!clear_profile_hook}. *)

@@ -76,21 +76,20 @@ let decide t =
    carry the nonce, resolved through the binding the gateway registered. *)
 let note_ctrl_drop t (pkt : Packet.t) =
   let module Message = Aitf_core.Message in
-  let now = Sim.now t.sim in
   match pkt.Packet.payload with
   | Message.Filtering_request req when req.Message.corr <> 0 ->
-    Aitf_obs.Span.event ~corr:req.Message.corr ~now "fault-dropped-request"
+    Aitf_obs.Span.event t.sim ~corr:req.Message.corr "fault-dropped-request"
   | Message.Verification_query { nonce; _ } ->
-    Aitf_obs.Span.event_by_nonce ~nonce ~now "fault-dropped-query"
+    Aitf_obs.Span.event_by_nonce t.sim ~nonce "fault-dropped-query"
   | Message.Verification_reply { nonce; _ } ->
-    Aitf_obs.Span.event_by_nonce ~nonce ~now "fault-dropped-reply"
+    Aitf_obs.Span.event_by_nonce t.sim ~nonce "fault-dropped-reply"
   | _ -> ()
 
 let process t next pkt =
   match decide t with
   | Dropped ->
     t.drops_injected <- t.drops_injected + 1;
-    if Aitf_obs.Span.enabled () then note_ctrl_drop t pkt
+    if Aitf_obs.Span.enabled t.sim then note_ctrl_drop t pkt
   | Deliver { extra_delay; copies } ->
     if copies > 1 then t.dups_injected <- t.dups_injected + (copies - 1);
     if extra_delay > 0. then begin
@@ -121,7 +120,7 @@ let inject ?(only = fun _ -> true) ~rng sim link models =
   in
   Link.wrap_deliver link (fun next pkt ->
       if t.only pkt then process t next pkt else next pkt);
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric =
         Printf.sprintf "fault.%s.%s" (Link.name link) metric
@@ -174,7 +173,7 @@ let flap ?(start = 0.) sim links ~period ~down_for =
     { f_sim = sim; f_links = links; period; down_for; flaps = 0; stopped = false }
   in
   flap_cycle f (Float.max start (Sim.now sim));
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached sim (fun reg ->
       match links with
       | first :: _ ->
         Aitf_obs.Metrics.register_counter reg

@@ -98,7 +98,7 @@ let eviction_candidate ?sparing t =
 let note_eviction t reason h =
   match Filter_table.corr h with
   | Some corr ->
-    Aitf_obs.Span.root_event ~corr ~now:(Sim.now t.sim) reason
+    Aitf_obs.Span.root_event t.sim ~corr reason
   | None -> ()
 
 let priority_evict ?sparing t =

@@ -240,19 +240,19 @@ let src_range agg sel =
 (* The rate domain reacted to this filter: annotate the owning request's
    span tree so hybrid traces show the mirror kept pace. The spans
    themselves are closed by the gateway's own table subscription — the
-   same seam — so both engines close identical span sets. Timestamped on
-   the table's own clock (the shard clock in sharded runs) and recorded
-   from the subscribing context, never from a deferred replay — the span
-   is open and the instant exact right where the change fires. *)
-let annotate_change ~now change =
+   same seam — so both engines close identical span sets. Recorded in the
+   table's own world (the shard's in sharded runs), from the subscribing
+   context, never from a deferred replay — the span is open and the
+   instant exact right where the change fires. *)
+let annotate_change sim change =
   let h =
     match change with
     | Filter_table.Installed h | Filter_table.Removed h -> h
   in
-  if Aitf_obs.Span.enabled () then
+  if Aitf_obs.Span.enabled sim then
     match Filter_table.corr h with
     | Some corr ->
-      Aitf_obs.Span.root_event ~corr ~now
+      Aitf_obs.Span.root_event sim ~corr
         (match change with
         | Filter_table.Installed _ -> "fluid-mirror-install"
         | Filter_table.Removed _ -> "fluid-mirror-remove")
@@ -320,7 +320,7 @@ let attach_table ?defer t ~node table =
     | Some d -> fun ev -> d (fun () -> mirror ev)
   in
   Filter_table.subscribe table (fun ev ->
-      annotate_change ~now:(Sim.now (Filter_table.sim table)) ev;
+      annotate_change (Filter_table.sim table) ev;
       mirror ev)
 
 (* --- construction --------------------------------------------------------- *)
@@ -353,7 +353,7 @@ let create ?(epoch = 0.1) net =
     ignore (Sim.after ~label:"fluid-epoch" t.sim t.epoch tick)
   in
   ignore (Sim.after ~label:"fluid-epoch" t.sim t.epoch tick);
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let rate_of ~attack () =
         List.fold_left

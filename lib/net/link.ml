@@ -81,9 +81,9 @@ let reclaim t now =
     t.head <- (t.head + 1) land (Array.length t.starts - 1);
     t.count <- t.count - 1;
     t.queued_bytes <- t.queued_bytes - size;
-    if Aitf_obs.Flight.enabled () then
-      Aitf_obs.Flight.note ~sim:t.sim ~time:start ~node:t.tx_node ~link:t.name
-        ~kind:Aitf_obs.Flight.Dequeue ~size ~queue_depth:t.queued_bytes ()
+    if Aitf_obs.Flight.enabled t.sim then
+      Aitf_obs.Flight.note t.sim ~time:start ~node:t.tx_node ~link:t.name
+        ~kind:Aitf_obs.Flight.Dequeue ~size ~queue_depth:t.queued_bytes
   done;
   let c = t.clock in
   if red && t.count = 0 && c.busy_until < now && Float.is_nan c.idle_since
@@ -157,7 +157,7 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
       remote = None;
     }
   in
-  Aitf_obs.Metrics.if_attached (fun reg ->
+  Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = Printf.sprintf "link.%s.%s" name metric in
       register_counter reg (p "tx_packets") ~unit_:"packets"
@@ -197,11 +197,11 @@ let wrap_deliver t f =
 let drop t reason (pkt : Packet.t) =
   t.dropped_packets <- t.dropped_packets + 1;
   t.dropped_bytes <- t.dropped_bytes + pkt.size;
-  if Aitf_obs.Flight.enabled () then
-    Aitf_obs.Flight.note ~sim:t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
+  if Aitf_obs.Flight.enabled t.sim then
+    Aitf_obs.Flight.note t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
       ~link:t.name
       ~kind:(Aitf_obs.Flight.Drop reason)
-      ~size:pkt.size ~queue_depth:t.queued_bytes ()
+      ~size:pkt.size ~queue_depth:t.queued_bytes
 
 (* RED's update on a send, after [reclaim] has replayed every earlier
    serialisation end. An idle spell first decays the average as if [m]
@@ -271,10 +271,10 @@ let accept t (pkt : Packet.t) now busy =
   c.busy_until <- fin;
   if is_red t then c.idle_since <- nan;
   if busy then push_backlog t start pkt.size;
-  if Aitf_obs.Flight.enabled () then begin
+  if Aitf_obs.Flight.enabled t.sim then begin
     let note kind queue_depth =
-      Aitf_obs.Flight.note ~sim:t.sim ~time:now ~node:t.tx_node ~link:t.name
-        ~kind ~size:pkt.size ~queue_depth ()
+      Aitf_obs.Flight.note t.sim ~time:now ~node:t.tx_node ~link:t.name
+        ~kind ~size:pkt.size ~queue_depth
     in
     (* A queued packet's dequeue is noted when [reclaim] retires it. *)
     if busy then note Aitf_obs.Flight.Enqueue t.queued_bytes

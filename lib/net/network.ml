@@ -75,6 +75,7 @@ let add_node t ~name ~addr ~as_id kind =
   t.nodes_rev <- node :: t.nodes_rev;
   Hashtbl.add t.by_id node.id node;
   Hashtbl.add t.by_addr addr node;
+  Aitf_obs.Metrics.if_attached t.sim (Node.register_metrics node);
   node
 
 let node t id = Hashtbl.find t.by_id id

@@ -42,24 +42,24 @@ let make ~id ~name ~addr ~as_id kind =
       drops = Hashtbl.create 8;
     }
   in
-  Aitf_obs.Metrics.if_attached (fun reg ->
-      let open Aitf_obs.Metrics in
-      let p metric = Printf.sprintf "node.%s.%s" name metric in
-      register_counter reg (p "rx_packets") ~unit_:"packets"
-        ~help:"Packets received on any port" (fun () ->
-          float_of_int t.rx_packets);
-      register_counter reg (p "rx_bytes") ~unit_:"bytes"
-        ~help:"Bytes received on any port" (fun () -> float_of_int t.rx_bytes);
-      register_counter reg (p "forwarded_packets") ~unit_:"packets"
-        ~help:"Packets forwarded toward another node" (fun () ->
-          float_of_int t.forwarded_packets);
-      register_counter reg (p "delivered_packets") ~unit_:"packets"
-        ~help:"Packets delivered to the local agent" (fun () ->
-          float_of_int t.delivered_packets);
-      register_counter reg (p "drops") ~unit_:"packets"
-        ~help:"Packets dropped at this node, all reasons" (fun () ->
-          float_of_int (Hashtbl.fold (fun _ n acc -> acc + n) t.drops 0)));
   t
+
+let register_metrics t reg =
+  let open Aitf_obs.Metrics in
+  let p metric = Printf.sprintf "node.%s.%s" t.name metric in
+  register_counter reg (p "rx_packets") ~unit_:"packets"
+    ~help:"Packets received on any port" (fun () -> float_of_int t.rx_packets);
+  register_counter reg (p "rx_bytes") ~unit_:"bytes"
+    ~help:"Bytes received on any port" (fun () -> float_of_int t.rx_bytes);
+  register_counter reg (p "forwarded_packets") ~unit_:"packets"
+    ~help:"Packets forwarded toward another node" (fun () ->
+      float_of_int t.forwarded_packets);
+  register_counter reg (p "delivered_packets") ~unit_:"packets"
+    ~help:"Packets delivered to the local agent" (fun () ->
+      float_of_int t.delivered_packets);
+  register_counter reg (p "drops") ~unit_:"packets"
+    ~help:"Packets dropped at this node, all reasons" (fun () ->
+      float_of_int (Hashtbl.fold (fun _ n acc -> acc + n) t.drops 0))
 
 let add_hook t h = t.hooks <- h :: t.hooks
 

@@ -48,6 +48,10 @@ val make : id:int -> name:string -> addr:Addr.t -> as_id:int -> kind -> t
 (** A fresh node advertising its own /32 globally, delivering locally to a
     silent sink, with no hooks. *)
 
+val register_metrics : t -> Aitf_obs.Metrics.t -> unit
+(** Register the node's [node.<name>.*] counters ([Network.add_node] does
+    this when its world carries a registry). *)
+
 val add_hook : t -> (t -> Packet.t -> hook_verdict) -> unit
 (** Prepend a forwarding hook; hooks run in reverse order of addition and
     the first [Drop] wins. *)

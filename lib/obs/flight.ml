@@ -33,43 +33,20 @@ let shard t = t.shard
 let set_dump_path t p = t.dump_path <- p
 let dump_path t = t.dump_path
 
-let current : t option ref = ref None
+module Sim = Aitf_engine.Sim
 
-(* Per-scheduler-instance overrides, keyed by physical sim identity. Kept
-   as a tiny assoc list: a process holds at most a handful of attached
-   recorders (one per shard), and [note] only scans it when non-empty. *)
-let overrides : (Aitf_engine.Sim.t * t) list ref = ref []
-
-let attach t = current := Some t
-let detach () = current := None
-
-let attach_to t sim =
-  overrides := (sim, t) :: List.filter (fun (s, _) -> s != sim) !overrides
-
-let detach_from sim =
-  overrides := List.filter (fun (s, _) -> s != sim) !overrides
-
-let attached () = !current
-(* A pattern match rather than [<> []], which would call the polymorphic
-   comparison: link recording sites call this once per packet. *)
-let enabled () =
-  Option.is_some !current || match !overrides with [] -> false | _ -> true
+let key : t option Sim.Key.t = Sim.Key.create (fun () -> None)
+let attach t = Sim.set_ambient key (Some t)
+let detach () = Sim.set_ambient key None
+let enabled sim = Option.is_some (Sim.get sim key)
 
 let write t ~time ~node ~link ~kind ~size ~queue_depth =
   t.buf.(t.next) <- Some { time; node; link; kind; size; queue_depth };
   t.next <- (t.next + 1) mod Array.length t.buf;
   t.total <- t.total + 1
 
-let note ?sim ~time ~node ~link ~kind ~size ~queue_depth () =
-  let target =
-    match sim with
-    | Some s when !overrides <> [] -> (
-      match List.find_opt (fun (s', _) -> s' == s) !overrides with
-      | Some (_, t) -> Some t
-      | None -> !current)
-    | _ -> !current
-  in
-  match target with
+let note sim ~time ~node ~link ~kind ~size ~queue_depth =
+  match Sim.get sim key with
   | None -> ()
   | Some t -> write t ~time ~node ~link ~kind ~size ~queue_depth
 

@@ -8,9 +8,11 @@
     a whole run — and is dumped on demand or automatically when a span
     breaches its latency SLO (see {!Span.set_slo}).
 
-    Attachment is process-global and off by default, mirroring
-    {!Metrics}: the network layer's recording sites cost one branch when
-    no recorder is attached. Recording never perturbs the run. *)
+    The recorder is a slot of the {!Aitf_engine.Sim} run context, off by
+    default, mirroring {!Metrics}: {!attach} before a scenario creates its
+    world, and every link of that world records into it. The network
+    layer's recording sites cost one branch when the world has no
+    recorder. Recording never perturbs the run. *)
 
 type kind =
   | Enqueue  (** packet accepted into the link queue *)
@@ -49,35 +51,33 @@ val dump_path : t -> string option
 
 (** {1 Attachment} *)
 
+val key : t option Aitf_engine.Sim.Key.t
+(** The world's recorder slot. A parallel run gives each shard world its
+    own ring, merged with {!merge_into} afterwards. *)
+
 val attach : t -> unit
-(** Process-global default recorder, as before. *)
+(** Make [t] the ambient recorder, copied by every world created while it
+    is attached. *)
 
 val detach : unit -> unit
 
-val attach_to : t -> Aitf_engine.Sim.t -> unit
-(** Per-scheduler-instance recorder: records noted with [?sim] equal to
-    this world land here instead of the global default, so two engines in
-    one process (matrix cells, parallel shards) keep separate rings. *)
-
-val detach_from : Aitf_engine.Sim.t -> unit
-
-val attached : unit -> t option
-val enabled : unit -> bool
+val enabled : Aitf_engine.Sim.t -> bool
+(** Whether [sim] has a recorder. *)
 
 (** {1 Recording} *)
 
 val note :
-  ?sim:Aitf_engine.Sim.t ->
+  Aitf_engine.Sim.t ->
   time:float ->
   node:string ->
   link:string ->
   kind:kind ->
   size:int ->
   queue_depth:int ->
-  unit ->
   unit
-(** Append a record to the recorder for [?sim] (falling back to the
-    global default); one branch when none is attached. *)
+(** Append a record to [sim]'s recorder; one branch when it has none.
+    [time] is the moment recorded, which a link may set ahead of the
+    world's clock (a queued packet's transmission start). *)
 
 (** {1 Reading back} *)
 

@@ -92,21 +92,22 @@ let unit_of t name =
 let help_of t name =
   Option.map (fun m -> m.m_help) (locked t (fun () -> Hashtbl.find_opt t.tbl name))
 
-(* --- global attachment ------------------------------------------------------ *)
+(* --- attachment ------------------------------------------------------------- *)
 
-let current : t option ref = ref None
+module Sim = Aitf_engine.Sim
 
-let attach t = current := Some t
-let detach () = current := None
-let attached () = !current
+let key : t option Sim.Key.t = Sim.Key.create (fun () -> None)
+let attach t = Sim.set_ambient key (Some t)
+let detach () = Sim.set_ambient key None
+let attached () = Sim.ambient key
 
 let with_attached t f =
   attach t;
   Fun.protect ~finally:detach f
 
-let if_attached f = match !current with None -> () | Some t -> f t
+let if_attached sim f = match Sim.get sim key with None -> () | Some t -> f t
 
-let timer_if_attached ?unit_ ?help ?bounds name =
-  match !current with
+let timer_if_attached ?unit_ ?help ?bounds sim name =
+  match Sim.get sim key with
   | None -> None
   | Some t -> Some (timer t ?unit_ ?help ?bounds name)

@@ -18,10 +18,12 @@
     fresh registry per run — component creation registers instance metrics,
     so replaying a scenario against the same registry would collide.
 
-    {b Attachment.} Like span tracing, instrumentation is off by default. A
-    scenario attaches a registry ({!attach}) before building its world;
-    every component created while one is attached self-registers. Detach
-    when the run's report has been taken. *)
+    {b Attachment.} Like span tracing, instrumentation is off by default.
+    The registry a component registers with is its world's ({!key}, a
+    slot of the {!Aitf_engine.Sim} run context): a caller attaches one
+    ({!attach}) before the scenario creates its world, every world created
+    while it is attached carries it, and every component built in such a
+    world self-registers. Detach when the run's report has been taken. *)
 
 type t
 
@@ -75,16 +77,21 @@ val snapshot : t -> (string * value) list
 val unit_of : t -> string -> string option
 val help_of : t -> string -> string option
 
-(** {1 Process-global attachment}
+(** {1 Attachment}
 
-    One optional registry, consulted by component constructors. *)
+    The registry lives in the world's run context; the ambient one is
+    copied by every [Sim.create] while it is attached. *)
+
+val key : t option Aitf_engine.Sim.Key.t
+(** The world's registry slot. *)
 
 val attach : t -> unit
-(** Make [t] the attached registry (replacing any previous one). *)
+(** Make [t] the ambient registry (replacing any previous one). *)
 
 val detach : unit -> unit
 
 val attached : unit -> t option
+(** The ambient registry. *)
 
 val with_attached : t -> (unit -> 'a) -> 'a
 (** [with_attached t f] attaches [t], runs [f] and detaches again even when
@@ -92,10 +99,15 @@ val with_attached : t -> (unit -> 'a) -> 'a
     a raise mid-build must not leave the registry attached to poison the
     next run in the same process. *)
 
-val if_attached : (t -> unit) -> unit
-(** Run the registration block iff a registry is attached. *)
+val if_attached : Aitf_engine.Sim.t -> (t -> unit) -> unit
+(** Run the registration block iff [sim] carries a registry. *)
 
 val timer_if_attached :
-  ?unit_:string -> ?help:string -> ?bounds:float list -> string -> timer option
-(** [Some (timer reg name)] against the attached registry, else [None] —
-    what a component stores for its push-side observations. *)
+  ?unit_:string ->
+  ?help:string ->
+  ?bounds:float list ->
+  Aitf_engine.Sim.t ->
+  string ->
+  timer option
+(** [Some (timer reg name)] against [sim]'s registry, else [None] — what a
+    component stores for its push-side observations. *)

@@ -30,20 +30,9 @@ let probe t label secs pending =
   t.seconds <- t.seconds +. secs;
   if pending > t.peak_pending then t.peak_pending <- pending
 
-let current : t option ref = ref None
-
-let attach t =
-  current := Some t;
-  Sim.set_default_profile_hook (probe t)
-
-let detach () =
-  current := None;
-  Sim.clear_default_profile_hook ()
-
-let attach_to t sim = Sim.set_profile_hook sim (probe t)
-let detach_from sim = Sim.clear_profile_hook sim
-let attached () = !current
-let enabled () = Option.is_some !current
+let attach t = Sim.set_ambient Sim.profiler (Some (probe t))
+let detach () = Sim.set_ambient Sim.profiler None
+let enabled sim = Option.is_some (Sim.get sim Sim.profiler)
 
 let merge ts =
   let m = create () in
@@ -100,7 +89,9 @@ let register_metrics t reg ~prefix =
     ~help:"Events timed by the engine profiler" (fun () ->
       float_of_int t.events);
   Metrics.register_counter reg (p "seconds") ~unit_:"s"
-    ~help:"Wall-clock seconds spent executing events (nondeterministic)"
+    ~help:
+      "Real (wall-clock, not CPU) seconds spent executing events, by the \
+       run's clock (nondeterministic)"
     (fun () -> t.seconds);
   Metrics.register_gauge reg (p "peak_pending") ~unit_:"events"
     ~help:"Peak live event-queue depth observed by the profiler" (fun () ->

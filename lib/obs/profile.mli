@@ -1,7 +1,7 @@
 (** Opt-in engine profiler: wall-clock accounting per event category.
 
-    Installs the {!Aitf_engine.Sim.set_profile_hook} probe and buckets
-    the wall-clock CPU cost of every executed event by its scheduling
+    Installs the {!Aitf_engine.Sim.profiler} probe and buckets the
+    wall-clock cost of every executed event by its scheduling
     label ([Sim.at ~label] / [Sim.after ~label]; unlabelled events land
     in ["other"]), while tracking the peak live event-queue depth it
     observed. Together with the queue's own scheduled/cancelled totals
@@ -18,24 +18,22 @@ type t
 val create : unit -> t
 
 val attach : t -> unit
-(** Install [t] as the default profiler probe (replacing any other):
+(** Install [t]'s probe in the ambient context (replacing any other):
     every [Sim.t] created while attached inherits it, which is how the
     probe reaches sims that scenarios create internally. Worlds created
-    before the attach are unaffected — use {!attach_to} for those. *)
+    before the attach are unaffected. *)
 
 val detach : unit -> unit
-(** Remove the default probe (instances keep theirs; see
-    {!detach_from}). *)
+(** Stop seeding new worlds with a probe; existing worlds keep theirs. *)
 
-val attach_to : t -> Aitf_engine.Sim.t -> unit
-(** Install [t] as [sim]'s own probe, independent of the default. The
-    parallel engine uses one profiler per shard sim so concurrent shards
-    never interleave buckets; {!merge} recombines them for reporting. *)
+val probe : t -> Aitf_engine.Sim.probe
+(** [t]'s probe, for installing in one world directly
+    ([Sim.set sim Sim.profiler (Some (probe t))]). The parallel engine
+    gives each shard its own profiler so concurrent shards never
+    interleave buckets; {!merge} recombines them for reporting. *)
 
-val detach_from : Aitf_engine.Sim.t -> unit
-
-val attached : unit -> t option
-val enabled : unit -> bool
+val enabled : Aitf_engine.Sim.t -> bool
+(** Whether [sim] has a profiler probe. *)
 
 val merge : t list -> t
 (** Sum the buckets/events/seconds of several profilers (peak queue depth
@@ -47,7 +45,8 @@ val events : t -> int
 (** Events timed while attached. *)
 
 val seconds : t -> float
-(** Total wall-clock seconds across all buckets. *)
+(** Total wall-clock seconds across all buckets (by the worlds'
+    {!Aitf_engine.Sim.clock}). *)
 
 val peak_pending : t -> int
 (** Highest live event-queue depth observed by the probe. *)

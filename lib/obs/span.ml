@@ -68,74 +68,31 @@ let create () =
 
 let set_allow_orphans t v = t.allow_orphans <- v
 
+module Sim = Aitf_engine.Sim
+
 (* Correlation ids are minted unconditionally (protocol messages carry one
-   whether or not a collector is attached), off a plain counter — no
-   randomness, so traced and untraced runs see identical protocol state.
-   Worker domains of the parallel engine each mint from their own stride
-   ([bind_domain]): ids stay unique and deterministic without a shared
+   whether or not a collector is attached), off a plain per-world counter
+   — no randomness, so traced and untraced runs see identical protocol
+   state, and each world's ids start at 1 whatever ran before it in the
+   process. The shards of a parallel run mint from disjoint bases
+   ([set_mint_base]): ids stay unique and deterministic without a shared
    atomic, at the price of being shard-dependent — which is why every
    cross-shard-count comparison goes through the canonical re-keying of
    [merge_into]/[digest] rather than raw ids. *)
-let minter = ref 0
+let minted : int ref Sim.Key.t = Sim.Key.create (fun () -> ref 0)
 
-(* Per-domain override installed by parallel-engine workers: collector and
-   mint stride for the calling domain. The main domain keeps the plain
-   globals, so sequential runs are bit-identical to the historical code. *)
-type domain_binding = {
-  mutable b_collector : t option;
-  mutable b_active : bool;
-  mutable b_base : int;
-  mutable b_count : int;
-}
+let mint sim =
+  let n = Sim.get sim minted in
+  incr n;
+  !n
 
-let binding_key : domain_binding Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { b_collector = None; b_active = false; b_base = 0; b_count = 0 })
+let set_mint_base sim base = Sim.set sim minted (ref base)
 
-let bind_domain ?collector ~mint_base () =
-  let b = Domain.DLS.get binding_key in
-  b.b_collector <- collector;
-  b.b_active <- true;
-  b.b_base <- mint_base;
-  b.b_count <- 0
-
-let unbind_domain () =
-  let b = Domain.DLS.get binding_key in
-  b.b_collector <- None;
-  b.b_active <- false;
-  b.b_base <- 0;
-  b.b_count <- 0
-
-let mint () =
-  let b = Domain.DLS.get binding_key in
-  if b.b_active then begin
-    b.b_count <- b.b_count + 1;
-    b.b_base + b.b_count
-  end
-  else begin
-    incr minter;
-    !minter
-  end
-
-(* Harness hook: independent scenarios run back-to-back in one process
-   (the golden matrix, bench) rewind the counter so cell N's corr ids do
-   not depend on cells 0..N-1. Domain strides need no rewind: worker
-   domains are fresh per scheduler run. *)
-let reset_mint () = minter := 0
-
-let current : t option ref = ref None
-
-let attach t = current := Some t
-let detach () = current := None
-let attached () = !current
-
-let domain_collector () =
-  let b = Domain.DLS.get binding_key in
-  if b.b_active && b.b_collector <> None then b.b_collector else !current
-
-let enabled () = Option.is_some (domain_collector ())
-
-let with_t f = match domain_collector () with None -> () | Some t -> f t
+let key : t option Sim.Key.t = Sim.Key.create (fun () -> None)
+let attach t = Sim.set_ambient key (Some t)
+let detach () = Sim.set_ambient key None
+let enabled sim = Option.is_some (Sim.get sim key)
+let with_t sim f = match Sim.get sim key with None -> () | Some t -> f t
 
 let new_root t ~corr ~flow ~victim ~now ~orphan =
   let r =
@@ -165,8 +122,9 @@ let find_or_orphan t ~corr ~now =
       Some (new_root t ~corr ~flow:"" ~victim:"" ~now ~orphan:true)
     else None
 
-let root ~corr ~flow ~victim ~now =
-  with_t (fun t ->
+let root sim ~corr ~flow ~victim =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
       match Hashtbl.find_opt t.tbl corr with
       | None -> ignore (new_root t ~corr ~flow ~victim ~now ~orphan:false)
       | Some r ->
@@ -179,8 +137,9 @@ let root ~corr ~flow ~victim ~now =
           r.orphan <- false
         end)
 
-let start ~corr ~stage ~node ~now =
-  with_t (fun t ->
+let start sim ~corr ~stage ~node =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
       match find_or_orphan t ~corr ~now with
       | None -> ()
       | Some r ->
@@ -218,8 +177,9 @@ let pop_open t ?node ~corr ~stage () =
       stack := List.filter (fun x -> x != s) !stack;
       Some s)
 
-let finish ?node ~corr ~stage ~now () =
-  with_t (fun t ->
+let finish ?node sim ~corr ~stage =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
       match pop_open t ?node ~corr ~stage () with
       | None -> ()
       | Some s -> s.finished_at <- Some now)
@@ -245,8 +205,9 @@ let newest_open t ?node ~corr () =
         | _ -> Some s))
     None all_stages
 
-let event ?node ~corr ~now label =
-  with_t (fun t ->
+let event ?node sim ~corr label =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
       let e = { at = now; label; by = node } in
       match newest_open t ?node ~corr () with
       | Some s -> s.span_events <- e :: s.span_events
@@ -255,15 +216,17 @@ let event ?node ~corr ~now label =
         | Some r -> r.root_events <- e :: r.root_events
         | None -> ()))
 
-let root_event ~corr ~now label =
-  with_t (fun t ->
+let root_event sim ~corr label =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
       match find_or_orphan t ~corr ~now with
       | Some r ->
         r.root_events <- { at = now; label; by = None } :: r.root_events
       | None -> ())
 
-let stage_event ?node ~corr ~stage ~now label =
-  with_t (fun t ->
+let stage_event ?node sim ~corr ~stage label =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
       let e = { at = now; label; by = node } in
       match peek_open t ?node ~corr ~stage () with
       | Some s -> s.span_events <- e :: s.span_events
@@ -272,21 +235,22 @@ let stage_event ?node ~corr ~stage ~now label =
         | Some r -> r.root_events <- e :: r.root_events
         | None -> ()))
 
-let bind_nonce ~corr ~nonce =
-  with_t (fun t -> Hashtbl.replace t.nonces nonce corr)
+let bind_nonce sim ~corr ~nonce =
+  with_t sim (fun t -> Hashtbl.replace t.nonces nonce corr)
 
-let corr_of_nonce ~nonce =
-  match domain_collector () with
+let corr_of_nonce sim ~nonce =
+  match Sim.get sim key with
   | None -> None
   | Some t -> Hashtbl.find_opt t.nonces nonce
 
-let event_by_nonce ~nonce ~now label =
-  match corr_of_nonce ~nonce with
+let event_by_nonce sim ~nonce label =
+  match corr_of_nonce sim ~nonce with
   | None -> ()
-  | Some corr -> event ~corr ~now label
+  | Some corr -> event sim ~corr label
 
-let complete ~corr ~now =
-  with_t (fun t ->
+let complete sim ~corr =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
       match find_or_orphan t ~corr ~now with
       | None -> ()
       | Some r ->

@@ -13,27 +13,30 @@
     JSON (loadable in Perfetto) plus a human-readable critical-path
     summary.
 
-    Like {!Metrics}, collection is off by default and attached
-    process-globally ({!attach}); every recording entry point is a
-    single branch when no collector is attached.
-    Recording never schedules events and never consumes randomness, and
-    {!mint} runs unconditionally off a plain counter, so a traced run is
-    bit-identical to an untraced one (same seed, same event sequence).
+    Like {!Metrics}, collection is off by default. The collector and the
+    correlation-id counter are slots of the {!Aitf_engine.Sim} run
+    context: {!attach} before a scenario creates its world, and every
+    recording call made with that world lands in its collector, stamped
+    with the world's clock. Every recording entry point is a single branch
+    when the world has no collector. Recording never schedules events and
+    never consumes randomness, and {!mint} runs unconditionally off a
+    plain counter, so a traced run is bit-identical to an untraced one
+    (same seed, same event sequence).
 
     {2 Sharded runs}
 
-    Under the parallel engine each worker domain gets its own collector
-    and mint stride via {!bind_domain} (installed by [As_scenario]
-    through [Sched]'s worker-init hook), so recording needs no locks and
-    traced sharded runs stay bit-identical to untraced ones. Shard
-    collectors run with {!set_allow_orphans} on: spans for a correlation
-    id whose root opened in another shard accumulate under an {e orphan}
-    placeholder, and {!merge_into} reunites everything at end of run —
-    re-keying roots into the canonical (opened_at, victim, flow) order a
-    sequential run would have minted, and dropping orphan-only roots
-    (forged ids), which reproduces the sequential "ignore unknown corr"
-    semantics. {!digest} applies the same canonicalization, so equal
-    digests across shard counts mean the same trace. *)
+    Under the parallel engine each shard world gets its own collector and
+    mint base ({!set_mint_base}), both set by [As_scenario] when it builds
+    the shards, so recording needs no locks and traced sharded runs stay
+    bit-identical to untraced ones. Shard collectors run with
+    {!set_allow_orphans} on: spans for a correlation id whose root opened
+    in another shard accumulate under an {e orphan} placeholder, and
+    {!merge_into} reunites everything at end of run — re-keying roots
+    into the canonical (opened_at, victim, flow) order a sequential run
+    would have minted, and dropping orphan-only roots (forged ids), which
+    reproduces the sequential "ignore unknown corr" semantics. {!digest}
+    applies the same canonicalization, so equal digests across shard
+    counts mean the same trace. *)
 
 (** Protocol stages of one filtering request, in causal order. *)
 type stage =
@@ -96,95 +99,89 @@ val set_allow_orphans : t -> bool -> unit
 
 (** {1 Correlation ids} *)
 
-val mint : unit -> int
-(** Next correlation id (1, 2, ...). Deterministic and independent of
-    attachment: protocol code mints unconditionally so that message
-    contents do not depend on whether tracing is on. On a worker domain
-    bound with {!bind_domain}, ids come from that domain's stride
-    instead of the process-global counter. *)
+val mint : Aitf_engine.Sim.t -> int
+(** [sim]'s next correlation id (1, 2, ... for a fresh world).
+    Deterministic and independent of attachment: protocol code mints
+    unconditionally so that message contents do not depend on whether
+    tracing is on. *)
 
-val reset_mint : unit -> unit
-(** Rewind the process-global correlation-id counter to 0, so the next
-    {!mint} returns 1 again. The counter otherwise runs for the whole
-    process, which makes a scenario's corr ids (and any serialized span
-    digest) depend on how many scenarios ran before it. Harnesses that
-    execute several independent scenarios in one process — the golden
-    matrix, the bench driver — call this before each one; a single
-    scenario never needs it. (Worker-domain strides need no rewind:
-    domains are fresh per scheduler run.) *)
+val set_mint_base : Aitf_engine.Sim.t -> int -> unit
+(** Make [sim] mint [base + 1], [base + 2], ... next. A parallel run gives
+    each shard world a disjoint base ([(shard + 1) lsl 24], which keeps
+    ids inside the 32-bit wire encoding) whether or not tracing is on. *)
 
 (** {1 Attachment} *)
 
+val key : t option Aitf_engine.Sim.Key.t
+(** The world's collector slot. *)
+
 val attach : t -> unit
-(** Attach [t] process-globally (the main domain's collector). *)
+(** Make [t] the ambient collector, copied by every world created while
+    it is attached. *)
 
 val detach : unit -> unit
-val attached : unit -> t option
 
-val bind_domain : ?collector:t -> mint_base:int -> unit -> unit
-(** Install a per-domain binding for the {e calling} domain: recording
-    on this domain goes to [?collector] (falling back to the global
-    attachment when omitted) and {!mint} returns [mint_base + 1],
-    [mint_base + 2], ... Parallel-engine workers call this at spawn with
-    a per-shard stride (e.g. [(shard + 1) lsl 24], which keeps ids
-    inside the 32-bit wire encoding), whether or not tracing is on —
-    minting happens unconditionally and must stay race-free. *)
+val enabled : Aitf_engine.Sim.t -> bool
+(** [true] iff [sim] has a collector. *)
 
-val unbind_domain : unit -> unit
-(** Remove the calling domain's binding (main-domain semantics again). *)
+(** {1 Recording (no-ops when the world has no collector)} *)
 
-val enabled : unit -> bool
-(** [true] iff the calling domain has a collector (its own binding's, or
-    the global attachment). *)
+(** Each call records into its world's collector at the world's current
+    time. *)
 
-(** {1 Recording (no-ops when detached)} *)
-
-val root : corr:int -> flow:string -> victim:string -> now:float -> unit
+val root :
+  Aitf_engine.Sim.t -> corr:int -> flow:string -> victim:string -> unit
 (** Open the root span for [corr] (first {e real} writer wins; an orphan
     placeholder for [corr] gets its identity filled in). *)
 
-val start : corr:int -> stage:stage -> node:string -> now:float -> unit
+val start :
+  Aitf_engine.Sim.t -> corr:int -> stage:stage -> node:string -> unit
 (** Open a child span. Ignored when no root for [corr] exists (e.g. a
     forged request with corr 0) — unless orphans are allowed, in which
     case a placeholder root is created. *)
 
 val finish :
-  ?node:string -> corr:int -> stage:stage -> now:float -> unit -> unit
+  ?node:string -> Aitf_engine.Sim.t -> corr:int -> stage:stage -> unit
 (** Close the most recently opened still-open span for [(corr, stage)] —
     restricted to spans opened by [node] when given (a stage can be open
     on several nodes at once during escalation). No-op when none is
     open: receivers close spans openers may never have started. *)
 
-val event : ?node:string -> corr:int -> now:float -> string -> unit
+val event : ?node:string -> Aitf_engine.Sim.t -> corr:int -> string -> unit
 (** Attach a point event: to the newest open span of [corr] (on [node]
     when given), else to the root. *)
 
 val stage_event :
-  ?node:string -> corr:int -> stage:stage -> now:float -> string -> unit
+  ?node:string ->
+  Aitf_engine.Sim.t ->
+  corr:int ->
+  stage:stage ->
+  string ->
+  unit
 (** Attach a point event to the newest open [(corr, stage)] span,
     falling back to the root when none is open. *)
 
-val root_event : corr:int -> now:float -> string -> unit
+val root_event : Aitf_engine.Sim.t -> corr:int -> string -> unit
 (** Attach a point event directly to [corr]'s root, never to an open
     span. Use for annotations whose source is not a stage of the request
     (the fluid mirror, auditors): "newest open span" depends on which
     collector saw which opens, so root attachment is the only placement
     that is invariant across shard layouts. *)
 
-val bind_nonce : corr:int -> nonce:int64 -> unit
+val bind_nonce : Aitf_engine.Sim.t -> corr:int -> nonce:int64 -> unit
 (** Remember that a handshake [nonce] belongs to [corr], so layers that
     only see the query/reply (the fault injector) can annotate the right
     tree. *)
 
-val corr_of_nonce : nonce:int64 -> int option
+val corr_of_nonce : Aitf_engine.Sim.t -> nonce:int64 -> int option
 
-val event_by_nonce : nonce:int64 -> now:float -> string -> unit
+val event_by_nonce : Aitf_engine.Sim.t -> nonce:int64 -> string -> unit
 (** {!event} via {!corr_of_nonce}; no-op for unknown nonces. *)
 
-val complete : corr:int -> now:float -> unit
+val complete : Aitf_engine.Sim.t -> corr:int -> unit
 (** Mark the request completed (long filter installed). Fires the SLO
-    breach callback ({!set_slo}) when [now - opened_at] exceeds the
-    objective. First completion wins. Orphan placeholders record the
+    breach callback ({!set_slo}) when the time since [opened_at] exceeds
+    the objective. First completion wins. Orphan placeholders record the
     completion but defer SLO evaluation to {!merge_into}. *)
 
 val set_slo : t -> seconds:float -> (root -> unit) -> unit

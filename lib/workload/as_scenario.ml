@@ -11,6 +11,7 @@ module Adversary = Aitf_adversary.Adversary
 module Span = Aitf_obs.Span
 module Flight = Aitf_obs.Flight
 module Metrics = Aitf_obs.Metrics
+module Profile = Aitf_obs.Profile
 module Json = Aitf_obs.Json
 open Aitf_net
 open Aitf_core
@@ -121,74 +122,63 @@ let run p =
          shards);
   let sched = Sched.create ~shards () in
   let sim = Sched.global sched in
-  (* Shard-clean tracing: each worker domain gets its own span collector
-     (orphan mode on — roots for ids minted in other shards materialise as
-     placeholders) plus disjoint correlation-id and packet-id strides
-     (SPIE digests hash packet ids); [Span.merge_into]
-     reunites everything after the run. The master collector also runs in
-     orphan mode while sharded: coordinator-context recording (the fluid
-     mirror) sees shard-minted ids too. Workers mint from their stride
-     whether or not tracing is on — minting is unconditional protocol
-     work and must stay race-free. *)
-  let master_span = Span.attached () in
+  (* Every world copied the caller's run context; concurrent shards must
+     not share it. Each shard world gets its own span collector (orphan
+     mode: roots for ids minted in other shards become placeholders),
+     flight ring (shard-suffixed dump path) and profiler, merged after the
+     run, and a disjoint correlation-id base, used whether or not tracing
+     is on; each worker domain a disjoint packet-id stride (SPIE digests
+     hash packet ids). *)
+  let sharded = shards > 1 in
+  let shard_sims =
+    if sharded then Array.to_list (Sched.shard_sims sched) else []
+  in
+  let master_span = Sim.get sim Span.key in
   let shard_spans =
-    if shards <= 1 then [||]
-    else
-      match master_span with
-      | None -> [||]
-      | Some m ->
-        Span.set_allow_orphans m true;
-        Array.init shards (fun _ ->
-            let c = Span.create () in
-            Span.set_allow_orphans c true;
-            c)
+    match master_span with
+    | None -> []
+    | Some _ ->
+      List.map
+        (fun s ->
+          let c = Span.create () in
+          Span.set_allow_orphans c true;
+          Sim.set s Span.key (Some c);
+          c)
+        shard_sims
   in
-  if shards > 1 then
-    Sched.set_worker_init sched (fun ~shard ->
-        Packet.bind_domain ~id_base:((shard + 1) lsl 40);
-        Span.bind_domain
-          ?collector:
-            (if shard_spans = [||] then None else Some shard_spans.(shard))
-          ~mint_base:((shard + 1) lsl 24)
-          ());
-  (* Per-shard flight-recorder rings, merged into the attached master in
-     (time, shard, seq) order after the run. Shard-suffixed auto-dump
-     paths keep SLO dumps from different shards out of each other's
-     files. *)
-  let master_flight = Flight.attached () in
+  let master_flight = Sim.get sim Flight.key in
   let shard_flights =
-    if shards <= 1 then [||]
-    else
-      match master_flight with
-      | None -> [||]
-      | Some m ->
-        Array.init shards (fun i ->
-            let f = Flight.create ~capacity:(Flight.capacity m) in
-            Flight.set_shard f i;
-            Flight.set_dump_path f (Flight.dump_path m);
-            Flight.attach_to f (Sched.shard_sim sched i);
-            f)
+    match master_flight with
+    | None -> []
+    | Some m ->
+      List.mapi
+        (fun i s ->
+          let f = Flight.create ~capacity:(Flight.capacity m) in
+          Flight.set_shard f i;
+          Flight.set_dump_path f (Flight.dump_path m);
+          Sim.set s Flight.key (Some f);
+          f)
+        shard_sims
   in
-  Metrics.if_attached (fun reg ->
-      if not (Metrics.registered reg "sched.windows") then
-        Sched.register_metrics sched reg ~prefix:"sched");
-  if shards > 1 && Metrics.attached () <> None then
-    Sched.set_window_log sched ~max:20_000;
-  (* Concurrent shards must not share the default profiler probe their sims
-     inherited at create: give each shard its own buckets ([Profile.merge]
-     recombines them for reporting). The global sim keeps the inherited
-     probe — it only ever runs on the coordinator. *)
   let shard_profiles =
-    if shards <= 1 || not (Aitf_obs.Profile.enabled ()) then []
-    else
-      Array.to_list
-        (Array.map
-           (fun s ->
-             let pr = Aitf_obs.Profile.create () in
-             Aitf_obs.Profile.attach_to pr s;
-             pr)
-           (Sched.shard_sims sched))
+    List.filter_map
+      (fun s ->
+        if not (Profile.enabled s) then None
+        else begin
+          let pr = Profile.create () in
+          Sim.set s Sim.profiler (Some (Profile.probe pr));
+          Some pr
+        end)
+      shard_sims
   in
+  List.iteri (fun i s -> Span.set_mint_base s ((i + 1) lsl 24)) shard_sims;
+  if sharded then
+    Sched.set_worker_init sched (fun ~shard ->
+        Packet.bind_domain ~id_base:((shard + 1) lsl 40));
+  Metrics.if_attached sim (fun reg ->
+      if not (Metrics.registered reg "sched.windows") then
+        Sched.register_metrics sched reg ~prefix:"sched";
+      if sharded then Sched.set_window_log sched ~max:20_000);
   let rng = Rng.create ~seed:p.as_seed in
   (* Generation is plan -> (picks) -> partition -> materialise: the picks
      draw from the same stream position as they did when [As_graph.build]
@@ -429,20 +419,21 @@ let run p =
              sample (t +. p.as_sample_period)))
   in
   sample p.as_sample_period;
-  Sched.run ~until:p.as_duration sched;
-  (* Reunite the per-shard observability state: spans re-keyed into
-     canonical order, flight records interleaved by (time, shard, seq).
-     Shard rings detach so the next run in this process starts clean. *)
+  (* The master collector sees shard-minted ids too while sharded, so it
+     runs in orphan mode until the merge re-keys everything canonically,
+     and leaves it again even on a raise, so that reusing it later keeps
+     sequential semantics. *)
   (match master_span with
-  | Some m when shard_spans <> [||] ->
-    Span.merge_into m (Array.to_list shard_spans)
-  | Some _ | None -> ());
+  | Some m when sharded ->
+    Span.set_allow_orphans m true;
+    Fun.protect
+      ~finally:(fun () -> Span.set_allow_orphans m false)
+      (fun () ->
+        Sched.run ~until:p.as_duration sched;
+        Span.merge_into m shard_spans)
+  | Some _ | None -> Sched.run ~until:p.as_duration sched);
   (match master_flight with
-  | Some m when shard_flights <> [||] ->
-    Flight.merge_into m (Array.to_list shard_flights);
-    Array.iteri
-      (fun i _ -> Flight.detach_from (Sched.shard_sim sched i))
-      shard_flights
+  | Some m when sharded -> Flight.merge_into m shard_flights
   | Some _ | None -> ());
   let slots_peak =
     Array.fold_left

@@ -1,6 +1,7 @@
 module Json = Aitf_obs.Json
 module Span = Aitf_obs.Span
 module Profile = Aitf_obs.Profile
+module Sim = Aitf_engine.Sim
 module Series = Aitf_stats.Series
 module Fault = Aitf_fault.Fault
 module Adversary = Aitf_adversary.Adversary
@@ -463,23 +464,24 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* One cell, instrumented: fresh span collector (corr ids rewound so the
-   digest is order-independent), the engine profiler for queue depth and
-   event count, GC delta and the caller's clock for the perf trajectory.
-   Spans are always collected — sharded internet cells record into
-   per-shard collectors (workers mint on per-shard id strides) that
-   As_scenario merges canonically back into [sp], so the document's span
-   section and [cr_digest] are real fingerprints at any shard count. *)
-let run_cell ?(shards = 1) ~clock cell =
+(* One cell, instrumented: fresh span collector (the cell's fresh world
+   mints corr ids from 1, so the digest is order-independent), the engine
+   profiler for queue depth and event count, GC delta and the run
+   context's wall clock for the perf trajectory. Spans are always
+   collected — sharded internet cells record into per-shard collectors
+   (shards mint from disjoint bases) that As_scenario merges canonically
+   back into [sp], so the document's span section and [cr_digest] are
+   real fingerprints at any shard count. *)
+let run_cell ?(shards = 1) cell =
   (* A cell pinned to a shard count keeps it; the caller's --shards
      overrides only the unpinned (1-shard) cells. *)
   let shards = if shards > 1 then shards else cell.shards in
-  Span.reset_mint ();
   let sp = Span.create () in
   Span.attach sp;
   let prof = Profile.create () in
   Profile.attach prof;
   let a0 = Gc.allocated_bytes () in
+  let clock = Sim.ambient Sim.clock in
   let t0 = clock () in
   let outcome, series =
     Fun.protect
@@ -558,7 +560,7 @@ let pair_up results =
             [ "good_received_bytes"; "attack_received_bytes" ])
     results
 
-let run ?(clock = Sys.time) ?(only = []) ?(smoke = false) ?(bless = false)
+let run ?(only = []) ?(smoke = false) ?(bless = false)
     ?(shards = 1) ~goldens_dir () =
   if shards < 1 then invalid_arg "Matrix.run: shards must be >= 1";
   let selected =
@@ -571,7 +573,7 @@ let run ?(clock = Sys.time) ?(only = []) ?(smoke = false) ?(bless = false)
   let results =
     List.map
       (fun c ->
-        let r = run_cell ~shards ~clock c in
+        let r = run_cell ~shards c in
         let path = Filename.concat goldens_dir (c.id ^ ".json") in
         let status =
           if bless then begin

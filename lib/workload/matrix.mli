@@ -48,7 +48,7 @@ val agreement_threshold : float
 (** Relative packet-vs-hybrid difference gated on — 0.10, as in E17. *)
 
 type perf = {
-  wall : float;  (** seconds, by the caller's clock *)
+  wall : float;  (** seconds, by the ambient [Sim.clock] *)
   alloc_bytes : float;  (** GC-allocated bytes during the cell *)
   peak_queue : int;  (** peak event-queue depth (engine profiler) *)
   engine_events : int;  (** discrete events executed *)
@@ -91,7 +91,6 @@ type summary = {
 }
 
 val run :
-  ?clock:(unit -> float) ->
   ?only:string list ->
   ?smoke:bool ->
   ?bless:bool ->
@@ -102,10 +101,10 @@ val run :
 (** Execute the matrix (all cells, the [?smoke] subset, or just [?only]
     ids) and byte-compare each document against
     [goldens_dir/<id>.json]. [?bless] writes the documents instead of
-    comparing (creating the directory if needed). [?clock] supplies
-    wall-clock readings for {!perf} (default {!Sys.time}; the CLI passes
-    a real-time clock). Correlation-id minting is reset before every
-    cell, so each document is independent of execution order.
+    comparing (creating the directory if needed). {!perf}'s wall time is
+    read off the ambient [Sim.clock]. Every cell runs in fresh worlds,
+    whose correlation ids start at 1, so each document is independent
+    of execution order.
 
     [?shards > 1] runs every unpinned internet cell (contract cells
     included — the auditor replays through the scheduler's defer seam) on

@@ -302,7 +302,7 @@ let run_chain ?sched params =
   let sampler =
     Option.map
       (fun reg -> Aitf_obs.Sampler.start ~interval:params.sample_period sim reg)
-      (Aitf_obs.Metrics.attached ())
+      (Sim.get sim Aitf_obs.Metrics.key)
   in
   run_sched ?sched ~until:params.duration sim;
   let attack_offered_bytes =
@@ -576,7 +576,7 @@ let run_flood ?sched p =
     Option.map
       (fun reg ->
         Aitf_obs.Sampler.start ~interval:p.flood_sample_period sim reg)
-      (Aitf_obs.Metrics.attached ())
+      (Sim.get sim Aitf_obs.Metrics.key)
   in
   run_sched ?sched ~until:p.flood_duration sim;
   let filters_at gws =
@@ -758,7 +758,7 @@ let run_swarm ?sched p =
     Option.map
       (fun reg ->
         Aitf_obs.Sampler.start ~interval:p.swarm_sample_period sim reg)
-      (Aitf_obs.Metrics.attached ())
+      (Sim.get sim Aitf_obs.Metrics.key)
   in
   Sim.run ~until:p.swarm_duration sim;
   let all_gws =

@@ -750,7 +750,8 @@ let test_link_one_event_per_hop () =
 let test_link_no_tx_event () =
   let sim = Sim.create () in
   let labels = Hashtbl.create 4 in
-  Sim.set_profile_hook sim (fun label _ _ -> Hashtbl.replace labels label ());
+  Sim.set sim Sim.profiler
+    (Some (fun label _ _ -> Hashtbl.replace labels label ()));
   let l =
     Link.create sim ~name:"busy" ~bandwidth:8000. ~delay:0.1
       ~queue_capacity:1500

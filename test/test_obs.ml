@@ -61,16 +61,19 @@ let test_timer_observe () =
 let test_attach_detach () =
   Metrics.detach ();
   checkb "starts detached" true (Metrics.attached () = None);
-  checkb "timer when detached" true (Metrics.timer_if_attached "t" = None);
+  let detached = Sim.create () in
+  checkb "timer when detached" true
+    (Metrics.timer_if_attached detached "t" = None);
   let hit = ref false in
-  Metrics.if_attached (fun _ -> hit := true);
+  Metrics.if_attached detached (fun _ -> hit := true);
   checkb "if_attached no-op" false !hit;
   let reg = Metrics.create () in
   Metrics.attach reg;
   Fun.protect ~finally:Metrics.detach (fun () ->
-      Metrics.if_attached (fun _ -> hit := true);
+      let sim = Sim.create () in
+      Metrics.if_attached sim (fun _ -> hit := true);
       checkb "if_attached runs" true !hit;
-      checkb "timer registers" true (Metrics.timer_if_attached "t" <> None);
+      checkb "timer registers" true (Metrics.timer_if_attached sim "t" <> None);
       checkb "timer named" true (Metrics.registered reg "t"));
   checkb "detached again" true (Metrics.attached () = None)
 

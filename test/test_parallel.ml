@@ -1,7 +1,7 @@
 (* Parallel engine: 1-shard bit-identity against the sequential engine,
    conservative message ordering under random shard topologies,
    multi-shard determinism and 1-vs-N agreement, zero-lookahead
-   rejection, and per-instance profiler-hook isolation. *)
+   rejection, and one run context per world. *)
 
 module Sim = Aitf_engine.Sim
 module Sched = Aitf_parallel.Sched
@@ -253,40 +253,123 @@ let test_zero_lookahead_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* --- per-instance profiler hooks --------------------------------------------- *)
+(* --- one run context per world ---------------------------------------------- *)
 
-let test_profile_hook_per_instance () =
-  let module Profile = Aitf_obs.Profile in
-  let sim_a = Sim.create () and sim_b = Sim.create () in
-  let pa = Profile.create () in
-  Profile.attach_to pa sim_a;
-  let burn sim n =
-    for i = 1 to n do
-      ignore (Sim.after sim (float_of_int i) (fun () -> ()))
-    done;
-    Sim.run sim
+module Span = Aitf_obs.Span
+module Flight = Aitf_obs.Flight
+module Profile = Aitf_obs.Profile
+
+(* A Figure-1 chain in a fresh world: a complying attacker flooding the
+   victim from [start], so links, gateways and the victim all record. *)
+let chain_world ~start =
+  let module Chain = Aitf_topo.Chain in
+  let module Host_agent = Aitf_core.Host_agent in
+  let sim = Sim.create () in
+  let topo = Chain.build sim Chain.default_spec in
+  let d =
+    Chain.deploy ~attacker_strategy:Aitf_core.Policy.Complies
+      ~config:(Config.with_timescale Config.default 0.1)
+      ~rng:(Aitf_engine.Rng.create ~seed:1) topo
   in
-  burn sim_a 5;
-  burn sim_b 7;
-  checki "instance probe saw only its own sim" 5 (Profile.events pa);
-  Profile.detach_from sim_a;
-  burn sim_a 3;
-  checki "detached probe sees nothing further" 5 (Profile.events pa);
-  (* The default probe is inherited at [Sim.create] only, so worlds that
-     existed beforehand — and worlds with their own probe — are
-     unaffected by it. *)
-  let pd = Profile.create () in
-  Profile.attach pd;
-  let sim_c = Sim.create () in
-  let pc = Profile.create () in
-  Profile.attach_to pc sim_c;
-  burn sim_c 4;
-  burn sim_b 2;
-  Profile.detach ();
-  checki "attach_to overrides the inherited default" 4 (Profile.events pc);
-  checki "default probe untouched by overridden sims" 0 (Profile.events pd);
-  let merged = Profile.merge [ pa; pc ] in
-  checki "merge sums events" 9 (Profile.events merged)
+  let (_ : Aitf_workload.Traffic.t) =
+    Aitf_workload.Traffic.cbr
+      ~gate:(Host_agent.Attacker.gate d.Chain.attacker_agent)
+      ~start ~attack:true ~flow_id:1 ~rate:2e6
+      ~dst:topo.Chain.victim.Aitf_net.Node.addr topo.Chain.net
+      topo.Chain.attacker
+  in
+  sim
+
+let horizon = 5.0
+
+type context = { sp : Span.t; fl : Flight.t; pr : Profile.t }
+
+(* Attach a fresh collector, ring and profiler, create a world under them,
+   then detach again: the world keeps what it copied. *)
+let world_with_context ~start =
+  let c =
+    {
+      sp = Span.create ();
+      fl = Flight.create ~capacity:512;
+      pr = Profile.create ();
+    }
+  in
+  Span.attach c.sp;
+  Flight.attach c.fl;
+  Profile.attach c.pr;
+  let sim =
+    Fun.protect
+      ~finally:(fun () ->
+        Profile.detach ();
+        Flight.detach ();
+        Span.detach ())
+      (fun () -> chain_world ~start)
+  in
+  (sim, c)
+
+let bucket_counts pr =
+  List.sort compare (List.map (fun (l, (n, _)) -> (l, n)) (Profile.buckets pr))
+
+let test_two_worlds_two_contexts () =
+  (* Reference runs, each world alone. *)
+  let run_alone ~start =
+    let sim, c = world_with_context ~start in
+    Sim.run ~until:horizon sim;
+    c
+  in
+  let ref_a = run_alone ~start:1.0 and ref_b = run_alone ~start:1.5 in
+  (* The same two worlds side by side, plus one created before any
+     attach, their events interleaved one at a time. *)
+  let bare = chain_world ~start:1.0 in
+  let sim_a, a = world_with_context ~start:1.0 in
+  let sim_b, b = world_with_context ~start:1.5 in
+  let step sim =
+    match Sim.next_time sim with
+    | Some t when t <= horizon -> Sim.step sim
+    | Some _ | None -> false
+  in
+  let rec interleave () =
+    let ra = step sim_a in
+    let rb = step sim_b in
+    let rc = step bare in
+    if ra || rb || rc then interleave ()
+  in
+  interleave ();
+  List.iter
+    (fun (name, sim, c, r) ->
+      let roots = Span.roots c.sp in
+      checkb (name ^ ": spans recorded") true (roots <> []);
+      Alcotest.(check string)
+        (name ^ ": collector holds only its world's trace")
+        (Span.digest r.sp) (Span.digest c.sp);
+      checki (name ^ ": corr ids start at 1") 1 (List.hd roots).Span.corr;
+      checkb (name ^ ": ring holds only its world's records") true
+        (Flight.records c.fl <> []
+        && Flight.records c.fl = Flight.records r.fl);
+      checki (name ^ ": profiler timed only its world's events")
+        (Sim.events_processed sim) (Profile.events c.pr);
+      checkb (name ^ ": profiler buckets match the lone run") true
+        (bucket_counts c.pr = bucket_counts r.pr))
+    [ ("A", sim_a, a, ref_a); ("B", sim_b, b, ref_b) ];
+  checkb "the worlds differ" true (Span.digest a.sp <> Span.digest b.sp);
+  checkb "a world created before attach has no collector" false
+    (Span.enabled bare);
+  checkb "... no ring" false (Flight.enabled bare);
+  checkb "... and no profiler" false (Profile.enabled bare);
+  checkb "... yet it ran" true (Sim.events_processed bare > 0);
+  (* A probe removed from one world stops counting there only. *)
+  let before = Profile.events a.pr in
+  Sim.set sim_a Sim.profiler None;
+  Sim.run ~until:(horizon +. 1.) sim_a;
+  Sim.run ~until:(horizon +. 1.) sim_b;
+  checkb "both worlds ran on" true
+    (Profile.events b.pr > Profile.events ref_b.pr);
+  checki "removed probe sees nothing further" before (Profile.events a.pr);
+  checki "the other world's probe still counts" (Sim.events_processed sim_b)
+    (Profile.events b.pr);
+  checki "merge sums events"
+    (Profile.events a.pr + Profile.events b.pr)
+    (Profile.events (Profile.merge [ a.pr; b.pr ]))
 
 (* --- guard rails -------------------------------------------------------------- *)
 
@@ -299,11 +382,7 @@ let test_bad_shards_rejected () =
 
 (* --- observability composes with sharding ------------------------------------- *)
 
-module Span = Aitf_obs.Span
-module Flight = Aitf_obs.Flight
-
 let traced_run p =
-  Span.reset_mint ();
   let sp = Span.create () in
   Span.attach sp;
   Fun.protect ~finally:Span.detach (fun () -> (As_scenario.run p, sp))
@@ -315,7 +394,6 @@ let test_traced_equals_untraced () =
      count. *)
   List.iter
     (fun shards ->
-      Span.reset_mint ();
       let plain = As_scenario.run (small_internet shards) in
       let traced, sp = traced_run (small_internet shards) in
       checkb
@@ -338,6 +416,17 @@ let test_span_digest_shard_invariant () =
   let d1 = digest 1 and d2 = digest 2 and d4 = digest 4 in
   Alcotest.(check string) "digest: 1 shard = 2 shards" d1 d2;
   Alcotest.(check string) "digest: 1 shard = 4 shards" d1 d4
+
+(* A sharded run lends the caller's collector to orphan mode only for the
+   run: afterwards it ignores unknown correlation ids again. *)
+let test_master_collector_restored () =
+  let _, sp = traced_run (small_internet 2) in
+  let roots = List.length (Span.roots sp) in
+  Span.attach sp;
+  let sim = Fun.protect ~finally:Span.detach Sim.create in
+  Span.event sim ~corr:999_999 "stray";
+  Span.root_event sim ~corr:999_999 "stray";
+  checki "no root for an unknown corr" roots (List.length (Span.roots sp))
 
 let test_contracts_compose_with_shards () =
   let p shards =
@@ -424,8 +513,8 @@ let () =
         ] );
       ( "hooks",
         [
-          Alcotest.test_case "profiler hooks are per-instance" `Quick
-            test_profile_hook_per_instance;
+          Alcotest.test_case "two worlds, two contexts" `Quick
+            test_two_worlds_two_contexts;
           Alcotest.test_case "bad shard counts rejected" `Quick
             test_bad_shards_rejected;
         ] );
@@ -435,6 +524,8 @@ let () =
             test_traced_equals_untraced;
           Alcotest.test_case "span digest is shard-invariant" `Slow
             test_span_digest_shard_invariant;
+          Alcotest.test_case "master collector leaves orphan mode" `Quick
+            test_master_collector_restored;
           Alcotest.test_case "contracts compose with shards" `Slow
             test_contracts_compose_with_shards;
           Alcotest.test_case "flight recorder composes with shards" `Quick

@@ -32,34 +32,52 @@ let contains ~sub s =
 
 (* --- span collector mechanics ---------------------------------------------- *)
 
+(* A fresh world recording into a fresh collector, attached before the
+   world is created (the snapshot rule). Recording calls stamp the world's
+   clock, which the tests move with [Sim.advance_to]. *)
 let with_collector f =
   let t = Span.create () in
   Span.attach t;
-  Fun.protect ~finally:Span.detach (fun () -> f t)
+  let sim = Fun.protect ~finally:Span.detach Sim.create in
+  f sim t
 
 let test_mint_monotone () =
-  let a = Span.mint () in
-  let b = Span.mint () in
+  let sim = Sim.create () in
+  let a = Span.mint sim in
+  let b = Span.mint sim in
+  checki "a fresh world mints from 1" 1 a;
   checkb "minting increments" true (b = a + 1);
   (* minting is independent of attachment *)
-  with_collector (fun _ -> ());
-  let c = Span.mint () in
-  checkb "still monotone" true (c = b + 1)
+  with_collector (fun _ _ -> ());
+  let c = Span.mint sim in
+  checkb "still monotone" true (c = b + 1);
+  let shard = Sim.create () in
+  Span.set_mint_base shard (1 lsl 24);
+  checki "a mint base offsets the world's ids" ((1 lsl 24) + 1)
+    (Span.mint shard)
 
 let test_span_lifecycle () =
-  with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"a -> v" ~victim:"V" ~now:1.0;
-      Span.start ~corr ~stage:Span.Detect ~node:"V" ~now:1.0;
-      Span.event ~corr ~now:1.05 "spotted";
-      Span.finish ~corr ~stage:Span.Detect ~now:1.1 ();
-      Span.start ~corr ~stage:Span.Request ~node:"V" ~now:1.1;
-      Span.finish ~corr ~stage:Span.Request ~now:1.2 ();
-      Span.complete ~corr ~now:1.5;
+  with_collector (fun sim t ->
+      let corr = Span.mint sim in
+      Sim.advance_to sim 1.0;
+      Span.root sim ~corr ~flow:"a -> v" ~victim:"V";
+      Span.start sim ~corr ~stage:Span.Detect ~node:"V";
+      Sim.advance_to sim 1.05;
+      Span.event sim ~corr "spotted";
+      Sim.advance_to sim 1.1;
+      Span.finish sim ~corr ~stage:Span.Detect;
+      Span.start sim ~corr ~stage:Span.Request ~node:"V";
+      Sim.advance_to sim 1.2;
+      Span.finish sim ~corr ~stage:Span.Request;
+      Sim.advance_to sim 1.5;
+      Span.complete sim ~corr;
       (* a corr with no root (forged request, corr 0) records nothing *)
-      Span.start ~corr:0 ~stage:Span.Request ~node:"X" ~now:9.;
-      Span.finish ~corr:0 ~stage:Span.Request ~now:9.1 ();
-      Span.event ~corr:0 ~now:9.2 "ignored";
+      Sim.advance_to sim 9.;
+      Span.start sim ~corr:0 ~stage:Span.Request ~node:"X";
+      Sim.advance_to sim 9.1;
+      Span.finish sim ~corr:0 ~stage:Span.Request;
+      Sim.advance_to sim 9.2;
+      Span.event sim ~corr:0 "ignored";
       checki "one root" 1 (List.length (Span.roots t));
       let r = Option.get (Span.find_root t corr) in
       checks "flow" "a -> v" r.Span.flow;
@@ -73,13 +91,15 @@ let test_span_lifecycle () =
       checki "completed roots" 1 (List.length (Span.completed_roots t)))
 
 let test_finish_is_node_scoped () =
-  with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"f" ~victim:"V" ~now:0.;
+  with_collector (fun sim t ->
+      let corr = Span.mint sim in
+      Span.root sim ~corr ~flow:"f" ~victim:"V";
       (* the same stage open on two nodes at once, as during escalation *)
-      Span.start ~corr ~stage:Span.Temp_filter ~node:"G1" ~now:0.;
-      Span.start ~corr ~stage:Span.Temp_filter ~node:"G2" ~now:1.;
-      Span.finish ~node:"G1" ~corr ~stage:Span.Temp_filter ~now:2. ();
+      Span.start sim ~corr ~stage:Span.Temp_filter ~node:"G1";
+      Sim.advance_to sim 1.;
+      Span.start sim ~corr ~stage:Span.Temp_filter ~node:"G2";
+      Sim.advance_to sim 2.;
+      Span.finish ~node:"G1" sim ~corr ~stage:Span.Temp_filter;
       let r = Option.get (Span.find_root t corr) in
       let by_node n =
         List.find (fun s -> s.Span.node = n) (Span.spans_of r)
@@ -87,31 +107,37 @@ let test_finish_is_node_scoped () =
       checkb "G1 closed" true ((by_node "G1").Span.finished_at = Some 2.);
       checkb "G2 still open" true ((by_node "G2").Span.finished_at = None);
       (* finishing a stage nobody opened is a no-op, not an error *)
-      Span.finish ~corr ~stage:Span.Verification ~now:3. ())
+      Sim.advance_to sim 3.;
+      Span.finish sim ~corr ~stage:Span.Verification)
 
 let test_nonce_binding () =
-  with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"f" ~victim:"V" ~now:0.;
-      Span.bind_nonce ~corr ~nonce:77L;
-      checkb "nonce resolves" true (Span.corr_of_nonce ~nonce:77L = Some corr);
-      checkb "unknown nonce" true (Span.corr_of_nonce ~nonce:1L = None);
-      Span.event_by_nonce ~nonce:77L ~now:0.5 "fault-dropped-query";
-      Span.event_by_nonce ~nonce:1L ~now:0.5 "ignored";
+  with_collector (fun sim t ->
+      let corr = Span.mint sim in
+      Span.root sim ~corr ~flow:"f" ~victim:"V";
+      Span.bind_nonce sim ~corr ~nonce:77L;
+      checkb "nonce resolves" true
+        (Span.corr_of_nonce sim ~nonce:77L = Some corr);
+      checkb "unknown nonce" true (Span.corr_of_nonce sim ~nonce:1L = None);
+      Sim.advance_to sim 0.5;
+      Span.event_by_nonce sim ~nonce:77L "fault-dropped-query";
+      Span.event_by_nonce sim ~nonce:1L "ignored";
       let r = Option.get (Span.find_root t corr) in
       checki "event landed at root" 1 (List.length r.Span.root_events))
 
 let test_slo_fires_on_breach () =
-  with_collector (fun t ->
+  with_collector (fun sim t ->
       let breached = ref [] in
       Span.set_slo t ~seconds:1.0 (fun r -> breached := r.Span.corr :: !breached);
-      let fast = Span.mint () in
-      Span.root ~corr:fast ~flow:"fast" ~victim:"V" ~now:0.;
-      Span.complete ~corr:fast ~now:0.5;
-      let slow = Span.mint () in
-      Span.root ~corr:slow ~flow:"slow" ~victim:"V" ~now:0.;
-      Span.complete ~corr:slow ~now:2.0;
-      Span.complete ~corr:slow ~now:9.0;
+      let fast = Span.mint sim in
+      Span.root sim ~corr:fast ~flow:"fast" ~victim:"V";
+      let slow = Span.mint sim in
+      Span.root sim ~corr:slow ~flow:"slow" ~victim:"V";
+      Sim.advance_to sim 0.5;
+      Span.complete sim ~corr:fast;
+      Sim.advance_to sim 2.0;
+      Span.complete sim ~corr:slow;
+      Sim.advance_to sim 9.0;
+      Span.complete sim ~corr:slow;
       (* duplicate completion: first wins, no second callback *)
       checkb "only the slow root breached" true (!breached = [ slow ]);
       let r = Option.get (Span.find_root t slow) in
@@ -121,16 +147,21 @@ let test_slo_fires_on_breach () =
    finish before the next one's start); each event carries the node that
    recorded it, falling back to its span's node, then to the victim. *)
 let test_timeline () =
-  with_collector (fun t ->
+  with_collector (fun sim t ->
       let corr = 7 in
-      Span.root ~corr ~flow:"a -> v" ~victim:"V" ~now:0.;
-      Span.start ~corr ~stage:Span.Detect ~node:"V" ~now:0.;
-      Span.finish ~corr ~stage:Span.Detect ~now:0.1 ();
-      Span.start ~corr ~stage:Span.Temp_filter ~node:"G" ~now:0.1;
-      Span.event ~corr ~now:0.2 "in span";
-      Span.finish ~corr ~stage:Span.Temp_filter ~now:0.3 ();
-      Span.event ~node:"H" ~corr ~now:0.4 "named node";
-      Span.root_event ~corr ~now:0.05 "at root";
+      Span.root sim ~corr ~flow:"a -> v" ~victim:"V";
+      Span.start sim ~corr ~stage:Span.Detect ~node:"V";
+      Sim.advance_to sim 0.05;
+      Span.root_event sim ~corr "at root";
+      Sim.advance_to sim 0.1;
+      Span.finish sim ~corr ~stage:Span.Detect;
+      Span.start sim ~corr ~stage:Span.Temp_filter ~node:"G";
+      Sim.advance_to sim 0.2;
+      Span.event sim ~corr "in span";
+      Sim.advance_to sim 0.3;
+      Span.finish sim ~corr ~stage:Span.Temp_filter;
+      Sim.advance_to sim 0.4;
+      Span.event ~node:"H" sim ~corr "named node";
       checks "timeline"
         (String.concat ""
            [
@@ -147,9 +178,11 @@ let test_timeline () =
 
 (* --- shard merge ------------------------------------------------------------ *)
 
-let record_into c f =
-  Span.attach c;
-  Fun.protect ~finally:Span.detach f
+(* A world recording into collector [c] — one per shard of a parallel run. *)
+let world_of c =
+  let sim = Sim.create () in
+  Sim.set sim Span.key (Some c);
+  sim
 
 let shard_collector () =
   let c = Span.create () in
@@ -157,15 +190,17 @@ let shard_collector () =
   c
 
 let test_root_event_ignores_open_spans () =
-  with_collector (fun t ->
-      let corr = Span.mint () in
-      Span.root ~corr ~flow:"f" ~victim:"V" ~now:0.;
-      Span.start ~corr ~stage:Span.Temp_filter ~node:"G" ~now:0.;
-      Span.event ~corr ~now:0.1 "lands in the open span";
+  with_collector (fun sim t ->
+      let corr = Span.mint sim in
+      Span.root sim ~corr ~flow:"f" ~victim:"V";
+      Span.start sim ~corr ~stage:Span.Temp_filter ~node:"G";
+      Sim.advance_to sim 0.1;
+      Span.event sim ~corr "lands in the open span";
       (* root_event must bypass the open span: "newest open span" depends
          on which collector saw which opens, so shard-layout-invariant
          sources (fluid mirror, auditors) pin to the root instead *)
-      Span.root_event ~corr ~now:0.2 "lands at the root";
+      Sim.advance_to sim 0.2;
+      Span.root_event sim ~corr "lands at the root";
       let r = Option.get (Span.find_root t corr) in
       checki "root got exactly one" 1 (List.length r.Span.root_events);
       checks "the right one" "lands at the root"
@@ -177,18 +212,25 @@ let test_merge_reunites_orphans () =
   let master = shard_collector () in
   let sa = shard_collector () and sb = shard_collector () in
   (* root + detect live in shard A... *)
-  record_into sa (fun () ->
-      Span.root ~corr:7 ~flow:"a -> v" ~victim:"V" ~now:1.0;
-      Span.start ~corr:7 ~stage:Span.Detect ~node:"V" ~now:1.0;
-      Span.finish ~corr:7 ~stage:Span.Detect ~now:1.1 ());
+  let a = world_of sa in
+  Sim.advance_to a 1.0;
+  Span.root a ~corr:7 ~flow:"a -> v" ~victim:"V";
+  Span.start a ~corr:7 ~stage:Span.Detect ~node:"V";
+  Sim.advance_to a 1.1;
+  Span.finish a ~corr:7 ~stage:Span.Detect;
   (* ...while the attacker-side stages land in shard B as an orphan
      placeholder, plus a forged id with no real root anywhere *)
-  record_into sb (fun () ->
-      Span.start ~corr:7 ~stage:Span.Verification ~node:"G" ~now:1.2;
-      Span.finish ~corr:7 ~stage:Span.Verification ~now:1.4 ();
-      Span.complete ~corr:7 ~now:1.5;
-      Span.start ~corr:999 ~stage:Span.Request ~node:"X" ~now:2.;
-      Span.finish ~corr:999 ~stage:Span.Request ~now:2.1 ());
+  let b = world_of sb in
+  Sim.advance_to b 1.2;
+  Span.start b ~corr:7 ~stage:Span.Verification ~node:"G";
+  Sim.advance_to b 1.4;
+  Span.finish b ~corr:7 ~stage:Span.Verification;
+  Sim.advance_to b 1.5;
+  Span.complete b ~corr:7;
+  Sim.advance_to b 2.;
+  Span.start b ~corr:999 ~stage:Span.Request ~node:"X";
+  Sim.advance_to b 2.1;
+  Span.finish b ~corr:999 ~stage:Span.Request;
   Span.merge_into master [ sa; sb ];
   checki "forged orphan dropped, real root kept" 1
     (List.length (Span.roots master));
@@ -210,16 +252,21 @@ let test_digest_shard_layout_invariant () =
      must produce the same digest: canonical re-keying erases both the
      raw ids and the shard layout *)
   let record ~c1 ~c2 ~(into : int -> Span.t) =
-    record_into (into 0) (fun () ->
-        Span.root ~corr:c1 ~flow:"f1" ~victim:"V" ~now:0.;
-        Span.start ~corr:c1 ~stage:Span.Request ~node:"V" ~now:0.;
-        Span.finish ~corr:c1 ~stage:Span.Request ~now:0.2 ());
-    record_into (into 1) (fun () ->
-        Span.root_event ~corr:c1 ~now:0.3 "fluid-mirror-install";
-        Span.complete ~corr:c1 ~now:0.4;
-        Span.root ~corr:c2 ~flow:"f2" ~victim:"W" ~now:0.1;
-        Span.start ~corr:c2 ~stage:Span.Detect ~node:"W" ~now:0.1;
-        Span.finish ~corr:c2 ~stage:Span.Detect ~now:0.15 ())
+    let w = world_of (into 0) in
+    Span.root w ~corr:c1 ~flow:"f1" ~victim:"V";
+    Span.start w ~corr:c1 ~stage:Span.Request ~node:"V";
+    Sim.advance_to w 0.2;
+    Span.finish w ~corr:c1 ~stage:Span.Request;
+    let w = world_of (into 1) in
+    Sim.advance_to w 0.1;
+    Span.root w ~corr:c2 ~flow:"f2" ~victim:"W";
+    Span.start w ~corr:c2 ~stage:Span.Detect ~node:"W";
+    Sim.advance_to w 0.15;
+    Span.finish w ~corr:c2 ~stage:Span.Detect;
+    Sim.advance_to w 0.3;
+    Span.root_event w ~corr:c1 "fluid-mirror-install";
+    Sim.advance_to w 0.4;
+    Span.complete w ~corr:c1
   in
   let seq = Span.create () in
   Span.set_allow_orphans seq true;
@@ -246,12 +293,12 @@ let test_digest_shard_layout_invariant () =
 let test_flight_ring_bounds () =
   let f = Flight.create ~capacity:4 in
   Flight.attach f;
-  Fun.protect ~finally:Flight.detach (fun () ->
-      for i = 1 to 10 do
-        Flight.note ~time:(float_of_int i) ~node:"A" ~link:"A->B"
-          ~kind:(if i mod 2 = 0 then Flight.Enqueue else Flight.Dequeue)
-          ~size:1000 ~queue_depth:i ()
-      done);
+  let sim = Fun.protect ~finally:Flight.detach Sim.create in
+  for i = 1 to 10 do
+    Flight.note sim ~time:(float_of_int i) ~node:"A" ~link:"A->B"
+      ~kind:(if i mod 2 = 0 then Flight.Enqueue else Flight.Dequeue)
+      ~size:1000 ~queue_depth:i
+  done;
   checki "total recorded" 10 (Flight.recorded f);
   let rs = Flight.records f in
   checki "ring keeps last 4" 4 (List.length rs);
@@ -260,10 +307,11 @@ let test_flight_ring_bounds () =
 
 let test_flight_note_without_recorder () =
   Flight.detach ();
-  checkb "disabled" false (Flight.enabled ());
+  let sim = Sim.create () in
+  checkb "disabled" false (Flight.enabled sim);
   (* one branch, no crash *)
-  Flight.note ~time:0. ~node:"A" ~link:"A->B" ~kind:(Flight.Drop "full")
-    ~size:1 ~queue_depth:0 ()
+  Flight.note sim ~time:0. ~node:"A" ~link:"A->B" ~kind:(Flight.Drop "full")
+    ~size:1 ~queue_depth:0
 
 (* --- engine profiler -------------------------------------------------------- *)
 
