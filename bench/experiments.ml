@@ -2134,49 +2134,13 @@ let e19 () =
     | None -> "test/goldens"
   in
   let s = Matrix.run ~smoke ~goldens_dir () in
-  let table =
-    Table.create
-      ~title:"E19  golden-trace matrix: perf trajectory per cell"
-      ~columns:
-        [ "cell"; "golden"; "wall (s)"; "alloc MB"; "peak queue"; "events" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row table
-        [
-          r.Matrix.cr_cell.Matrix.id;
-          (match r.Matrix.cr_status with
-          | Matrix.Match -> "match"
-          | Matrix.Drift -> "DRIFT"
-          | Matrix.Missing -> "missing"
-          | Matrix.Blessed -> "blessed");
-          Printf.sprintf "%.3f" r.Matrix.cr_perf.Matrix.wall;
-          Printf.sprintf "%.1f" (r.Matrix.cr_perf.Matrix.alloc_bytes /. 1e6);
-          string_of_int r.Matrix.cr_perf.Matrix.peak_queue;
-          string_of_int r.Matrix.cr_perf.Matrix.engine_events;
-        ])
-    s.Matrix.s_results;
-  emit table;
-  let agree =
-    Table.create
-      ~title:"E19  matrix-wide engine agreement   (E17 gate, 10% on goodput)"
-      ~columns:[ "pair"; "metric"; "packet"; "hybrid"; "diff %"; "verdict" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row agree
-        [
-          p.Matrix.pr_base;
-          p.Matrix.pr_metric;
-          Printf.sprintf "%.0f" p.Matrix.pr_packet;
-          Printf.sprintf "%.0f" p.Matrix.pr_hybrid;
-          Printf.sprintf "%.1f" (100. *. p.Matrix.pr_diff);
-          (if not p.Matrix.pr_gated then "info"
-           else if p.Matrix.pr_ok then "AGREE"
-           else "DISAGREE");
-        ])
-    s.Matrix.s_pairs;
-  emit agree;
+  emit
+    (Matrix.cells_table
+       ~title:"E19  golden-trace matrix: perf trajectory per cell" s);
+  emit
+    (Matrix.pairs_table
+       ~title:"E19  matrix-wide engine agreement   (E17 gate, 10% on goodput)"
+       s);
   Aitf_obs.Report.write_json "BENCH_E19.json" (Matrix.bench_json s);
   Printf.printf "wrote BENCH_E19.json  (%d cells, %d drifted, %d gated disagreements)\n"
     (List.length s.Matrix.s_results)
@@ -2204,6 +2168,7 @@ let e19 () =
      all-honest baseline (ratio >= 0.9). *)
 
 let e20 () =
+  let module Scenario = Aitf_workload.Scenario in
   let module As_scenario = Aitf_workload.As_scenario in
   let module As_graph = Aitf_topo.As_graph in
   let module Auditor = Aitf_contract.Auditor in
@@ -2228,101 +2193,87 @@ let e20 () =
           "wall (s)";
         ]
   in
+  (* The auditor's verdicts come from the scenario's canonical outcome
+     fields, the same ones the matrix's contract cells pin. *)
   let run_fraction f =
     let t0 = Unix.gettimeofday () in
-    let r =
-      As_scenario.run
-        {
-          As_scenario.default with
-          As_scenario.as_spec =
-            { As_graph.default_spec with As_graph.domains = 60 };
-          as_config =
-            {
-              Config.default with
-              Config.engine = Config.Hybrid;
-              filter_capacity = 150;
-            };
-          as_seed = 42;
-          as_duration = 15.;
-          as_sources = 400;
-          as_attack_domains = 8;
-          as_legit_domains = 4;
-          as_contracts = true;
-          as_byzantine_fraction = f;
-          as_lying_mode = Adversary.Forge;
-          as_audit =
-            { Auditor.default_config with deadline = 0.75; grace = 0.35 };
-        }
+    let o =
+      Scenario.run
+        (Scenario.Internet
+           {
+             As_scenario.default with
+             As_scenario.as_spec =
+               { As_graph.default_spec with As_graph.domains = 60 };
+             as_config =
+               {
+                 Config.default with
+                 Config.engine = Config.Hybrid;
+                 filter_capacity = 150;
+               };
+             as_seed = 42;
+             as_duration = 15.;
+             as_sources = 400;
+             as_attack_domains = 8;
+             as_legit_domains = 4;
+             as_contracts = true;
+             as_byzantine_fraction = f;
+             as_lying_mode = Adversary.Forge;
+             as_audit =
+               { Auditor.default_config with deadline = 0.75; grace = 0.35 };
+           })
     in
-    (r, Unix.gettimeofday () -. t0)
+    (o.Scenario.fields, Unix.gettimeofday () -. t0)
+  in
+  let goodput fields =
+    Option.value ~default:0.
+      (Json.get_float (List.assoc "good_received_bytes" fields))
   in
   let fractions = [ 0.; 0.1; 0.2; 0.3 ] in
   let runs = List.map (fun f -> (f, run_fraction f)) fractions in
   let baseline_goodput =
-    match runs with
-    | (_, (r0, _)) :: _ -> r0.As_scenario.r_good_received_bytes
-    | [] -> 0.
+    match runs with (_, (f0, _)) :: _ -> goodput f0 | [] -> 0.
   in
   let rows =
     List.map
-      (fun (f, (r, wall)) ->
-        let byz = List.map snd r.As_scenario.r_byzantine in
-        let flagged =
-          match r.As_scenario.r_auditor with
-          | Some a -> Auditor.flagged a
-          | None -> []
+      (fun (f, (fields, wall)) ->
+        let get k = List.assoc k fields in
+        let cell k =
+          match get k with
+          | Json.Int n -> string_of_int n
+          | Json.Float t -> Printf.sprintf "%.2f" t
+          | _ -> "never"
         in
-        let missed =
-          List.filter (fun b -> not (List.mem b flagged)) byz
-        in
-        let false_pos =
-          List.filter (fun g -> not (List.mem g byz)) flagged
-        in
-        let goodput = r.As_scenario.r_good_received_bytes in
         let ratio =
-          if baseline_goodput <= 0. then 0. else goodput /. baseline_goodput
+          if baseline_goodput <= 0. then 0.
+          else goodput fields /. baseline_goodput
         in
+        let pick = List.map (fun k -> (k, get k)) in
         Table.add_row table
           [
             Printf.sprintf "%.0f" (100. *. f);
-            string_of_int (List.length byz);
-            string_of_int (List.length flagged);
-            string_of_int (List.length missed);
-            string_of_int (List.length false_pos);
-            string_of_int r.As_scenario.r_failovers;
-            (match r.As_scenario.r_time_to_filter with
-            | Some t -> Printf.sprintf "%.2f" t
-            | None -> "never");
-            Printf.sprintf "%.2f" (goodput /. 1e6);
+            cell "byzantine";
+            cell "flagged";
+            cell "missed";
+            cell "false_positives";
+            cell "failovers";
+            cell "time_to_filter";
+            Printf.sprintf "%.2f" (goodput fields /. 1e6);
             Printf.sprintf "%.3f" ratio;
             Printf.sprintf "%.2f" wall;
           ];
         Json.Obj
-          [
-            ("byzantine_fraction", Json.Float f);
-            ("corrupted", Json.Int (List.length byz));
-            ("flagged", Json.Int (List.length flagged));
-            ("missed", Json.Int (List.length missed));
-            ("false_positives", Json.Int (List.length false_pos));
-            ("failovers", Json.Int r.As_scenario.r_failovers);
-            ( "time_to_filter",
-              match r.As_scenario.r_time_to_filter with
-              | Some t -> Json.Float t
-              | None -> Json.Null );
-            ("good_received_bytes", Json.Float goodput);
-            ("goodput_ratio", Json.Float ratio);
-            ( "receipts_verified",
-              Json.Int
-                (match r.As_scenario.r_auditor with
-                | Some a -> Auditor.receipts_verified a
-                | None -> 0) );
-            ( "receipts_rejected",
-              Json.Int
-                (match r.As_scenario.r_auditor with
-                | Some a -> Auditor.receipts_rejected a
-                | None -> 0) );
-            ("wall_seconds", Json.Float wall);
-          ])
+          ([
+             ("byzantine_fraction", Json.Float f);
+             ("corrupted", get "byzantine");
+           ]
+          @ pick
+              [
+                "flagged"; "missed"; "false_positives"; "failovers";
+                "time_to_filter"; "good_received_bytes";
+              ]
+          @ [ ("goodput_ratio", Json.Float ratio) ]
+          @ pick [ "receipts_verified"; "receipts_rejected" ]
+          @ [ ("wall_seconds", Json.Float wall) ]))
       runs
   in
   emit table;

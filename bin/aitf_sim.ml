@@ -18,7 +18,10 @@
 
    Numeric flags are validated up front: a malformed value (nan, an
    out-of-range probability, a zero count) is rejected with the flag
-   named and the CLI-error exit code, never absorbed by a default.
+   named and the CLI-error exit code, never absorbed by a default. The
+   scenario subcommands turn their flags into one Scenario.t and hand it
+   to one harness; parameters the scenario cannot place (Scenario.check)
+   are CLI errors too.
 
    Examples:
      aitf_sim run --duration 60 --t-filter 6 --non-coop 1 --strategy onoff
@@ -31,15 +34,16 @@
      aitf_sim formulas --r1 100 --r2 1 --t-filter 60 --ttmp 0.6
 *)
 
-module Sim = Aitf_engine.Sim
 module Series = Aitf_stats.Series
 module Table = Aitf_stats.Table
+module Json = Aitf_obs.Json
 open Aitf_core
+module Scenario = Aitf_workload.Scenario
 module Scenarios = Aitf_workload.Scenarios
 module Formulas = Aitf_model.Formulas
 open Cmdliner
 
-(* --- run ------------------------------------------------------------------ *)
+(* --- flag converters ------------------------------------------------------- *)
 
 (* Strict numeric flag values. [Arg.float] happily accepts "nan", "inf"
    and out-of-range numbers, which then propagate silently into the
@@ -105,15 +109,15 @@ let pair_conv ~what ?(check = Float.is_finite) ?(expect = "finite") () =
   let print fmt (a, b) = Format.fprintf fmt "%g:%g" a b in
   Arg.conv (parse, print)
 
+(* A converter from a library's [of_string]/[to_string] pair. *)
+let string_conv of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun fmt v -> Format.pp_print_string fmt (to_string v) )
+
 let adversary_conv =
   let module Adversary = Aitf_adversary.Adversary in
-  let parse s =
-    match Adversary.playbook_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (Adversary.playbook_to_string p) in
-  Arg.conv (parse, print)
+  string_conv Adversary.playbook_of_string Adversary.playbook_to_string
 
 let strategy_conv =
   let parse = function
@@ -130,10 +134,10 @@ let strategy_conv =
   Arg.conv (parse, print)
 
 (* --- causal tracing / flight recorder / profiler -------------------------
-   One flag block shared by run, flood and swarm (docs/OBSERVABILITY.md,
-   "Causal tracing"). Everything is off by default and attached
-   process-globally before the scenario builds its topology, so the
-   gateways see the collectors at construction time. *)
+   One flag block shared by run, flood, swarm and internet
+   (docs/OBSERVABILITY.md, "Causal tracing"). Everything is off by default
+   and attached to the ambient run context before the scenario creates its
+   world, so the gateways see the collectors at construction time. *)
 
 type obs_opts = {
   spans_file : string option;
@@ -142,12 +146,7 @@ type obs_opts = {
   flight_dump_file : string option;
   profile : bool;
   slo : float option;
-}
-
-type obs_state = {
-  collector : Aitf_obs.Span.t option;
-  recorder : Aitf_obs.Flight.t option;
-  profiler : Aitf_obs.Profile.t option;
+  timeline : bool;  (** run's --trace: print the span timeline *)
 }
 
 let obs_term =
@@ -197,12 +196,17 @@ let obs_term =
     const (fun spans_file flight_capacity flight_dump flight_dump_file
                profile slo ->
         { spans_file; flight_capacity; flight_dump; flight_dump_file;
-          profile; slo })
+          profile; slo; timeline = false })
     $ spans $ flight $ flight_dump $ flight_dump_file $ profile $ slo)
 
-let obs_attach ?(trace = false) (o : obs_opts) =
+(* Attach what the flags ask for, run, then detach everything in reverse
+   order: print the profile, the flight recorder's tally and the span
+   summary, export the span forest, and surface the profiler through the
+   registry so the run report written later carries the hot-path
+   buckets. *)
+let observe o ~registry ~now run =
   let collector =
-    if trace || o.spans_file <> None || o.slo <> None then begin
+    if o.timeline || o.spans_file <> None || o.slo <> None then begin
       let t = Aitf_obs.Span.create () in
       Aitf_obs.Span.attach t;
       Some t
@@ -239,14 +243,8 @@ let obs_attach ?(trace = false) (o : obs_opts) =
     end
     else None
   in
-  { collector; recorder; profiler }
-
-(* Detach everything (reverse order), export the span forest, and surface
-   the profiler through the registry so the JSON run report written later
-   carries the hot-path buckets. *)
-let obs_finish ?(trace = false) (o : obs_opts) (st : obs_state) ~registry
-    ~now =
-  (match st.profiler with
+  let result = run () in
+  (match profiler with
   | None -> ()
   | Some p ->
     Aitf_obs.Profile.detach ();
@@ -255,7 +253,7 @@ let obs_finish ?(trace = false) (o : obs_opts) (st : obs_state) ~registry
       Aitf_obs.Profile.register_metrics p reg ~prefix:"engine.profile"
     | None -> ());
     print_string (Aitf_obs.Profile.report p));
-  (match st.recorder with
+  (match recorder with
   | None -> ()
   | Some f ->
     Aitf_obs.Flight.detach ();
@@ -263,24 +261,192 @@ let obs_finish ?(trace = false) (o : obs_opts) (st : obs_state) ~registry
       (Aitf_obs.Flight.recorded f)
       (List.length (Aitf_obs.Flight.records f));
     if o.flight_dump then Aitf_obs.Flight.dump f);
-  match st.collector with
+  (match collector with
   | None -> ()
   | Some t ->
     Aitf_obs.Span.detach ();
-    if trace then print_string (Aitf_obs.Span.timeline t);
+    if o.timeline then print_string (Aitf_obs.Span.timeline t);
     (match o.spans_file with
     | None -> ()
     | Some file ->
       Aitf_obs.Report.write_json file (Aitf_obs.Span.to_chrome_trace ~now t);
       Printf.printf "wrote %s (%d request(s) traced)\n" file
         (List.length (Aitf_obs.Span.roots t)));
-    print_string (Aitf_obs.Span.summary t)
+    print_string (Aitf_obs.Span.summary t));
+  result
+
+(* --- flags the scenario subcommands share ---------------------------------- *)
+
+let duration_t default =
+  Arg.(value & opt (pos_float "--duration") default & info [ "duration" ]
+         ~docv:"SECONDS" ~doc:"Simulated duration.")
+
+let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
+
+let td_t =
+  Arg.(value & opt (nonneg_float "--td") 0.1 & info [ "td" ] ~docv:"SECONDS"
+         ~doc:"Victim detection delay Td for a new flow.")
+
+let rate_t name default doc =
+  Arg.(value & opt (nonneg_float ("--" ^ name)) default & info [ name ]
+         ~docv:"BITS/S" ~doc)
+
+let engine_t =
+  Arg.(value
+       & opt (enum [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ])
+           Config.Packet
+       & info [ "engine" ] ~docv:"packet|hybrid"
+           ~doc:"Data-plane substrate: discrete packets end to end, or the \
+                 fluid rate-domain plane bridged to the packet-level control \
+                 plane by sampled probes (see docs/SIMULATOR.md).")
+
+let hybrid_epoch_t =
+  Arg.(value & opt (pos_float "--hybrid-epoch") Config.default.Config.hybrid_epoch
+       & info [ "hybrid-epoch" ] ~docv:"SECONDS"
+           ~doc:"Fluid-share recompute period under the hybrid engine.")
+
+let probe_rate_t =
+  Arg.(value & opt float Config.default.Config.hybrid_probe_rate
+       & info [ "probe-rate" ] ~docv:"PKTS/S"
+           ~doc:"Probe packets materialised per aggregate under the hybrid \
+                 engine (0 = derive from the aggregate's own rate).")
+
+let overload_t =
+  Arg.(value & flag & info [ "overload" ]
+         ~doc:"Enable the filter-table overload manager (watermark-driven \
+               prefix aggregation and priority eviction under slot \
+               pressure).")
+
+let filter_capacity_t =
+  Arg.(value & opt (min_int "--filter-capacity" 1) Config.default.Config.filter_capacity
+       & info [ "filter-capacity" ] ~docv:"SLOTS"
+           ~doc:"Wire-speed filter-table slots per gateway.")
+
+let metrics_t =
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
+         ~doc:"Attach a metrics registry and write a JSON run report \
+               (schema aitf.run-report/1, see docs/OBSERVABILITY.md).")
+
+let metrics_interval_t =
+  Arg.(value & opt (nonneg_float "--metrics-interval") 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
+         ~doc:"Metric sampling period (0 = the scenario default).")
+
+let csv_t =
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
+         ~doc:"Write the victim-observed attack-rate series as CSV.")
+
+(* --metrics-interval overrides the scenario's sampling period when set. *)
+let period interval default = if interval > 0. then interval else default
+
+(* --- one harness behind every scenario subcommand ------------------------- *)
+
+type outputs = {
+  obs : obs_opts;
+  metrics : string option;
+  metrics_csv : string option;
+  csv : string option;
+}
+
+let quiet =
+  {
+    obs =
+      { spans_file = None; flight_capacity = 0; flight_dump = false;
+        flight_dump_file = None; profile = false; slo = None;
+        timeline = false };
+    metrics = None;
+    metrics_csv = None;
+    csv = None;
+  }
+
+(* How an outcome scalar reads in the result table; the replay trace (the
+   one string field) is left out. *)
+let show = function
+  | Json.Int n -> Some (string_of_int n)
+  | Json.Float f when Float.abs f >= 1e3 -> Some (Printf.sprintf "%.0f" f)
+  | Json.Float f -> Some (Printf.sprintf "%.5g" f)
+  | Json.Null -> Some "none"
+  | _ -> None
+
+(* Everything a scenario subcommand does once its flags are a
+   [Scenario.t]: the range check (a CLI error, exit 124), the metrics
+   registry and observability attach/detach around the run, the result
+   table (the outcome's scalars, then the subcommand's own [rows]), the
+   run report and the CSV series. *)
+let execute out ~title ~meta ~rows scenario =
+  match Scenario.check scenario with
+  | Error msg -> Error msg
+  | Ok () ->
+    let registry =
+      if out.metrics <> None || out.metrics_csv <> None then begin
+        let reg = Aitf_obs.Metrics.create () in
+        Aitf_obs.Metrics.attach reg;
+        Some reg
+      end
+      else None
+    in
+    let now = Scenario.duration scenario in
+    let o =
+      observe out.obs ~registry ~now (fun () ->
+          let o = Scenario.run scenario in
+          Aitf_obs.Metrics.detach ();
+          o)
+    in
+    (* Shard profilers are per-world (observe reports only the
+       coordinator's); merge them into one table. *)
+    (match o.Scenario.shard_profiles with
+    | [] -> ()
+    | profs ->
+      let merged = Aitf_obs.Profile.merge profs in
+      Option.iter
+        (fun reg ->
+          Aitf_obs.Profile.register_metrics merged reg
+            ~prefix:"engine.profile.shards")
+        registry;
+      print_string "shard sims (merged):\n";
+      print_string (Aitf_obs.Profile.report merged));
+    let table = Table.create ~title ~columns:[ "metric"; "value" ] in
+    List.iter
+      (fun (k, v) -> Option.iter (fun s -> Table.add_row table [ k; s ]) (show v))
+      o.Scenario.fields;
+    List.iter (fun (k, v) -> Table.add_row table [ k; v ]) (rows o);
+    Table.print table;
+    Option.iter
+      (fun reg ->
+        let series =
+          match o.Scenario.sampler with
+          | Some s -> Aitf_obs.Sampler.series s
+          | None -> []
+        in
+        Option.iter
+          (fun file ->
+            Aitf_obs.Report.write_json file
+              (Aitf_obs.Report.make ~meta ?parallel:o.Scenario.parallel ~series
+                 ~now reg);
+            Printf.printf "wrote %s (%d metrics, %d series)\n" file
+              (Aitf_obs.Metrics.size reg) (List.length series))
+          out.metrics;
+        Option.iter
+          (fun file ->
+            Aitf_obs.Report.write_file file (Aitf_obs.Report.series_csv series);
+            Printf.printf "wrote %s\n" file)
+          out.metrics_csv)
+      registry;
+    Option.iter
+      (fun file ->
+        let points = Series.points o.Scenario.victim_rate in
+        let oc = open_out file in
+        output_string oc "time,attack_bps\n";
+        List.iter (fun (t, v) -> Printf.fprintf oc "%.3f,%.1f\n" t v) points;
+        close_out oc;
+        Printf.printf "wrote %s (%d samples)\n" file (List.length points))
+      out.csv;
+    Ok (o, registry)
+
+let cli = function Ok _ -> `Ok () | Error msg -> `Error (false, msg)
+
+(* --- run ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 60. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
   let t_filter =
     Arg.(value & opt (pos_float "--t-filter") 6. & info [ "t-filter"; "T" ] ~docv:"SECONDS"
            ~doc:"The blocking interval T every request asks for.")
@@ -289,13 +455,9 @@ let run_cmd =
     Arg.(value & opt (pos_float "--ttmp") 0.5 & info [ "ttmp" ] ~docv:"SECONDS"
            ~doc:"Ttmp, the victim gateway's temporary-filter horizon.")
   in
-  let attack_rate =
-    Arg.(value & opt (nonneg_float "--attack-rate") 1e6 & info [ "attack-rate" ] ~docv:"BITS/S"
-           ~doc:"Undesired flow rate.")
-  in
+  let attack_rate = rate_t "attack-rate" 1e6 "Undesired flow rate." in
   let legit_rate =
-    Arg.(value & opt (nonneg_float "--legit-rate") 0. & info [ "legit-rate" ] ~docv:"BITS/S"
-           ~doc:"Bystander flow rate sharing the victim tail (0 = none).")
+    rate_t "legit-rate" 0. "Bystander flow rate sharing the victim tail (0 = none)."
   in
   let non_coop =
     Arg.(value & opt (min_int "--non-coop" 0) 0 & info [ "non-coop" ] ~docv:"K"
@@ -306,16 +468,9 @@ let run_cmd =
            ~docv:"complies|ignores|onoff[:T]"
            ~doc:"Attacker host behaviour on a filtering request.")
   in
-  let td =
-    Arg.(value & opt (nonneg_float "--td") 0.1 & info [ "td" ] ~docv:"SECONDS"
-           ~doc:"Victim detection delay Td for a new flow.")
-  in
   let depth =
     Arg.(value & opt (min_int "--depth" 1) 3 & info [ "depth" ] ~docv:"N"
            ~doc:"Gateways per side of the chain.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
   in
   let no_handshake =
     Arg.(value & flag & info [ "no-handshake" ]
@@ -331,27 +486,14 @@ let run_cmd =
                  start, finish and event of the causal span collector, \
                  in time order.")
   in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-           ~doc:"Write the victim-observed attack-rate series as CSV.")
-  in
   let stats =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"Print per-gateway and per-link statistics after the run.")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1, see docs/OBSERVABILITY.md).")
   in
   let metrics_csv =
     Arg.(value & opt (some string) None & info [ "metrics-csv" ] ~docv:"FILE"
            ~doc:"Write the sampled metric time series as long-format CSV \
                  (metric,time,value).")
-  in
-  let metrics_interval =
-    Arg.(value & opt (nonneg_float "--metrics-interval") 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
-           ~doc:"Metric sampling period (0 = the scenario default).")
   in
   let traceback =
     Arg.(value & opt (enum [ ("rr", `Rr); ("spie", `Spie); ("ppm", `Ppm) ]) `Rr
@@ -403,68 +545,11 @@ let run_cmd =
                  request-flood, reply-replay or route-forgery. See \
                  docs/ADVERSARY.md for the knobs of each.")
   in
-  let overload =
-    Arg.(value & flag & info [ "overload" ]
-           ~doc:"Enable the filter-table overload manager (watermark-driven \
-                 aggregation and priority eviction under slot pressure).")
-  in
-  let filter_capacity =
-    Arg.(value & opt (min_int "--filter-capacity" 1) Config.default.Config.filter_capacity
-         & info [ "filter-capacity" ] ~docv:"SLOTS"
-             ~doc:"Wire-speed filter-table slots per gateway.")
-  in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ])
-             Config.Packet
-         & info [ "engine" ] ~docv:"packet|hybrid"
-             ~doc:"Data-plane substrate: discrete packets end to end, or \
-                   the fluid rate-domain plane bridged to the packet-level \
-                   control plane by sampled probes (see docs/SIMULATOR.md).")
-  in
-  let hybrid_epoch =
-    Arg.(value & opt (pos_float "--hybrid-epoch") Config.default.Config.hybrid_epoch
-         & info [ "hybrid-epoch" ] ~docv:"SECONDS"
-             ~doc:"Fluid-share recompute period under --engine hybrid.")
-  in
-  let probe_rate =
-    Arg.(value & opt float Config.default.Config.hybrid_probe_rate
-         & info [ "probe-rate" ] ~docv:"PKTS/S"
-             ~doc:"Probe packets materialised per aggregate under --engine \
-                   hybrid (0 = derive from the aggregate's own rate).")
-  in
   let run duration t_filter t_tmp attack_rate legit_rate non_coop strategy td
       depth seed no_handshake disconnect trace csv stats metrics metrics_csv
       metrics_interval traceback loss burst_loss dup flap ctrl_retries
       ctrl_rto adversary overload filter_capacity engine hybrid_epoch
       probe_rate obs =
-    let registry =
-      if metrics <> None || metrics_csv <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
-      else None
-    in
-    let obs_state = obs_attach ~trace obs in
-    let config =
-      {
-        Config.default with
-        Config.t_filter;
-        t_tmp;
-        grace = 0.3;
-        min_report_gap = Float.max 0.2 (t_filter /. 30.);
-        handshake = not no_handshake;
-        disconnect;
-        ctrl_retries;
-        ctrl_rto;
-        filter_capacity;
-        overload_manager = overload;
-        engine;
-        hybrid_epoch;
-        hybrid_probe_rate = probe_rate;
-      }
-    in
     let ctrl_faults =
       let module F = Aitf_fault.Fault in
       (if loss > 0. then [ F.Loss loss ] else [])
@@ -477,7 +562,23 @@ let run_cmd =
       {
         Scenarios.default_chain with
         Scenarios.spec = { Aitf_topo.Chain.default_spec with depth };
-        config;
+        config =
+          {
+            Config.default with
+            Config.t_filter;
+            t_tmp;
+            grace = 0.3;
+            min_report_gap = Float.max 0.2 (t_filter /. 30.);
+            handshake = not no_handshake;
+            disconnect;
+            ctrl_retries;
+            ctrl_rto;
+            filter_capacity;
+            overload_manager = overload;
+            engine;
+            hybrid_epoch;
+            hybrid_probe_rate = probe_rate;
+          };
         seed;
         duration;
         attack_rate;
@@ -491,138 +592,94 @@ let run_cmd =
           | `Spie -> `Spie
           | `Ppm -> `Ppm);
         sample_period =
-          (if metrics_interval > 0. then metrics_interval
-           else Scenarios.default_chain.Scenarios.sample_period);
+          period metrics_interval Scenarios.default_chain.Scenarios.sample_period;
         ctrl_faults;
         tail_flap = flap;
         adversaries = adversary;
         in_pool_legit_rate = (if adversary <> [] then legit_rate /. 10. else 0.);
       }
     in
-    let r = Scenarios.run_chain params in
-    Aitf_obs.Metrics.detach ();
-    obs_finish ~trace obs obs_state ~registry ~now:duration;
-    let table =
-      Table.create ~title:"scenario result" ~columns:[ "metric"; "value" ]
-    in
-    let add k v = Table.add_row table [ k; v ] in
-    add "attack offered (bytes)" (Printf.sprintf "%.0f" r.Scenarios.attack_offered_bytes);
-    add "attack received (bytes)" (Printf.sprintf "%.0f" r.Scenarios.attack_received_bytes);
-    add "effective bandwidth ratio r" (Printf.sprintf "%.5f" r.Scenarios.r_measured);
-    add "paper bound n(Td+Tr)/T"
-      (Printf.sprintf "%.5f"
-         (Formulas.effective_bandwidth_ratio ~n:(non_coop + 1) ~td
-            ~tr:Aitf_topo.Chain.default_spec.Aitf_topo.Chain.access_delay
-            ~t_filter));
-    (if legit_rate > 0. then
-       add "legit received / offered"
-         (Printf.sprintf "%.0f / %.0f" r.Scenarios.good_received_bytes
-            r.Scenarios.good_offered_bytes));
-    add "filtering requests sent" (string_of_int r.Scenarios.requests_sent);
-    add "escalations" (string_of_int r.Scenarios.escalations);
-    if ctrl_faults <> [] || flap <> None || ctrl_retries > 0 then begin
-      add "control packets dropped by faults"
-        (string_of_int r.Scenarios.faults_injected);
-      add "victim request retransmissions"
-        (string_of_int r.Scenarios.requests_retransmitted);
-      add "gateway ctrl retransmissions"
-        (string_of_int r.Scenarios.ctrl_retransmits);
-      add "gateway retry budgets exhausted"
-        (string_of_int r.Scenarios.ctrl_gave_up)
-    end;
-    (match Scenarios.time_to_suppress r ~threshold:0.05 with
-    | Some t -> add "time to suppression (s)" (Printf.sprintf "%.2f" t)
-    | None -> add "time to suppression (s)" "never");
-    add "events processed" (string_of_int r.Scenarios.events_processed);
-    (match r.Scenarios.fluid with
-    | Some eng ->
-      add "fluid aggregates / sources"
-        (Printf.sprintf "%d / %d"
-           (Scenarios.Fluid.aggregates eng)
-           (Scenarios.Fluid.total_sources eng));
-      add "fluid share recomputes" (string_of_int (Scenarios.Fluid.recomputes eng))
-    | None -> ());
-    List.iter
-      (fun h ->
-        let module A = Aitf_adversary.Adversary in
-        add
-          (Printf.sprintf "adversary %s" (A.kind (A.playbook h)))
-          (Printf.sprintf "pkts=%d reqs=%d replays=%d guesses=%d forged=%d"
-             (A.packets_sent h) (A.requests_sent h) (A.replays_sent h)
-             (A.guesses_sent h) (A.stamps_forged h)))
-      r.Scenarios.adversary_handles;
-    if overload then begin
-      add "overload aggregations" (string_of_int r.Scenarios.overload_aggregations);
-      add "overload evictions" (string_of_int r.Scenarios.overload_evictions);
-      add "collateral (pkts / bytes)"
-        (Printf.sprintf "%d / %d" r.Scenarios.collateral_packets
-           r.Scenarios.collateral_bytes)
-    end;
-    Table.print table;
-    if stats then begin
-      Table.print
-        (Aitf_workload.Report.gateway_table
-           (r.Scenarios.deployed.Aitf_topo.Chain.victim_gateways
-           @ r.Scenarios.deployed.Aitf_topo.Chain.attacker_gateways));
-      Table.print
-        (Aitf_workload.Report.link_table
-           r.Scenarios.deployed.Aitf_topo.Chain.topo.Aitf_topo.Chain.net);
-      match registry with
-      | Some reg -> Table.print (Aitf_workload.Report.metrics_table reg)
-      | None -> ()
-    end;
-    (match registry with
-    | None -> ()
-    | Some reg ->
-      let module Json = Aitf_obs.Json in
-      let series =
-        match r.Scenarios.sampler with
-        | Some s -> Aitf_obs.Sampler.series s
-        | None -> []
-      in
-      let meta =
+    let rows o =
+      let r = o.Scenario.result in
+      let i = string_of_int in
+      [
+        ( "paper bound n(Td+Tr)/T",
+          Printf.sprintf "%.5f"
+            (Formulas.effective_bandwidth_ratio ~n:(non_coop + 1) ~td
+               ~tr:Aitf_topo.Chain.default_spec.Aitf_topo.Chain.access_delay
+               ~t_filter) );
+        ( "time to suppression (s)",
+          match Scenarios.time_to_suppress r ~threshold:0.05 with
+          | Some t -> Printf.sprintf "%.2f" t
+          | None -> "never" );
+      ]
+      @ (if ctrl_faults <> [] || flap <> None || ctrl_retries > 0 then
+           [
+             ("victim request retransmissions", i r.Scenarios.requests_retransmitted);
+             ("gateway ctrl retransmissions", i r.Scenarios.ctrl_retransmits);
+             ("gateway retry budgets exhausted", i r.Scenarios.ctrl_gave_up);
+           ]
+         else [])
+      @ List.map
+          (fun h ->
+            let module A = Aitf_adversary.Adversary in
+            ( Printf.sprintf "adversary %s" (A.kind (A.playbook h)),
+              Printf.sprintf "pkts=%d reqs=%d replays=%d guesses=%d forged=%d"
+                (A.packets_sent h) (A.requests_sent h) (A.replays_sent h)
+                (A.guesses_sent h) (A.stamps_forged h) ))
+          r.Scenarios.adversary_handles
+      @
+      if overload then
         [
-          ("scenario", Json.String "chain");
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("attack_rate", Json.Float attack_rate);
-          ("t_filter", Json.Float t_filter);
-          ("t_tmp", Json.Float t_tmp);
-          ("non_coop", Json.Int non_coop);
+          ("overload aggregations", i r.Scenarios.overload_aggregations);
+          ("overload evictions", i r.Scenarios.overload_evictions);
+          ( "collateral (pkts / bytes)",
+            Printf.sprintf "%d / %d" r.Scenarios.collateral_packets
+              r.Scenarios.collateral_bytes );
         ]
-      in
-      (match metrics with
-      | Some file ->
-        Aitf_obs.Report.write_json file
-          (Aitf_obs.Report.make ~meta ~series ~now:duration reg);
-        Printf.printf "wrote %s (%d metrics, %d series)\n" file
-          (Aitf_obs.Metrics.size reg) (List.length series)
-      | None -> ());
-      match metrics_csv with
-      | Some file ->
-        Aitf_obs.Report.write_file file (Aitf_obs.Report.series_csv series);
-        Printf.printf "wrote %s\n" file
-      | None -> ());
-    (match csv with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc "time,attack_bps\n";
-      List.iter
-        (fun (t, v) -> Printf.fprintf oc "%.3f,%.1f\n" t v)
-        (Series.points r.Scenarios.victim_rate);
-      close_out oc;
-      Printf.printf "wrote %s (%d samples)\n" file
-        (Series.length r.Scenarios.victim_rate))
+      else []
+    in
+    let meta =
+      [
+        ("scenario", Json.String "chain");
+        ("seed", Json.Int seed);
+        ("duration", Json.Float duration);
+        ("attack_rate", Json.Float attack_rate);
+        ("t_filter", Json.Float t_filter);
+        ("t_tmp", Json.Float t_tmp);
+        ("non_coop", Json.Int non_coop);
+      ]
+    in
+    let out = { obs = { obs with timeline = trace }; metrics; metrics_csv; csv } in
+    match
+      execute out ~title:"scenario result" ~meta ~rows (Scenario.Chain params)
+    with
+    | Error msg -> `Error (false, msg)
+    | Ok (o, registry) ->
+      if stats then begin
+        let d = o.Scenario.result.Scenarios.deployed in
+        Table.print
+          (Aitf_workload.Report.gateway_table
+             (d.Aitf_topo.Chain.victim_gateways
+             @ d.Aitf_topo.Chain.attacker_gateways));
+        Table.print
+          (Aitf_workload.Report.link_table d.Aitf_topo.Chain.topo.Aitf_topo.Chain.net);
+        Option.iter
+          (fun reg -> Table.print (Aitf_workload.Report.metrics_table reg))
+          registry
+      end;
+      `Ok ()
   in
   let term =
     Term.(
-      const run $ duration $ t_filter $ t_tmp $ attack_rate $ legit_rate
-      $ non_coop $ strategy $ td $ depth $ seed $ no_handshake $ disconnect
-      $ trace $ csv $ stats $ metrics $ metrics_csv $ metrics_interval
-      $ traceback $ loss $ burst_loss $ dup $ flap $ ctrl_retries
-      $ ctrl_rto $ adversary $ overload $ filter_capacity $ engine
-      $ hybrid_epoch $ probe_rate $ obs_term)
+      ret
+        (const run $ duration_t 60. $ t_filter $ t_tmp $ attack_rate
+       $ legit_rate $ non_coop $ strategy $ td_t $ depth $ seed_t
+       $ no_handshake $ disconnect $ trace $ csv_t $ stats $ metrics_t
+       $ metrics_csv $ metrics_interval_t $ traceback $ loss $ burst_loss $ dup
+       $ flap $ ctrl_retries $ ctrl_rto $ adversary $ overload_t
+       $ filter_capacity_t $ engine_t $ hybrid_epoch_t $ probe_rate_t
+       $ obs_term))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a single-attacker Figure-1 scenario.")
@@ -641,131 +698,53 @@ let flood_cmd =
   let zombies =
     Arg.(value & opt (min_int "--zombies" 0) 12 & info [ "zombies" ] ~doc:"Size of the zombie army.")
   in
-  let rate =
-    Arg.(value & opt (nonneg_float "--zombie-rate") 1e6 & info [ "zombie-rate" ] ~docv:"BITS/S"
-           ~doc:"Per-zombie attack rate.")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 20. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.") in
+  let rate = rate_t "zombie-rate" 1e6 "Per-zombie attack rate." in
   let no_aitf =
     Arg.(value & flag & info [ "no-aitf" ] ~doc:"Run without any defense.")
   in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1).")
-  in
-  let metrics_interval =
-    Arg.(value & opt (nonneg_float "--metrics-interval") 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
-           ~doc:"Metric sampling period (0 = the scenario default).")
-  in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ])
-             Config.Packet
-         & info [ "engine" ] ~docv:"packet|hybrid"
-             ~doc:"Data-plane substrate (see docs/SIMULATOR.md).")
-  in
   let run isps nets hosts zombies rate duration seed no_aitf metrics
       metrics_interval engine obs =
-    let registry =
-      if metrics <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
-      else None
+    let d = Scenarios.default_flood in
+    let params =
+      {
+        d with
+        Scenarios.hierarchy =
+          {
+            Aitf_topo.Hierarchy.default_spec with
+            Aitf_topo.Hierarchy.isps;
+            nets_per_isp = nets;
+            hosts_per_net = hosts;
+          };
+        flood_config = { d.Scenarios.flood_config with Config.engine };
+        zombies;
+        zombie_rate = rate;
+        flood_duration = duration;
+        flood_seed = seed;
+        with_aitf = not no_aitf;
+        flood_sample_period =
+          period metrics_interval d.Scenarios.flood_sample_period;
+      }
     in
-    let obs_state = obs_attach obs in
-    let r =
-      Scenarios.run_flood
-        {
-          Scenarios.default_flood with
-          Scenarios.hierarchy =
-            {
-              Aitf_topo.Hierarchy.default_spec with
-              Aitf_topo.Hierarchy.isps;
-              nets_per_isp = nets;
-              hosts_per_net = hosts;
-            };
-          flood_config =
-            {
-              Scenarios.default_flood.Scenarios.flood_config with
-              Config.engine;
-            };
-          zombies;
-          zombie_rate = rate;
-          flood_duration = duration;
-          flood_seed = seed;
-          with_aitf = not no_aitf;
-          flood_sample_period =
-            (if metrics_interval > 0. then metrics_interval
-             else Scenarios.default_flood.Scenarios.flood_sample_period);
-        }
+    let meta =
+      [
+        ("scenario", Json.String "flood");
+        ("seed", Json.Int seed);
+        ("duration", Json.Float duration);
+        ("zombies", Json.Int zombies);
+        ("zombie_rate", Json.Float rate);
+        ("with_aitf", Json.Bool (not no_aitf));
+      ]
     in
-    Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
-    let table =
-      Table.create ~title:"flood result" ~columns:[ "metric"; "value" ]
-    in
-    let add k v = Table.add_row table [ k; v ] in
-    add "zombies placed" (string_of_int r.Scenarios.zombies_placed);
-    add "legit received / offered"
-      (Printf.sprintf "%.0f / %.0f (%.0f%%)" r.Scenarios.legit_received_bytes
-         r.Scenarios.legit_offered_bytes
-         (100. *. r.Scenarios.legit_received_bytes
-         /. Float.max 1. r.Scenarios.legit_offered_bytes));
-    add "attack bytes reaching victim"
-      (Printf.sprintf "%.0f" r.Scenarios.flood_attack_received_bytes);
-    (match r.Scenarios.victim with
-    | Some v ->
-      add "victim requests" (string_of_int (Host_agent.Victim.requests_sent v))
-    | None -> ());
-    if not no_aitf then begin
-      add "filter installs at enterprise gateways"
-        (string_of_int r.Scenarios.leaf_filters);
-      add "filters at ISP gateways" (string_of_int r.Scenarios.isp_filters)
-    end;
-    add "events processed" (string_of_int r.Scenarios.flood_events);
-    (match r.Scenarios.flood_fluid with
-    | Some eng ->
-      add "fluid aggregates / sources"
-        (Printf.sprintf "%d / %d"
-           (Scenarios.Fluid.aggregates eng)
-           (Scenarios.Fluid.total_sources eng))
-    | None -> ());
-    Table.print table;
-    match (registry, metrics) with
-    | Some reg, Some file ->
-      let module Json = Aitf_obs.Json in
-      let series =
-        match r.Scenarios.flood_sampler with
-        | Some s -> Aitf_obs.Sampler.series s
-        | None -> []
-      in
-      let meta =
-        [
-          ("scenario", Json.String "flood");
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("zombies", Json.Int zombies);
-          ("zombie_rate", Json.Float rate);
-          ("with_aitf", Json.Bool (not no_aitf));
-        ]
-      in
-      Aitf_obs.Report.write_json file
-        (Aitf_obs.Report.make ~meta ~series ~now:duration reg);
-      Printf.printf "wrote %s (%d metrics, %d series)\n" file
-        (Aitf_obs.Metrics.size reg) (List.length series)
-    | _ -> ()
+    cli
+      (execute { quiet with obs; metrics } ~title:"flood result" ~meta
+         ~rows:(fun _ -> []) (Scenario.Flood params))
   in
   let term =
     Term.(
-      const run $ isps $ nets $ hosts $ zombies $ rate $ duration $ seed
-      $ no_aitf $ metrics $ metrics_interval $ engine $ obs_term)
+      ret
+        (const run $ isps $ nets $ hosts $ zombies $ rate $ duration_t 20.
+       $ seed_t $ no_aitf $ metrics_t $ metrics_interval_t $ engine_t
+       $ obs_term))
   in
   Cmd.v
     (Cmd.info "flood"
@@ -784,128 +763,54 @@ let swarm_cmd =
            ~doc:"Origin pool nodes (1..16), one fluid aggregate each.")
   in
   let attack_rate =
-    Arg.(value & opt (nonneg_float "--attack-rate") 20e6 & info [ "attack-rate" ] ~docv:"BITS/S"
-           ~doc:"Total attack rate summed over every source.")
+    rate_t "attack-rate" 20e6 "Total attack rate summed over every source."
   in
   let legit_rate =
-    Arg.(value & opt (nonneg_float "--legit-rate") 1e6 & info [ "legit-rate" ] ~docv:"BITS/S"
-           ~doc:"Bystander rate sharing the victim tail (0 = none).")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 30. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
-  in
-  let td =
-    Arg.(value & opt (nonneg_float "--td") 0.1 & info [ "td" ] ~docv:"SECONDS"
-           ~doc:"Victim detection delay Td for a new flow.")
-  in
-  let hybrid_epoch =
-    Arg.(value & opt (pos_float "--hybrid-epoch") Config.default.Config.hybrid_epoch
-         & info [ "hybrid-epoch" ] ~docv:"SECONDS"
-             ~doc:"Fluid-share recompute period (the scenario is always \
-                   hybrid).")
-  in
-  let probe_rate =
-    Arg.(value & opt float Config.default.Config.hybrid_probe_rate
-         & info [ "probe-rate" ] ~docv:"PKTS/S"
-             ~doc:"Probe packets materialised per aggregate (0 = derive \
-                   from the aggregate's own rate).")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1).")
-  in
-  let metrics_interval =
-    Arg.(value & opt (nonneg_float "--metrics-interval") 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
-           ~doc:"Metric sampling period (0 = the scenario default).")
+    rate_t "legit-rate" 1e6 "Bystander rate sharing the victim tail (0 = none)."
   in
   let run sources pools attack_rate legit_rate duration seed td hybrid_epoch
       probe_rate metrics metrics_interval obs =
-    let registry =
-      if metrics <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
-      else None
+    let d = Scenarios.default_swarm in
+    let params =
+      {
+        d with
+        Scenarios.swarm_config =
+          {
+            d.Scenarios.swarm_config with
+            Config.hybrid_epoch;
+            hybrid_probe_rate = probe_rate;
+          };
+        swarm_seed = seed;
+        swarm_duration = duration;
+        swarm_sources = sources;
+        swarm_pools = pools;
+        swarm_attack_rate = attack_rate;
+        swarm_legit_rate = legit_rate;
+        swarm_td = td;
+        swarm_sample_period =
+          period metrics_interval d.Scenarios.swarm_sample_period;
+      }
     in
-    let obs_state = obs_attach obs in
-    let r =
-      Scenarios.run_swarm
-        {
-          Scenarios.default_swarm with
-          Scenarios.swarm_config =
-            {
-              Scenarios.default_swarm.Scenarios.swarm_config with
-              Config.hybrid_epoch;
-              hybrid_probe_rate = probe_rate;
-            };
-          swarm_seed = seed;
-          swarm_duration = duration;
-          swarm_sources = sources;
-          swarm_pools = pools;
-          swarm_attack_rate = attack_rate;
-          swarm_legit_rate = legit_rate;
-          swarm_td = td;
-          swarm_sample_period =
-            (if metrics_interval > 0. then metrics_interval
-             else Scenarios.default_swarm.Scenarios.swarm_sample_period);
-        }
+    let meta =
+      [
+        ("scenario", Json.String "swarm");
+        ("seed", Json.Int seed);
+        ("duration", Json.Float duration);
+        ("sources", Json.Int sources);
+        ("pools", Json.Int pools);
+        ("attack_rate", Json.Float attack_rate);
+      ]
     in
-    Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
-    let table =
-      Table.create ~title:"swarm result" ~columns:[ "metric"; "value" ]
-    in
-    let add k v = Table.add_row table [ k; v ] in
-    add "sources / pools" (Printf.sprintf "%d / %d" sources pools);
-    add "legit received / offered"
-      (Printf.sprintf "%.0f / %.0f" r.Scenarios.swarm_good_received_bytes
-         r.Scenarios.swarm_good_offered_bytes);
-    add "attack bytes reaching victim"
-      (Printf.sprintf "%.0f" r.Scenarios.swarm_attack_received_bytes);
-    add "filtering requests sent" (string_of_int r.Scenarios.swarm_requests_sent);
-    add "filter installs (all gateways)" (string_of_int r.Scenarios.swarm_filters);
-    add "requests absorbed at pools" (string_of_int r.Scenarios.swarm_absorbed);
-    add "fluid aggregates / sources"
-      (Printf.sprintf "%d / %d"
-         (Scenarios.Fluid.aggregates r.Scenarios.swarm_fluid)
-         (Scenarios.Fluid.total_sources r.Scenarios.swarm_fluid));
-    add "events processed" (string_of_int r.Scenarios.swarm_events);
-    Table.print table;
-    match (registry, metrics) with
-    | Some reg, Some file ->
-      let module Json = Aitf_obs.Json in
-      let series =
-        match r.Scenarios.swarm_sampler with
-        | Some s -> Aitf_obs.Sampler.series s
-        | None -> []
-      in
-      let meta =
-        [
-          ("scenario", Json.String "swarm");
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("sources", Json.Int sources);
-          ("pools", Json.Int pools);
-          ("attack_rate", Json.Float attack_rate);
-        ]
-      in
-      Aitf_obs.Report.write_json file
-        (Aitf_obs.Report.make ~meta ~series ~now:duration reg);
-      Printf.printf "wrote %s (%d metrics, %d series)\n" file
-        (Aitf_obs.Metrics.size reg) (List.length series)
-    | _ -> ()
+    cli
+      (execute { quiet with obs; metrics } ~title:"swarm result" ~meta
+         ~rows:(fun _ -> []) (Scenario.Swarm params))
   in
   let term =
     Term.(
-      const run $ sources $ pools $ attack_rate $ legit_rate $ duration
-      $ seed $ td $ hybrid_epoch $ probe_rate $ metrics $ metrics_interval
-      $ obs_term)
+      ret
+        (const run $ sources $ pools $ attack_rate $ legit_rate $ duration_t 30.
+       $ seed_t $ td_t $ hybrid_epoch_t $ probe_rate_t $ metrics_t
+       $ metrics_interval_t $ obs_term))
   in
   Cmd.v
     (Cmd.info "swarm"
@@ -916,13 +821,7 @@ let swarm_cmd =
 (* --- internet --------------------------------------------------------------- *)
 
 let placement_conv =
-  let parse s =
-    match Placement.policy_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (Placement.policy_to_string p) in
-  Arg.conv (parse, print)
+  string_conv Placement.policy_of_string Placement.policy_to_string
 
 let internet_cmd =
   let module As_graph = Aitf_topo.As_graph in
@@ -977,38 +876,10 @@ let internet_cmd =
            ~doc:"Domains hosting a legitimate source pool.")
   in
   let attack_rate =
-    Arg.(value & opt (nonneg_float "--attack-rate") 200e6 & info [ "attack-rate" ] ~docv:"BITS/S"
-           ~doc:"Total attack rate summed over every source.")
+    rate_t "attack-rate" 200e6 "Total attack rate summed over every source."
   in
   let legit_rate =
-    Arg.(value & opt (nonneg_float "--legit-rate") 5e6 & info [ "legit-rate" ] ~docv:"BITS/S"
-           ~doc:"Total legitimate rate towards the victim.")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 30. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated duration.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed (graph, pools and placement).")
-  in
-  let td =
-    Arg.(value & opt (nonneg_float "--td") 0.1 & info [ "td" ] ~docv:"SECONDS"
-           ~doc:"Victim detection delay Td for a new flow.")
-  in
-  let overload =
-    Arg.(value & flag & info [ "overload" ]
-           ~doc:"Enable the filter-table overload manager (watermarks, \
-                 prefix aggregation, priority eviction) on every gateway.")
-  in
-  let filter_capacity =
-    Arg.(value & opt (min_int "--filter-capacity" 1) Config.default.Config.filter_capacity
-         & info [ "filter-capacity" ] ~docv:"N"
-             ~doc:"Per-gateway filter-table slots.")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Attach a metrics registry and write a JSON run report \
-                 (schema aitf.run-report/1).")
+    rate_t "legit-rate" 5e6 "Total legitimate rate towards the victim."
   in
   let contracts =
     Arg.(value & flag & info [ "contracts" ]
@@ -1104,187 +975,110 @@ let internet_cmd =
       duration seed td overload filter_capacity metrics contracts
       byzantine_fraction lying_mode contract_r1 contract_r2 audit_deadline
       audit_grace shards obs =
-    let registry =
-      if metrics <> None then begin
-        let reg = Aitf_obs.Metrics.create () in
-        Aitf_obs.Metrics.attach reg;
-        Some reg
-      end
-      else None
+    let params =
+      {
+        As_scenario.default with
+        As_scenario.as_spec =
+          { As_graph.default_spec with As_graph.domains; tier1; multihome; peer_p };
+        as_config =
+          {
+            Config.default with
+            Config.engine = Config.Hybrid;
+            placement;
+            placement_epoch;
+            overload_manager = overload;
+            aggregate_on_pressure = overload;
+            filter_capacity;
+          };
+        as_seed = seed;
+        as_duration = duration;
+        as_sources = sources;
+        as_attack_domains = attack_domains;
+        as_legit_domains = legit_domains;
+        as_legit_sources = legit_sources;
+        as_attack_rate = attack_rate;
+        as_legit_rate = legit_rate;
+        as_td = td;
+        as_contracts = contracts;
+        as_byzantine_fraction = byzantine_fraction;
+        as_lying_mode = lying_mode;
+        as_contract =
+          (match (contract_r1, contract_r2) with
+          | None, None -> None
+          | r1, r2 ->
+            let d = Contract.paper_default in
+            Some
+              (Contract.v
+                 ~r1:(Option.value r1 ~default:d.Contract.r1)
+                 ~r2:(Option.value r2 ~default:d.Contract.r2)
+                 ()));
+        as_audit =
+          {
+            Aitf_contract.Auditor.default_config with
+            Aitf_contract.Auditor.deadline = audit_deadline;
+            grace = audit_grace;
+          };
+        as_shards = shards;
+      }
     in
-    let obs_state = obs_attach obs in
-    let r =
-      As_scenario.run
-        {
-          As_scenario.default with
-          As_scenario.as_spec =
-            {
-              As_graph.default_spec with
-              As_graph.domains;
-              tier1;
-              multihome;
-              peer_p;
-            };
-          as_config =
-            {
-              Config.default with
-              Config.engine = Config.Hybrid;
-              placement;
-              placement_epoch;
-              overload_manager = overload;
-              aggregate_on_pressure = overload;
-              filter_capacity;
-            };
-          as_seed = seed;
-          as_duration = duration;
-          as_sources = sources;
-          as_attack_domains = attack_domains;
-          as_legit_domains = legit_domains;
-          as_legit_sources = legit_sources;
-          as_attack_rate = attack_rate;
-          as_legit_rate = legit_rate;
-          as_td = td;
-          as_contracts = contracts;
-          as_byzantine_fraction = byzantine_fraction;
-          as_lying_mode = lying_mode;
-          as_contract =
-            (match (contract_r1, contract_r2) with
-            | None, None -> None
-            | r1, r2 ->
-              let d = Contract.paper_default in
-              Some
-                (Contract.v
-                   ~r1:(Option.value r1 ~default:d.Contract.r1)
-                   ~r2:(Option.value r2 ~default:d.Contract.r2)
-                   ()));
-          as_audit =
-            {
-              Aitf_contract.Auditor.default_config with
-              Aitf_contract.Auditor.deadline = audit_deadline;
-              grace = audit_grace;
-            };
-          as_shards = shards;
-        }
-    in
-    Aitf_obs.Metrics.detach ();
-    obs_finish obs obs_state ~registry ~now:duration;
-    (* Shard profilers are per-instance (obs_finish only reported the
-       default probe, i.e. the coordinator); merge them into one table. *)
-    (match r.As_scenario.r_shard_profiles with
-    | [] -> ()
-    | profs ->
-      let merged = Aitf_obs.Profile.merge profs in
-      (match registry with
-      | Some reg ->
-        Aitf_obs.Profile.register_metrics merged reg
-          ~prefix:"engine.profile.shards"
-      | None -> ());
-      print_string "shard sims (merged):\n";
-      print_string (Aitf_obs.Profile.report merged));
-    let table =
-      Table.create
-        ~title:
-          (Printf.sprintf "internet result (%s placement)"
-             (Placement.policy_to_string placement))
-        ~columns:[ "metric"; "value" ]
-    in
-    let add k v = Table.add_row table [ k; v ] in
-    add "domains / attack / legit"
-      (Printf.sprintf "%d / %d / %d" domains attack_domains legit_domains);
-    add "sources (attack / legit)"
-      (Printf.sprintf "%d / %d" sources legit_sources);
-    add "victim domain" (string_of_int r.As_scenario.r_victim_domain);
-    add "time-to-filter (s)"
-      (match r.As_scenario.r_time_to_filter with
-      | Some t -> Printf.sprintf "%.2f" t
-      | None -> "never");
-    add "collateral damage"
-      (Printf.sprintf "%.1f%%" (100. *. r.As_scenario.r_collateral_fraction));
-    add "legit received / offered (MB)"
-      (Printf.sprintf "%.2f / %.2f"
-         (r.As_scenario.r_good_received_bytes /. 1e6)
-         (r.As_scenario.r_good_offered_bytes /. 1e6));
-    add "attack bytes reaching victim (MB)"
-      (Printf.sprintf "%.2f" (r.As_scenario.r_attack_received_bytes /. 1e6));
-    add "filter slots (peak, all gateways)"
-      (string_of_int r.As_scenario.r_slots_peak);
-    add "filter installs (all gateways)"
-      (string_of_int r.As_scenario.r_filters_installed);
-    add "filtering requests sent" (string_of_int r.As_scenario.r_requests_sent);
-    (match r.As_scenario.r_ctl with
-    | Some ctl ->
-      add "placement reports" (string_of_int (Placement_ctl.evidence ctl));
-      add "placement installs" (string_of_int (Placement_ctl.installs ctl));
-      add "placement reclaims" (string_of_int (Placement_ctl.reclaims ctl));
-      add "placement frontier pushes" (string_of_int (Placement_ctl.pushes ctl))
-    | None -> add "requests absorbed at pools" (string_of_int r.As_scenario.r_absorbed));
-    (match r.As_scenario.r_auditor with
-    | None -> ()
-    | Some a ->
-      let module Auditor = Aitf_contract.Auditor in
-      let byz = List.map snd r.As_scenario.r_byzantine in
-      let flagged = Auditor.flagged a in
-      let missed =
-        List.filter (fun b -> not (List.mem b flagged)) byz
-      in
-      let false_pos =
-        List.filter (fun g -> not (List.mem g byz)) flagged
-      in
-      add "byzantine gateways (corrupted)" (string_of_int (List.length byz));
-      add "gateways flagged / missed / false-pos"
-        (Printf.sprintf "%d / %d / %d" (List.length flagged)
-           (List.length missed) (List.length false_pos));
-      add "receipts verified / rejected"
-        (Printf.sprintf "%d / %d"
-           (Auditor.receipts_verified a)
-           (Auditor.receipts_rejected a));
-      add "contract failovers" (string_of_int r.As_scenario.r_failovers));
-    add "events processed" (string_of_int r.As_scenario.r_events);
-    (if shards > 1 then begin
-       let module Sched = Aitf_parallel.Sched in
-       let st = r.As_scenario.r_sched_stats in
-       add "shards" (string_of_int shards);
-       add "sync windows (shard / global)"
-         (Printf.sprintf "%d / %d" st.Sched.windows st.Sched.global_batches);
-       add "cross-shard messages" (string_of_int st.Sched.messages);
-       add "deferred mutations" (string_of_int st.Sched.deferred);
-       add "barrier stall (s)" (Printf.sprintf "%.3f" st.Sched.stall_seconds)
-     end);
-    Table.print table;
-    match (registry, metrics) with
-    | Some reg, Some file ->
-      let module Json = Aitf_obs.Json in
-      let meta =
+    let rows o =
+      let r = o.Scenario.result in
+      let i = string_of_int in
+      (("victim domain", i r.As_scenario.r_victim_domain)
+      ::
+      (match r.As_scenario.r_ctl with
+      | Some ctl ->
         [
-          ("scenario", Json.String "internet");
-          ("placement", Json.String (Placement.policy_to_string placement));
-          ("seed", Json.Int seed);
-          ("duration", Json.Float duration);
-          ("domains", Json.Int domains);
-          ("sources", Json.Int sources);
-          ("attack_rate", Json.Float attack_rate);
-          ("contracts", Json.Bool contracts);
-          ("byzantine_fraction", Json.Float byzantine_fraction);
-          ("shards", Json.Int shards);
+          ("placement installs", i (Placement_ctl.installs ctl));
+          ("placement reclaims", i (Placement_ctl.reclaims ctl));
+          ("placement frontier pushes", i (Placement_ctl.pushes ctl));
         ]
-      in
-      (* The sched.* gauges are registered by the scenario itself (live
-         reads over the scheduler, including the per-window timeline);
-         the run report just adds the structured "parallel" section. *)
-      Aitf_obs.Report.write_json file
-        (Aitf_obs.Report.make ~meta ?parallel:r.As_scenario.r_parallel
-           ~series:[] ~now:duration reg);
-      Printf.printf "wrote %s (%d metrics)\n" file (Aitf_obs.Metrics.size reg)
-    | _ -> ()
+      | None -> []))
+      @
+      if shards > 1 then
+        let st = r.As_scenario.r_sched_stats in
+        let module Sched = Aitf_parallel.Sched in
+        [
+          ("shards", i shards);
+          ( "sync windows (shard / global)",
+            Printf.sprintf "%d / %d" st.Sched.windows st.Sched.global_batches );
+          ("cross-shard messages", i st.Sched.messages);
+          ("deferred mutations", i st.Sched.deferred);
+          ("barrier stall (s)", Printf.sprintf "%.3f" st.Sched.stall_seconds);
+        ]
+      else []
+    in
+    let meta =
+      [
+        ("scenario", Json.String "internet");
+        ("placement", Json.String (Placement.policy_to_string placement));
+        ("seed", Json.Int seed);
+        ("duration", Json.Float duration);
+        ("domains", Json.Int domains);
+        ("sources", Json.Int sources);
+        ("attack_rate", Json.Float attack_rate);
+        ("contracts", Json.Bool contracts);
+        ("byzantine_fraction", Json.Float byzantine_fraction);
+        ("shards", Json.Int shards);
+      ]
+    in
+    let title =
+      Printf.sprintf "internet result (%s placement)"
+        (Placement.policy_to_string placement)
+    in
+    cli
+      (execute { quiet with obs; metrics } ~title ~meta ~rows
+         (Scenario.Internet params))
   in
   let term =
     Term.(
-      const run $ domains $ tier1 $ multihome $ peer_p $ placement
-      $ placement_epoch $ sources $ attack_domains $ legit_sources
-      $ legit_domains $ attack_rate $ legit_rate $ duration $ seed $ td
-      $ overload $ filter_capacity $ metrics $ contracts
-      $ byzantine_fraction $ lying_mode $ contract_r1 $ contract_r2
-      $ audit_deadline $ audit_grace $ shards $ obs_term)
+      ret
+        (const run $ domains $ tier1 $ multihome $ peer_p $ placement
+       $ placement_epoch $ sources $ attack_domains $ legit_sources
+       $ legit_domains $ attack_rate $ legit_rate $ duration_t 30. $ seed_t
+       $ td_t $ overload_t $ filter_capacity_t $ metrics_t $ contracts
+       $ byzantine_fraction $ lying_mode $ contract_r1 $ contract_r2
+       $ audit_deadline $ audit_grace $ shards $ obs_term))
   in
   Cmd.v
     (Cmd.info "internet"
@@ -1422,19 +1216,6 @@ let replay_cmd =
            ~doc:"Print the canonical trace to stdout and exit without \
                  running it.")
   in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("packet", `Packet); ("hybrid", `Hybrid) ]) `Packet
-         & info [ "engine" ] ~docv:"packet|hybrid"
-             ~doc:"Engine the trace is driven through.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Synthesizer seed.")
-  in
-  let duration =
-    Arg.(value & opt (pos_float "--duration") 30. & info [ "duration" ]
-           ~docv:"SECONDS" ~doc:"Synthesized trace horizon.")
-  in
   let rate =
     Arg.(value & opt (nonneg_float "--rate") 20e6 & info [ "rate" ]
            ~docv:"BITS/S" ~doc:"Total attack rate per pool.")
@@ -1442,10 +1223,6 @@ let replay_cmd =
   let n =
     Arg.(value & opt (min_int "--sources" 1) 64 & info [ "n"; "sources" ]
            ~docv:"K" ~doc:"Sources per pool.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-           ~doc:"Write the victim-observed attack-rate series as CSV.")
   in
   let run shape trace_in emit engine seed duration rate n csv =
     let trace =
@@ -1469,48 +1246,27 @@ let replay_cmd =
         | `Booter -> Replay.synth_booter ~seed ~duration ~rate ~n ()
         | `Carpet -> Replay.synth_carpet ~seed ~duration ~rate ~n ())
     in
-    if emit then print_string (Replay.to_string trace)
-    else begin
-      let r = Replay.run ~engine trace in
-      let table =
-        Table.create ~title:"replay result" ~columns:[ "quantity"; "value" ]
-      in
-      let add k v = Table.add_row table [ k; v ] in
-      let engine_name =
-        match engine with `Packet -> "packet" | `Hybrid -> "hybrid"
-      in
-      add "engine" engine_name;
-      add "pools" (string_of_int (List.length trace.Replay.tr_pools));
-      add "events" (string_of_int (List.length trace.Replay.tr_events));
-      add "attack offered (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_attack_offered_bytes /. 1e6));
-      add "attack received (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_attack_received_bytes /. 1e6));
-      add "good offered (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_good_offered_bytes /. 1e6));
-      add "good received (MB)"
-        (Printf.sprintf "%.2f" (r.Replay.rr_good_received_bytes /. 1e6));
-      add "requests sent" (string_of_int r.Replay.rr_requests_sent);
-      add "filters installed" (string_of_int r.Replay.rr_filters);
-      add "requests absorbed" (string_of_int r.Replay.rr_absorbed);
-      add "engine events" (string_of_int r.Replay.rr_events);
-      Table.print table;
-      Option.iter
-        (fun file ->
-          let oc = open_out file in
-          output_string oc "time,attack_bits_per_s\n";
-          List.iter
-            (fun (t, v) -> Printf.fprintf oc "%g,%g\n" t v)
-            (Series.points r.Replay.rr_victim_rate);
-          close_out oc;
-          Printf.printf "wrote %s\n" file)
-        csv
+    if emit then begin
+      print_string (Replay.to_string trace);
+      `Ok ()
     end
+    else
+      let engine, name =
+        match engine with
+        | Config.Packet -> (`Packet, "packet")
+        | Config.Hybrid -> (`Hybrid, "hybrid")
+      in
+      cli
+        (execute { quiet with csv }
+           ~title:(Printf.sprintf "replay result (%s engine)" name)
+           ~meta:[] ~rows:(fun _ -> [])
+           (Scenario.Replay (trace, engine)))
   in
   let term =
     Term.(
-      const run $ shape $ trace_in $ emit $ engine $ seed $ duration $ rate
-      $ n $ csv)
+      ret
+        (const run $ shape $ trace_in $ emit $ engine_t $ seed_t
+       $ duration_t 30. $ rate $ n $ csv_t))
   in
   Cmd.v
     (Cmd.info "replay"

@@ -59,10 +59,8 @@ let probe t =
     t.sent <- t.sent + 1;
     Network.originate (Fluid.network t.fluid) origin pkt
 
-let attach ?rate ?sim ~rng fluid agg =
-  let r =
-    match rate with Some r when r > 0. -> r | _ -> auto_rate agg
-  in
+let attach ~rate ?sim ~rng fluid agg =
+  let r = if rate > 0. then rate else auto_rate agg in
   let t = { fluid; agg; rng; gap = 1. /. r; sent = 0; skipped = 0 } in
   (* Sharded runs tick on the origin pool's shard so probe emission is a
      shard-local event; the default is the network-wide sim, as before. *)

@@ -12,15 +12,16 @@
 type t
 
 val attach :
-  ?rate:float ->
+  rate:float ->
   ?sim:Aitf_engine.Sim.t ->
   rng:Aitf_engine.Rng.t ->
   Fluid.t ->
   Fluid.agg ->
   t
-(** Start probing the aggregate. [rate] (packets/s) defaults to the
-    aggregate's own packet rate capped at 200/s — sampling cost never
-    scales with source population. The first probe lands at a seeded
+(** Start probing the aggregate at [rate] packets/s. A [rate] of 0 (the
+    [hybrid_probe_rate] default) derives it from the aggregate's own
+    packet rate capped at 200/s — sampling cost never scales with source
+    population. The first probe lands at a seeded
     random fraction of the inter-probe gap so aggregates desynchronise.
     [?sim] overrides the world the probe ticks are scheduled on (the
     parallel engine passes the origin pool's shard; default is the

@@ -78,12 +78,17 @@ type plan = {
   p_edges : (int * int * float) list;  (* (a, b, bandwidth), creation order *)
 }
 
+let check spec =
+  if spec.tier1 < 2 then Error "AS graph: tier1 must be >= 2"
+  else if spec.domains <= spec.tier1 then
+    Error "AS graph: domains must outnumber the tier-1 providers"
+  else if spec.domains > 16384 then
+    Error (Printf.sprintf "AS graph: domains must be <= 16384, got %d" spec.domains)
+  else if spec.multihome < 1 then Error "AS graph: multihome must be >= 1"
+  else Ok ()
+
 let plan rng spec =
-  if spec.tier1 < 2 then invalid_arg "As_graph.build: tier1 >= 2";
-  if spec.domains <= spec.tier1 then
-    invalid_arg "As_graph.build: domains > tier1";
-  if spec.domains > 16384 then invalid_arg "As_graph.build: domains <= 16384";
-  if spec.multihome < 1 then invalid_arg "As_graph.build: multihome >= 1";
+  Result.iter_error invalid_arg (check spec);
   let n = spec.domains in
   let providers = Array.make n [] in
   let customers = Array.make n [] in

@@ -62,7 +62,12 @@ type plan
 
 val plan : Aitf_engine.Rng.t -> spec -> plan
 (** All of {!build}'s randomness, none of its side effects.
-    @raise Invalid_argument on an out-of-range spec. *)
+    @raise Invalid_argument when {!check} fails. *)
+
+val check : spec -> (unit, string) result
+(** [Error] on an out-of-range spec: fewer than 2 tier-1 providers, no
+    domain below them, more than 16384 domains (each owns a /16, see
+    {!domain_prefix}), or no provider uplink. *)
 
 val plan_spec : plan -> spec
 

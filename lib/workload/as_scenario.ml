@@ -3,7 +3,6 @@ module Rng = Aitf_engine.Rng
 module Sched = Aitf_parallel.Sched
 module Series = Aitf_stats.Series
 module Fluid = Aitf_flowsim.Fluid
-module Sampler = Aitf_flowsim.Sampler
 module Filter_table = Aitf_filter.Filter_table
 module Signing = Aitf_contract.Signing
 module Auditor = Aitf_contract.Auditor
@@ -96,30 +95,38 @@ type result = {
 let attack_off = 0x8000
 let legit_off = 0x4000
 
+let check p =
+  let spec = p.as_spec in
+  let per_domain sources domains = (sources + domains - 1) / domains in
+  let room = spec.As_graph.domains - 1 - spec.As_graph.tier1 in
+  match As_graph.check spec with
+  | Error _ as e -> e
+  | Ok () ->
+    if p.as_attack_domains < 1 || p.as_legit_domains < 1 then
+      Error "internet: need at least one pool domain of each kind"
+    else if per_domain p.as_sources p.as_attack_domains > 1 lsl 15 then
+      Error
+        "internet: more than 2^15 attack sources per domain (use more attack \
+         domains)"
+    else if per_domain p.as_legit_sources p.as_legit_domains > 1 lsl 14 then
+      Error
+        "internet: more than 2^14 legitimate sources per domain (use more \
+         legit domains)"
+    else if p.as_attack_domains + p.as_legit_domains > room then
+      Error
+        (Printf.sprintf
+           "internet: %d attack + %d legit pool domains exceed the %d \
+            non-tier-1, non-victim domains"
+           p.as_attack_domains p.as_legit_domains (max room 0))
+    else if p.as_shards < 1 then
+      Error (Printf.sprintf "internet: shards must be >= 1, got %d" p.as_shards)
+    else Ok ()
+
 let run p =
+  Result.iter_error invalid_arg (check p);
   let spec = p.as_spec in
   let n = spec.As_graph.domains in
-  if p.as_attack_domains < 1 || p.as_legit_domains < 1 then
-    invalid_arg "As_scenario.run: need at least one pool domain of each kind";
-  if (p.as_sources + p.as_attack_domains - 1) / p.as_attack_domains > 1 lsl 15
-  then
-    invalid_arg
-      "As_scenario.run: more than 2^15 attack sources per domain (raise \
-       as_attack_domains)";
-  if
-    (p.as_legit_sources + p.as_legit_domains - 1) / p.as_legit_domains
-    > 1 lsl 14
-  then
-    invalid_arg
-      "As_scenario.run: more than 2^14 legitimate sources per domain (raise \
-       as_legit_domains)";
-  if p.as_attack_domains + p.as_legit_domains > n - 1 - spec.As_graph.tier1
-  then invalid_arg "As_scenario.run: not enough non-tier-1 domains for pools";
   let shards = p.as_shards in
-  if shards < 1 then
-    invalid_arg
-      (Printf.sprintf "As_scenario.run: as_shards must be >= 1 (got %d)"
-         shards);
   let sched = Sched.create ~shards () in
   let sim = Sched.global sched in
   (* Every world copied the caller's run context; concurrent shards must
@@ -374,10 +381,6 @@ let run p =
     end
   in
   let frng = Rng.split rng in
-  let probe_rate =
-    let r = config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
-  in
   let absorbed = ref [] in
   let add_pools pools ~off ~total_sources ~total_rate ~attack ~start ~fid0 =
     let k = List.length pools in
@@ -396,9 +399,7 @@ let run p =
           in
           if attack then begin
             absorbed := Fluid_bridge.absorb_pool_requests pool :: !absorbed;
-            ignore
-              (Sampler.attach ?rate:probe_rate ~sim:(sim_of_as d)
-                 ~rng:(Rng.split frng) eng agg)
+            Runner.attach_probe ~sim:(sim_of_as d) config frng eng agg
           end
         end)
       pools
@@ -408,17 +409,10 @@ let run p =
     ~fid0:1000;
   add_pools legit_pools ~off:legit_off ~total_sources:p.as_legit_sources
     ~total_rate:p.as_legit_rate ~attack:false ~start:0. ~fid0:2000;
-  let series = Series.create ~name:"victim-attack-rate" () in
-  let vmeter = Fluid_bridge.victim_meter eng in
-  let rec sample t =
-    if t <= p.as_duration then
-      ignore
-        (Sim.at sim t (fun () ->
-             Series.add series ~time:t
-               (Fluid_bridge.victim_attack_rate vmeter ~now:t);
-             sample (t +. p.as_sample_period)))
+  let series =
+    Runner.victim_rate sim ~period:p.as_sample_period ~until:p.as_duration
+      (Some eng) victim
   in
-  sample p.as_sample_period;
   (* The master collector sees shard-minted ids too while sharded, so it
      runs in orphan mode until the merge re-keys everything canonically,
      and leaves it again even on a raise, so that reusing it later keeps

@@ -111,6 +111,12 @@ type result = {
           timeline; [None] when [as_shards = 1] *)
 }
 
+val check : params -> (unit, string) Stdlib.result
+(** [Error] when the population does not fit the address plan (at most
+    2^15 attack sources and 2^14 legitimate sources per domain), the pool
+    domains outnumber the non-tier-1 domains other than the victim's, or
+    [as_shards < 1]. *)
+
 val run : params -> result
 (** Observability composes with sharding: an attached span collector,
     flight recorder, metrics registry or contract auditor all work at any
@@ -120,7 +126,4 @@ val run : params -> result
     auditor observations replay through [Sched.defer] at barriers. See
     docs/PARALLEL.md and docs/OBSERVABILITY.md.
 
-    @raise Invalid_argument when the population does not fit the address
-    plan (at most 2^15 attack sources and 2^14 legitimate sources per
-    domain) or the domain counts exceed the non-tier-1 domains, or when
-    [as_shards < 1]. *)
+    @raise Invalid_argument when {!check} fails. *)

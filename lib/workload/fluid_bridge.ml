@@ -55,21 +55,3 @@ let absorb_pool_requests node =
         Node.Drop "fluid-pool-absorb"
       | _ -> Node.Continue);
   absorbed
-
-(* The victim-side rate series in hybrid runs: fluid delivery integrated
-   through the same 1-second window the packet engine's victim meter uses,
-   so time-to-suppress sees identical smoothing lag under both engines. *)
-type victim_meter = {
-  fluid : Fluid.t;
-  meter : Aitf_stats.Rate_meter.t;
-  mutable last_bits : float;
-}
-
-let victim_meter fluid =
-  { fluid; meter = Aitf_stats.Rate_meter.create ~window:1.0; last_bits = 0. }
-
-let victim_attack_rate m ~now =
-  let bits = Fluid.delivered_bits m.fluid ~attack:true in
-  Aitf_stats.Rate_meter.add m.meter ~now ((bits -. m.last_bits) /. 8.);
-  m.last_bits <- bits;
-  8. *. Aitf_stats.Rate_meter.rate m.meter ~now

@@ -16,13 +16,3 @@ val absorb_pool_requests : Node.t -> int ref
 (** Hook a spoofed-source pool node so To_attacker filtering requests
     routed into its advertised range are absorbed (returned counter) rather
     than dropped on a missing route. *)
-
-type victim_meter
-
-val victim_meter : Fluid.t -> victim_meter
-
-val victim_attack_rate : victim_meter -> now:float -> float
-(** Attack rate (bits/s) reaching destinations, smoothed through the same
-    1-second window as the packet engine's victim meter — sample this into
-    the victim-rate series so [time_to_suppress] behaves identically under
-    both engines. *)

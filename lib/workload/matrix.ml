@@ -3,6 +3,7 @@ module Span = Aitf_obs.Span
 module Profile = Aitf_obs.Profile
 module Sim = Aitf_engine.Sim
 module Series = Aitf_stats.Series
+module Table = Aitf_stats.Table
 module Fault = Aitf_fault.Fault
 module Adversary = Aitf_adversary.Adversary
 module Auditor = Aitf_contract.Auditor
@@ -17,12 +18,13 @@ type cell = {
   placement : string;
   shards : int;
   smoke : bool;
+  scenario : Scenario.any;
 }
 
 let agreement_threshold = 0.10
 
 let mk ?(fault = "pristine") ?(adversary = "calm") ?(placement = "vanilla")
-    ?(shards = 1) ?(smoke = false) topo engine =
+    ?(shards = 1) ?(smoke = false) topo engine scenario =
   {
     id =
       String.concat "-" [ topo; engine; fault; adversary; placement ]
@@ -34,7 +36,137 @@ let mk ?(fault = "pristine") ?(adversary = "calm") ?(placement = "vanilla")
     placement;
     shards;
     smoke;
+    scenario = Scenario.Any scenario;
   }
+
+(* --- per-cell scenarios ---------------------------------------------------- *)
+
+let chain engine =
+  {
+    Scenarios.default_chain with
+    Scenarios.config = { Config.default with Config.engine };
+    seed = 11;
+    duration = 12.;
+    attack_rate = 20e6;
+    legit_rate = 1e6;
+    td = 0.1;
+    sample_period = 0.5;
+    adversary_start = 1.;
+  }
+
+let chain_faults ctrl_faults engine =
+  Scenario.Chain { (chain engine) with Scenarios.ctrl_faults }
+
+let chain_slotx engine =
+  Scenario.Chain
+    {
+      (chain engine) with
+      Scenarios.adversaries =
+        [ Adversary.Slot_exhaustion { sources = 32; rate = 4e6 } ];
+      in_pool_legit_rate = 5e5;
+    }
+
+let flood engine =
+  Scenario.Flood
+    {
+      Scenarios.default_flood with
+      Scenarios.flood_config =
+        { (Config.with_timescale Config.default 0.1) with Config.engine };
+      flood_duration = 10.;
+      zombies = 6;
+      flood_sample_period = 0.5;
+    }
+
+let swarm =
+  Scenario.Swarm
+    {
+      Scenarios.default_swarm with
+      Scenarios.swarm_duration = 10.;
+      swarm_sources = 512;
+      swarm_pools = 2;
+      swarm_sample_period = 0.5;
+    }
+
+let internet placement =
+  Scenario.Internet
+    {
+      As_scenario.default with
+      As_scenario.as_spec =
+        {
+          Aitf_topo.As_graph.default_spec with
+          Aitf_topo.As_graph.domains = 150;
+          tier1 = 3;
+        };
+      as_config =
+        { Config.default with Config.engine = Config.Hybrid; placement };
+      as_seed = 9;
+      as_duration = 10.;
+      as_sources = 20_000;
+      as_attack_domains = 8;
+      as_legit_domains = 4;
+      as_legit_sources = 2_000;
+      as_sample_period = 0.5;
+    }
+
+(* The contract cells run docs/CONTRACTS.md's verification regime: a small
+   graph whose victim gateway is capacity-constrained (so misbehaviour is
+   visible at the victim) and the fast audit clock. The lying cell
+   corrupts a quarter of the attack-side gateways to forge receipts — the
+   affirmative-evidence mode the auditor must catch with zero false
+   positives. *)
+let contract byzantine_fraction =
+  Scenario.Internet
+    {
+      As_scenario.default with
+      As_scenario.as_spec =
+        { Aitf_topo.As_graph.default_spec with Aitf_topo.As_graph.domains = 60 };
+      as_config =
+        {
+          Config.default with
+          Config.engine = Config.Hybrid;
+          filter_capacity = 150;
+        };
+      as_seed = 42;
+      as_duration = 15.;
+      as_sources = 400;
+      as_attack_domains = 8;
+      as_legit_domains = 4;
+      as_sample_period = 0.5;
+      as_contracts = true;
+      as_byzantine_fraction = byzantine_fraction;
+      as_lying_mode = Adversary.Forge;
+      as_audit = { Auditor.default_config with deadline = 0.75; grace = 0.35 };
+    }
+
+(* Synthesized traces carry only attack pools; splice in a constant
+   1 Mbit/s legit pool so the engine-agreement gate below has the same
+   goodput observable E17 uses. *)
+let replay trace engine =
+  let legit =
+    {
+      Replay.p_id = "legit";
+      p_base = Aitf_net.Addr.of_octets 200 0 0 0;
+      p_n = 4;
+      p_rate = 250e3;
+      p_attack = false;
+    }
+  in
+  Scenario.Replay
+    ( {
+        trace with
+        Replay.tr_pools = trace.Replay.tr_pools @ [ legit ];
+        tr_events =
+          { Replay.ev_time = 0.; ev_pool = "legit"; ev_action = Replay.On }
+          :: trace.Replay.tr_events;
+      },
+      engine )
+
+let pulse = Replay.synth_pulse ~pools:2 ~seed:5 ~duration:12. ~rate:20e6 ~n:32 ()
+let churn = Replay.synth_churn ~seed:5 ~duration:12. ~rate:20e6 ~n:64 ()
+let booter = Replay.synth_booter ~seed:5 ~duration:12. ~rate:25e6 ~n:48 ()
+let carpet = Replay.synth_carpet ~seed:5 ~duration:12. ~rate:20e6 ~n:16 ()
+let loss = [ Fault.Loss 0.25 ]
+let burst = [ Fault.burst ~p_enter:0.1 ~p_exit:0.4 () ]
 
 (* The matrix. Chain cells sweep faults and adversaries under both
    engines; flood covers the hierarchy topology; swarm and internet are
@@ -46,320 +178,48 @@ let mk ?(fault = "pristine") ?(adversary = "calm") ?(placement = "vanilla")
    cells pin the parallel engine's observability seams: the same internet
    run on 4 event-queue shards with span tracing merged canonically, and
    the contract regime with the auditor replaying through the defer
-   seam. *)
+   seam. The labels are the golden documents' [dims], byte for byte. *)
 let cells =
   [
-    mk ~smoke:true "chain" "packet";
-    mk ~smoke:true "chain" "hybrid";
-    mk ~fault:"loss" "chain" "packet";
-    mk ~fault:"loss" "chain" "hybrid";
-    mk ~fault:"burst" "chain" "packet";
-    mk ~fault:"burst" "chain" "hybrid";
-    mk ~adversary:"slotx" "chain" "packet";
-    mk ~adversary:"slotx" "chain" "hybrid";
-    mk "flood" "packet";
-    mk "flood" "hybrid";
-    mk ~smoke:true "swarm" "hybrid";
-    mk "internet" "hybrid";
-    mk ~placement:"optimal" "internet" "hybrid";
-    mk ~placement:"adaptive" "internet" "hybrid";
-    mk ~adversary:"contract" "internet" "hybrid";
-    mk ~adversary:"lying" "internet" "hybrid";
-    mk ~shards:4 "internet" "hybrid";
-    mk ~shards:4 ~adversary:"contract" "internet" "hybrid";
-    mk ~smoke:true "replay-pulse" "packet";
-    mk ~smoke:true "replay-pulse" "hybrid";
-    mk "replay-churn" "packet";
-    mk "replay-churn" "hybrid";
-    mk "replay-booter" "packet";
-    mk "replay-booter" "hybrid";
-    mk "replay-carpet" "packet";
-    mk "replay-carpet" "hybrid";
+    mk ~smoke:true "chain" "packet" (Scenario.Chain (chain Config.Packet));
+    mk ~smoke:true "chain" "hybrid" (Scenario.Chain (chain Config.Hybrid));
+    mk ~fault:"loss" "chain" "packet" (chain_faults loss Config.Packet);
+    mk ~fault:"loss" "chain" "hybrid" (chain_faults loss Config.Hybrid);
+    mk ~fault:"burst" "chain" "packet" (chain_faults burst Config.Packet);
+    mk ~fault:"burst" "chain" "hybrid" (chain_faults burst Config.Hybrid);
+    mk ~adversary:"slotx" "chain" "packet" (chain_slotx Config.Packet);
+    mk ~adversary:"slotx" "chain" "hybrid" (chain_slotx Config.Hybrid);
+    mk "flood" "packet" (flood Config.Packet);
+    mk "flood" "hybrid" (flood Config.Hybrid);
+    mk ~smoke:true "swarm" "hybrid" swarm;
+    mk "internet" "hybrid" (internet Placement.Vanilla);
+    mk ~placement:"optimal" "internet" "hybrid" (internet Placement.Optimal);
+    mk ~placement:"adaptive" "internet" "hybrid" (internet Placement.Adaptive);
+    mk ~adversary:"contract" "internet" "hybrid" (contract 0.);
+    mk ~adversary:"lying" "internet" "hybrid" (contract 0.25);
+    mk ~shards:4 "internet" "hybrid" (internet Placement.Vanilla);
+    mk ~shards:4 ~adversary:"contract" "internet" "hybrid" (contract 0.);
+    mk ~smoke:true "replay-pulse" "packet" (replay pulse `Packet);
+    mk ~smoke:true "replay-pulse" "hybrid" (replay pulse `Hybrid);
+    mk "replay-churn" "packet" (replay churn `Packet);
+    mk "replay-churn" "hybrid" (replay churn `Hybrid);
+    mk "replay-booter" "packet" (replay booter `Packet);
+    mk "replay-booter" "hybrid" (replay booter `Hybrid);
+    mk "replay-carpet" "packet" (replay carpet `Packet);
+    mk "replay-carpet" "hybrid" (replay carpet `Hybrid);
   ]
 
-(* --- per-cell scenarios ---------------------------------------------------- *)
+(* Shard counts apply to internet cells only; the fixed topologies are
+   never sharded. *)
+let with_shards shards = function
+  | Scenario.Any (Scenario.Internet p) ->
+    Scenario.Any (Scenario.Internet { p with As_scenario.as_shards = shards })
+  | any -> any
 
-let config_engine = function
-  | "packet" -> Config.Packet
-  | "hybrid" -> Config.Hybrid
-  | e -> invalid_arg ("Matrix: unknown engine " ^ e)
-
-let cell_faults = function
-  | "pristine" -> []
-  | "loss" -> [ Fault.Loss 0.25 ]
-  | "burst" -> [ Fault.burst ~p_enter:0.1 ~p_exit:0.4 () ]
-  | f -> invalid_arg ("Matrix: unknown fault " ^ f)
-
-let cell_adversaries = function
-  | "calm" -> []
-  | "slotx" -> [ Adversary.Slot_exhaustion { sources = 32; rate = 4e6 } ]
-  | a -> invalid_arg ("Matrix: unknown adversary " ^ a)
-
-let cell_placement = function
-  | "vanilla" -> Placement.Vanilla
-  | "optimal" -> Placement.Optimal
-  | "adaptive" -> Placement.Adaptive
-  | p -> invalid_arg ("Matrix: unknown placement " ^ p)
-
-(* A cell's scenario body returns the outcome fields (canonical order —
-   they are serialized as given) and the victim-rate series. Outcome keys
-   are shared across topologies where the quantity is the same thing
-   (attack/good received bytes), so engine pairing can compare them. *)
+(* --- documents ------------------------------------------------------------- *)
 
 let fl x = Json.Float x
 let it n = Json.Int n
-
-let run_chain_cell cell () =
-  let open Scenarios in
-  let p =
-    {
-      default_chain with
-      config = { Config.default with Config.engine = config_engine cell.engine };
-      seed = 11;
-      duration = 12.;
-      attack_rate = 20e6;
-      legit_rate = 1e6;
-      td = 0.1;
-      sample_period = 0.5;
-      ctrl_faults = cell_faults cell.fault;
-      adversaries = cell_adversaries cell.adversary;
-      adversary_start = 1.;
-      in_pool_legit_rate = (if cell.adversary = "calm" then 0. else 5e5);
-    }
-  in
-  let r = run_chain p in
-  let gws =
-    r.deployed.Aitf_topo.Chain.victim_gateways
-    @ r.deployed.Aitf_topo.Chain.attacker_gateways
-  in
-  ( [
-      ("attack_offered_bytes", fl r.attack_offered_bytes);
-      ("attack_received_bytes", fl r.attack_received_bytes);
-      ("good_offered_bytes", fl r.good_offered_bytes);
-      ("good_received_bytes", fl r.good_received_bytes);
-      ("r_measured", fl r.r_measured);
-      ("escalations", it r.escalations);
-      ("requests_sent", it r.requests_sent);
-      ("filters", it (counter_total gws Gateway.Filter_temp
-                      + counter_total gws Gateway.Filter_long));
-      ("faults_injected", it r.faults_injected);
-      ("collateral_packets", it r.collateral_packets);
-      ("events", it r.events_processed);
-    ],
-    r.victim_rate )
-
-let run_flood_cell cell () =
-  let open Scenarios in
-  let p =
-    {
-      default_flood with
-      flood_config =
-        {
-          (Config.with_timescale Config.default 0.1) with
-          Config.engine = config_engine cell.engine;
-        };
-      flood_duration = 10.;
-      zombies = 6;
-      flood_sample_period = 0.5;
-    }
-  in
-  let r = run_flood p in
-  ( [
-      ("attack_received_bytes", fl r.flood_attack_received_bytes);
-      ("good_offered_bytes", fl r.legit_offered_bytes);
-      ("good_received_bytes", fl r.legit_received_bytes);
-      ("zombies_placed", it r.zombies_placed);
-      ("leaf_filters", it r.leaf_filters);
-      ("isp_filters", it r.isp_filters);
-      ("events", it r.flood_events);
-    ],
-    Series.create ~name:"victim-attack-rate" () )
-
-let run_swarm_cell _cell () =
-  let open Scenarios in
-  let p =
-    {
-      default_swarm with
-      swarm_duration = 10.;
-      swarm_sources = 512;
-      swarm_pools = 2;
-      swarm_sample_period = 0.5;
-    }
-  in
-  let r = run_swarm p in
-  ( [
-      ("attack_received_bytes", fl r.swarm_attack_received_bytes);
-      ("good_offered_bytes", fl r.swarm_good_offered_bytes);
-      ("good_received_bytes", fl r.swarm_good_received_bytes);
-      ("requests_sent", it r.swarm_requests_sent);
-      ("filters", it r.swarm_filters);
-      ("absorbed", it r.swarm_absorbed);
-      ("events", it r.swarm_events);
-    ],
-    r.swarm_victim_rate )
-
-let run_internet_cell ?(shards = 1) cell () =
-  let open As_scenario in
-  let contracts = cell.adversary = "contract" || cell.adversary = "lying" in
-  let p =
-    if not contracts then
-      {
-        default with
-        as_spec =
-          {
-            Aitf_topo.As_graph.default_spec with
-            Aitf_topo.As_graph.domains = 150;
-            tier1 = 3;
-          };
-        as_config =
-          {
-            Config.default with
-            Config.engine = Config.Hybrid;
-            placement = cell_placement cell.placement;
-          };
-        as_seed = 9;
-        as_duration = 10.;
-        as_sources = 20_000;
-        as_attack_domains = 8;
-        as_legit_domains = 4;
-        as_legit_sources = 2_000;
-        as_sample_period = 0.5;
-      }
-    else
-      (* The contract cells run docs/CONTRACTS.md's verification regime:
-         a small graph whose victim gateway is capacity-constrained (so
-         misbehaviour is visible at the victim) and the fast audit
-         clock. The lying cell corrupts a quarter of the attack-side
-         gateways to forge receipts — the affirmative-evidence mode the
-         auditor must catch with zero false positives. *)
-      {
-        default with
-        as_spec =
-          {
-            Aitf_topo.As_graph.default_spec with
-            Aitf_topo.As_graph.domains = 60;
-          };
-        as_config =
-          {
-            Config.default with
-            Config.engine = Config.Hybrid;
-            placement = cell_placement cell.placement;
-            filter_capacity = 150;
-          };
-        as_seed = 42;
-        as_duration = 15.;
-        as_sources = 400;
-        as_attack_domains = 8;
-        as_legit_domains = 4;
-        as_sample_period = 0.5;
-        as_contracts = true;
-        as_byzantine_fraction = (if cell.adversary = "lying" then 0.25 else 0.);
-        as_lying_mode = Adversary.Forge;
-        as_audit = { Auditor.default_config with deadline = 0.75; grace = 0.35 };
-      }
-  in
-  let r = run { p with as_shards = shards } in
-  let base =
-    [
-      ("attack_received_bytes", fl r.r_attack_received_bytes);
-      ("good_offered_bytes", fl r.r_good_offered_bytes);
-      ("good_received_bytes", fl r.r_good_received_bytes);
-      ("collateral_fraction", fl r.r_collateral_fraction);
-      ( "time_to_filter",
-        match r.r_time_to_filter with Some t -> fl t | None -> Json.Null );
-      ("slots_peak", it r.r_slots_peak);
-      ("filters_installed", it r.r_filters_installed);
-      ("requests_sent", it r.r_requests_sent);
-      ("reports", it r.r_reports);
-      ("absorbed", it r.r_absorbed);
-      ("events", it r.r_events);
-    ]
-  in
-  let outcome =
-    match r.r_auditor with
-    | None -> base
-    | Some a ->
-      let byz = List.map snd r.r_byzantine in
-      let flagged = Auditor.flagged a in
-      let missed = List.filter (fun b -> not (List.mem b flagged)) byz in
-      let false_pos = List.filter (fun g -> not (List.mem g byz)) flagged in
-      base
-      @ [
-          ("byzantine", it (List.length byz));
-          ("flagged", it (List.length flagged));
-          ("missed", it (List.length missed));
-          ("false_positives", it (List.length false_pos));
-          ("receipts_verified", it (Auditor.receipts_verified a));
-          ("receipts_rejected", it (Auditor.receipts_rejected a));
-          ("failovers", it r.r_failovers);
-        ]
-  in
-  (outcome, r.r_victim_rate)
-
-(* Synthesized traces carry only attack pools; splice in a constant
-   1 Mbit/s legit pool so the engine-agreement gate below has the same
-   goodput observable E17 uses. *)
-let with_legit trace =
-  let legit =
-    {
-      Replay.p_id = "legit";
-      p_base = Aitf_net.Addr.of_octets 200 0 0 0;
-      p_n = 4;
-      p_rate = 250e3;
-      p_attack = false;
-    }
-  in
-  {
-    trace with
-    Replay.tr_pools = trace.Replay.tr_pools @ [ legit ];
-    tr_events =
-      { Replay.ev_time = 0.; ev_pool = "legit"; ev_action = Replay.On }
-      :: trace.Replay.tr_events;
-  }
-
-let replay_trace shape =
-  with_legit
-    (match shape with
-    | "replay-pulse" ->
-      Replay.synth_pulse ~pools:2 ~seed:5 ~duration:12. ~rate:20e6 ~n:32 ()
-    | "replay-churn" ->
-      Replay.synth_churn ~seed:5 ~duration:12. ~rate:20e6 ~n:64 ()
-    | "replay-booter" ->
-      Replay.synth_booter ~seed:5 ~duration:12. ~rate:25e6 ~n:48 ()
-    | "replay-carpet" ->
-      Replay.synth_carpet ~seed:5 ~duration:12. ~rate:20e6 ~n:16 ()
-    | t -> invalid_arg ("Matrix: unknown replay shape " ^ t))
-
-let run_replay_cell cell () =
-  let trace = replay_trace cell.topo in
-  let engine =
-    match cell.engine with "packet" -> `Packet | _ -> `Hybrid
-  in
-  let r = Replay.run ~engine trace in
-  ( [
-      ("trace", Json.String (Replay.to_string trace));
-      ("attack_offered_bytes", fl r.Replay.rr_attack_offered_bytes);
-      ("attack_received_bytes", fl r.Replay.rr_attack_received_bytes);
-      ("good_offered_bytes", fl r.Replay.rr_good_offered_bytes);
-      ("good_received_bytes", fl r.Replay.rr_good_received_bytes);
-      ("requests_sent", it r.Replay.rr_requests_sent);
-      ("filters", it r.Replay.rr_filters);
-      ("absorbed", it r.Replay.rr_absorbed);
-      ("events", it r.Replay.rr_events);
-    ],
-    r.Replay.rr_victim_rate )
-
-let cell_body ?shards cell =
-  match cell.topo with
-  | "chain" -> run_chain_cell cell
-  | "flood" -> run_flood_cell cell
-  | "swarm" -> run_swarm_cell cell
-  | "internet" -> run_internet_cell ?shards cell
-  | t when String.length t > 7 && String.sub t 0 7 = "replay-" ->
-    run_replay_cell cell
-  | t -> invalid_arg ("Matrix: unknown topology " ^ t)
-
-(* --- documents ------------------------------------------------------------- *)
 
 let span_digest sp =
   let roots = Span.roots sp in
@@ -488,7 +348,11 @@ let run_cell ?(shards = 1) cell =
       ~finally:(fun () ->
         Profile.detach ();
         Span.detach ())
-      (cell_body ~shards cell)
+      (fun () ->
+        match with_shards shards cell.scenario with
+        | Scenario.Any s ->
+          let o = Scenario.run s in
+          (o.Scenario.fields, o.Scenario.victim_rate))
   in
   let wall = clock () -. t0 in
   let alloc_bytes = Gc.allocated_bytes () -. a0 in
@@ -608,29 +472,52 @@ let status_name = function
   | Missing -> "MISSING"
   | Blessed -> "blessed"
 
-let print_summary s =
-  Printf.printf "%-42s %-8s %9s %9s %7s %9s\n" "cell" "golden" "wall (s)"
-    "alloc MB" "peak q" "events";
+let cells_table ~title s =
+  let t =
+    Table.create ~title
+      ~columns:
+        [ "cell"; "golden"; "wall (s)"; "alloc MB"; "peak queue"; "events" ]
+  in
   List.iter
     (fun r ->
-      Printf.printf "%-42s %-8s %9.2f %9.1f %7d %9d\n" r.cr_cell.id
-        (status_name r.cr_status) r.cr_perf.wall
-        (r.cr_perf.alloc_bytes /. 1e6)
-        r.cr_perf.peak_queue r.cr_perf.engine_events)
+      Table.add_row t
+        [
+          r.cr_cell.id;
+          status_name r.cr_status;
+          Printf.sprintf "%.3f" r.cr_perf.wall;
+          Printf.sprintf "%.1f" (r.cr_perf.alloc_bytes /. 1e6);
+          string_of_int r.cr_perf.peak_queue;
+          string_of_int r.cr_perf.engine_events;
+        ])
     s.s_results;
-  if s.s_pairs <> [] then begin
-    Printf.printf "\n%-34s %-22s %12s %12s %7s %s\n" "engine pair" "metric"
-      "packet" "hybrid" "diff %" "verdict";
-    List.iter
-      (fun p ->
-        Printf.printf "%-34s %-22s %12.0f %12.0f %7.1f %s\n" p.pr_base
-          p.pr_metric p.pr_packet p.pr_hybrid (100. *. p.pr_diff)
+  t
+
+let pairs_table ~title s =
+  let t =
+    Table.create ~title
+      ~columns:[ "pair"; "metric"; "packet"; "hybrid"; "diff %"; "verdict" ]
+  in
+  List.iter
+    (fun p ->
+      Table.add_row t
+        [
+          p.pr_base;
+          p.pr_metric;
+          Printf.sprintf "%.0f" p.pr_packet;
+          Printf.sprintf "%.0f" p.pr_hybrid;
+          Printf.sprintf "%.1f" (100. *. p.pr_diff);
           (if not p.pr_gated then "info"
            else if p.pr_ok then "AGREE"
-           else "DISAGREE"))
-      s.s_pairs
-  end;
-  Printf.printf "\n%d cells, %d drifted, %d disagreements\n"
+           else "DISAGREE");
+        ])
+    s.s_pairs;
+  t
+
+let print_summary s =
+  Table.print (cells_table ~title:"golden-trace matrix" s);
+  if s.s_pairs <> [] then
+    Table.print (pairs_table ~title:"packet vs hybrid engine agreement" s);
+  Printf.printf "%d cells, %d drifted, %d disagreements\n"
     (List.length s.s_results) s.s_drifted s.s_disagreements
 
 let bench_json s =

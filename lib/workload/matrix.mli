@@ -39,6 +39,9 @@ type cell = {
       (** event-queue shards the cell pins (internet only); 1-shard cells
           follow the runner's [?shards] instead *)
   smoke : bool;  (** in the reduced CI set *)
+  scenario : Scenario.any;
+      (** what the cell runs; the string fields above are its labels in the
+          golden document *)
 }
 
 val cells : cell list
@@ -118,8 +121,14 @@ val run :
     compare across repeated runs — the determinism regime the CI stress
     job enforces. *)
 
+val cells_table : title:string -> summary -> Aitf_stats.Table.t
+(** One row per cell: golden status and perf. *)
+
+val pairs_table : title:string -> summary -> Aitf_stats.Table.t
+(** One row per engine pair and metric, with its verdict. *)
+
 val print_summary : summary -> unit
-(** Human-readable cell table, agreement table and verdict on stdout. *)
+(** Both tables and the verdict line on stdout. *)
 
 val bench_json : summary -> Aitf_obs.Json.t
 (** Per-cell perf trajectory (schema [aitf.matrix-bench/1]) — what CI

@@ -1,9 +1,7 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Series = Aitf_stats.Series
-module Rate_meter = Aitf_stats.Rate_meter
 module Fluid = Aitf_flowsim.Fluid
-module Sampler = Aitf_flowsim.Sampler
 module Json = Aitf_obs.Json
 open Aitf_net
 open Aitf_core
@@ -66,6 +64,16 @@ let to_string t =
     t.tr_events;
   Buffer.contents buf
 
+(* A pool the runners can place: at most 2^20 sources (what one origin
+   node's advertised range is sized for) and a source range inside the
+   32-bit address space. *)
+let pool_error p =
+  if p.p_n > 1 lsl 20 then
+    Some (Printf.sprintf "pool %s has %d sources, more than 2^20" p.p_id p.p_n)
+  else if Addr.to_unsigned p.p_base + p.p_n - 1 > 0xFFFF_FFFF then
+    Some (Printf.sprintf "pool %s runs past 255.255.255.255" p.p_id)
+  else None
+
 exception Bad of string
 
 let parse text =
@@ -126,10 +134,12 @@ let parse text =
         let rate = float_of ln "rate" (kv ln "rate" r) in
         if rate < 0. then fail ln "rate must be >= 0";
         let attack = bool_of ln "attack" (kv ln "attack" a) in
-        pools :=
+        let pool =
           { p_id = id; p_base = base; p_n = n; p_rate = rate;
             p_attack = attack }
-          :: !pools
+        in
+        Option.iter (fail ln) (pool_error pool);
+        pools := pool :: !pools
       | _ -> fail ln "pool wants: base=<addr> n=<int> rate=<float> attack=<bool>")
     | "at" :: t :: id :: rest ->
       if !header = None then fail ln "event before header";
@@ -341,8 +351,6 @@ let offered_bytes trace ~attack =
 type engine = [ `Packet | `Hybrid ]
 
 type result = {
-  rr_trace : trace;
-  rr_engine : engine;
   rr_attack_offered_bytes : float;
   rr_attack_received_bytes : float;
   rr_good_offered_bytes : float;
@@ -372,48 +380,28 @@ type pstate = { mutable sending : bool; mutable active : int; mutable live : int
 
 let effective st = if st.sending then st.active else 0
 
+let check trace =
+  match List.find_map pool_error trace.tr_pools with
+  | Some e -> Error ("replay: " ^ e)
+  | None -> Ok ()
+
 let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
     ?(sample_period = 0.5) ~engine trace =
-  List.iter
-    (fun p ->
-      if p.p_n > 1 lsl 20 then
-        invalid_arg "Replay.run: pool larger than 2^20 sources")
-    trace.tr_pools;
+  Result.iter_error invalid_arg (check trace);
   let sim = Sim.create () in
   let rng = Rng.create ~seed:trace.tr_seed in
   let topo = Chain.build sim spec in
   let net = topo.Chain.net in
   let pools = Array.of_list trace.tr_pools in
-  let attacker_gws = Array.of_list topo.Chain.attacker_gws in
   let total_rate =
     Array.fold_left
       (fun acc p -> acc +. (p.p_rate *. float_of_int p.p_n))
       0. pools
   in
-  let pool_bw = Float.max spec.Chain.core_bw (2. *. total_rate) in
   let nodes =
-    Array.mapi
-      (fun j p ->
-        let nd =
-          Network.add_node net
-            ~name:(Printf.sprintf "replay-%s" p.p_id)
-            ~addr:(Addr.of_octets 31 0 0 (j + 1))
-            ~as_id:(5000 + j) Node.Host
-        in
-        nd.Node.advertised <-
-          [
-            (Addr.host_prefix nd.Node.addr, Node.Global);
-            (cover p, Node.Global);
-          ];
-        ignore
-          (Network.connect net
-             attacker_gws.(j mod Array.length attacker_gws)
-             nd ~bandwidth:pool_bw ~delay:spec.Chain.access_delay
-             ~queue_capacity:spec.Chain.queue_capacity);
-        nd)
-      pools
+    Runner.spoofed_pools topo spec ~rate:total_rate
+      (Array.map (fun p -> ("replay-" ^ p.p_id, cover p)) pools)
   in
-  Network.compute_routes net;
   let config =
     {
       config with
@@ -422,6 +410,9 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
     }
   in
   let deployed = Chain.deploy ~victim_td:td ~config ~rng topo in
+  let all_gws =
+    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
+  in
   let victim_addr = topo.Chain.victim.Node.addr in
   let absorbed = Array.map Fluid_bridge.absorb_pool_requests nodes in
   let states =
@@ -432,16 +423,7 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
   let fluid_ctx, apply =
     match engine with
     | `Hybrid ->
-      let eng = Fluid.create ~epoch:config.Config.hybrid_epoch net in
-      List.iter
-        (fun gw ->
-          Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw))
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways);
-      let frng = Rng.split rng in
-      let probe_rate =
-        let r = config.Config.hybrid_probe_rate in
-        if r > 0. then Some r else None
-      in
+      let eng, frng = Runner.fluid_plane config net all_gws rng in
       let aggs =
         Array.mapi
           (fun j p ->
@@ -455,9 +437,7 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
             for i = 0 to p.p_n - 1 do
               Fluid.set_block eng agg ~idx:i ~stage:0 true
             done;
-            if p.p_attack then
-              ignore
-                (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng agg);
+            if p.p_attack then Runner.attach_probe ~sim config frng eng agg;
             agg)
           pools
       in
@@ -523,45 +503,23 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
                | Leave k -> st.active <- Int.max 0 (st.active - k));
                apply j)))
     trace.tr_events;
-  let rr_victim_rate = Series.create ~name:"victim-attack-rate" () in
-  let meter = Host_agent.Victim.attack_meter deployed.Chain.victim_agent in
-  let vmeter = Option.map Fluid_bridge.victim_meter fluid_ctx in
-  let rec sample t =
-    if t <= trace.tr_duration then
-      ignore
-        (Sim.at sim t (fun () ->
-             let v =
-               match vmeter with
-               | Some m -> Fluid_bridge.victim_attack_rate m ~now:t
-               | None -> 8. *. Rate_meter.rate meter ~now:t
-             in
-             Series.add rr_victim_rate ~time:t v;
-             sample (t +. sample_period)))
+  let rr_victim_rate =
+    Runner.victim_rate sim ~period:sample_period ~until:trace.tr_duration
+      fluid_ctx deployed.Chain.victim_agent
   in
-  sample sample_period;
   Sim.run ~until:trace.tr_duration sim;
-  let all_gws =
-    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
-  in
-  let received ~attack =
-    match fluid_ctx with
-    | Some eng -> Fluid.delivered_bits eng ~attack /. 8.
-    | None ->
-      if attack then Host_agent.Victim.attack_bytes deployed.Chain.victim_agent
-      else Host_agent.Victim.good_bytes deployed.Chain.victim_agent
+  let received =
+    Runner.received_bytes fluid_ctx
+      ~packet:(Runner.victim_bytes deployed.Chain.victim_agent)
   in
   {
-    rr_trace = trace;
-    rr_engine = engine;
     rr_attack_offered_bytes = offered_bytes trace ~attack:true;
     rr_attack_received_bytes = received ~attack:true;
     rr_good_offered_bytes = offered_bytes trace ~attack:false;
     rr_good_received_bytes = received ~attack:false;
     rr_requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
-    rr_filters =
-      Scenarios.counter_total all_gws Gateway.Filter_temp
-      + Scenarios.counter_total all_gws Gateway.Filter_long;
+    rr_filters = Runner.filter_installs all_gws;
     rr_absorbed = Array.fold_left (fun acc r -> acc + !r) 0 absorbed;
     rr_events = Sim.events_processed sim;
     rr_victim_rate;

@@ -63,8 +63,9 @@ val parse : string -> (trace, string) result
 (** Errors carry the 1-based line number and the offending token.
     Rejected: unknown directives, missing/duplicate header fields,
     malformed numbers (anything [int_of_string]/[float_of_string] won't
-    take, plus non-finite or negative rates/times), events naming an
-    undeclared pool, and decreasing timestamps. *)
+    take, plus non-finite or negative rates/times), pools of more than
+    2^20 sources or whose range runs past 255.255.255.255, events naming
+    an undeclared pool, and decreasing timestamps. *)
 
 (** {1 Synthesizers}
 
@@ -106,8 +107,6 @@ val synth_carpet :
 type engine = [ `Packet | `Hybrid ]
 
 type result = {
-  rr_trace : trace;
-  rr_engine : engine;
   rr_attack_offered_bytes : float;
       (** analytic integral of the trace's active attack rate *)
   rr_attack_received_bytes : float;
@@ -140,4 +139,8 @@ val run :
     overridden by [engine]. Deterministic: same trace, same engine, same
     result — bit-identical serialized reports.
 
-    @raise Invalid_argument when a pool population exceeds 2^20. *)
+    @raise Invalid_argument when {!check} fails. *)
+
+val check : trace -> (unit, string) Stdlib.result
+(** [Error] when a pool could not be placed: more than 2^20 sources, or a
+    source range past 255.255.255.255 ({!parse} rejects both). *)

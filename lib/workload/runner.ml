@@ -1,0 +1,111 @@
+module Sim = Aitf_engine.Sim
+module Rng = Aitf_engine.Rng
+module Series = Aitf_stats.Series
+module Rate_meter = Aitf_stats.Rate_meter
+module Fluid = Aitf_flowsim.Fluid
+module Sampler = Aitf_flowsim.Sampler
+open Aitf_net
+open Aitf_core
+open Aitf_topo
+
+let fluid_plane config net gws rng =
+  let eng = Fluid.create ~epoch:config.Config.hybrid_epoch net in
+  List.iter
+    (fun gw ->
+      Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw))
+    gws;
+  (eng, Rng.split rng)
+
+let attach_probe ~sim config frng eng agg =
+  ignore
+    (Sampler.attach ~rate:config.Config.hybrid_probe_rate ~sim
+       ~rng:(Rng.split frng) eng agg)
+
+let host_flow ~sim config fluid ~agent ~flow_id ~rate ~dst ~attack ~start net
+    node =
+  match fluid with
+  | None ->
+    let gate =
+      match agent with
+      | Some a -> Host_agent.Attacker.gate a
+      | None -> fun _ -> true
+    in
+    ignore (Traffic.cbr ~gate ~start ~attack ~flow_id ~rate ~dst net node)
+  | Some (eng, frng) ->
+    let agg =
+      Fluid.add_aggregate eng ~flow_id ~origin:node ~src_base:node.Node.addr
+        ~n:1 ~rate ~dst ~attack ~start
+    in
+    Option.iter (Fluid_bridge.attach_attacker_strategy eng agg) agent;
+    if attack then attach_probe ~sim config frng eng agg
+
+let spoofed_pools (topo : Chain.t) (spec : Chain.spec) ~rate pools =
+  let net = topo.Chain.net in
+  let gws = Array.of_list topo.Chain.attacker_gws in
+  let bandwidth = Float.max spec.Chain.core_bw (2. *. rate) in
+  let nodes =
+    Array.mapi
+      (fun j (name, prefix) ->
+        let n =
+          Network.add_node net ~name
+            ~addr:(Addr.of_octets 31 0 0 (j + 1))
+            ~as_id:(5000 + j) Node.Host
+        in
+        n.Node.advertised <-
+          [ (Addr.host_prefix n.Node.addr, Node.Global); (prefix, Node.Global) ];
+        ignore
+          (Network.connect net
+             gws.(j mod Array.length gws)
+             n ~bandwidth ~delay:spec.Chain.access_delay
+             ~queue_capacity:spec.Chain.queue_capacity);
+        n)
+      pools
+  in
+  Network.compute_routes net;
+  nodes
+
+let victim_rate sim ~period ~until fluid victim =
+  let rate =
+    match fluid with
+    | Some eng ->
+      let meter = Rate_meter.create ~window:1.0 and last = ref 0. in
+      fun now ->
+        let bits = Fluid.delivered_bits eng ~attack:true in
+        Rate_meter.add meter ~now ((bits -. !last) /. 8.);
+        last := bits;
+        8. *. Rate_meter.rate meter ~now
+    | None ->
+      let meter = Host_agent.Victim.attack_meter victim in
+      fun now -> 8. *. Rate_meter.rate meter ~now
+  in
+  let series = Series.create ~name:"victim-attack-rate" () in
+  let rec sample t =
+    if t <= until then
+      ignore
+        (Sim.at sim t (fun () ->
+             Series.add series ~time:t (rate t);
+             sample (t +. period)))
+  in
+  sample period;
+  series
+
+let start_metrics sim ~interval =
+  Option.map
+    (fun reg -> Aitf_obs.Sampler.start ~interval sim reg)
+    (Sim.get sim Aitf_obs.Metrics.key)
+
+let victim_bytes victim ~attack =
+  if attack then Host_agent.Victim.attack_bytes victim
+  else Host_agent.Victim.good_bytes victim
+
+let received_bytes fluid ~packet ~attack =
+  match fluid with
+  | Some eng -> Fluid.delivered_bits eng ~attack /. 8.
+  | None -> packet ~attack
+
+let filter_installs gws =
+  List.fold_left
+    (fun acc gw ->
+      acc + Gateway.count gw Gateway.Filter_temp
+      + Gateway.count gw Gateway.Filter_long)
+    0 gws

@@ -1,10 +1,7 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Sched = Aitf_parallel.Sched
 module Series = Aitf_stats.Series
-module Rate_meter = Aitf_stats.Rate_meter
 module Fluid = Aitf_flowsim.Fluid
-module Sampler = Aitf_flowsim.Sampler
 open Aitf_net
 open Aitf_core
 open Aitf_topo
@@ -80,21 +77,8 @@ type chain_result = {
 let counter_total gws c =
   List.fold_left (fun acc gw -> acc + Gateway.count gw c) 0 gws
 
-(* These fixed small topologies are never sharded: with [?sched] they run
-   entirely on the scheduler's global sim. The seam exists so tests can
-   check that a 1-shard [Sched] replays the sequential engine bit for
-   bit. *)
-let sim_of_sched = function
-  | Some s -> Sched.global s
-  | None -> Sim.create ()
-
-let run_sched ?sched ~until sim =
-  match sched with
-  | Some s -> Sched.run ~until s
-  | None -> Sim.run ~until sim
-
-let run_chain ?sched params =
-  let sim = sim_of_sched sched in
+let run_chain params =
+  let sim = Sim.create () in
   let rng = Rng.create ~seed:params.seed in
   let topo = Chain.build sim params.spec in
   let config, path_source =
@@ -204,120 +188,46 @@ let run_chain ?sched params =
      traffic. The RNG is only split in hybrid mode, so packet runs replay
      the exact pre-hybrid event sequence. *)
   let fluid_ctx =
-    if params.config.Config.engine = Config.Hybrid then begin
-      let eng =
-        Fluid.create ~epoch:params.config.Config.hybrid_epoch topo.Chain.net
-      in
-      List.iter
-        (fun gw ->
-          Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw))
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways);
-      Some (eng, Rng.split rng)
-    end
+    if params.config.Config.engine = Config.Hybrid then
+      Some
+        (Runner.fluid_plane params.config topo.Chain.net
+           (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways)
+           rng)
     else None
   in
-  let probe_rate =
-    let r = params.config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
+  let fluid = Option.map fst fluid_ctx in
+  let flow =
+    Runner.host_flow ~sim params.config fluid_ctx ~dst:victim_addr
+      topo.Chain.net
   in
-  let fluid_agg ?flow_id eng node rate ~attack ~start =
-    Fluid.add_aggregate ?flow_id eng ~origin:node ~src_base:node.Node.addr
-      ~n:1 ~rate ~dst:victim_addr ~attack ~start
-  in
-  let (_in_pool_source : Traffic.t option) =
-    match fluid_ctx with
-    | None ->
-      Option.map
-        (fun node ->
-          Traffic.cbr ~start:0. ~flow_id:3 ~rate:params.in_pool_legit_rate
-            ~dst:victim_addr topo.Chain.net node)
-        in_pool_client
-    | Some (eng, _) ->
-      Option.iter
-        (fun node ->
-          ignore
-            (fluid_agg ~flow_id:3 eng node params.in_pool_legit_rate
-               ~attack:false ~start:0.))
-        in_pool_client;
-      None
-  in
-  let (_attack_source : Traffic.t option) =
-    match fluid_ctx with
-    | None ->
-      Some
-        (Traffic.cbr
-           ~gate:(Host_agent.Attacker.gate attacker_agent)
-           ~start:params.attack_start ~attack:true ~flow_id:1
-           ~rate:params.attack_rate ~dst:victim_addr topo.Chain.net
-           topo.Chain.attacker)
-    | Some (eng, frng) ->
-      let agg =
-        fluid_agg ~flow_id:1 eng topo.Chain.attacker params.attack_rate
-          ~attack:true ~start:params.attack_start
-      in
-      Fluid_bridge.attach_attacker_strategy eng agg attacker_agent;
-      ignore (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng agg);
-      None
-  in
+  Option.iter
+    (flow ~agent:None ~flow_id:3 ~rate:params.in_pool_legit_rate ~attack:false
+       ~start:0.)
+    in_pool_client;
+  flow ~agent:(Some attacker_agent) ~flow_id:1 ~rate:params.attack_rate
+    ~attack:true ~start:params.attack_start topo.Chain.attacker;
   let legit_on = params.legit_rate > 0. in
-  let (_legit_source : Traffic.t option) =
-    if not legit_on then None
-    else
-      match fluid_ctx with
-      | None ->
-        Some
-          (Traffic.cbr ~start:0. ~flow_id:2 ~rate:params.legit_rate
-             ~dst:victim_addr topo.Chain.net topo.Chain.bystander)
-      | Some (eng, _) ->
-        ignore
-          (fluid_agg ~flow_id:2 eng topo.Chain.bystander params.legit_rate
-             ~attack:false ~start:0.);
-        None
+  if legit_on then
+    flow ~agent:None ~flow_id:2 ~rate:params.legit_rate ~attack:false
+      ~start:0. topo.Chain.bystander;
+  let victim_rate =
+    Runner.victim_rate sim ~period:params.sample_period ~until:params.duration
+      fluid deployed.Chain.victim_agent
   in
-  (* Sample the attack bandwidth the victim experiences. In hybrid runs the
-     fluid delivery is pushed through the same 1-second window as the packet
-     engine's victim meter, so [time_to_suppress] sees identical smoothing
-     lag under both engines. *)
-  let victim_rate = Series.create ~name:"victim-attack-rate" () in
-  let meter = Host_agent.Victim.attack_meter deployed.Chain.victim_agent in
-  let vmeter =
-    Option.map (fun (eng, _) -> Fluid_bridge.victim_meter eng) fluid_ctx
-  in
-  let rec sample t =
-    if t <= params.duration then
-      ignore
-        (Sim.at sim t (fun () ->
-             let v =
-               match vmeter with
-               | Some m -> Fluid_bridge.victim_attack_rate m ~now:t
-               | None -> 8. *. Rate_meter.rate meter ~now:t
-             in
-             Series.add victim_rate ~time:t v;
-             sample (t +. params.sample_period)))
-  in
-  sample params.sample_period;
   (* When a metrics registry is attached, every component above has already
      self-registered; the sampler adds the sim-level metrics and the
      time-series half of the run report. *)
-  let sampler =
-    Option.map
-      (fun reg -> Aitf_obs.Sampler.start ~interval:params.sample_period sim reg)
-      (Sim.get sim Aitf_obs.Metrics.key)
-  in
-  run_sched ?sched ~until:params.duration sim;
+  let sampler = Runner.start_metrics sim ~interval:params.sample_period in
+  Sim.run ~until:params.duration sim;
   let attack_offered_bytes =
     params.attack_rate *. (params.duration -. params.attack_start) /. 8.
   in
-  let attack_received_bytes =
-    match fluid_ctx with
-    | Some (eng, _) -> Fluid.delivered_bits eng ~attack:true /. 8.
-    | None -> Host_agent.Victim.attack_bytes deployed.Chain.victim_agent
+  let received =
+    Runner.received_bytes fluid
+      ~packet:(Runner.victim_bytes deployed.Chain.victim_agent)
   in
-  let good_received_bytes =
-    match fluid_ctx with
-    | Some (eng, _) -> Fluid.delivered_bits eng ~attack:false /. 8.
-    | None -> Host_agent.Victim.good_bytes deployed.Chain.victim_agent
-  in
+  let attack_received_bytes = received ~attack:true in
+  let good_received_bytes = received ~attack:false in
   let good_offered_bytes =
     (if legit_on then params.legit_rate *. params.duration /. 8. else 0.)
     +.
@@ -354,14 +264,8 @@ let run_chain ?sched params =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
     requests_retransmitted =
       Host_agent.Victim.requests_retransmitted deployed.Chain.victim_agent;
-    ctrl_retransmits =
-      counter_total
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways)
-        Gateway.Ctrl_retransmit;
-    ctrl_gave_up =
-      counter_total
-        (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways)
-        Gateway.Ctrl_gave_up;
+    ctrl_retransmits = counter_total all_gateways Gateway.Ctrl_retransmit;
+    ctrl_gave_up = counter_total all_gateways Gateway.Ctrl_gave_up;
     faults_injected =
       List.fold_left
         (fun acc i -> acc + Aitf_fault.Fault.drops_injected i)
@@ -372,7 +276,7 @@ let run_chain ?sched params =
     collateral_packets = overload_total Aitf_filter.Overload.collateral_packets;
     collateral_bytes = overload_total Aitf_filter.Overload.collateral_bytes;
     sampler;
-    fluid = Option.map fst fluid_ctx;
+    fluid;
     events_processed = Sim.events_processed sim;
   }
 
@@ -449,8 +353,8 @@ type flood_result = {
   flood_events : int;
 }
 
-let run_flood ?sched p =
-  let sim = sim_of_sched sched in
+let run_flood p =
+  let sim = Sim.create () in
   let rng = Rng.create ~seed:p.flood_seed in
   let t = Hierarchy.build sim p.hierarchy in
   let config = p.flood_config in
@@ -463,33 +367,29 @@ let run_flood ?sched p =
       (fun d -> Hierarchy.attach_victim ~td:0.1 d ~config ~isp:0 ~net:0 ~host:0)
       deployed
   in
-  (* Count at the node so the no-AITF baseline measures too; the victim
-     agent (when present) re-dispatches data it does not own to this
-     handler's predecessor, so install ours first... order matters: this
-     wrapper was installed before any agent, so the agent runs first and
-     swallows Data; count here only without AITF, through the agent
-     otherwise. *)
   (* Hybrid: the whole data plane is fluid; the control plane (when AITF is
      deployed) is driven by per-zombie probe samplers. *)
   let fluid_ctx =
-    if config.Config.engine = Config.Hybrid then begin
-      let eng = Fluid.create ~epoch:config.Config.hybrid_epoch t.Hierarchy.net in
-      (match deployed with
-      | Some d ->
-        let attach gw =
-          Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw)
-        in
-        Array.iter (fun row -> Array.iter attach row) d.Hierarchy.net_gateways;
-        Array.iter attach d.Hierarchy.isp_gateways
-      | None -> ());
-      Some (eng, Rng.split rng)
-    end
+    if config.Config.engine = Config.Hybrid then
+      let gws =
+        match deployed with
+        | Some d ->
+          List.concat_map Array.to_list
+            (Array.to_list d.Hierarchy.net_gateways)
+          @ Array.to_list d.Hierarchy.isp_gateways
+        | None -> []
+      in
+      Some (Runner.fluid_plane config t.Hierarchy.net gws rng)
     else None
   in
-  let probe_rate =
-    let r = config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
+  let fluid = Option.map fst fluid_ctx in
+  let flow =
+    Runner.host_flow ~sim config fluid_ctx ~dst:victim_node.Node.addr
+      t.Hierarchy.net
   in
+  (* Without AITF there is no victim agent to count what reaches the
+     victim, so under the packet engine a wrapper on the victim node
+     counts it. *)
   let legit = ref 0. and attack = ref 0. in
   (if (not p.with_aitf) && Option.is_none fluid_ctx then
      let prev = victim_node.Node.local_deliver in
@@ -512,17 +412,8 @@ let run_flood ?sched p =
          then begin
            incr placed_clients;
            let src = Hierarchy.host t ~isp:0 ~net ~host in
-           match fluid_ctx with
-           | None ->
-             ignore
-               (Traffic.cbr ~start:0. ~flow_id:(2000 + !placed_clients)
-                  ~rate:p.legit_rate ~dst:victim_node.Node.addr t.Hierarchy.net
-                  src)
-           | Some (eng, _) ->
-             ignore
-               (Fluid.add_aggregate eng ~flow_id:(2000 + !placed_clients)
-                  ~origin:src ~src_base:src.Node.addr ~n:1 ~rate:p.legit_rate
-                  ~dst:victim_node.Node.addr ~attack:false ~start:0.)
+           flow ~agent:None ~flow_id:(2000 + !placed_clients)
+             ~rate:p.legit_rate ~attack:false ~start:0. src
          end
        done
      done
@@ -542,43 +433,16 @@ let run_flood ?sched p =
                      ~config ~isp ~net ~host)
                  deployed
              in
-             let src = Hierarchy.host t ~isp ~net ~host in
-             match fluid_ctx with
-             | None ->
-               let gate =
-                 match agent with
-                 | Some a -> Host_agent.Attacker.gate a
-                 | None -> fun _ -> true
-               in
-               ignore
-                 (Traffic.cbr ~gate ~start:p.attack_start ~attack:true
-                    ~flow_id:(1000 + !placed) ~rate:p.zombie_rate
-                    ~dst:victim_node.Node.addr t.Hierarchy.net src)
-             | Some (eng, frng) ->
-               let agg =
-                 Fluid.add_aggregate eng ~flow_id:(1000 + !placed)
-                   ~origin:src ~src_base:src.Node.addr ~n:1
-                   ~rate:p.zombie_rate ~dst:victim_node.Node.addr
-                   ~attack:true ~start:p.attack_start
-               in
-               Option.iter
-                 (fun a -> Fluid_bridge.attach_attacker_strategy eng agg a)
-                 agent;
-               ignore
-                 (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng
-                    agg)
+             flow ~agent ~flow_id:(1000 + !placed) ~rate:p.zombie_rate
+               ~attack:true ~start:p.attack_start
+               (Hierarchy.host t ~isp ~net ~host)
            end
          done
        done
      done
    with Invalid_argument _ -> ());
-  let flood_sampler =
-    Option.map
-      (fun reg ->
-        Aitf_obs.Sampler.start ~interval:p.flood_sample_period sim reg)
-      (Sim.get sim Aitf_obs.Metrics.key)
-  in
-  run_sched ?sched ~until:p.flood_duration sim;
+  let flood_sampler = Runner.start_metrics sim ~interval:p.flood_sample_period in
+  Sim.run ~until:p.flood_duration sim;
   let filters_at gws =
     Array.fold_left
       (fun acc gw -> acc + Gateway.count gw Gateway.Filter_long)
@@ -593,30 +457,26 @@ let run_flood ?sched p =
           0 d.Hierarchy.net_gateways,
         filters_at d.Hierarchy.isp_gateways )
   in
-  let legit_received, attack_received =
-    match fluid_ctx with
-    | Some (eng, _) ->
-      ( Fluid.delivered_bits eng ~attack:false /. 8.,
-        Fluid.delivered_bits eng ~attack:true /. 8. )
-    | None -> (
-      match victim with
-      | Some v ->
-        (Host_agent.Victim.good_bytes v, Host_agent.Victim.attack_bytes v)
-      | None -> (!legit, !attack))
+  let received =
+    Runner.received_bytes fluid
+      ~packet:
+        (match victim with
+        | Some v -> Runner.victim_bytes v
+        | None -> fun ~attack:a -> if a then !attack else !legit)
   in
   {
     flood_params = p;
     hierarchy_deployed = deployed;
     victim;
     zombies_placed = !placed;
-    legit_received_bytes = legit_received;
+    legit_received_bytes = received ~attack:false;
     legit_offered_bytes =
       float_of_int !placed_clients *. p.legit_rate *. p.flood_duration /. 8.;
-    flood_attack_received_bytes = attack_received;
+    flood_attack_received_bytes = received ~attack:true;
     leaf_filters;
     isp_filters;
     flood_sampler;
-    flood_fluid = Option.map fst fluid_ctx;
+    flood_fluid = fluid;
     flood_events = Sim.events_processed sim;
   }
 
@@ -671,55 +531,33 @@ type swarm_result = {
    routes back to the pool node for the reverse control path. *)
 let pool_prefix j = Addr.prefix (Addr.of_octets 32 (16 * j) 0 0) 12
 
-let run_swarm ?sched p =
+let check_swarm p =
   if p.swarm_pools < 1 || p.swarm_pools > 16 then
-    invalid_arg "run_swarm: swarm_pools must be in 1..16";
-  if p.swarm_sources < p.swarm_pools then
-    invalid_arg "run_swarm: need at least one source per pool";
-  if (p.swarm_sources / p.swarm_pools) + 1 > 1 lsl 20 then
-    invalid_arg "run_swarm: more than 2^20 sources per pool";
-  let sim = sim_of_sched sched in
+    Error (Printf.sprintf "swarm: pools must be in 1..16, got %d" p.swarm_pools)
+  else if p.swarm_sources < p.swarm_pools then
+    Error "swarm: need at least one source per pool"
+  else if (p.swarm_sources / p.swarm_pools) + 1 > 1 lsl 20 then
+    Error
+      (Printf.sprintf "swarm: %d sources over %d pools is more than 2^20 per pool"
+         p.swarm_sources p.swarm_pools)
+  else Ok ()
+
+let run_swarm p =
+  Result.iter_error invalid_arg (check_swarm p);
+  let sim = Sim.create () in
   let rng = Rng.create ~seed:p.swarm_seed in
   let topo = Chain.build sim p.swarm_spec in
-  let net = topo.Chain.net in
-  let spec = p.swarm_spec in
-  (* Pool nodes: one origin host per aggregate, hanging off the attacker-side
-     gateways round-robin. The pool uplinks are provisioned well above the
-     offered load so the victim's tail circuit stays the only bottleneck. *)
-  let attacker_gws = Array.of_list topo.Chain.attacker_gws in
-  let pool_bw = Float.max spec.Chain.core_bw (2. *. p.swarm_attack_rate) in
   let pools =
-    Array.init p.swarm_pools (fun j ->
-        let n =
-          Network.add_node net
-            ~name:(Printf.sprintf "pool%d" j)
-            ~addr:(Addr.of_octets 31 0 0 (j + 1))
-            ~as_id:(5000 + j) Node.Host
-        in
-        n.Node.advertised <-
-          [ (Addr.host_prefix n.Node.addr, Node.Global);
-            (pool_prefix j, Node.Global);
-          ];
-        ignore
-          (Network.connect net
-             attacker_gws.(j mod Array.length attacker_gws)
-             n ~bandwidth:pool_bw ~delay:spec.Chain.access_delay
-             ~queue_capacity:spec.Chain.queue_capacity);
-        n)
+    Runner.spoofed_pools topo p.swarm_spec ~rate:p.swarm_attack_rate
+      (Array.init p.swarm_pools (fun j ->
+           (Printf.sprintf "pool%d" j, pool_prefix j)))
   in
-  Network.compute_routes net;
   let config = p.swarm_config in
   let deployed = Chain.deploy ~victim_td:p.swarm_td ~config ~rng topo in
-  let eng = Fluid.create ~epoch:config.Config.hybrid_epoch net in
-  List.iter
-    (fun gw ->
-      Fluid.attach_table eng ~node:(Gateway.node gw) (Gateway.filters gw))
-    (deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways);
-  let frng = Rng.split rng in
-  let probe_rate =
-    let r = config.Config.hybrid_probe_rate in
-    if r > 0. then Some r else None
+  let all_gws =
+    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
   in
+  let eng, frng = Runner.fluid_plane config topo.Chain.net all_gws rng in
   let victim_addr = topo.Chain.victim.Node.addr in
   let base = p.swarm_sources / p.swarm_pools in
   let rem = p.swarm_sources mod p.swarm_pools in
@@ -736,34 +574,21 @@ let run_swarm ?sched p =
           ~n ~rate ~dst:victim_addr ~attack:true ~start:p.swarm_attack_start
       in
       absorbed := Fluid_bridge.absorb_pool_requests pool :: !absorbed;
-      ignore (Sampler.attach ?rate:probe_rate ~rng:(Rng.split frng) eng agg))
+      Runner.attach_probe ~sim config frng eng agg)
     pools;
   if p.swarm_legit_rate > 0. then
-    ignore
-      (Fluid.add_aggregate eng ~flow_id:2 ~origin:topo.Chain.bystander
-         ~src_base:topo.Chain.bystander.Node.addr ~n:1 ~rate:p.swarm_legit_rate
-         ~dst:victim_addr ~attack:false ~start:0.);
-  let swarm_victim_rate = Series.create ~name:"victim-attack-rate" () in
-  let vmeter = Fluid_bridge.victim_meter eng in
-  let rec sample t =
-    if t <= p.swarm_duration then
-      ignore
-        (Sim.at sim t (fun () ->
-             Series.add swarm_victim_rate ~time:t
-               (Fluid_bridge.victim_attack_rate vmeter ~now:t);
-             sample (t +. p.swarm_sample_period)))
+    Runner.host_flow ~sim config
+      (Some (eng, frng))
+      ~agent:None ~flow_id:2 ~rate:p.swarm_legit_rate ~dst:victim_addr
+      ~attack:false ~start:0. topo.Chain.net topo.Chain.bystander;
+  let swarm_victim_rate =
+    Runner.victim_rate sim ~period:p.swarm_sample_period
+      ~until:p.swarm_duration (Some eng) deployed.Chain.victim_agent
   in
-  sample p.swarm_sample_period;
   let swarm_sampler =
-    Option.map
-      (fun reg ->
-        Aitf_obs.Sampler.start ~interval:p.swarm_sample_period sim reg)
-      (Sim.get sim Aitf_obs.Metrics.key)
+    Runner.start_metrics sim ~interval:p.swarm_sample_period
   in
   Sim.run ~until:p.swarm_duration sim;
-  let all_gws =
-    deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
-  in
   {
     swarm_params = p;
     swarm_deployed = deployed;
@@ -777,9 +602,7 @@ let run_swarm ?sched p =
     swarm_victim_rate;
     swarm_requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
-    swarm_filters =
-      counter_total all_gws Gateway.Filter_temp
-      + counter_total all_gws Gateway.Filter_long;
+    swarm_filters = Runner.filter_installs all_gws;
     swarm_absorbed = List.fold_left (fun acc r -> acc + !r) 0 !absorbed;
     swarm_events = Sim.events_processed sim;
     swarm_sampler;

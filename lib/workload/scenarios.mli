@@ -93,10 +93,7 @@ type chain_result = {
       (** discrete events executed — the engine-comparison cost metric *)
 }
 
-val run_chain : ?sched:Aitf_parallel.Sched.t -> chain_params -> chain_result
-(** [?sched] runs the scenario on that scheduler's global sim (the fixed
-    chain topology is never sharded); a 1-shard scheduler replays the
-    default sequential engine bit for bit. *)
+val run_chain : chain_params -> chain_result
 
 val time_to_suppress : chain_result -> threshold:float -> float option
 (** First time after the attack started at which the victim-observed attack
@@ -151,7 +148,7 @@ type flood_result = {
   flood_events : int;
 }
 
-val run_flood : ?sched:Aitf_parallel.Sched.t -> flood_params -> flood_result
+val run_flood : flood_params -> flood_result
 
 (** {1 Massive swarm (hybrid engine only)}
 
@@ -200,6 +197,9 @@ type swarm_result = {
   swarm_sampler : Aitf_obs.Sampler.t option;
 }
 
-val run_swarm : ?sched:Aitf_parallel.Sched.t -> swarm_params -> swarm_result
-(** @raise Invalid_argument when the pool/source counts are out of range
-    (pools in 1..16, at most 2^20 sources per pool). *)
+val check_swarm : swarm_params -> (unit, string) result
+(** [Error] when the pool/source counts are out of range: pools in 1..16,
+    at least one and at most 2^20 sources per pool. *)
+
+val run_swarm : swarm_params -> swarm_result
+(** @raise Invalid_argument when {!check_swarm} fails. *)

@@ -1,65 +1,16 @@
-(* Parallel engine: 1-shard bit-identity against the sequential engine,
-   conservative message ordering under random shard topologies,
-   multi-shard determinism and 1-vs-N agreement, zero-lookahead
+(* Parallel engine: conservative message ordering under random shard
+   topologies, multi-shard determinism and 1-vs-N agreement, zero-lookahead
    rejection, and one run context per world. *)
 
 module Sim = Aitf_engine.Sim
 module Sched = Aitf_parallel.Sched
 module Series = Aitf_stats.Series
-module Scenarios = Aitf_workload.Scenarios
 module As_scenario = Aitf_workload.As_scenario
 module As_graph = Aitf_topo.As_graph
 module Config = Aitf_core.Config
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-(* --- 1-shard bit-identity on the classic scenarios -------------------------- *)
-
-(* A 1-shard scheduler must replay the plain-Sim run exactly: same event
-   count, same byte counters, same victim-rate series point for point. *)
-
-let chain_fingerprint (r : Scenarios.chain_result) =
-  ( r.Scenarios.attack_received_bytes,
-    r.Scenarios.good_received_bytes,
-    r.Scenarios.escalations,
-    r.Scenarios.requests_sent,
-    r.Scenarios.events_processed,
-    Series.points r.Scenarios.victim_rate )
-
-let test_chain_one_shard_identity () =
-  let p = { Scenarios.default_chain with Scenarios.duration = 5. } in
-  let seq = Scenarios.run_chain p in
-  let par = Scenarios.run_chain ~sched:(Sched.create ~shards:1 ()) p in
-  checkb "chain: 1-shard sched is bit-identical" true
-    (chain_fingerprint seq = chain_fingerprint par)
-
-let test_flood_one_shard_identity () =
-  let p = { Scenarios.default_flood with Scenarios.flood_duration = 10. } in
-  let seq = Scenarios.run_flood p in
-  let par = Scenarios.run_flood ~sched:(Sched.create ~shards:1 ()) p in
-  let fp (r : Scenarios.flood_result) =
-    ( r.Scenarios.legit_received_bytes,
-      r.Scenarios.flood_attack_received_bytes,
-      r.Scenarios.leaf_filters,
-      r.Scenarios.isp_filters,
-      r.Scenarios.flood_events )
-  in
-  checkb "flood: 1-shard sched is bit-identical" true (fp seq = fp par)
-
-let test_swarm_one_shard_identity () =
-  let p = { Scenarios.default_swarm with Scenarios.swarm_duration = 5. } in
-  let seq = Scenarios.run_swarm p in
-  let par = Scenarios.run_swarm ~sched:(Sched.create ~shards:1 ()) p in
-  let fp (r : Scenarios.swarm_result) =
-    ( r.Scenarios.swarm_good_received_bytes,
-      r.Scenarios.swarm_attack_received_bytes,
-      r.Scenarios.swarm_requests_sent,
-      r.Scenarios.swarm_filters,
-      r.Scenarios.swarm_events,
-      Series.points r.Scenarios.swarm_victim_rate )
-  in
-  checkb "swarm: 1-shard sched is bit-identical" true (fp seq = fp par)
 
 (* --- internet scenario: determinism and shard-count agreement --------------- *)
 
@@ -487,15 +438,6 @@ let test_parallel_report_section () =
 let () =
   Alcotest.run "aitf_parallel"
     [
-      ( "identity",
-        [
-          Alcotest.test_case "chain 1-shard bit-identity" `Quick
-            test_chain_one_shard_identity;
-          Alcotest.test_case "flood 1-shard bit-identity" `Quick
-            test_flood_one_shard_identity;
-          Alcotest.test_case "swarm 1-shard bit-identity" `Quick
-            test_swarm_one_shard_identity;
-        ] );
       ( "determinism",
         [
           Alcotest.test_case "multi-shard runs reproduce" `Slow

@@ -140,6 +140,12 @@ let test_parse_rejections () =
     "aitf-replay/1 seed=1 duration=5.0\n\
      pool a base=1.2.3.4 n=1 rate=1.0 attack=true\n\
      pool a base=1.2.3.8 n=1 rate=1.0 attack=true\n";
+  rejects "pool over 2^20 sources"
+    "aitf-replay/1 seed=1 duration=5.0\n\
+     pool a base=32.0.0.0 n=1048577 rate=1.0 attack=true\n";
+  rejects "pool past the address space"
+    "aitf-replay/1 seed=1 duration=5.0\n\
+     pool a base=255.255.255.250 n=10 rate=1.0 attack=true\n";
   (* comments and blank lines are fine *)
   match
     Replay.parse
