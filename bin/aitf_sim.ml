@@ -306,7 +306,9 @@ let hybrid_epoch_t =
            ~doc:"Fluid-share recompute period under the hybrid engine.")
 
 let probe_rate_t =
-  Arg.(value & opt float Config.default.Config.hybrid_probe_rate
+  Arg.(value
+       & opt (nonneg_float "--probe-rate")
+           Config.default.Config.hybrid_probe_rate
        & info [ "probe-rate" ] ~docv:"PKTS/S"
            ~doc:"Probe packets materialised per aggregate under the hybrid \
                  engine (0 = derive from the aggregate's own rate).")

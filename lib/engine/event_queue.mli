@@ -3,7 +3,12 @@
     Events are closures scheduled at an absolute timestamp. Ties are broken
     by insertion order (FIFO among events with equal timestamps), which keeps
     simulations deterministic. Cancellation is O(1): the event is flagged and
-    skipped when it reaches the head of the queue. *)
+    skipped when it reaches the head of the queue.
+
+    The queue is its own 4-ary min-heap over unboxed (time, insertion
+    number) keys: ordering compares two array slots inline, with no
+    comparison closure and no boxed entry to dereference. Storage stays
+    proportional to the live queue, and a taken event is not retained. *)
 
 type t
 
@@ -18,7 +23,10 @@ val schedule : ?label:string -> t -> time:float -> (unit -> unit) -> handle
     for the opt-in profiler; it never affects ordering or execution. *)
 
 val cancel : handle -> unit
-(** Cancel the event if it has not fired yet; idempotent. *)
+(** Cancel the event if it is still pending; idempotent. A handle whose
+    event was already taken (even one cancelling itself as it fires) is
+    left as it is, and counts for neither {!length} nor
+    {!total_cancelled}. *)
 
 val is_cancelled : handle -> bool
 

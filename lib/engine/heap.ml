@@ -64,12 +64,8 @@ let push h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let top h =
-  if h.size = 0 then invalid_arg "Heap.top: empty heap";
-  h.data.(0)
-
 let take h =
-  if h.size = 0 then invalid_arg "Heap.take: empty heap";
+  (* [h] is not empty. *)
   let top = h.data.(0) in
   h.size <- h.size - 1;
   if h.size > 0 then begin
@@ -87,7 +83,7 @@ let take h =
     h.data <- [||];
   top
 
-let peek h = if h.size = 0 then None else Some (top h)
+let peek h = if h.size = 0 then None else Some h.data.(0)
 let pop h = if h.size = 0 then None else Some (take h)
 
 let clear h =

@@ -1,10 +1,11 @@
 (** Resizable-array binary min-heap.
 
     The heap is parameterised by an explicit comparison function supplied at
-    creation time, so the same structure serves event queues (ordered by
-    time, then sequence number) and any other priority workload in the
-    simulator. All operations are imperative; [pop] and [peek] never observe
-    elements out of order with respect to the comparison. *)
+    creation time, for priority workloads off the per-event path (Dijkstra
+    in [Network.shortest_paths]); the simulator's event queue is its own
+    structure ({!Event_queue}). All operations are imperative; [pop] and
+    [peek] never observe elements out of order with respect to the
+    comparison. *)
 
 type 'a t
 
@@ -25,15 +26,6 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element. O(log n). *)
-
-val top : 'a t -> 'a
-(** [top h] is {!peek} without the option, so a hot loop that has just
-    checked {!is_empty} allocates nothing.
-    @raise Invalid_argument if [h] is empty. *)
-
-val take : 'a t -> 'a
-(** [take h] is {!pop} without the option.
-    @raise Invalid_argument if [h] is empty. *)
 
 val clear : 'a t -> unit
 (** Remove every element. The backing store is released. *)

@@ -91,17 +91,18 @@ let lookup_prefix t addr =
   go t.root 0 None
 
 (* The forwarding fast path: same walk as [lookup_prefix] but tracks only
-   the best value, so a hit allocates nothing (no [Addr.prefix] built). *)
-let lookup t addr =
-  let rec go node depth best =
-    let best = match node.value with Some _ as v -> v | None -> best in
-    if depth = 32 then best
-    else
-      match child node (Addr.bit addr depth) with
-      | None -> best
-      | Some c -> go c (depth + 1) best
-  in
-  go t.root 0 None
+   the best value, so a lookup allocates nothing (no [Addr.prefix] built).
+   The walk is top-level with [addr] as an argument: a local [go] would
+   close over [addr] and allocate that closure on every call. *)
+let rec lookup_from addr node depth best =
+  let best = match node.value with Some _ as v -> v | None -> best in
+  if depth = 32 then best
+  else
+    match child node (Addr.bit addr depth) with
+    | None -> best
+    | Some c -> lookup_from addr c (depth + 1) best
+
+let lookup t addr = lookup_from addr t.root 0 None
 
 let iter t f =
   let rec go node prefix_bits depth =

@@ -22,7 +22,8 @@ type 'r outcome = {
 }
 
 let check : type r. r t -> (unit, string) result = function
-  | Chain _ | Flood _ -> Ok ()
+  | Chain _ -> Ok ()
+  | Flood p -> Scenarios.check_flood p
   | Swarm p -> Scenarios.check_swarm p
   | Internet p -> As_scenario.check p
   | Replay (trace, _) -> Replay.check trace

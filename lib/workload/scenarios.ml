@@ -353,7 +353,19 @@ type flood_result = {
   flood_events : int;
 }
 
+let check_flood p =
+  if not (p.zombie_rate > 0.) then
+    Error
+      (Printf.sprintf "flood: zombie rate must be positive, got %g"
+         p.zombie_rate)
+  else if not (p.legit_rate >= 0.) then
+    Error
+      (Printf.sprintf "flood: legit rate must be non-negative, got %g"
+         p.legit_rate)
+  else Ok ()
+
 let run_flood p =
+  Result.iter_error invalid_arg (check_flood p);
   let sim = Sim.create () in
   let rng = Rng.create ~seed:p.flood_seed in
   let t = Hierarchy.build sim p.hierarchy in
@@ -404,43 +416,41 @@ let run_flood p =
   (* Legit clients inside the victim's ISP (excluding the victim's own
      host slot). *)
   let placed_clients = ref 0 in
-  (try
-     for net = 0 to p.hierarchy.Hierarchy.nets_per_isp - 1 do
-       for host = 0 to p.hierarchy.Hierarchy.hosts_per_net - 1 do
-         if
-           !placed_clients < p.legit_clients && not (net = 0 && host = 0)
-         then begin
-           incr placed_clients;
-           let src = Hierarchy.host t ~isp:0 ~net ~host in
-           flow ~agent:None ~flow_id:(2000 + !placed_clients)
-             ~rate:p.legit_rate ~attack:false ~start:0. src
-         end
-       done
-     done
-   with Invalid_argument _ -> ());
+  for net = 0 to p.hierarchy.Hierarchy.nets_per_isp - 1 do
+    for host = 0 to p.hierarchy.Hierarchy.hosts_per_net - 1 do
+      if
+        p.legit_rate > 0.
+        && !placed_clients < p.legit_clients
+        && not (net = 0 && host = 0)
+      then begin
+        incr placed_clients;
+        let src = Hierarchy.host t ~isp:0 ~net ~host in
+        flow ~agent:None ~flow_id:(2000 + !placed_clients) ~rate:p.legit_rate
+          ~attack:false ~start:0. src
+      end
+    done
+  done;
   (* Zombies round-robin over the other ISPs. *)
   let placed = ref 0 in
-  (try
-     for isp = 1 to p.hierarchy.Hierarchy.isps - 1 do
-       for net = 0 to p.hierarchy.Hierarchy.nets_per_isp - 1 do
-         for host = 0 to p.hierarchy.Hierarchy.hosts_per_net - 1 do
-           if !placed < p.zombies then begin
-             incr placed;
-             let agent =
-               Option.map
-                 (fun d ->
-                   Hierarchy.attach_attacker ~strategy:p.zombie_strategy d
-                     ~config ~isp ~net ~host)
-                 deployed
-             in
-             flow ~agent ~flow_id:(1000 + !placed) ~rate:p.zombie_rate
-               ~attack:true ~start:p.attack_start
-               (Hierarchy.host t ~isp ~net ~host)
-           end
-         done
-       done
-     done
-   with Invalid_argument _ -> ());
+  for isp = 1 to p.hierarchy.Hierarchy.isps - 1 do
+    for net = 0 to p.hierarchy.Hierarchy.nets_per_isp - 1 do
+      for host = 0 to p.hierarchy.Hierarchy.hosts_per_net - 1 do
+        if !placed < p.zombies then begin
+          incr placed;
+          let agent =
+            Option.map
+              (fun d ->
+                Hierarchy.attach_attacker ~strategy:p.zombie_strategy d ~config
+                  ~isp ~net ~host)
+              deployed
+          in
+          flow ~agent ~flow_id:(1000 + !placed) ~rate:p.zombie_rate
+            ~attack:true ~start:p.attack_start
+            (Hierarchy.host t ~isp ~net ~host)
+        end
+      done
+    done
+  done;
   let flood_sampler = Runner.start_metrics sim ~interval:p.flood_sample_period in
   Sim.run ~until:p.flood_duration sim;
   let filters_at gws =

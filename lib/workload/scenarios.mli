@@ -148,7 +148,12 @@ type flood_result = {
   flood_events : int;
 }
 
+val check_flood : flood_params -> (unit, string) result
+(** [Error] when the zombie rate is not positive or the legit rate is
+    negative. A legit rate of 0 places no legit clients. *)
+
 val run_flood : flood_params -> flood_result
+(** @raise Invalid_argument when {!check_flood} fails. *)
 
 (** {1 Massive swarm (hybrid engine only)}
 

@@ -151,6 +151,116 @@ let test_eq_rejects_nonfinite () =
        false
      with Invalid_argument _ -> true)
 
+(* Differential property: random interleavings of [schedule], [take] and
+   [cancel] against a sorted-list model of the pending events, ordered by
+   (time, seq). Timestamps come from five values, so exact ties are common
+   and pop order rests on the insertion-order tie-break. A case runs up to
+   2000 operations, growing the queue to a few hundred events (past the
+   4-ary heap's fourth level and several doublings) and, in the final
+   drain, back down through the shrink points. [Cancel] picks any handle
+   ever scheduled: pending, already cancelled or already taken. *)
+type eq_op = Schedule of int | Take | Cancel of int
+
+let eq_times = [| 0.; 0.5; 1.; 1.5; 2. |]
+
+let eq_model_agrees =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> Schedule k) (int_bound 4));
+          (3, return Take);
+          (2, map (fun i -> Cancel i) nat);
+        ])
+  in
+  let show = function
+    | Schedule k -> Printf.sprintf "S%g" eq_times.(k)
+    | Take -> "T"
+    | Cancel i -> Printf.sprintf "C%d" i
+  in
+  QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show ops))
+       QCheck.Gen.(list_size (int_bound 2000) op))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let fired = ref (-1) in
+      (* Pending events as (time, seq), sorted by time then seq. *)
+      let model = ref [] in
+      let handles = ref [||] and scheduled = ref 0 in
+      let cancelled = ref 0 and peak = ref 0 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let take_one () =
+        match !model with
+        | [] -> expect (Event_queue.is_empty q)
+        | (t, seq) :: rest ->
+          let e = Event_queue.take q in
+          Event_queue.fire e;
+          expect (!fired = seq && Event_queue.time e = t);
+          model := rest
+      in
+      let step = function
+        | Schedule k ->
+          let t = eq_times.(k) and seq = !scheduled in
+          let h = Event_queue.schedule q ~time:t (fun () -> fired := seq) in
+          if seq = Array.length !handles then
+            handles := Array.append !handles (Array.make (max 16 seq) h);
+          !handles.(seq) <- h;
+          incr scheduled;
+          let before, after = List.partition (fun (t', _) -> t' <= t) !model in
+          model := before @ ((t, seq) :: after);
+          peak := max !peak (List.length !model)
+        | Take -> take_one ()
+        | Cancel i ->
+          if !scheduled > 0 then begin
+            let seq = i mod !scheduled in
+            Event_queue.cancel !handles.(seq);
+            if List.exists (fun (_, s) -> s = seq) !model then begin
+              incr cancelled;
+              model := List.filter (fun (_, s) -> s <> seq) !model
+            end
+          end
+      in
+      let counters () =
+        expect (Event_queue.length q = List.length !model);
+        expect (Event_queue.max_length q = !peak);
+        expect (Event_queue.total_cancelled q = !cancelled);
+        expect (Event_queue.total_scheduled q = !scheduled)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          counters ())
+        ops;
+      while !model <> [] do
+        take_one ();
+        counters ()
+      done;
+      expect (Event_queue.is_empty q);
+      !ok)
+
+(* A fired event's closure is not retained by the queue. The tracked
+   event is scheduled last, into the heap's last slot, so the first [take]
+   moves it out of that slot: a vacated slot left holding its old event
+   would pin the closure after it has run, while 50 events stay queued. *)
+let test_eq_no_retention () =
+  let q = Event_queue.create () in
+  for i = 1 to 100 do
+    ignore (Event_queue.schedule q ~time:(float_of_int i) ignore)
+  done;
+  let w = Weak.create 1 in
+  (let payload = Bytes.create 64 in
+   let action () = ignore (Sys.opaque_identity payload) in
+   Weak.set w 0 (Some (Obj.repr action));
+   ignore (Event_queue.schedule q ~time:50.5 action));
+  for _ = 1 to 51 do
+    Event_queue.fire (Event_queue.take q)
+  done;
+  Gc.full_major ();
+  checkb "fired closure collected" false (Weak.check w 0);
+  checki "others still queued" 50 (Event_queue.length q)
+
 (* --- Sim ----------------------------------------------------------------- *)
 
 let test_sim_runs_in_order () =
@@ -514,6 +624,11 @@ let () =
           Alcotest.test_case "next_time" `Quick test_eq_next_time;
           Alcotest.test_case "rejects nan" `Quick test_eq_rejects_nonfinite;
           Alcotest.test_case "head and take" `Quick test_eq_head_take;
+          Alcotest.test_case "fired event not retained" `Quick
+            test_eq_no_retention;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20 |])
+            eq_model_agrees;
         ] );
       ( "sim",
         [

@@ -270,6 +270,33 @@ let test_lpm_prune () =
   checki "root only" 1 (Lpm.node_count t);
   checkb "invariant after full removal" true (Lpm.invariant t)
 
+(* [Lpm.lookup] is the per-hop forwarding lookup and [Gateway.in_cone]'s
+   test: it allocates nothing, hit or miss (native code only: bytecode
+   boxes what the native compiler keeps in registers). *)
+let test_lpm_lookup_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let t = Lpm.create () in
+    List.iteri
+      (fun i p -> Lpm.insert t (Addr.prefix_of_string p) i)
+      [
+        "0.0.0.0/0"; "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "10.1.2.3/32";
+      ];
+    let addrs =
+      Array.map Addr.of_string
+        [| "10.1.2.3"; "10.1.2.9"; "10.1.7.7"; "10.9.9.9"; "192.0.2.1" |]
+    in
+    let hits = ref 0 in
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      match Lpm.lookup t (Array.unsafe_get addrs (i mod 5)) with
+      | Some _ -> incr hits
+      | None -> ()
+    done;
+    let words = Gc.minor_words () -. before in
+    checki "every lookup hits the default route" 10_000 !hits;
+    checkf "minor words for 10^4 lookups" 0. words
+  end
+
 (* Differential churn test: a seeded random mix of insert/remove/lookup
    against an assoc-list oracle, checking size, lookups, iter contents and
    the structural invariant after every batch, and full pruning at the
@@ -1048,6 +1075,8 @@ let () =
           Alcotest.test_case "lookup_prefix" `Quick test_lpm_lookup_prefix;
           Alcotest.test_case "iter/clear" `Quick test_lpm_iter_and_clear;
           Alcotest.test_case "prune on remove" `Quick test_lpm_prune;
+          Alcotest.test_case "lookup allocates nothing" `Quick
+            test_lpm_lookup_allocation;
           QCheck_alcotest.to_alcotest lpm_vs_reference;
           QCheck_alcotest.to_alcotest lpm_churn_differential;
         ] );
