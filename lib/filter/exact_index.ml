@@ -19,17 +19,8 @@ let u32 = Addr.to_unsigned
 let key_u src dst = (src lsl 31) lxor dst
 let key src dst = key_u (u32 src) (u32 dst)
 
-(* MurmurHash3's 64-bit finaliser, with its multipliers cut to OCaml's
-   63-bit ints (both stay odd), so that every key bit reaches the low bits
-   the bucket index takes. *)
-let mix k =
-  let k = k lxor (k lsr 33) in
-  let k = k * 0x3F51_AFD7_ED55_8CCD in
-  let k = k lxor (k lsr 33) in
-  let k = k * 0x04CE_B9FE_1A85_EC53 in
-  k lxor (k lsr 33)
-
-let slot buckets src dst = mix (key_u src dst) land (Array.length buckets - 1)
+let slot buckets src dst =
+  Addr.mix (key_u src dst) land (Array.length buckets - 1)
 
 let label_pair (l : Flow_label.t) =
   match (l.src, l.dst) with

@@ -2,7 +2,6 @@ type t = int32
 
 let compare = Int32.compare
 let equal = Int32.equal
-let hash (a : t) = Hashtbl.hash a
 
 let of_octets a b c d =
   let check o =
@@ -34,6 +33,14 @@ let pp fmt a = Format.pp_print_string fmt (to_string a)
 let succ a = Int32.add a 1l
 let add a n = Int32.add a (Int32.of_int n)
 let to_unsigned a = Int32.to_int a land 0xFFFF_FFFF
+
+(* The multipliers are cut to OCaml's 63-bit ints; both stay odd. *)
+let mix k =
+  let k = k lxor (k lsr 33) in
+  let k = k * 0x3F51_AFD7_ED55_8CCD in
+  let k = k lxor (k lsr 33) in
+  let k = k * 0x04CE_B9FE_1A85_EC53 in
+  k lxor (k lsr 33)
 
 let bit a i =
   if i < 0 || i > 31 then invalid_arg "Addr.bit: index out of range";

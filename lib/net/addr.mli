@@ -9,7 +9,6 @@ type t = int32
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is the address [a.b.c.d]. Each octet must be in
@@ -32,9 +31,14 @@ val to_unsigned : t -> int
 (** The address as an unsigned int in [0 .. 0xFFFF_FFFF], so that
     numeric order is address order. *)
 
+val mix : int -> int
+(** MurmurHash3's 64-bit finaliser, for hash tables keyed by unsigned
+    addresses: a fixed function, so every run lays a table out the same
+    way. *)
+
 val bit : t -> int -> bool
-(** [bit a i] is bit [i] of [a], where bit 0 is the most significant —
-    the order in which an LPM trie consumes bits. [i] must be in [0, 31]. *)
+(** [bit a i] is bit [i] of [a], where bit 0 is the most significant.
+    [i] must be in [0, 31]. *)
 
 type prefix = private { base : t; len : int }
 

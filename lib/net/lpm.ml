@@ -1,157 +1,161 @@
-type 'a node = {
-  mutable value : 'a option;
-  mutable zero : 'a node option;
-  mutable one : 'a node option;
+(* One open-addressing table (linear probing, power-of-two length) over
+   parallel arrays. A key packs a prefix's unsigned base, masked to its
+   length, with the length above bit 32; [empty] marks a free slot, whose
+   value is [None]. A bound slot's value is the [Some v] built at insert, so
+   a hit returns it as is. [count.(l)] is the number of prefixes bound at
+   length [l] and [lens] the lengths present, longest first: a lookup probes
+   each in turn and stops at the first hit. *)
+type 'a t = {
+  mutable keys : int array;
+  mutable vals : 'a option array;
+  mutable size : int;
+  count : int array;
+  mutable lens : int array;
 }
 
-type 'a t = { root : 'a node; mutable size : int }
+let empty = -1
 
-let new_node () = { value = None; zero = None; one = None }
+let create () =
+  {
+    keys = Array.make 8 empty;
+    vals = Array.make 8 None;
+    size = 0;
+    count = Array.make 33 0;
+    lens = [||];
+  }
 
-let create () = { root = new_node (); size = 0 }
+(* [a] unsigned; [-1 lsl 32] keeps none of its 32 bits, [-1 lsl 0] all. *)
+let key a len = a land (-1 lsl (32 - len)) lor (len lsl 32)
+let prefix_key (p : Addr.prefix) = key (Addr.to_unsigned p.base) p.len
 
-let child node bit =
-  if bit then node.one else node.zero
+(* The slot holding [k], or the free slot ending its probe run. The table is
+   never more than half full, so a free slot always exists. *)
+let rec probe keys k i =
+  let k' = Array.unsafe_get keys i in
+  if k' = k || k' = empty then i
+  else probe keys k ((i + 1) land (Array.length keys - 1))
 
-let ensure_child node bit =
-  match child node bit with
-  | Some c -> c
-  | None ->
-    let c = new_node () in
-    if bit then node.one <- Some c else node.zero <- Some c;
-    c
+let home keys k = Addr.mix k land (Array.length keys - 1)
+let find t k = probe t.keys k (home t.keys k)
 
-let find_node t (p : Addr.prefix) =
-  let rec go node depth =
-    if depth = p.len then Some node
-    else
-      match child node (Addr.bit p.base depth) with
-      | None -> None
-      | Some c -> go c (depth + 1)
+let lengths count =
+  let rec go l acc =
+    if l > 32 then Array.of_list acc
+    else go (l + 1) (if count.(l) > 0 then l :: acc else acc)
   in
-  go t.root 0
+  go 0 []
+
+let recount t len delta =
+  t.count.(len) <- t.count.(len) + delta;
+  t.size <- t.size + delta;
+  if t.count.(len) = 0 || (delta > 0 && t.count.(len) = 1) then
+    t.lens <- lengths t.count
+
+let grow t =
+  let keys = t.keys and vals = t.vals in
+  let n = 2 * Array.length keys in
+  t.keys <- Array.make n empty;
+  t.vals <- Array.make n None;
+  Array.iteri
+    (fun i k ->
+      if k <> empty then begin
+        let j = find t k in
+        t.keys.(j) <- k;
+        t.vals.(j) <- vals.(i)
+      end)
+    keys
 
 let insert t (p : Addr.prefix) v =
-  let rec go node depth =
-    if depth = p.len then begin
-      if node.value = None then t.size <- t.size + 1;
-      node.value <- Some v
-    end
-    else go (ensure_child node (Addr.bit p.base depth)) (depth + 1)
-  in
-  go t.root 0
+  let k = prefix_key p in
+  let i = find t k in
+  t.vals.(i) <- Some v;
+  if t.keys.(i) = empty then begin
+    t.keys.(i) <- k;
+    recount t p.len 1;
+    if 2 * t.size > Array.length t.keys then grow t
+  end
 
+(* Backward-shift deletion: entries after the hole move up into it when
+   their home slot does not lie between the hole and them, so every probe
+   run stays unbroken and no tombstone is left behind. *)
 let remove t (p : Addr.prefix) =
-  (* Walk down recording the path so emptied branches can be pruned on the
-     way back up: a valueless, childless node serves no lookup and would
-     otherwise leak for the lifetime of the table under insert/remove churn. *)
-  let path = Array.make (p.len + 1) t.root in
-  let rec descend node depth =
-    path.(depth) <- node;
-    if depth = p.len then Some node
-    else
-      match child node (Addr.bit p.base depth) with
-      | None -> None
-      | Some c -> descend c (depth + 1)
+  let keys = t.keys and vals = t.vals in
+  let mask = Array.length keys - 1 in
+  let rec shift hole j =
+    let j = (j + 1) land mask in
+    let k = keys.(j) in
+    if k = empty then begin
+      keys.(hole) <- empty;
+      vals.(hole) <- None
+    end
+    else if (j - home keys k) land mask >= (j - hole) land mask then begin
+      keys.(hole) <- k;
+      vals.(hole) <- vals.(j);
+      shift j j
+    end
+    else shift hole j
   in
-  match descend t.root 0 with
-  | None -> ()
-  | Some node ->
-    if node.value <> None then t.size <- t.size - 1;
-    node.value <- None;
-    let rec prune depth =
-      if depth > 0 then begin
-        let n = path.(depth) in
-        if n.value = None && n.zero = None && n.one = None then begin
-          let parent = path.(depth - 1) in
-          if Addr.bit p.base (depth - 1) then parent.one <- None
-          else parent.zero <- None;
-          prune (depth - 1)
-        end
-      end
-    in
-    prune p.len
+  let i = find t (prefix_key p) in
+  if keys.(i) <> empty then begin
+    shift i i;
+    recount t p.len (-1)
+  end
 
-let exact t p =
-  match find_node t p with None -> None | Some node -> node.value
+let exact t p = t.vals.(find t (prefix_key p))
+
+let prefix_of_key k =
+  Addr.prefix (Int32.of_int (k land 0xFFFF_FFFF)) (k lsr 32)
+
+(* The slot of the longest bound prefix covering [a], trying [lens] from
+   index [j]; -1 if none. Top-level with [a] as an argument, so a lookup
+   builds no closure: it allocates nothing and writes nothing, and shard
+   workers may read one table at once. *)
+let rec longest t a j =
+  if j = Array.length t.lens then -1
+  else
+    let k = key a (Array.unsafe_get t.lens j) in
+    let i = find t k in
+    if Array.unsafe_get t.keys i = k then i else longest t a (j + 1)
+
+let lookup t addr =
+  let i = longest t (Addr.to_unsigned addr) 0 in
+  if i < 0 then None else Array.unsafe_get t.vals i
 
 let lookup_prefix t addr =
-  let rec go node depth best =
-    let best =
-      match node.value with
-      | Some v -> Some (Addr.prefix addr depth, v)
-      | None -> best
-    in
-    if depth = 32 then best
-    else
-      match child node (Addr.bit addr depth) with
-      | None -> best
-      | Some c -> go c (depth + 1) best
-  in
-  go t.root 0 None
-
-(* The forwarding fast path: same walk as [lookup_prefix] but tracks only
-   the best value, so a lookup allocates nothing (no [Addr.prefix] built).
-   The walk is top-level with [addr] as an argument: a local [go] would
-   close over [addr] and allocate that closure on every call. *)
-let rec lookup_from addr node depth best =
-  let best = match node.value with Some _ as v -> v | None -> best in
-  if depth = 32 then best
-  else
-    match child node (Addr.bit addr depth) with
-    | None -> best
-    | Some c -> lookup_from addr c (depth + 1) best
-
-let lookup t addr = lookup_from addr t.root 0 None
+  let i = longest t (Addr.to_unsigned addr) 0 in
+  if i < 0 then None
+  else Option.map (fun v -> (prefix_of_key t.keys.(i), v)) t.vals.(i)
 
 let iter t f =
-  let rec go node prefix_bits depth =
-    (match node.value with
-    | Some v -> f (Addr.prefix prefix_bits depth) v
-    | None -> ());
-    (match node.zero with
-    | Some c -> go c prefix_bits (depth + 1)
-    | None -> ());
-    match node.one with
-    | Some c ->
-      let bit_val = Int32.shift_left 1l (31 - depth) in
-      go c (Int32.logor prefix_bits bit_val) (depth + 1)
-    | None -> ()
-  in
-  go t.root 0l 0
+  Array.iteri
+    (fun i k ->
+      match t.vals.(i) with Some v -> f (prefix_of_key k) v | None -> ())
+    t.keys
 
 let size t = t.size
 
-let node_count t =
-  let rec go node acc =
-    let acc = acc + 1 in
-    let acc = match node.zero with Some c -> go c acc | None -> acc in
-    match node.one with Some c -> go c acc | None -> acc
-  in
-  go t.root 0
-
 let invariant t =
-  let values = ref 0 in
-  let ok = ref true in
-  let rec go ~root node =
-    (match node.value with Some _ -> incr values | None -> ());
-    (* A non-root leaf without a value is a dead chain [remove] should have
-       pruned. *)
-    if (not root) && node.value = None && node.zero = None && node.one = None
-    then ok := false;
-    (match node.zero with Some c -> go ~root:false c | None -> ());
-    match node.one with Some c -> go ~root:false c | None -> ()
+  let entry_ok i k =
+    if k = empty then Option.is_none t.vals.(i)
+    else
+      k lsr 32 <= 32
+      && k = prefix_key (prefix_of_key k)
+      && Option.is_some t.vals.(i)
+      && find t k = i
   in
-  go ~root:true t.root;
-  !ok && !values = t.size
+  let ok = ref true and seen = Array.make 33 0 in
+  Array.iteri
+    (fun i k ->
+      if not (entry_ok i k) then ok := false
+      else if k <> empty then seen.(k lsr 32) <- seen.(k lsr 32) + 1)
+    t.keys;
+  !ok && seen = t.count
+  && Array.fold_left ( + ) 0 seen = t.size
+  && t.lens = lengths seen
 
 let clear t =
-  t.root.value <- None;
-  t.root.zero <- None;
-  t.root.one <- None;
-  t.size <- 0
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun p v -> acc := (p, v) :: !acc);
-  !acc
+  Array.fill t.keys 0 (Array.length t.keys) empty;
+  Array.fill t.vals 0 (Array.length t.vals) None;
+  Array.fill t.count 0 33 0;
+  t.size <- 0;
+  t.lens <- [||]

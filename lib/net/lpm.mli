@@ -1,9 +1,11 @@
 (** Longest-prefix-match routing table.
 
-    A binary trie over address bits, most-significant bit first. Lookup walks
-    at most 32 levels and returns the value bound to the longest prefix
-    covering the address — the classic FIB structure, here used both for
-    forwarding tables and for "is this address inside my network" checks. *)
+    One hash table of bound prefixes, keyed by (base masked to its length,
+    length) under {!Addr.mix}, plus the prefix lengths present, longest
+    first. A lookup probes those lengths in turn and returns the first hit:
+    a router that holds two to four distinct lengths answers in two to four
+    probes. Used both for forwarding tables and for "is this address inside
+    my network" checks. *)
 
 type 'a t
 
@@ -14,12 +16,13 @@ val insert : 'a t -> Addr.prefix -> 'a -> unit
     same prefix. *)
 
 val remove : 'a t -> Addr.prefix -> unit
-(** Remove the binding of exactly this prefix, if any, pruning any trie
-    branch the removal leaves empty. *)
+(** Remove the binding of exactly this prefix, if any. A length left with
+    no prefix is no longer probed. *)
 
 val lookup : 'a t -> Addr.t -> 'a option
-(** Longest matching prefix's value, or [None]. Non-allocating on both hit
-    and miss — the forwarding fast path. *)
+(** Longest matching prefix's value, or [None] — the forwarding fast path.
+    It allocates nothing (a hit returns the [Some] built at insert) and
+    writes nothing, so several domains may look up one table at once. *)
 
 val lookup_prefix : 'a t -> Addr.t -> (Addr.prefix * 'a) option
 (** Like {!lookup} but also returns the matching prefix. *)
@@ -30,18 +33,13 @@ val exact : 'a t -> Addr.prefix -> 'a option
 val size : 'a t -> int
 (** Number of bound prefixes. *)
 
-val node_count : 'a t -> int
-(** Trie nodes currently allocated, root included — a leak detector for
-    tests exercising insert/remove churn. *)
-
 val invariant : 'a t -> bool
-(** Structural health check: [size] equals the number of bound values, and
-    no dead chain survives (every non-root leaf holds a value). *)
+(** Structural health check: [size] equals the number of entries, the
+    per-length counts (and the lengths probed) match the entries, and every
+    entry sits in the slot its key selects. *)
 
 val clear : 'a t -> unit
 (** Remove every binding. *)
 
 val iter : 'a t -> (Addr.prefix -> 'a -> unit) -> unit
 (** Visit all bindings (order unspecified). *)
-
-val to_list : 'a t -> (Addr.prefix * 'a) list

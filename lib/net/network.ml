@@ -128,10 +128,11 @@ let connect ?(queue_capacity = 65536) ?discipline ?name t a b ~bandwidth
 (* Routing --------------------------------------------------------------- *)
 
 (* Dijkstra from [src] over propagation delays (plus a small per-hop bias so
-   zero-delay topologies still prefer shorter hop counts). Returns, for every
-   reachable node id, the distance and the first-hop port out of [src]. *)
-let shortest_paths t (src : Node.t) =
-  let n = t.next_id in
+   zero-delay topologies still prefer shorter hop counts) on the nodes
+   [by_id], indexed by id. Returns, for every reachable node id, the
+   distance and the first-hop port out of [src]. *)
+let shortest_paths (by_id : Node.t array) (src : Node.t) =
+  let n = Array.length by_id in
   let dist = Array.make n infinity in
   let first_port : Node.port option array = Array.make n None in
   let heap =
@@ -140,26 +141,26 @@ let shortest_paths t (src : Node.t) =
   dist.(src.Node.id) <- 0.;
   Heap.push heap (0., src.Node.id);
   let hop_bias = 1e-6 in
+  let rec relax d id = function
+    | [] -> ()
+    | (port : Node.port) :: rest ->
+      if Link.up port.Node.link then begin
+        let nd = d +. Link.delay port.Node.link +. hop_bias in
+        let peer = port.Node.peer_id in
+        if nd < dist.(peer) then begin
+          dist.(peer) <- nd;
+          first_port.(peer) <-
+            (if id = src.Node.id then Some port else first_port.(id));
+          Heap.push heap (nd, peer)
+        end
+      end;
+      relax d id rest
+  in
   let rec loop () =
     match Heap.pop heap with
     | None -> ()
     | Some (d, id) ->
-      if d <= dist.(id) then begin
-        let node = Hashtbl.find t.by_id id in
-        let relax (port : Node.port) =
-          if Link.up port.Node.link then begin
-            let nd = d +. Link.delay port.Node.link +. hop_bias in
-            let peer = port.Node.peer_id in
-            if nd < dist.(peer) then begin
-              dist.(peer) <- nd;
-              first_port.(peer) <-
-                (if id = src.Node.id then Some port else first_port.(id));
-              Heap.push heap (nd, peer)
-            end
-          end
-        in
-        List.iter relax node.Node.ports
-      end;
+      if d <= dist.(id) then relax d id by_id.(id).Node.ports;
       loop ()
   in
   loop ();
@@ -167,6 +168,7 @@ let shortest_paths t (src : Node.t) =
 
 let compute_routes t =
   let all = nodes t in
+  let by_id = Array.of_list all in
   let advertisements =
     List.concat_map
       (fun (n : Node.t) ->
@@ -174,7 +176,7 @@ let compute_routes t =
       all
   in
   let install (src : Node.t) =
-    let dist, first_port = shortest_paths t src in
+    let dist, first_port = shortest_paths by_id src in
     Lpm.clear src.Node.fib;
     (* Best (nearest-owner) route per prefix. *)
     let best : (Addr.prefix, float * Node.port) Hashtbl.t =

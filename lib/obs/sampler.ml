@@ -9,10 +9,6 @@ type t = {
   series : (string, Series.t) Hashtbl.t;
   mutable ticks : int;
   mutable timer : Timer.t option;
-  (* wall-clock profiling state (only used with ~profile:true) *)
-  mutable last_events : int;
-  mutable last_cpu : float;
-  mutable wall_rate : float;
 }
 
 let series_for t name =
@@ -23,19 +19,9 @@ let series_for t name =
     Hashtbl.replace t.series name s;
     s
 
-let tick profile t () =
+let tick t () =
   let now = Sim.now t.sim in
   t.ticks <- t.ticks + 1;
-  if profile then begin
-    let events = Sim.events_processed t.sim in
-    let cpu = Sys.time () in
-    let d_cpu = cpu -. t.last_cpu in
-    t.wall_rate <-
-      (if d_cpu > 0. then float_of_int (events - t.last_events) /. d_cpu
-       else 0.);
-    t.last_events <- events;
-    t.last_cpu <- cpu
-  end;
   List.iter
     (fun (name, v) ->
       match v with
@@ -46,7 +32,7 @@ let tick profile t () =
           (float_of_int count))
     (Metrics.snapshot t.registry)
 
-let start ?(interval = 0.1) ?(profile = false) sim registry =
+let start ?(interval = 0.1) sim registry =
   if interval <= 0. then invalid_arg "Sampler.start: interval must be positive";
   let t =
     {
@@ -56,9 +42,6 @@ let start ?(interval = 0.1) ?(profile = false) sim registry =
       series = Hashtbl.create 64;
       ticks = 0;
       timer = None;
-      last_events = Sim.events_processed sim;
-      last_cpu = Sys.time ();
-      wall_rate = 0.;
     }
   in
   Metrics.register_counter registry "sim.events_processed" ~unit_:"events"
@@ -73,12 +56,7 @@ let start ?(interval = 0.1) ?(profile = false) sim registry =
   Metrics.register_counter registry "sim.cancelled_events" ~unit_:"events"
     ~help:"Scheduled events cancelled before firing" (fun () ->
       float_of_int (Sim.total_cancelled sim));
-  if profile then
-    Metrics.register_gauge registry "sim.wall_events_per_sec" ~unit_:"events/s"
-      ~help:
-        "Events per CPU-second between the last two ticks (wall-clock \
-         profiling; nondeterministic)" (fun () -> t.wall_rate);
-  t.timer <- Some (Timer.periodic sim ~period:interval (tick profile t));
+  t.timer <- Some (Timer.periodic sim ~period:interval (tick t));
   t
 
 let stop t =

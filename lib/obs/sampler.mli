@@ -13,11 +13,7 @@
     - [sim.events_processed] (counter) — events executed so far;
     - [sim.pending_events] (gauge) — event-queue depth;
     - [sim.peak_pending_events] (gauge) — peak live queue depth;
-    - [sim.cancelled_events] (counter) — events cancelled before firing;
-    - [sim.wall_events_per_sec] (gauge, with [~profile:true] only) —
-      events executed per CPU-second between the last two ticks. This is
-      a wall-clock profiling hook: it is {e not} deterministic, which is
-      why it is off by default.
+    - [sim.cancelled_events] (counter) — events cancelled before firing.
 
     A sampler re-arms itself forever; run the simulation with [~until]
     (as every packaged scenario does) or call {!stop} before draining the
@@ -25,8 +21,7 @@
 
 type t
 
-val start :
-  ?interval:float -> ?profile:bool -> Aitf_engine.Sim.t -> Metrics.t -> t
+val start : ?interval:float -> Aitf_engine.Sim.t -> Metrics.t -> t
 (** Start ticking every [interval] seconds (default 0.1 — see
     docs/OBSERVABILITY.md for how to align the interval with the
     protocol timescales; it must resolve Ttmp, not T). First tick at

@@ -222,53 +222,88 @@ let test_lpm_iter_and_clear () =
   checki "cleared" 0 (Lpm.size t);
   checkb "lookup after clear" true (Lpm.lookup t (addr "10.0.0.1") = None)
 
-(* Reference model: LPM as a linear scan over a list of (prefix, value). *)
-let lpm_vs_reference =
-  let gen_prefix =
-    QCheck.Gen.(
-      map2
-        (fun base len -> Addr.prefix (Int32.of_int base) len)
-        (int_bound 0xFFFFFF) (int_bound 24))
-  in
-  let arb =
-    QCheck.make
-      QCheck.Gen.(
-        pair (list_size (int_bound 30) gen_prefix) (int_bound 0xFFFFFF))
-  in
-  QCheck.Test.make ~name:"lpm agrees with linear reference" ~count:300 arb
-    (fun (prefixes, addr_int) ->
-      let a = Int32.of_int addr_int in
-      let t = Lpm.create () in
-      List.iteri (fun i p -> Lpm.insert t p i) prefixes;
-      (* Reference: longest covering prefix wins; among duplicates the
-         later insert replaces the earlier. *)
-      let best = ref None in
-      List.iteri
-        (fun i p ->
-          if Addr.prefix_mem p a then
-            match !best with
-            | Some (len, _) when len > (p : Addr.prefix).len -> ()
-            | Some (len, _) when len = (p : Addr.prefix).len ->
-              best := Some (len, i)
-            | _ -> best := Some ((p : Addr.prefix).len, i))
-        prefixes;
-      Lpm.lookup t a = Option.map snd !best)
+(* Probe addresses and prefixes span the whole 32-bit space: half of them
+   sit at or above 128.0.0.0, a negative [int32], where a masking or
+   sign-extension slip would show. *)
+let u32_of_halves hi lo = Int32.of_int ((hi lsl 16) lor lo)
 
-(* Structural check of remove's chain pruning: dead interior nodes must be
-   detached, so the trie shrinks back to exactly what the live prefixes
-   need. *)
+(* An address inside [p]: its base with [host]'s bits below the prefix. *)
+let inside (p : Addr.prefix) host =
+  Int32.of_int
+    (Addr.to_unsigned p.base lor (host land ((1 lsl (32 - p.len)) - 1)))
+
+(* The value of the longest prefix covering [a] in a list of bindings, the
+   head of the list binding last (so it wins among duplicates). *)
+let reference_lookup bindings a =
+  List.fold_left
+    (fun best (p, v) ->
+      if Addr.prefix_mem p a then
+        match best with
+        | Some (len, _) when len >= (p : Addr.prefix).len -> best
+        | _ -> Some ((p : Addr.prefix).len, v)
+      else best)
+    None bindings
+  |> Option.map snd
+
+(* Reference model: LPM as a linear scan over a list of (prefix, value).
+   Bases are either uniform or share their top 16 bits with the case's
+   [root], so prefixes nest often; lengths run over all of 0..32. Each
+   prefix contributes a probe inside it, next to uniform probes. *)
+let lpm_vs_reference =
+  let open QCheck.Gen in
+  let u32 = map2 u32_of_halves (int_bound 0xFFFF) (int_bound 0xFFFF) in
+  let gen_case =
+    u32 >>= fun root ->
+    let base =
+      oneof
+        [
+          u32;
+          map (u32_of_halves (Addr.to_unsigned root lsr 16)) (int_bound 0xFFFF);
+        ]
+    in
+    let entry =
+      map3
+        (fun base len host ->
+          let p = Addr.prefix base len in
+          (p, inside p host))
+        base (int_bound 32) (map Addr.to_unsigned u32)
+    in
+    pair (list_size (int_bound 30) entry) (list_size (return 8) u32)
+  in
+  QCheck.Test.make ~name:"lpm agrees with linear reference" ~count:300
+    (QCheck.make gen_case) (fun (entries, uniform) ->
+      let t = Lpm.create () in
+      List.iteri (fun i (p, _) -> Lpm.insert t p i) entries;
+      let bindings = List.rev (List.mapi (fun i (p, _) -> (p, i)) entries) in
+      List.for_all
+        (fun a -> Lpm.lookup t a = reference_lookup bindings a)
+        (List.map snd entries @ uniform))
+
+(* Removal leaves nothing behind: insert enough prefixes to grow the table,
+   remove a nested one, then remove the rest. Once empty, [size] is 0, the
+   invariant holds (it ties the lengths probed to the lengths bound, so no
+   length is left to probe) and every lookup misses. *)
 let test_lpm_prune () =
   let t = Lpm.create () in
-  Lpm.insert t (Addr.prefix_of_string "10.0.0.0/8") 1;
-  checki "root + 8 bits" 9 (Lpm.node_count t);
-  Lpm.insert t (Addr.prefix_of_string "10.1.0.0/16") 2;
-  checki "extended to 16" 17 (Lpm.node_count t);
+  let fixed =
+    List.map Addr.prefix_of_string
+      [ "0.0.0.0/0"; "10.0.0.0/8"; "10.1.0.0/16"; "200.1.2.128/25" ]
+  in
+  let hosts =
+    List.init 100 (fun i -> Addr.host_prefix (Addr.add (addr "200.1.2.0") i))
+  in
+  let all = fixed @ hosts in
+  List.iteri (fun i p -> Lpm.insert t p i) all;
+  checki "all bound" 104 (Lpm.size t);
   Lpm.remove t (Addr.prefix_of_string "10.1.0.0/16");
-  checki "chain pruned back" 9 (Lpm.node_count t);
+  checkb "/8 covers again" true (Lpm.lookup t (addr "10.1.2.3") = Some 1);
   checkb "invariant" true (Lpm.invariant t);
-  Lpm.remove t (Addr.prefix_of_string "10.0.0.0/8");
-  checki "root only" 1 (Lpm.node_count t);
-  checkb "invariant after full removal" true (Lpm.invariant t)
+  List.iter (Lpm.remove t) (List.rev all);
+  checki "empty" 0 (Lpm.size t);
+  checkb "invariant after full removal" true (Lpm.invariant t);
+  List.iter
+    (fun a -> checkb a true (Lpm.lookup t (addr a) = None))
+    [ "0.0.0.0"; "10.1.2.3"; "200.1.2.7"; "200.1.2.200"; "255.255.255.255" ]
 
 (* [Lpm.lookup] is the per-hop forwarding lookup and [Gateway.in_cone]'s
    test: it allocates nothing, hit or miss (native code only: bytecode
@@ -299,8 +334,11 @@ let test_lpm_lookup_allocation () =
 
 (* Differential churn test: a seeded random mix of insert/remove/lookup
    against an assoc-list oracle, checking size, lookups, iter contents and
-   the structural invariant after every batch, and full pruning at the
-   end. *)
+   the structural invariant after every batch, and an empty, consistent
+   table at the end. Prefixes come from a small universe spread over the
+   whole 32-bit space (top three bits, bit 16 and bits 6..7 vary), with
+   lengths 0..32; lookups probe uniform addresses and addresses inside
+   live prefixes. *)
 let lpm_churn_differential =
   let module Rng = Aitf_engine.Rng in
   let arb = QCheck.make QCheck.Gen.(int_bound 0xFFFF) in
@@ -309,49 +347,50 @@ let lpm_churn_differential =
       let rng = Rng.create ~seed in
       let t = Lpm.create () in
       let oracle = ref [] in
-      let mem p = List.exists (fun (q, _) -> Addr.prefix_compare p q = 0) in
+      let u32 () = u32_of_halves (Rng.int rng 0x10000) (Rng.int rng 0x10000) in
       let random_prefix () =
-        (* A small universe so removes hit live prefixes often. *)
         Addr.prefix
-          (Int32.of_int (Rng.int rng 0x40 * 0x40000))
+          (Int32.of_int
+             ((Rng.int rng 8 lsl 29) lor (Rng.int rng 2 lsl 16)
+             lor (Rng.int rng 4 lsl 6)))
           (Rng.int rng 33)
       in
-      let reference_lookup a =
-        List.fold_left
-          (fun best (p, v) ->
-            if Addr.prefix_mem p a then
-              match best with
-              | Some (len, _) when len >= (p : Addr.prefix).Addr.len -> best
-              | _ -> Some ((p : Addr.prefix).Addr.len, v)
-            else best)
-          None !oracle
-        |> Option.map snd
-      in
-      let agree_on a = Lpm.lookup t a = reference_lookup a in
+      let agree_on a = Lpm.lookup t a = reference_lookup !oracle a in
       let check_batch () =
         if Lpm.size t <> List.length !oracle then failwith "size mismatch";
         if not (Lpm.invariant t) then failwith "invariant broken";
         let dump acc = List.sort compare acc in
-        let from_trie = ref [] in
+        let from_table = ref [] in
         Lpm.iter t (fun p v ->
-            from_trie := (Addr.prefix_to_string p, v) :: !from_trie);
+            from_table := (Addr.prefix_to_string p, v) :: !from_table);
         let from_oracle =
           List.map (fun (p, v) -> (Addr.prefix_to_string p, v)) !oracle
         in
-        if dump !from_trie <> dump from_oracle then failwith "iter mismatch";
+        if dump !from_table <> dump from_oracle then failwith "iter mismatch";
         for _ = 1 to 20 do
-          if not (agree_on (Int32.of_int (Rng.int rng 0x1000000))) then
-            failwith "lookup mismatch"
-        done
+          if not (agree_on (u32 ())) then failwith "lookup mismatch"
+        done;
+        List.iter
+          (fun (p, _) ->
+            if not (agree_on (inside p (Addr.to_unsigned (u32 ())))) then
+              failwith "lookup mismatch inside a prefix")
+          !oracle
       in
       for step = 1 to 400 do
-        let p = random_prefix () in
         (if Rng.int rng 3 = 0 then begin
+           (* Half the removes target a live prefix, the rest may miss. *)
+           let p =
+             match !oracle with
+             | _ :: _ when Rng.bool rng ->
+               fst (List.nth !oracle (Rng.int rng (List.length !oracle)))
+             | _ -> random_prefix ()
+           in
            Lpm.remove t p;
            oracle :=
              List.filter (fun (q, _) -> Addr.prefix_compare p q <> 0) !oracle
          end
          else begin
+           let p = random_prefix () in
            Lpm.insert t p step;
            oracle :=
              (p, step)
@@ -359,14 +398,15 @@ let lpm_churn_differential =
                   (fun (q, _) -> Addr.prefix_compare p q <> 0)
                   !oracle
          end);
-        ignore (mem p []);
         if step mod 50 = 0 then check_batch ()
       done;
       check_batch ();
-      (* Remove everything: the trie must prune back to the bare root. *)
+      (* Remove everything: the table must come back empty and consistent. *)
       List.iter (fun (p, _) -> Lpm.remove t p) !oracle;
       oracle := [];
-      Lpm.size t = 0 && Lpm.node_count t = 1 && Lpm.invariant t)
+      Lpm.size t = 0 && Lpm.invariant t
+      && Lpm.lookup t 0l = None
+      && Lpm.lookup t (-1l) = None)
 
 (* --- Link ---------------------------------------------------------------- *)
 
@@ -1077,8 +1117,12 @@ let () =
           Alcotest.test_case "prune on remove" `Quick test_lpm_prune;
           Alcotest.test_case "lookup allocates nothing" `Quick
             test_lpm_lookup_allocation;
-          QCheck_alcotest.to_alcotest lpm_vs_reference;
-          QCheck_alcotest.to_alcotest lpm_churn_differential;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 21 |])
+            lpm_vs_reference;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 22 |])
+            lpm_churn_differential;
         ] );
       ( "link",
         [
