@@ -2142,9 +2142,11 @@ let e19 () =
        ~title:"E19  matrix-wide engine agreement   (E17 gate, 10% on goodput)"
        s);
   Aitf_obs.Report.write_json "BENCH_E19.json" (Matrix.bench_json s);
-  Printf.printf "wrote BENCH_E19.json  (%d cells, %d drifted, %d gated disagreements)\n"
+  Printf.printf
+    "wrote BENCH_E19.json  (%d cells, %d drifted, %d missing, %d gated \
+     disagreements)\n"
     (List.length s.Matrix.s_results)
-    s.Matrix.s_drifted s.Matrix.s_disagreements
+    s.Matrix.s_drifted s.Matrix.s_missing s.Matrix.s_disagreements
 
 (* ----------------------------------------------------------------- E20 -- *)
 

@@ -393,19 +393,6 @@ let execute out ~title ~meta ~rows scenario =
           Aitf_obs.Metrics.detach ();
           o)
     in
-    (* Shard profilers are per-world (observe reports only the
-       coordinator's); merge them into one table. *)
-    (match o.Scenario.shard_profiles with
-    | [] -> ()
-    | profs ->
-      let merged = Aitf_obs.Profile.merge profs in
-      Option.iter
-        (fun reg ->
-          Aitf_obs.Profile.register_metrics merged reg
-            ~prefix:"engine.profile.shards")
-        registry;
-      print_string "shard sims (merged):\n";
-      print_string (Aitf_obs.Profile.report merged));
     let table = Table.create ~title ~columns:[ "metric"; "value" ] in
     List.iter
       (fun (k, v) -> Option.iter (fun s -> Table.add_row table [ k; s ]) (show v))
@@ -1181,7 +1168,9 @@ let matrix_cmd =
           Aitf_obs.Report.write_json file (Matrix.bench_json s);
           Printf.printf "wrote %s\n" file)
         bench_json;
-      if s.Matrix.s_drifted > 0 || s.Matrix.s_disagreements > 0 then exit 1
+      if s.Matrix.s_drifted > 0 || s.Matrix.s_missing > 0
+         || s.Matrix.s_disagreements > 0
+      then exit 1
     end
   in
   let term =

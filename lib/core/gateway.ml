@@ -175,7 +175,6 @@ let filter_install ?rate_limit ?corr ?requestor t label ~duration =
   | Some mgr ->
     Overload.install ?rate_limit ?corr ?requestor mgr label ~duration
   | None -> Filter_table.install ?rate_limit ?corr t.filters label ~duration
-let shadow_occupancy t = Shadow_cache.occupancy t.shadow
 let shadow_peak t = Shadow_cache.peak_occupancy t.shadow
 let count t c = Option.value ~default:0 (Hashtbl.find_opt t.counters c)
 let bump t c = Hashtbl.replace t.counters c (count t c + 1)
@@ -314,8 +313,6 @@ let enable_contracts ?(refresh = 5.0) t ~sign ~verify =
         ~help:"Flows re-engaged past a flagged Byzantine gateway" (fun () ->
           float_of_int (count t Contract_failover)))
 
-let contracts_enabled t = Option.is_some t.contracts
-
 let set_contract_behavior t behavior =
   match t.contracts with
   | None -> invalid_arg "Gateway.set_contract_behavior: contracts not enabled"
@@ -329,10 +326,6 @@ let flag_peer t peer =
     Hashtbl.replace t.flagged peer ();
     bump t Peer_flagged
   end
-
-let flagged_peers t =
-  Hashtbl.fold (fun a () acc -> a :: acc) t.flagged []
-  |> List.sort Addr.compare
 
 (* Sign an outgoing request under this gateway's key; [0L] (unsigned) when
    the contract layer is off, which is every pre-contract configuration. *)

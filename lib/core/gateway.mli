@@ -74,7 +74,6 @@ val overload : t -> Overload.t option
 (** The filter-table overload manager, present iff
     [config.overload_manager] was set at creation. *)
 
-val shadow_occupancy : t -> int
 val shadow_peak : t -> int
 
 val blocklisted : t -> Addr.t -> bool
@@ -195,8 +194,6 @@ val enable_contracts :
     [refresh] is the receipt refresh period (default 5 s). Raises
     [Invalid_argument] if already enabled. *)
 
-val contracts_enabled : t -> bool
-
 val set_contract_behavior : t -> contract_behavior -> unit
 (** Corrupt (or heal) this gateway's compliance behaviour. Raises
     [Invalid_argument] when contracts are not enabled. *)
@@ -207,9 +204,6 @@ val contract_behavior : t -> contract_behavior option
 val flag_peer : t -> Addr.t -> unit
 (** Record a Byzantine verdict against [peer]: engage will skip it on any
     recorded path from now on. Idempotent. *)
-
-val flagged_peers : t -> Addr.t list
-(** Peers flagged so far, sorted. *)
 
 val fail_over : t -> peer:Addr.t -> int
 (** Re-engage every live flow whose current round points at [peer]

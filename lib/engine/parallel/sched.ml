@@ -58,6 +58,7 @@ type t = {
   defer_seq : int array;
   sync : sync;
   mutable running : bool;
+  mutable joined : bool;  (* a run joined the shard worlds' context *)
   mutable worker_init : shard:int -> unit;
   (* stats *)
   mutable s_windows : int;
@@ -85,8 +86,11 @@ let create ~shards () =
   if shards < 1 then
     invalid_arg
       (Printf.sprintf "Sched.create: shards must be >= 1 (got %d)" shards);
-  let sims = Array.init shards (fun _ -> Sim.create ()) in
-  let global_sim = if shards = 1 then sims.(0) else Sim.create () in
+  let global_sim = Sim.create () in
+  let sims =
+    if shards = 1 then [| global_sim |]
+    else Array.init shards (fun shard -> Sim.fork global_sim ~shard)
+  in
   {
     n = shards;
     sims;
@@ -112,6 +116,7 @@ let create ~shards () =
         failure = None;
       };
     running = false;
+    joined = false;
     worker_init = (fun ~shard:_ -> ());
     s_windows = 0;
     s_global = 0;
@@ -394,13 +399,27 @@ let run_parallel ?until t =
     Array.iter (fun sim -> Sim.advance_to sim u) t.sims;
     Sim.advance_to t.global_sim u
 
+(* [create] forked the shard worlds' context; a run after a join re-forks
+   what the join spent. The join runs however the run ends. *)
+let run_sharded ?until t =
+  if t.joined then
+    Array.iteri (fun shard sim -> Sim.refork t.global_sim sim ~shard) t.sims;
+  t.joined <- true;
+  let join () = Sim.join t.global_sim (Array.to_list t.sims) in
+  match run_parallel ?until t with
+  | () -> join ()
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try join () with _ -> ());
+    Printexc.raise_with_backtrace e bt
+
 let run ?until t =
   if t.running then invalid_arg "Sched.run: already running";
   t.running <- true;
   Fun.protect
     ~finally:(fun () -> t.running <- false)
     (fun () ->
-      if t.n = 1 then Sim.run ?until t.global_sim else run_parallel ?until t)
+      if t.n = 1 then Sim.run ?until t.global_sim else run_sharded ?until t)
 
 let events_processed t =
   if t.n = 1 then Sim.events_processed t.global_sim

@@ -43,7 +43,9 @@ type t
 
 val create : shards:int -> unit -> t
 (** A scheduler with [shards] shard worlds (plus the global world when
-    [shards > 1]).
+    [shards > 1]). Each shard world is then a [Sim.fork] of the global
+    world: its own span collector, correlation-id base, flight ring and
+    profiler, and the rest shared.
     @raise Invalid_argument if [shards < 1]. *)
 
 val shards : t -> int
@@ -93,7 +95,12 @@ val run : ?until:float -> t -> unit
     no event at [<= until] remains anywhere and advances all clocks to
     [until]. Worker domains are spawned on entry and joined before
     returning (also on exceptions, which are re-raised on the caller's
-    thread). *)
+    thread).
+
+    With [shards > 1] the run ends, also on a raise, by joining the
+    shard worlds' context back into the global world's ([Sim.join]). A
+    later [run] first re-forks what the join spent ([Sim.refork]), so no
+    record is joined twice; correlation ids carry on. *)
 
 val events_processed : t -> int
 (** Total events executed across all worlds. *)
@@ -108,9 +115,9 @@ val set_worker_init : t -> (shard:int -> unit) -> unit
     must happen on the worker itself (e.g. [Packet.bind_domain]: the
     shard's packet-id stride in the worker's domain-local storage).
     Per-shard run context — span collector, flight ring, profiler,
-    correlation-id base — belongs in the shard's world instead
-    ([Sim.set] on {!shard_sim} before {!run}). Exceptions raised by the
-    hook are re-raised on the coordinator at the first window.
+    correlation-id base — is forked into the shard's world by {!create}
+    instead. Exceptions raised by the hook are re-raised on the
+    coordinator at the first window.
     @raise Invalid_argument if called while {!run} is active. *)
 
 type window_record = {

@@ -7,31 +7,6 @@ type slot += Unset
 
 type probe = string option -> float -> int -> unit
 
-let next_key = Atomic.make 0
-
-module Key = struct
-  type 'a t = {
-    id : int;
-    init : unit -> 'a;
-    inj : 'a -> slot;
-    prj : slot -> 'a;
-  }
-
-  let create (type a) (init : unit -> a) : a t =
-    let module M = struct
-      type slot += Slot of a
-    end in
-    {
-      id = Atomic.fetch_and_add next_key 1;
-      init;
-      inj = (fun v -> M.Slot v);
-      prj = (function M.Slot v -> v | _ -> assert false);
-    }
-end
-
-(* What [attach]-style calls write and [create] copies; never read mid-run. *)
-let ambient_slots : slot array ref = ref [||]
-
 type t = {
   queue : Event_queue.t;
   mutable now : float;
@@ -43,13 +18,52 @@ type t = {
       (* [profiler]'s slot, mirrored so the per-event check is one load *)
 }
 
-let profiler : probe option Key.t = Key.create (fun () -> None)
+type 'a key = {
+  id : int;
+  init : unit -> 'a;
+  inj : 'a -> slot;
+  prj : slot -> 'a;
+  fork : (t -> shard:int -> 'a -> 'a) option;
+  join : ('a -> 'a list -> unit) option;
+}
+
+type any_key = Any : 'a key -> any_key
+
+(* Every key made so far, newest first: a key's id is the number made
+   before it. [fork] and [join] walk it for the slots that split. *)
+let keys : any_key list Atomic.t = Atomic.make []
+
+module Key = struct
+  type 'a t = 'a key
+
+  let create (type a) ?fork ?join (init : unit -> a) : a t =
+    let module M = struct
+      type slot += Slot of a
+    end in
+    let inj v = M.Slot v and prj = function M.Slot v -> v | _ -> assert false in
+    let rec register () =
+      let ks = Atomic.get keys in
+      let k = { id = List.length ks; init; inj; prj; fork; join } in
+      if Atomic.compare_and_set keys ks (Any k :: ks) then k else register ()
+    in
+    register ()
+end
+
+(* What [attach]-style calls write and [create] copies; never read mid-run. *)
+let ambient_slots : slot array ref = ref [||]
+
+(* A shard never inherits a bare probe: it could not be split, and the
+   shard would share it across domains. [Aitf_obs.Profile]'s own key
+   forks a fresh profiler and installs its probe here. *)
+let profiler : probe option Key.t =
+  Key.create ~fork:(fun _ ~shard:_ _ -> None) (fun () -> None)
+
 let clock : (unit -> float) Key.t = Key.create (fun () -> Unix.gettimeofday)
 
-let slot slots (k : _ Key.t) =
+let slot slots (k : _ key) =
   if k.id < Array.length slots then Array.unsafe_get slots k.id else Unset
 
-let write slots (k : _ Key.t) v =
+let write slots (k : _ key) v =
   let n = Array.length slots in
   let slots =
     if k.id < n then slots
@@ -62,7 +76,7 @@ let set sim k v =
   sim.slots <- write sim.slots k v;
   if k.id = profiler.id then sim.probe <- profiler.prj sim.slots.(k.id)
 
-let get sim (k : _ Key.t) =
+let get sim (k : _ key) =
   match slot sim.slots k with
   | Unset ->
     let v = k.init () in
@@ -72,11 +86,10 @@ let get sim (k : _ Key.t) =
 
 let set_ambient k v = ambient_slots := write !ambient_slots k v
 
-let ambient (k : _ Key.t) =
+let ambient (k : _ key) =
   match slot !ambient_slots k with Unset -> k.init () | s -> k.prj s
 
-let create () =
-  let slots = Array.copy !ambient_slots in
+let of_slots slots =
   {
     queue = Event_queue.create ();
     now = 0.0;
@@ -87,6 +100,34 @@ let create () =
     probe =
       (match slot slots profiler with Unset -> None | s -> profiler.prj s);
   }
+
+let create () = of_slots (Array.copy !ambient_slots)
+
+(* Fork into [child] every slot that declares a fork, or only those that
+   also join ([~spent]: what a join used up), oldest key first. *)
+let fork_slots ~spent parent child ~shard =
+  List.iter
+    (fun (Any k) ->
+      match k.fork with
+      | Some f when (not spent) || Option.is_some k.join ->
+        set child k (f child ~shard (get parent k))
+      | Some _ | None -> ())
+    (List.rev (Atomic.get keys))
+
+let fork parent ~shard =
+  let child = of_slots (Array.copy parent.slots) in
+  fork_slots ~spent:false parent child ~shard;
+  child
+
+let refork parent child ~shard = fork_slots ~spent:true parent child ~shard
+
+let join parent children =
+  List.iter
+    (fun (Any k) ->
+      Option.iter
+        (fun j -> j (get parent k) (List.map (fun c -> get c k) children))
+        k.join)
+    (List.rev (Atomic.get keys))
 
 let now sim = sim.now
 

@@ -25,12 +25,22 @@ val create : unit -> t
 (** A fresh world at time [0.0] with no pending events and a copy of the
     ambient context. *)
 
+type world := t
+
 module Key : sig
   type 'a t
 
-  val create : (unit -> 'a) -> 'a t
+  val create :
+    ?fork:(world -> shard:int -> 'a -> 'a) ->
+    ?join:('a -> 'a list -> unit) ->
+    (unit -> 'a) ->
+    'a t
   (** A new slot. A world whose slot was never set (here or in the ambient
-      context it copied) gets the initialiser's value on first {!get}. *)
+      context it copied) gets the initialiser's value on first {!get}.
+      [fork child ~shard v] is what a shard world [child] ({!val-fork})
+      holds when its parent holds [v]; [join v vs] folds the shard values
+      back into [v]. Without a fork, shard worlds share the parent's
+      value, which must then be domain-safe (metrics registry, clock). *)
 end
 
 val get : t -> 'a Key.t -> 'a
@@ -41,13 +51,27 @@ val set_ambient : 'a Key.t -> 'a -> unit
 
 val ambient : 'a Key.t -> 'a
 
+val fork : t -> shard:int -> t
+(** A new world for shard [shard] of the run [parent] coordinates: a copy
+    of [parent]'s slots, every slot with a fork holding its fork. *)
+
+val join : t -> t list -> unit
+(** [join parent shards] runs every slot's join, in key creation order.
+    It spends the shard values: {!refork} them before the shards run
+    again. *)
+
+val refork : t -> t -> shard:int -> unit
+(** [refork parent child ~shard] forks anew the slots that join; a slot
+    that only forks (the correlation-id base) keeps its value. *)
+
 type probe = string option -> float -> int -> unit
 
 val profiler : probe option Key.t
 (** Per-event probe ([Aitf_obs.Profile]): after each event it receives the
     event's label, its cost in {!clock} seconds and the live queue depth.
     One branch per event when [None]. Wall time is nondeterministic: the
-    probe must never feed back into simulation state. *)
+    probe must never feed back into simulation state. A shard world
+    starts without one; [Aitf_obs.Profile]'s slot installs its own. *)
 
 val clock : (unit -> float) Key.t
 (** Wall clock for everything that times a run (the profiler, the

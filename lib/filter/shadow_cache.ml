@@ -129,7 +129,6 @@ let refresh t e ~ttl =
   end
 
 let data e = e.data
-let set_data e d = e.data <- d
 let label e = e.label
 let inserted_at e = e.inserted_at
 let expires_at e = e.expires_at

@@ -35,7 +35,6 @@ val refresh : 'a t -> 'a entry -> ttl:float -> unit
 (** Push the expiry out to [now + ttl] (never shortens). *)
 
 val data : 'a entry -> 'a
-val set_data : 'a entry -> 'a -> unit
 val label : 'a entry -> Flow_label.t
 val inserted_at : 'a entry -> float
 val expires_at : 'a entry -> float

@@ -505,9 +505,6 @@ let delivered_bits t ~attack =
     0. t.aggs
 
 let delivered_rate agg = agg.delivered_rate
-let agg_delivered_bits t agg =
-  integrate t;
-  agg.delivered_bits
 
 let iter_aggregates t f = List.iter f t.aggs
 let stage_nodes agg = Array.to_list agg.fnodes

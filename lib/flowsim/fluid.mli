@@ -84,7 +84,6 @@ val delivered_bits : t -> attack:bool -> float
 (** Cumulative bits delivered to destinations by attack (resp. legitimate)
     aggregates, integrated up to the current simulation time. *)
 
-val agg_delivered_bits : t -> agg -> float
 val delivered_rate : agg -> float
 (** Current delivery rate (bits/s) as of the last recompute. *)
 

@@ -76,7 +76,6 @@ let drop_count t reason =
 let total_drops t = Hashtbl.fold (fun _ n acc -> acc + n) t.drops 0
 
 let is_border t = t.kind = Border_router
-let is_host t = t.kind = Host
 
 let kind_string = function
   | Host -> "host"

@@ -64,6 +64,5 @@ val drop_count : t -> string -> int
 val total_drops : t -> int
 
 val is_border : t -> bool
-val is_host : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -27,28 +27,12 @@ let create ~capacity =
     dump_path = None;
   }
 
-let capacity t = Array.length t.buf
-let set_shard t i = t.shard <- Some i
-let shard t = t.shard
 let set_dump_path t p = t.dump_path <- p
-let dump_path t = t.dump_path
-
-module Sim = Aitf_engine.Sim
-
-let key : t option Sim.Key.t = Sim.Key.create (fun () -> None)
-let attach t = Sim.set_ambient key (Some t)
-let detach () = Sim.set_ambient key None
-let enabled sim = Option.is_some (Sim.get sim key)
 
 let write t ~time ~node ~link ~kind ~size ~queue_depth =
   t.buf.(t.next) <- Some { time; node; link; kind; size; queue_depth };
   t.next <- (t.next + 1) mod Array.length t.buf;
   t.total <- t.total + 1
-
-let note sim ~time ~node ~link ~kind ~size ~queue_depth =
-  match Sim.get sim key with
-  | None -> ()
-  | Some t -> write t ~time ~node ~link ~kind ~size ~queue_depth
 
 let records t =
   let n = Array.length t.buf in
@@ -97,6 +81,32 @@ let merge_into master rings =
     tagged;
   let seen = List.fold_left (fun acc t -> acc + t.total) 0 rings in
   master.total <- master.total - written + seen
+
+module Sim = Aitf_engine.Sim
+
+(* A shard world records into its own ring, stamped with the shard and
+   dumping where the parent's ring dumps; the join interleaves the shard
+   rings into the parent's. *)
+let key : t option Sim.Key.t =
+  Sim.Key.create
+    ~fork:(fun _ ~shard ->
+      Option.map (fun m ->
+          let f = create ~capacity:(Array.length m.buf) in
+          f.shard <- Some shard;
+          f.dump_path <- m.dump_path;
+          f))
+    ~join:(fun master rings ->
+      Option.iter (fun m -> merge_into m (List.filter_map Fun.id rings)) master)
+    (fun () -> None)
+
+let attach t = Sim.set_ambient key (Some t)
+let detach () = Sim.set_ambient key None
+let enabled sim = Option.is_some (Sim.get sim key)
+
+let note sim ~time ~node ~link ~kind ~size ~queue_depth =
+  match Sim.get sim key with
+  | None -> ()
+  | Some t -> write t ~time ~node ~link ~kind ~size ~queue_depth
 
 let kind_name = function
   | Enqueue -> "enqueue"

@@ -34,26 +34,19 @@ val create : capacity:int -> t
 (** A recorder holding the last [capacity] records.
     @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
-
-val set_shard : t -> int -> unit
-(** Stamp this recorder as belonging to a parallel-engine shard: the id
-    breaks ties in {!merge_into}'s ordering and suffixes the
-    {!auto_dump} path. *)
-
-val shard : t -> int option
-
 val set_dump_path : t -> string option -> unit
-(** File {!auto_dump} writes to (suffixed [".shard<i>"] for stamped
-    recorders). [None] (the default) dumps to stderr. *)
-
-val dump_path : t -> string option
+(** File {!auto_dump} writes to. [None] (the default) dumps to stderr. A
+    shard world's ring dumps to the same path suffixed [".shard<i>"]. *)
 
 (** {1 Attachment} *)
 
 val key : t option Aitf_engine.Sim.Key.t
-(** The world's recorder slot. A parallel run gives each shard world its
-    own ring, merged with {!merge_into} afterwards. *)
+(** The world's recorder slot. It forks into a ring of the same capacity
+    per shard world ({!Aitf_engine.Sim.fork}), stamped with the shard id
+    and the parent's dump path. The join appends the shard rings' records
+    to the parent's in (time, shard, write order) order — globally
+    time-sorted, since each shard writes in virtual-time order — and the
+    parent's {!recorded} then counts the records of every ring. *)
 
 val attach : t -> unit
 (** Make [t] the ambient recorder, copied by every world created while it
@@ -85,15 +78,7 @@ val records : t -> record list
 (** Oldest first; at most [capacity] records. *)
 
 val recorded : t -> int
-(** Total records ever written (may exceed [capacity]). *)
-
-val merge_into : t -> t list -> unit
-(** [merge_into master rings] appends every ring's retained records into
-    [master], interleaved in deterministic (time, shard, per-shard write
-    order) order — the end-of-run merge for sharded runs (each shard's
-    write order {e is} its virtual-time order, so the result is globally
-    time-sorted with the shard id breaking ties). [recorded master]
-    afterwards counts records seen across all rings. *)
+(** Total records ever written (may exceed the capacity). *)
 
 val pp_record : Format.formatter -> record -> unit
 
@@ -102,7 +87,7 @@ val dump : ?out:Format.formatter -> t -> unit
     [Format.err_formatter]). *)
 
 val auto_dump : t -> unit
-(** The SLO-breach dump: write the retained records to {!dump_path}
-    (suffixed [".shard<i>"] when {!set_shard} was called, so concurrent
-    dumps from different shards never share a file), or to stderr when
-    no path is set. Each call rewrites the file whole. *)
+(** The SLO-breach dump: write the retained records to the dump path
+    ({!set_dump_path}; suffixed [".shard<i>"] for a shard world's ring, so
+    concurrent dumps from different shards never share a file), or to
+    stderr when no path is set. Each call rewrites the file whole. *)

@@ -30,32 +30,52 @@ let probe t label secs pending =
   t.seconds <- t.seconds +. secs;
   if pending > t.peak_pending then t.peak_pending <- pending
 
-let attach t = Sim.set_ambient Sim.profiler (Some (probe t))
-let detach () = Sim.set_ambient Sim.profiler None
-let enabled sim = Option.is_some (Sim.get sim Sim.profiler)
+(* Sum [t]'s buckets and totals into [m] (peak queue depth: the max). *)
+let add_into m t =
+  Hashtbl.iter
+    (fun k b ->
+      let acc =
+        match Hashtbl.find_opt m.tbl k with
+        | Some acc -> acc
+        | None ->
+          let acc = { n = 0; secs = 0. } in
+          Hashtbl.replace m.tbl k acc;
+          acc
+      in
+      acc.n <- acc.n + b.n;
+      acc.secs <- acc.secs +. b.secs)
+    t.tbl;
+  m.events <- m.events + t.events;
+  m.seconds <- m.seconds +. t.seconds;
+  if t.peak_pending > m.peak_pending then m.peak_pending <- t.peak_pending
 
 let merge ts =
   let m = create () in
-  List.iter
-    (fun t ->
-      Hashtbl.iter
-        (fun k b ->
-          let acc =
-            match Hashtbl.find_opt m.tbl k with
-            | Some acc -> acc
-            | None ->
-              let acc = { n = 0; secs = 0. } in
-              Hashtbl.replace m.tbl k acc;
-              acc
-          in
-          acc.n <- acc.n + b.n;
-          acc.secs <- acc.secs +. b.secs)
-        t.tbl;
-      m.events <- m.events + t.events;
-      m.seconds <- m.seconds +. t.seconds;
-      if t.peak_pending > m.peak_pending then m.peak_pending <- t.peak_pending)
-    ts;
+  List.iter (add_into m) ts;
   m
+
+(* A shard world times its events into a fresh profiler, installed as its
+   probe; the join adds the shard profilers into the parent's. *)
+let key : t option Sim.Key.t =
+  Sim.Key.create
+    ~fork:(fun child ~shard:_ ->
+      Option.map (fun _ ->
+          let p = create () in
+          Sim.set child Sim.profiler (Some (probe p));
+          p))
+    ~join:(fun m shards ->
+      Option.iter (fun m -> List.iter (Option.iter (add_into m)) shards) m)
+    (fun () -> None)
+
+let attach t =
+  Sim.set_ambient key (Some t);
+  Sim.set_ambient Sim.profiler (Some (probe t))
+
+let detach () =
+  Sim.set_ambient key None;
+  Sim.set_ambient Sim.profiler None
+
+let enabled sim = Option.is_some (Sim.get sim Sim.profiler)
 
 let events t = t.events
 let seconds t = t.seconds

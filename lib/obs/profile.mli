@@ -17,27 +17,26 @@ type t
 
 val create : unit -> t
 
+val key : t option Aitf_engine.Sim.Key.t
+(** The world's profiler, behind its {!Aitf_engine.Sim.profiler} probe.
+    Each shard world ({!Aitf_engine.Sim.fork}) gets a fresh one, and the
+    join adds them into the parent's: one table covers every world. *)
+
 val attach : t -> unit
-(** Install [t]'s probe in the ambient context (replacing any other):
-    every [Sim.t] created while attached inherits it, which is how the
-    probe reaches sims that scenarios create internally. Worlds created
-    before the attach are unaffected. *)
+(** Make [t] the ambient profiler (its slot and its probe), replacing any
+    other: every [Sim.t] created while attached inherits it, which is how
+    the probe reaches sims that scenarios create internally. Worlds
+    created before the attach are unaffected. *)
 
 val detach : unit -> unit
-(** Stop seeding new worlds with a probe; existing worlds keep theirs. *)
-
-val probe : t -> Aitf_engine.Sim.probe
-(** [t]'s probe, for installing in one world directly
-    ([Sim.set sim Sim.profiler (Some (probe t))]). The parallel engine
-    gives each shard its own profiler so concurrent shards never
-    interleave buckets; {!merge} recombines them for reporting. *)
+(** Stop seeding new worlds with a profiler; existing worlds keep theirs. *)
 
 val enabled : Aitf_engine.Sim.t -> bool
 (** Whether [sim] has a profiler probe. *)
 
 val merge : t list -> t
-(** Sum the buckets/events/seconds of several profilers (peak queue depth
-    is the max). Used to report per-shard profiles as one table. *)
+(** A new profiler holding the sums of several profilers' buckets, events
+    and seconds (peak queue depth is the max). *)
 
 (** {1 Results} *)
 

@@ -68,222 +68,6 @@ let create () =
 
 let set_allow_orphans t v = t.allow_orphans <- v
 
-module Sim = Aitf_engine.Sim
-
-(* Correlation ids are minted unconditionally (protocol messages carry one
-   whether or not a collector is attached), off a plain per-world counter
-   — no randomness, so traced and untraced runs see identical protocol
-   state, and each world's ids start at 1 whatever ran before it in the
-   process. The shards of a parallel run mint from disjoint bases
-   ([set_mint_base]): ids stay unique and deterministic without a shared
-   atomic, at the price of being shard-dependent — which is why every
-   cross-shard-count comparison goes through the canonical re-keying of
-   [merge_into]/[digest] rather than raw ids. *)
-let minted : int ref Sim.Key.t = Sim.Key.create (fun () -> ref 0)
-
-let mint sim =
-  let n = Sim.get sim minted in
-  incr n;
-  !n
-
-let set_mint_base sim base = Sim.set sim minted (ref base)
-
-let key : t option Sim.Key.t = Sim.Key.create (fun () -> None)
-let attach t = Sim.set_ambient key (Some t)
-let detach () = Sim.set_ambient key None
-let enabled sim = Option.is_some (Sim.get sim key)
-let with_t sim f = match Sim.get sim key with None -> () | Some t -> f t
-
-let new_root t ~corr ~flow ~victim ~now ~orphan =
-  let r =
-    {
-      corr;
-      flow;
-      victim;
-      opened_at = now;
-      completed_at = None;
-      spans = [];
-      root_events = [];
-      orphan;
-    }
-  in
-  Hashtbl.replace t.tbl corr r;
-  r
-
-(* The root for [corr], creating an orphan placeholder when permitted —
-   shard collectors see spans for requests whose root opened in another
-   shard's collector; [merge_into] later reunites them (and drops
-   placeholders that never find a real root, e.g. forged corr 0). *)
-let find_or_orphan t ~corr ~now =
-  match Hashtbl.find_opt t.tbl corr with
-  | Some r -> Some r
-  | None ->
-    if t.allow_orphans then
-      Some (new_root t ~corr ~flow:"" ~victim:"" ~now ~orphan:true)
-    else None
-
-let root sim ~corr ~flow ~victim =
-  let now = Sim.now sim in
-  with_t sim (fun t ->
-      match Hashtbl.find_opt t.tbl corr with
-      | None -> ignore (new_root t ~corr ~flow ~victim ~now ~orphan:false)
-      | Some r ->
-        (* First real writer wins; an orphan placeholder gets its identity
-           filled in (recording raced ahead of the root on this shard). *)
-        if r.orphan then begin
-          r.flow <- flow;
-          r.victim <- victim;
-          r.opened_at <- now;
-          r.orphan <- false
-        end)
-
-let start sim ~corr ~stage ~node =
-  let now = Sim.now sim in
-  with_t sim (fun t ->
-      match find_or_orphan t ~corr ~now with
-      | None -> ()
-      | Some r ->
-        let s =
-          {
-            span_corr = corr;
-            stage;
-            node;
-            started_at = now;
-            finished_at = None;
-            span_events = [];
-          }
-        in
-        r.spans <- s :: r.spans;
-        let stack =
-          match Hashtbl.find_opt t.open_spans (corr, stage) with
-          | Some st -> st
-          | None ->
-            let st = ref [] in
-            Hashtbl.replace t.open_spans (corr, stage) st;
-            st
-        in
-        stack := s :: !stack)
-
-let pop_open t ?node ~corr ~stage () =
-  match Hashtbl.find_opt t.open_spans (corr, stage) with
-  | None -> None
-  | Some stack -> (
-    let matches s =
-      match node with None -> true | Some n -> String.equal s.node n
-    in
-    match List.find_opt matches !stack with
-    | None -> None
-    | Some s ->
-      stack := List.filter (fun x -> x != s) !stack;
-      Some s)
-
-let finish ?node sim ~corr ~stage =
-  let now = Sim.now sim in
-  with_t sim (fun t ->
-      match pop_open t ?node ~corr ~stage () with
-      | None -> ()
-      | Some s -> s.finished_at <- Some now)
-
-let peek_open t ?node ~corr ~stage () =
-  match Hashtbl.find_opt t.open_spans (corr, stage) with
-  | None -> None
-  | Some stack ->
-    let matches s =
-      match node with None -> true | Some n -> String.equal s.node n
-    in
-    List.find_opt matches !stack
-
-(* Newest open span for this corr on any stage (on [node] when given). *)
-let newest_open t ?node ~corr () =
-  List.fold_left
-    (fun best stage ->
-      match peek_open t ?node ~corr ~stage () with
-      | None -> best
-      | Some s -> (
-        match best with
-        | Some b when b.started_at >= s.started_at -> best
-        | _ -> Some s))
-    None all_stages
-
-let event ?node sim ~corr label =
-  let now = Sim.now sim in
-  with_t sim (fun t ->
-      let e = { at = now; label; by = node } in
-      match newest_open t ?node ~corr () with
-      | Some s -> s.span_events <- e :: s.span_events
-      | None -> (
-        match find_or_orphan t ~corr ~now with
-        | Some r -> r.root_events <- e :: r.root_events
-        | None -> ()))
-
-let root_event sim ~corr label =
-  let now = Sim.now sim in
-  with_t sim (fun t ->
-      match find_or_orphan t ~corr ~now with
-      | Some r ->
-        r.root_events <- { at = now; label; by = None } :: r.root_events
-      | None -> ())
-
-let stage_event ?node sim ~corr ~stage label =
-  let now = Sim.now sim in
-  with_t sim (fun t ->
-      let e = { at = now; label; by = node } in
-      match peek_open t ?node ~corr ~stage () with
-      | Some s -> s.span_events <- e :: s.span_events
-      | None -> (
-        match find_or_orphan t ~corr ~now with
-        | Some r -> r.root_events <- e :: r.root_events
-        | None -> ()))
-
-let bind_nonce sim ~corr ~nonce =
-  with_t sim (fun t -> Hashtbl.replace t.nonces nonce corr)
-
-let corr_of_nonce sim ~nonce =
-  match Sim.get sim key with
-  | None -> None
-  | Some t -> Hashtbl.find_opt t.nonces nonce
-
-let event_by_nonce sim ~nonce label =
-  match corr_of_nonce sim ~nonce with
-  | None -> ()
-  | Some corr -> event sim ~corr label
-
-let complete sim ~corr =
-  let now = Sim.now sim in
-  with_t sim (fun t ->
-      match find_or_orphan t ~corr ~now with
-      | None -> ()
-      | Some r ->
-        if r.completed_at = None then begin
-          r.completed_at <- Some now;
-          (* SLO evaluation is meaningless on an orphan placeholder (its
-             opened_at is the first local sighting, not the victim's):
-             [merge_into] re-evaluates on the reunited root instead. *)
-          if not r.orphan then
-            match t.slo with
-            | Some (slo, on_breach) when now -. r.opened_at > slo ->
-              on_breach r
-            | Some _ | None -> ()
-        end)
-
-let set_slo t ~seconds f = t.slo <- Some (seconds, f)
-
-(* --- queries ---------------------------------------------------------------- *)
-
-let roots t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.tbl []
-  |> List.sort (fun a b -> Int.compare a.corr b.corr)
-
-let find_root t corr = Hashtbl.find_opt t.tbl corr
-let spans_of r = List.rev r.spans
-let events_of s = List.rev s.span_events
-
-let duration s =
-  match s.finished_at with None -> None | Some f -> Some (f -. s.started_at)
-
-let completed_roots t =
-  List.filter (fun r -> r.completed_at <> None) (roots t)
-
 (* --- shard merge ------------------------------------------------------------ *)
 
 (* Canonical root order: the order a sequential run would have minted in —
@@ -419,6 +203,232 @@ let merge_into master others =
         | Some c when c -. r.opened_at > slo -> on_breach r
         | Some _ | None -> ())
       rekeyed)
+
+module Sim = Aitf_engine.Sim
+
+(* Correlation ids are minted unconditionally (protocol messages carry one
+   whether or not a collector is attached), off a plain per-world counter
+   — no randomness, so traced and untraced runs see identical protocol
+   state, and each world's ids start at 1 whatever ran before it in the
+   process. The shards of a parallel run mint from disjoint bases,
+   [(shard + 1) lsl 24], which keep ids inside the 32-bit wire encoding:
+   ids stay unique and deterministic without a shared atomic, at the
+   price of being shard-dependent — which is why every cross-shard-count
+   comparison goes through the canonical re-keying of
+   [merge_into]/[digest] rather than raw ids. *)
+let minted : int ref Sim.Key.t =
+  Sim.Key.create
+    ~fork:(fun _ ~shard _ -> ref ((shard + 1) lsl 24))
+    (fun () -> ref 0)
+
+let mint sim =
+  let n = Sim.get sim minted in
+  incr n;
+  !n
+
+(* A shard world records into its own collector, in orphan mode; so does
+   the parent's from the fork to the join (global events and barrier
+   replays record shard-minted ids), leaving it even if the merge raises. *)
+let key : t option Sim.Key.t =
+  Sim.Key.create
+    ~fork:(fun _ ~shard:_ ->
+      Option.map (fun master ->
+          master.allow_orphans <- true;
+          let c = create () in
+          c.allow_orphans <- true;
+          c))
+    ~join:(fun master shards ->
+      Option.iter
+        (fun m ->
+          Fun.protect
+            ~finally:(fun () -> m.allow_orphans <- false)
+            (fun () -> merge_into m (List.filter_map Fun.id shards)))
+        master)
+    (fun () -> None)
+
+let attach t = Sim.set_ambient key (Some t)
+let detach () = Sim.set_ambient key None
+let enabled sim = Option.is_some (Sim.get sim key)
+let with_t sim f = match Sim.get sim key with None -> () | Some t -> f t
+
+let new_root t ~corr ~flow ~victim ~now ~orphan =
+  let r =
+    {
+      corr;
+      flow;
+      victim;
+      opened_at = now;
+      completed_at = None;
+      spans = [];
+      root_events = [];
+      orphan;
+    }
+  in
+  Hashtbl.replace t.tbl corr r;
+  r
+
+(* The root for [corr], creating an orphan placeholder when permitted —
+   shard collectors see spans for requests whose root opened in another
+   shard's collector; [merge_into] later reunites them (and drops
+   placeholders that never find a real root, e.g. forged corr 0). *)
+let find_or_orphan t ~corr ~now =
+  match Hashtbl.find_opt t.tbl corr with
+  | Some r -> Some r
+  | None ->
+    if t.allow_orphans then
+      Some (new_root t ~corr ~flow:"" ~victim:"" ~now ~orphan:true)
+    else None
+
+let root sim ~corr ~flow ~victim =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
+      match Hashtbl.find_opt t.tbl corr with
+      | None -> ignore (new_root t ~corr ~flow ~victim ~now ~orphan:false)
+      | Some r ->
+        (* First real writer wins; an orphan placeholder gets its identity
+           filled in (recording raced ahead of the root on this shard). *)
+        if r.orphan then begin
+          r.flow <- flow;
+          r.victim <- victim;
+          r.opened_at <- now;
+          r.orphan <- false
+        end)
+
+let start sim ~corr ~stage ~node =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
+      match find_or_orphan t ~corr ~now with
+      | None -> ()
+      | Some r ->
+        let s =
+          {
+            span_corr = corr;
+            stage;
+            node;
+            started_at = now;
+            finished_at = None;
+            span_events = [];
+          }
+        in
+        r.spans <- s :: r.spans;
+        let stack =
+          match Hashtbl.find_opt t.open_spans (corr, stage) with
+          | Some st -> st
+          | None ->
+            let st = ref [] in
+            Hashtbl.replace t.open_spans (corr, stage) st;
+            st
+        in
+        stack := s :: !stack)
+
+let pop_open t ?node ~corr ~stage () =
+  match Hashtbl.find_opt t.open_spans (corr, stage) with
+  | None -> None
+  | Some stack -> (
+    let matches s =
+      match node with None -> true | Some n -> String.equal s.node n
+    in
+    match List.find_opt matches !stack with
+    | None -> None
+    | Some s ->
+      stack := List.filter (fun x -> x != s) !stack;
+      Some s)
+
+let finish ?node sim ~corr ~stage =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
+      match pop_open t ?node ~corr ~stage () with
+      | None -> ()
+      | Some s -> s.finished_at <- Some now)
+
+let peek_open t ?node ~corr ~stage () =
+  match Hashtbl.find_opt t.open_spans (corr, stage) with
+  | None -> None
+  | Some stack ->
+    let matches s =
+      match node with None -> true | Some n -> String.equal s.node n
+    in
+    List.find_opt matches !stack
+
+(* Newest open span for this corr on any stage (on [node] when given). *)
+let newest_open t ?node ~corr () =
+  List.fold_left
+    (fun best stage ->
+      match peek_open t ?node ~corr ~stage () with
+      | None -> best
+      | Some s -> (
+        match best with
+        | Some b when b.started_at >= s.started_at -> best
+        | _ -> Some s))
+    None all_stages
+
+let event ?node sim ~corr label =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
+      let e = { at = now; label; by = node } in
+      match newest_open t ?node ~corr () with
+      | Some s -> s.span_events <- e :: s.span_events
+      | None -> (
+        match find_or_orphan t ~corr ~now with
+        | Some r -> r.root_events <- e :: r.root_events
+        | None -> ()))
+
+let root_event sim ~corr label =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
+      match find_or_orphan t ~corr ~now with
+      | Some r ->
+        r.root_events <- { at = now; label; by = None } :: r.root_events
+      | None -> ())
+
+let bind_nonce sim ~corr ~nonce =
+  with_t sim (fun t -> Hashtbl.replace t.nonces nonce corr)
+
+let corr_of_nonce sim ~nonce =
+  match Sim.get sim key with
+  | None -> None
+  | Some t -> Hashtbl.find_opt t.nonces nonce
+
+let event_by_nonce sim ~nonce label =
+  match corr_of_nonce sim ~nonce with
+  | None -> ()
+  | Some corr -> event sim ~corr label
+
+let complete sim ~corr =
+  let now = Sim.now sim in
+  with_t sim (fun t ->
+      match find_or_orphan t ~corr ~now with
+      | None -> ()
+      | Some r ->
+        if r.completed_at = None then begin
+          r.completed_at <- Some now;
+          (* SLO evaluation is meaningless on an orphan placeholder (its
+             opened_at is the first local sighting, not the victim's):
+             [merge_into] re-evaluates on the reunited root instead. *)
+          if not r.orphan then
+            match t.slo with
+            | Some (slo, on_breach) when now -. r.opened_at > slo ->
+              on_breach r
+            | Some _ | None -> ()
+        end)
+
+let set_slo t ~seconds f = t.slo <- Some (seconds, f)
+
+(* --- queries ---------------------------------------------------------------- *)
+
+let roots t =
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.tbl []
+  |> List.sort (fun a b -> Int.compare a.corr b.corr)
+
+let find_root t corr = Hashtbl.find_opt t.tbl corr
+let spans_of r = List.rev r.spans
+let events_of s = List.rev s.span_events
+
+let duration s =
+  match s.finished_at with None -> None | Some f -> Some (f -. s.started_at)
+
+let completed_roots t =
+  List.filter (fun r -> r.completed_at <> None) (roots t)
 
 (* --- canonical digest --------------------------------------------------------- *)
 

@@ -25,18 +25,22 @@
 
     {2 Sharded runs}
 
-    Under the parallel engine each shard world gets its own collector and
-    mint base ({!set_mint_base}), both set by [As_scenario] when it builds
-    the shards, so recording needs no locks and traced sharded runs stay
-    bit-identical to untraced ones. Shard collectors run with
-    {!set_allow_orphans} on: spans for a correlation id whose root opened
-    in another shard accumulate under an {e orphan} placeholder, and
-    {!merge_into} reunites everything at end of run — re-keying roots
-    into the canonical (opened_at, victim, flow) order a sequential run
-    would have minted, and dropping orphan-only roots (forged ids), which
-    reproduces the sequential "ignore unknown corr" semantics. {!digest}
-    applies the same canonicalization, so equal digests across shard
-    counts mean the same trace. *)
+    The collector and the correlation-id counter split over a parallel
+    run's shard worlds ({!Aitf_engine.Sim.fork}): each shard world records
+    into its own collector, so recording needs no locks, and mints from
+    its own base [(shard + 1) lsl 24], whether or not tracing is on, so
+    traced sharded runs stay bit-identical to untraced ones. Shard
+    collectors run with {!set_allow_orphans} on, and so does the parent's
+    collector from the fork until the join: spans for a correlation id
+    whose root opened in another world accumulate under an {e orphan}
+    placeholder. The join ({!Aitf_engine.Sim.join}, after the parallel
+    scheduler's run) is {!merge_into}: it reunites everything, re-keying
+    roots into the canonical (opened_at, victim, flow) order a sequential
+    run would have minted and dropping orphan-only roots (forged ids),
+    which reproduces the sequential "ignore unknown corr" semantics; the
+    parent's collector then leaves orphan mode, also when the run raised.
+    {!digest} applies the same canonicalization, so equal digests across
+    shard counts mean the same trace. *)
 
 (** Protocol stages of one filtering request, in causal order. *)
 type stage =
@@ -94,8 +98,8 @@ val create : unit -> t
 val set_allow_orphans : t -> bool -> unit
 (** When on, recording calls for an unknown correlation id create an
     orphan placeholder root instead of being ignored. Off by default
-    (sequential semantics); turned on for shard collectors and for the
-    master collector during a sharded run. *)
+    (sequential semantics); the fork of {!key} turns it on in shard
+    collectors and, until the join, in the parent's collector. *)
 
 (** {1 Correlation ids} *)
 
@@ -105,15 +109,12 @@ val mint : Aitf_engine.Sim.t -> int
     unconditionally so that message contents do not depend on whether
     tracing is on. *)
 
-val set_mint_base : Aitf_engine.Sim.t -> int -> unit
-(** Make [sim] mint [base + 1], [base + 2], ... next. A parallel run gives
-    each shard world a disjoint base ([(shard + 1) lsl 24], which keeps
-    ids inside the 32-bit wire encoding) whether or not tracing is on. *)
-
 (** {1 Attachment} *)
 
 val key : t option Aitf_engine.Sim.Key.t
-(** The world's collector slot. *)
+(** The world's collector slot. It forks into a fresh orphan-mode
+    collector per shard world and joins with {!merge_into} (see "Sharded
+    runs" above). *)
 
 val attach : t -> unit
 (** Make [t] the ambient collector, copied by every world created while
@@ -150,16 +151,6 @@ val finish :
 val event : ?node:string -> Aitf_engine.Sim.t -> corr:int -> string -> unit
 (** Attach a point event: to the newest open span of [corr] (on [node]
     when given), else to the root. *)
-
-val stage_event :
-  ?node:string ->
-  Aitf_engine.Sim.t ->
-  corr:int ->
-  stage:stage ->
-  string ->
-  unit
-(** Attach a point event to the newest open [(corr, stage)] span,
-    falling back to the root when none is open. *)
 
 val root_event : Aitf_engine.Sim.t -> corr:int -> string -> unit
 (** Attach a point event directly to [corr]'s root, never to an open
@@ -200,8 +191,9 @@ val merge_into : t -> t list -> unit
     anywhere, i.e. forged — are dropped. Roots are then re-keyed
     [1..N] in canonical (opened_at, victim, flow) order with spans and
     events sorted deterministically, and the master's SLO callback is
-    fired for breaching completed roots in that order. Call once, after
-    [Sched.run] returns. *)
+    fired for breaching completed roots in that order. It is {!key}'s
+    join, which the parallel scheduler runs once after each sharded
+    run. *)
 
 val digest : t -> string
 (** Hex fingerprint of the span forest, independent of raw correlation

@@ -379,8 +379,6 @@ let partition plan ~shards ~weight =
     assign
   end
 
-let plan_spec plan = plan.p_spec
-
 (* --- path inspection ------------------------------------------------------ *)
 
 let route t ~src ~dst =

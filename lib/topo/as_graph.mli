@@ -69,8 +69,6 @@ val check : spec -> (unit, string) result
     domain below them, more than 16384 domains (each owns a /16, see
     {!domain_prefix}), or no provider uplink. *)
 
-val plan_spec : plan -> spec
-
 val materialise :
   ?sim_of_as:(int -> Aitf_engine.Sim.t) -> Aitf_engine.Sim.t -> plan -> t
 (** Build nodes, links and FIBs from a plan. RNG-free, so

@@ -107,7 +107,6 @@ let build sim spec =
   { net; core; isp_gws; net_gws; hosts }
 
 let host t ~isp ~net ~host = t.hosts.(isp).(net).(host)
-let net_gw_of t ~isp ~net = t.net_gws.(isp).(net)
 
 type deployed = {
   topo : t;

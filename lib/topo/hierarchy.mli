@@ -41,7 +41,6 @@ type t = {
 val build : Aitf_engine.Sim.t -> spec -> t
 
 val host : t -> isp:int -> net:int -> host:int -> Node.t
-val net_gw_of : t -> isp:int -> net:int -> Node.t
 val net_prefix : isp:int -> net:int -> Addr.prefix
 val isp_prefix : isp:int -> Addr.prefix
 

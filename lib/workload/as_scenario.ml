@@ -7,10 +7,7 @@ module Filter_table = Aitf_filter.Filter_table
 module Signing = Aitf_contract.Signing
 module Auditor = Aitf_contract.Auditor
 module Adversary = Aitf_adversary.Adversary
-module Span = Aitf_obs.Span
-module Flight = Aitf_obs.Flight
 module Metrics = Aitf_obs.Metrics
-module Profile = Aitf_obs.Profile
 module Json = Aitf_obs.Json
 open Aitf_net
 open Aitf_core
@@ -85,7 +82,6 @@ type result = {
   r_failovers : int;
   r_shards : int;
   r_sched_stats : Sched.stats;
-  r_shard_profiles : Aitf_obs.Profile.t list;
   r_parallel : Json.t option;
 }
 
@@ -129,56 +125,10 @@ let run p =
   let shards = p.as_shards in
   let sched = Sched.create ~shards () in
   let sim = Sched.global sched in
-  (* Every world copied the caller's run context; concurrent shards must
-     not share it. Each shard world gets its own span collector (orphan
-     mode: roots for ids minted in other shards become placeholders),
-     flight ring (shard-suffixed dump path) and profiler, merged after the
-     run, and a disjoint correlation-id base, used whether or not tracing
-     is on; each worker domain a disjoint packet-id stride (SPIE digests
-     hash packet ids). *)
+  (* The scheduler gave each shard world its own run context (see
+     [Sched.create]); each worker domain also needs a disjoint packet-id
+     stride, because SPIE digests hash packet ids. *)
   let sharded = shards > 1 in
-  let shard_sims =
-    if sharded then Array.to_list (Sched.shard_sims sched) else []
-  in
-  let master_span = Sim.get sim Span.key in
-  let shard_spans =
-    match master_span with
-    | None -> []
-    | Some _ ->
-      List.map
-        (fun s ->
-          let c = Span.create () in
-          Span.set_allow_orphans c true;
-          Sim.set s Span.key (Some c);
-          c)
-        shard_sims
-  in
-  let master_flight = Sim.get sim Flight.key in
-  let shard_flights =
-    match master_flight with
-    | None -> []
-    | Some m ->
-      List.mapi
-        (fun i s ->
-          let f = Flight.create ~capacity:(Flight.capacity m) in
-          Flight.set_shard f i;
-          Flight.set_dump_path f (Flight.dump_path m);
-          Sim.set s Flight.key (Some f);
-          f)
-        shard_sims
-  in
-  let shard_profiles =
-    List.filter_map
-      (fun s ->
-        if not (Profile.enabled s) then None
-        else begin
-          let pr = Profile.create () in
-          Sim.set s Sim.profiler (Some (Profile.probe pr));
-          Some pr
-        end)
-      shard_sims
-  in
-  List.iteri (fun i s -> Span.set_mint_base s ((i + 1) lsl 24)) shard_sims;
   if sharded then
     Sched.set_worker_init sched (fun ~shard ->
         Packet.bind_domain ~id_base:((shard + 1) lsl 40));
@@ -413,22 +363,7 @@ let run p =
     Runner.victim_rate sim ~period:p.as_sample_period ~until:p.as_duration
       (Some eng) victim
   in
-  (* The master collector sees shard-minted ids too while sharded, so it
-     runs in orphan mode until the merge re-keys everything canonically,
-     and leaves it again even on a raise, so that reusing it later keeps
-     sequential semantics. *)
-  (match master_span with
-  | Some m when sharded ->
-    Span.set_allow_orphans m true;
-    Fun.protect
-      ~finally:(fun () -> Span.set_allow_orphans m false)
-      (fun () ->
-        Sched.run ~until:p.as_duration sched;
-        Span.merge_into m shard_spans)
-  | Some _ | None -> Sched.run ~until:p.as_duration sched);
-  (match master_flight with
-  | Some m when sharded -> Flight.merge_into m shard_flights
-  | Some _ | None -> ());
+  Sched.run ~until:p.as_duration sched;
   let slots_peak =
     Array.fold_left
       (fun acc gw -> acc + Filter_table.peak_occupancy (Gateway.filters gw))
@@ -551,6 +486,5 @@ let run p =
     r_failovers = (match contracts with Some (_, _, f) -> !f | None -> 0);
     r_shards = shards;
     r_sched_stats = Sched.stats sched;
-    r_shard_profiles = shard_profiles;
     r_parallel;
   }

@@ -100,10 +100,6 @@ type result = {
   r_shards : int;  (** echo of [as_shards] *)
   r_sched_stats : Aitf_parallel.Sched.stats;
       (** synchronization-window counters; all zeros when [as_shards = 1] *)
-  r_shard_profiles : Aitf_obs.Profile.t list;
-      (** per-shard profiler instances, in shard order — non-empty only
-          when [as_shards > 1] and a profiler was attached (merge with
-          {!Aitf_obs.Profile.merge} for one table) *)
   r_parallel : Aitf_obs.Json.t option;
       (** the run report's ["parallel"] telemetry section — shard count,
           lookahead, synchronization counters, per-shard event breakdown
@@ -119,11 +115,13 @@ val check : params -> (unit, string) Stdlib.result
 
 val run : params -> result
 (** Observability composes with sharding: an attached span collector,
-    flight recorder, metrics registry or contract auditor all work at any
-    [as_shards] — workers record into per-shard collectors/rings that are
-    merged deterministically after the run (spans re-keyed canonically,
-    flight records interleaved by (time, shard, seq)), and victim-side
-    auditor observations replay through [Sched.defer] at barriers. See
-    docs/PARALLEL.md and docs/OBSERVABILITY.md.
+    flight recorder, profiler, metrics registry or contract auditor all
+    work at any [as_shards]. The parallel scheduler forks the collector,
+    ring and profiler into each shard world and joins them back after the
+    run (spans re-keyed canonically, flight records interleaved by (time,
+    shard, seq), profiler buckets summed), so the caller's instances hold
+    the whole run; victim-side auditor observations replay through
+    [Sched.defer] at barriers. See docs/PARALLEL.md and
+    docs/OBSERVABILITY.md.
 
     @raise Invalid_argument when {!check} fails. *)

@@ -309,6 +309,7 @@ type summary = {
   s_results : cell_result list;
   s_pairs : pair list;
   s_drifted : int;
+  s_missing : int;
   s_disagreements : int;
 }
 
@@ -329,9 +330,11 @@ let write_file path contents =
    profiler for queue depth and event count, GC delta and the run
    context's wall clock for the perf trajectory. Spans are always
    collected — sharded internet cells record into per-shard collectors
-   (shards mint from disjoint bases) that As_scenario merges canonically
-   back into [sp], so the document's span section and [cr_digest] are
-   real fingerprints at any shard count. *)
+   (shards mint from disjoint bases) that the scheduler merges
+   canonically back into [sp], and into per-shard profilers it adds back
+   into [prof], so the document's span section and [cr_digest] are real
+   fingerprints, and the event count covers every world, at any shard
+   count. *)
 let run_cell ?(shards = 1) cell =
   (* A cell pinned to a shard count keeps it; the caller's --shards
      overrides only the unpinned (1-shard) cells. *)
@@ -452,14 +455,12 @@ let run ?(only = []) ?(smoke = false) ?(bless = false)
       selected
   in
   let pairs = pair_up results in
+  let count st = List.length (List.filter (fun r -> r.cr_status = st) results) in
   {
     s_results = results;
     s_pairs = pairs;
-    s_drifted =
-      List.length
-        (List.filter
-           (fun r -> r.cr_status = Drift || r.cr_status = Missing)
-           results);
+    s_drifted = count Drift;
+    s_missing = count Missing;
     s_disagreements =
       List.length (List.filter (fun p -> p.pr_gated && not p.pr_ok) pairs);
   }
@@ -517,8 +518,8 @@ let print_summary s =
   Table.print (cells_table ~title:"golden-trace matrix" s);
   if s.s_pairs <> [] then
     Table.print (pairs_table ~title:"packet vs hybrid engine agreement" s);
-  Printf.printf "%d cells, %d drifted, %d disagreements\n"
-    (List.length s.s_results) s.s_drifted s.s_disagreements
+  Printf.printf "%d cells, %d drifted, %d missing, %d disagreements\n"
+    (List.length s.s_results) s.s_drifted s.s_missing s.s_disagreements
 
 let bench_json s =
   Json.Obj
@@ -545,5 +546,6 @@ let bench_json s =
              (fun acc r -> acc +. r.cr_perf.wall)
              0. s.s_results) );
       ("drifted", it s.s_drifted);
+      ("missing", it s.s_missing);
       ("disagreements", it s.s_disagreements);
     ]

@@ -89,7 +89,8 @@ type pair = {
 type summary = {
   s_results : cell_result list;
   s_pairs : pair list;
-  s_drifted : int;  (** cells with [Drift] or [Missing] status *)
+  s_drifted : int;  (** cells with [Drift] status *)
+  s_missing : int;  (** cells with [Missing] status *)
   s_disagreements : int;  (** gated pairs over the threshold *)
 }
 

@@ -18,7 +18,6 @@ type 'r outcome = {
   sampler : Aitf_obs.Sampler.t option;
   events : int;
   parallel : Json.t option;
-  shard_profiles : Aitf_obs.Profile.t list;
 }
 
 let check : type r. r t -> (unit, string) result = function
@@ -39,8 +38,7 @@ let fl x = Json.Float x
 let it n = Json.Int n
 
 let sequential result fields victim_rate sampler events =
-  { result; fields; victim_rate; sampler; events; parallel = None;
-    shard_profiles = [] }
+  { result; fields; victim_rate; sampler; events; parallel = None }
 
 (* Outcome keys are shared across scenarios where the quantity is the same
    thing (attack/good received bytes), so engine pairs can compare them;
@@ -139,7 +137,7 @@ let run : type r. r t -> r outcome = function
         @ audit)
         r.r_victim_rate None r.r_events
     in
-    { o with parallel = r.r_parallel; shard_profiles = r.r_shard_profiles }
+    { o with parallel = r.r_parallel }
   | Replay (trace, engine) ->
     let open Replay in
     let r = run ~engine trace in

@@ -42,9 +42,6 @@ type 'r outcome = {
   parallel : Json.t option;
       (** the run report's ["parallel"] section; sharded [Internet] runs
           only *)
-  shard_profiles : Aitf_obs.Profile.t list;
-      (** per-shard profilers, when a sharded [Internet] run was
-          profiled *)
 }
 
 val check : _ t -> (unit, string) result

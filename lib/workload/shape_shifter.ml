@@ -93,7 +93,3 @@ let halt t = t.halted <- true
 let sent_packets t = t.sent_packets
 let sent_bytes t = t.sent_bytes
 let shapes_used t = t.max_shape + 1
-
-let current_label t =
-  let src, _, _ = shape_fields t in
-  Aitf_filter.Flow_label.host_pair src t.dst

@@ -42,6 +42,3 @@ val sent_bytes : t -> int
 
 val shapes_used : t -> int
 (** Distinct identities presented so far. *)
-
-val current_label : t -> Aitf_filter.Flow_label.t
-(** The exact host-pair label of the shape being sent right now. *)

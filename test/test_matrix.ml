@@ -30,7 +30,17 @@ let test_goldens_match () =
         true
         (r.Matrix.cr_status = Matrix.Match))
     s.Matrix.s_results;
-  checki "no drift" 0 s.Matrix.s_drifted
+  checki "no drift" 0 s.Matrix.s_drifted;
+  checki "no missing golden" 0 s.Matrix.s_missing
+
+(* A cell with no golden on disk is missing, not drifted: the summary
+   keeps the two apart. *)
+let test_missing_not_drifted () =
+  let dir = Filename.temp_dir "aitf-goldens" "" in
+  let s = Matrix.run ~only:[ List.hd cell_ids ] ~goldens_dir:dir () in
+  Sys.rmdir dir;
+  checki "one missing" 1 s.Matrix.s_missing;
+  checki "none drifted" 0 s.Matrix.s_drifted
 
 let test_regeneration_deterministic () =
   let doc_of id =
@@ -91,6 +101,8 @@ let () =
             test_goldens_match;
           Alcotest.test_case "regeneration deterministic" `Quick
             test_regeneration_deterministic;
+          Alcotest.test_case "missing is not drifted" `Quick
+            test_missing_not_drifted;
         ] );
       ( "agreement",
         [

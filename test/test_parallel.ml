@@ -235,28 +235,30 @@ let horizon = 5.0
 
 type context = { sp : Span.t; fl : Flight.t; pr : Profile.t }
 
-(* Attach a fresh collector, ring and profiler, create a world under them,
-   then detach again: the world keeps what it copied. *)
-let world_with_context ~start =
+(* Attach a fresh collector, ring and profiler around [f], then detach
+   again: the worlds [f] creates keep what they copied. *)
+let with_context f =
   let c =
     {
       sp = Span.create ();
-      fl = Flight.create ~capacity:512;
+      fl = Flight.create ~capacity:4096;
       pr = Profile.create ();
     }
   in
   Span.attach c.sp;
   Flight.attach c.fl;
   Profile.attach c.pr;
-  let sim =
+  let r =
     Fun.protect
       ~finally:(fun () ->
         Profile.detach ();
         Flight.detach ();
         Span.detach ())
-      (fun () -> chain_world ~start)
+      f
   in
-  (sim, c)
+  (r, c)
+
+let world_with_context ~start = with_context (fun () -> chain_world ~start)
 
 let bucket_counts pr =
   List.sort compare (List.map (fun (l, (n, _)) -> (l, n)) (Profile.buckets pr))
@@ -322,6 +324,73 @@ let test_two_worlds_two_contexts () =
     (Profile.events a.pr + Profile.events b.pr)
     (Profile.events (Profile.merge [ a.pr; b.pr ]))
 
+(* --- shard worlds fork the run context ------------------------------------------ *)
+
+let test_shard_worlds_fork_context () =
+  let sched, c = with_context (fun () -> Sched.create ~shards:2 ()) in
+  let worlds = Sched.global sched :: Array.to_list (Sched.shard_sims sched) in
+  let distinct name get =
+    let vs = List.map get worlds in
+    List.iteri
+      (fun i a ->
+        List.iteri
+          (fun j b ->
+            if i < j then
+              checkb
+                (Printf.sprintf "%s: worlds %d and %d hold different ones" name
+                   i j)
+                true (a != b))
+          vs)
+      vs
+  in
+  let some name = function
+    | Some v -> v
+    | None -> Alcotest.fail (name ^ " missing from a world")
+  in
+  distinct "collector" (fun w -> some "collector" (Sim.get w Span.key));
+  distinct "ring" (fun w -> some "ring" (Sim.get w Flight.key));
+  distinct "probe" (fun w -> some "probe" (Sim.get w Sim.profiler));
+  checkb "the global world keeps the caller's collector" true
+    (some "collector" (Sim.get (Sched.global sched) Span.key) == c.sp);
+  checkb "... and the caller's ring" true
+    (some "ring" (Sim.get (Sched.global sched) Flight.key) == c.fl);
+  (* Corr-id bases: each world mints from its own 2^24-wide range. *)
+  let ranges = List.map (fun w -> Span.mint w lsr 24) worlds in
+  checki "corr-id ranges are disjoint" (List.length worlds)
+    (List.length (List.sort_uniq compare ranges))
+
+let test_profiled_sharded_run_counts_every_world () =
+  let r, c = with_context (fun () -> As_scenario.run (small_internet 2)) in
+  checki "the caller's profiler timed every world's events"
+    r.As_scenario.r_events (Profile.events c.pr)
+
+(* A second run joins only what the shards recorded since the first. *)
+let test_second_run_joins_once () =
+  let sched, c = with_context (fun () -> Sched.create ~shards:2 ()) in
+  Sched.register_channel sched ~src:0 ~dst:1 ~lookahead:0.05;
+  Sched.register_channel sched ~src:1 ~dst:0 ~lookahead:0.05;
+  let notes = Atomic.make 0 in
+  Array.iter
+    (fun sim ->
+      for k = 1 to 20 do
+        ignore
+          (Sim.at sim (0.1 *. float_of_int k) (fun () ->
+               Atomic.incr notes;
+               Flight.note sim ~time:(Sim.now sim) ~node:"n" ~link:"l"
+                 ~kind:Flight.Enqueue ~size:1 ~queue_depth:0))
+      done)
+    (Sched.shard_sims sched);
+  Sched.run ~until:1.0 sched;
+  checki "first run: every note joined once" (Atomic.get notes)
+    (Flight.recorded c.fl);
+  checki "first run: every event profiled once" (Sched.events_processed sched)
+    (Profile.events c.pr);
+  Sched.run ~until:3.0 sched;
+  checki "notes made" 40 (Atomic.get notes);
+  checki "second run: every note joined once" 40 (Flight.recorded c.fl);
+  checki "second run: every event profiled once"
+    (Sched.events_processed sched) (Profile.events c.pr)
+
 (* --- guard rails -------------------------------------------------------------- *)
 
 let test_bad_shards_rejected () =
@@ -378,6 +447,17 @@ let test_master_collector_restored () =
   Span.event sim ~corr:999_999 "stray";
   Span.root_event sim ~corr:999_999 "stray";
   checki "no root for an unknown corr" roots (List.length (Span.roots sp))
+
+(* ... also when the sharded run raises. *)
+let test_master_collector_restored_on_raise () =
+  let sched, c = with_context (fun () -> Sched.create ~shards:2 ()) in
+  ignore (Sim.at (Sched.shard_sim sched 0) 0.5 (fun () -> failwith "boom"));
+  checkb "the run's failure reaches the caller" true
+    (match Sched.run ~until:1.0 sched with
+    | () -> false
+    | exception Failure _ -> true);
+  Span.event (Sched.global sched) ~corr:999_999 "stray";
+  checki "no root for an unknown corr" 0 (List.length (Span.roots c.sp))
 
 let test_contracts_compose_with_shards () =
   let p shards =
@@ -459,6 +539,10 @@ let () =
             test_two_worlds_two_contexts;
           Alcotest.test_case "bad shard counts rejected" `Quick
             test_bad_shards_rejected;
+          Alcotest.test_case "shard worlds fork the run context" `Quick
+            test_shard_worlds_fork_context;
+          Alcotest.test_case "second run joins once" `Quick
+            test_second_run_joins_once;
         ] );
       ( "observability",
         [
@@ -468,11 +552,15 @@ let () =
             test_span_digest_shard_invariant;
           Alcotest.test_case "master collector leaves orphan mode" `Quick
             test_master_collector_restored;
+          Alcotest.test_case "master collector leaves orphan mode on a raise"
+            `Quick test_master_collector_restored_on_raise;
           Alcotest.test_case "contracts compose with shards" `Slow
             test_contracts_compose_with_shards;
           Alcotest.test_case "flight recorder composes with shards" `Quick
             test_flight_recorder_composes_with_shards;
           Alcotest.test_case "parallel report section" `Quick
             test_parallel_report_section;
+          Alcotest.test_case "profiled sharded run counts every world" `Quick
+            test_profiled_sharded_run_counts_every_world;
         ] );
     ]

@@ -51,10 +51,10 @@ let test_mint_monotone () =
   with_collector (fun _ _ -> ());
   let c = Span.mint sim in
   checkb "still monotone" true (c = b + 1);
-  let shard = Sim.create () in
-  Span.set_mint_base shard (1 lsl 24);
-  checki "a mint base offsets the world's ids" ((1 lsl 24) + 1)
-    (Span.mint shard)
+  let shard = Sim.fork sim ~shard:1 in
+  checki "a shard world mints from its base" ((2 lsl 24) + 1)
+    (Span.mint shard);
+  checkb "... and its parent carries on" true (Span.mint sim = c + 1)
 
 let test_span_lifecycle () =
   with_collector (fun sim t ->
