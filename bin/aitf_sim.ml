@@ -172,10 +172,10 @@ let obs_term =
   let flight_dump_file =
     Arg.(value & opt (some string) None & info [ "flight-dump-file" ]
            ~docv:"FILE"
-           ~doc:"Write --slo auto-dumps to FILE instead of stderr. In \
-                 sharded runs each shard's ring dumps to FILE.shard<i> \
-                 (records sorted by time, shard, sequence), so concurrent \
-                 breaches never interleave.")
+           ~doc:"Write --slo auto-dumps to FILE instead of stderr. A \
+                 sharded run finds its breaches when the shards join after \
+                 the run and dumps the joined ring (records sorted by \
+                 time, shard, sequence) once.")
   in
   let profile =
     Arg.(value & flag & info [ "profile" ]

@@ -76,17 +76,16 @@ let () =
       Option.map grid (Sampler.find_series sampler "victim.h0_0_0.attack_rate_bps")
       |> Option.value ~default:[]
     in
-    (* Long-filter installs summed over every gateway in the hierarchy. *)
+    (* Long-filter installs, local self-installs included, summed over
+       every gateway in the hierarchy. *)
+    let suffixes =
+      Aitf_core.Gateway.
+        [ "." ^ counter_name Filter_long; "." ^ counter_name Filter_long_self ]
+    in
     let installs =
       Sampler.series sampler
       |> List.filter_map (fun (name, s) ->
-             let suffix = ".filters_long_installed" in
-             if
-               String.length name > String.length suffix
-               && String.sub name
-                    (String.length name - String.length suffix)
-                    (String.length suffix)
-                  = suffix
+             if List.exists (fun suffix -> String.ends_with ~suffix name) suffixes
              then Some (grid s)
              else None)
     in

@@ -30,7 +30,6 @@ type t = {
   mutable halted : bool;
   mutable packets_sent : int;
   mutable requests_sent : int;
-  mutable replies_snooped : int;
   mutable replays_sent : int;
   mutable guesses_sent : int;
   mutable stamps_forged : int;
@@ -131,7 +130,6 @@ let launch_reply_replay t ~rng ~start env ~delay ~guess_rate =
   Node.add_hook env.tap (fun _node (pkt : Packet.t) ->
       (match pkt.Packet.payload with
       | Message.Verification_reply { flow; nonce } ->
-        t.replies_snooped <- t.replies_snooped + 1;
         let src = pkt.Packet.src and dst = pkt.Packet.dst in
         ignore
           (Sim.after t.sim delay (fun () ->
@@ -210,7 +208,6 @@ let launch ?(start = 1.) ~rng env playbook =
       halted = false;
       packets_sent = 0;
       requests_sent = 0;
-      replies_snooped = 0;
       replays_sent = 0;
       guesses_sent = 0;
       stamps_forged = 0;
@@ -240,7 +237,6 @@ let halt t = t.halted <- true
 let playbook t = t.playbook
 let packets_sent t = t.packets_sent
 let requests_sent t = t.requests_sent
-let replies_snooped t = t.replies_snooped
 let replays_sent t = t.replays_sent
 let guesses_sent t = t.guesses_sent
 let stamps_forged t = t.stamps_forged

@@ -79,14 +79,11 @@ val corrupt : mode:lying_mode -> Gateway.t list -> int
     The caller decides {e which} gateways — e.g. a seeded
     [byzantine-fraction] pick of the on-path ASes. *)
 
-val behavior_of_mode : lying_mode -> Gateway.contract_behavior
-
 val halt : t -> unit
 val playbook : t -> playbook
 
 val packets_sent : t -> int
 val requests_sent : t -> int
-val replies_snooped : t -> int
 val replays_sent : t -> int
 val guesses_sent : t -> int
 val stamps_forged : t -> int

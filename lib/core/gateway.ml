@@ -52,11 +52,12 @@ type contract_state = {
 }
 
 type counter =
-  | Req_victim_role | Req_attacker_role | Req_propagated | Req_duplicate
-  | Req_policed | Req_policed_client | Req_invalid | Req_not_on_path
-  | Req_no_path | Req_bad_auth | Req_to_attacker | Req_to_attacker_ignored
-  | Policer_overflow | Ignored_unresponsive | Handshake_ok | Handshake_fail
-  | Handshake_unverifiable | Filter_temp | Filter_long | Filter_long_self
+  | Req_received | Req_victim_role | Req_attacker_role | Req_propagated
+  | Req_duplicate | Req_policed | Req_policed_client | Req_invalid
+  | Req_not_on_path | Req_no_path | Req_bad_auth | Req_to_attacker
+  | Req_to_attacker_ignored | Policer_overflow | Ignored_unresponsive
+  | Handshake_ok | Handshake_fail | Handshake_unverifiable
+  | Handshake_retransmit | Filter_temp | Filter_long | Filter_long_self
   | Filter_full | Filter_aggregated | Shadow_full | Escalated
   | Terminal_filter | Disconnect_host | Disconnect_peer | Ctrl_retransmit
   | Ctrl_gave_up | Traceback_pending | Traceback_done | Traceback_failed
@@ -65,6 +66,7 @@ type counter =
   | Flagged_skipped
 
 let counter_name = function
+  | Req_received -> "req-received"
   | Req_victim_role -> "req-victim-role"
   | Req_attacker_role -> "req-attacker-role"
   | Req_propagated -> "req-propagated"
@@ -82,6 +84,7 @@ let counter_name = function
   | Handshake_ok -> "handshake-ok"
   | Handshake_fail -> "handshake-fail"
   | Handshake_unverifiable -> "handshake-unverifiable"
+  | Handshake_retransmit -> "handshake-retransmit"
   | Filter_temp -> "filter-temp"
   | Filter_long -> "filter-long"
   | Filter_long_self -> "filter-long-self"
@@ -109,11 +112,12 @@ let counter_name = function
 
 let all_counters =
   [
-    Req_victim_role; Req_attacker_role; Req_propagated; Req_duplicate;
-    Req_policed; Req_policed_client; Req_invalid; Req_not_on_path;
-    Req_no_path; Req_bad_auth; Req_to_attacker; Req_to_attacker_ignored;
-    Policer_overflow; Ignored_unresponsive; Handshake_ok; Handshake_fail;
-    Handshake_unverifiable; Filter_temp; Filter_long; Filter_long_self;
+    Req_received; Req_victim_role; Req_attacker_role; Req_propagated;
+    Req_duplicate; Req_policed; Req_policed_client; Req_invalid;
+    Req_not_on_path; Req_no_path; Req_bad_auth; Req_to_attacker;
+    Req_to_attacker_ignored; Policer_overflow; Ignored_unresponsive;
+    Handshake_ok; Handshake_fail; Handshake_unverifiable;
+    Handshake_retransmit; Filter_temp; Filter_long; Filter_long_self;
     Filter_full; Filter_aggregated; Shadow_full; Escalated; Terminal_filter;
     Disconnect_host; Disconnect_peer; Ctrl_retransmit; Ctrl_gave_up;
     Traceback_pending; Traceback_done; Traceback_failed; Placement_report;
@@ -155,7 +159,6 @@ type t = {
       (* peers the auditor convicted of lying; engage skips them *)
   blocklist : (Addr.t, float) Hashtbl.t;
   counters : (counter, int) Hashtbl.t;
-  mutable requests_received : int;
   ttf : Aitf_obs.Metrics.timer option;
       (* time-to-filter histogram; None when no registry was attached *)
 }
@@ -177,8 +180,15 @@ let filter_install ?rate_limit ?corr ?requestor t label ~duration =
   | None -> Filter_table.install ?rate_limit ?corr t.filters label ~duration
 let shadow_peak t = Shadow_cache.peak_occupancy t.shadow
 let count t c = Option.value ~default:0 (Hashtbl.find_opt t.counters c)
-let bump t c = Hashtbl.replace t.counters c (count t c + 1)
-let requests_received t = t.requests_received
+
+(* Count a decision; given the request's correlation id, also trace it as
+   a span event under the same name. *)
+let bump ?corr t c =
+  Hashtbl.replace t.counters c (count t c + 1);
+  match corr with
+  | Some corr -> Span.event t.sim ~node:t.node.Node.name ~corr (counter_name c)
+  | None -> ()
+
 let tracked_requestors t = Hashtbl.length t.policers
 
 let phase_name = function
@@ -285,41 +295,12 @@ let enable_contracts ?(refresh = 5.0) t ~sign ~verify =
         cs_behavior = Honest;
         cs_seq = 0;
         cs_streams = Hashtbl.create 8;
-      };
-  (* Registered here, not in [create], so pre-contract runs expose exactly
-     the pre-contract metric set. *)
-  Aitf_obs.Metrics.if_attached t.sim (fun reg ->
-      let open Aitf_obs.Metrics in
-      let p metric = "gateway." ^ t.node.Node.name ^ "." ^ metric in
-      register_counter reg (p "receipts_issued") ~unit_:"receipts"
-        ~help:"Genuine install receipts issued (first send and refreshes)"
-        (fun () -> float_of_int (count t Receipt_issued));
-      register_counter reg (p "receipts_forged") ~unit_:"receipts"
-        ~help:"Fabricated receipts sent by a Forge_receipts gateway"
-        (fun () -> float_of_int (count t Receipt_forged));
-      register_counter reg (p "receipts_replayed") ~unit_:"receipts"
-        ~help:"Stale receipts re-sent by a Replay_receipts gateway"
-        (fun () -> float_of_int (count t Receipt_replayed));
-      register_counter reg (p "contracts_ignored") ~unit_:"requests"
-        ~help:"Requests accepted then ignored by a Byzantine behaviour"
-        (fun () -> float_of_int (count t Contract_ignored));
-      register_counter reg (p "requests_bad_auth") ~unit_:"requests"
-        ~help:"Requests dropped because their keyed digest did not verify"
-        (fun () -> float_of_int (count t Req_bad_auth));
-      register_gauge reg (p "peers_flagged") ~unit_:"gateways"
-        ~help:"Peers the auditor convicted of lying (skipped by engage)"
-        (fun () -> float_of_int (Hashtbl.length t.flagged));
-      register_counter reg (p "contract_failovers") ~unit_:"flows"
-        ~help:"Flows re-engaged past a flagged Byzantine gateway" (fun () ->
-          float_of_int (count t Contract_failover)))
+      }
 
 let set_contract_behavior t behavior =
   match t.contracts with
   | None -> invalid_arg "Gateway.set_contract_behavior: contracts not enabled"
   | Some cs -> cs.cs_behavior <- behavior
-
-let contract_behavior t =
-  match t.contracts with None -> None | Some cs -> Some cs.cs_behavior
 
 let flag_peer t peer =
   if not (Hashtbl.mem t.flagged peer) then begin
@@ -360,9 +341,7 @@ let start_receipt_stream t cs ~flow ~victim ~corr ~mk ~live =
     Hashtbl.replace cs.cs_streams flow ();
     let send_one () =
       let r, counter = mk () in
-      bump t counter;
-      Span.event t.sim ~node:t.node.Node.name ~corr
-        "receipt-issued";
+      bump ~corr t counter;
       send t ~dst:victim (Message.Install_receipt r)
     in
     send_one ();
@@ -407,14 +386,11 @@ let install_temp t (e : flow_entry) =
         (* The aggregate's hits over-approximate this flow's leakage — good
            enough for the silence detector, which only asks "still leaking?". *)
         e.temp_handle <- Some h
-      | Error `Table_full -> bump t Filter_full
+      | Error `Table_full -> bump ~corr:e.corr t Filter_full
     end
-    else bump t Filter_full);
-  (match e.temp_handle with
-  | Some _ ->
-    Span.start t.sim ~corr:e.corr ~stage:Span.Temp_filter ~node:t.node.Node.name
-  | None ->
-    Span.event t.sim ~node:t.node.Node.name ~corr:e.corr "filter-full");
+    else bump ~corr:e.corr t Filter_full);
+  if Option.is_some e.temp_handle then
+    Span.start t.sim ~corr:e.corr ~stage:Span.Temp_filter ~node:t.node.Node.name;
   e.gen <- e.gen + 1;
   e.phase <- Filtering;
   let gen = e.gen in
@@ -443,10 +419,7 @@ let install_long t (e : flow_entry) =
     (* A victim-side long filter ends the request's story even when nobody
        closer to the attacker cooperated. No-op if comply already fired. *)
     Span.complete t.sim ~corr:e.corr
-  | Error `Table_full ->
-    bump t Filter_full;
-    Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
-      "filter-full"
+  | Error `Table_full -> bump ~corr:e.corr t Filter_full
 
 (* Last resort: nobody closer to the attacker will filter. Keep a full-T
    filter ourselves and, when enforcement is on, disconnect the peering
@@ -547,9 +520,7 @@ let rec engage t (e : flow_entry) =
    (non-cooperation or an on-off game). Re-protect and escalate. *)
 and escalate t (e : flow_entry) =
   e.round <- e.round + 1;
-  bump t Escalated;
-  Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
-    "escalate";
+  bump ~corr:e.corr t Escalated;
   if e.round >= t.config.Config.max_rounds then terminal t e
   else
     match managed_placement t with
@@ -608,17 +579,13 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
                let hits = entry_hits e in
                if hits > e.sent_hits then
                  if attempt <= t.config.Config.ctrl_retries then begin
-                   bump t Ctrl_retransmit;
-                   Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
-                     "ctrl-retransmit";
+                   bump ~corr:e.corr t Ctrl_retransmit;
                    e.sent_hits <- hits;
                    resend ();
                    arm (rto *. t.config.Config.ctrl_backoff) (attempt + 1)
                  end
                  else begin
-                   bump t Ctrl_gave_up;
-                   Span.event t.sim ~node:t.node.Node.name ~corr:e.corr
-                     "ctrl-gave-up";
+                   bump ~corr:e.corr t Ctrl_gave_up;
                    gave_up ()
                  end
              end))
@@ -673,10 +640,8 @@ let victim_role t (req : Message.request) =
     bump t Req_duplicate
   | None -> (
   let bucket = policer_for t req.Message.requestor in
-  if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
-    bump t Req_policed;
-    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr "req-policed"
-  end
+  if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then
+    bump ~corr:req.Message.corr t Req_policed
   else if
     (* Trivial verification via ingress filtering: the requestor and the
        flow's target must both be our customers. *)
@@ -746,9 +711,7 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
   | Error `Table_full ->
     (* Out of filters: we cannot honor the request; escalation will route
        around us. *)
-    bump t Filter_full;
-    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
-      "filter-full";
+    bump ~corr:req.Message.corr t Filter_full;
     Span.finish t.sim ~node:t.node.Node.name ~corr:req.Message.corr
       ~stage:Span.Verification
   | Ok handle ->
@@ -801,11 +764,7 @@ let comply_install ?leak ?receipts t ~received_at (req : Message.request) =
                   auth = 0L;
                 }))
       end
-      else begin
-        bump t Req_policed_client;
-        Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
-          "req-policed-client"
-      end;
+      else bump ~corr:req.Message.corr t Req_policed_client;
       (* Compliance monitoring: a client still hitting the filter after the
          grace period gets disconnected. *)
       if t.config.Config.disconnect then begin
@@ -952,10 +911,8 @@ let attacker_role t (req : Message.request) =
     bump t Req_duplicate
   else
     let bucket = policer_for t req.Message.requestor in
-  if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then begin
-    bump t Req_policed;
-    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr "req-policed"
-  end
+  if not (Token_bucket.allow bucket ~now:(Sim.now t.sim)) then
+    bump ~corr:req.Message.corr t Req_policed
   else if t.policy = Policy.Unresponsive then
     bump t Ignored_unresponsive
   else if
@@ -985,9 +942,7 @@ let attacker_role t (req : Message.request) =
                first_tx := false;
                Span.bind_nonce t.sim ~corr:req.Message.corr ~nonce
              end
-             else
-               Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
-                 "handshake-retransmit";
+             else bump ~corr:req.Message.corr t Handshake_retransmit;
              send t ~dst:victim
                (Message.Verification_query { flow = req.Message.flow; nonce }))
            ~on_result:(fun ok ->
@@ -997,9 +952,7 @@ let attacker_role t (req : Message.request) =
                comply t ~received_at req
              end
              else begin
-               bump t Handshake_fail;
-               Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
-                 "handshake-fail";
+               bump ~corr:req.Message.corr t Handshake_fail;
                Span.finish t.sim ~node:t.node.Node.name ~corr:req.Message.corr
                  ~stage:Span.Verification
              end))
@@ -1010,14 +963,11 @@ let attacker_role t (req : Message.request) =
 (* --- message dispatch & forwarding hook --------------------------------- *)
 
 let on_request t (req : Message.request) =
-  t.requests_received <- t.requests_received + 1;
-  if not (request_authentic t req) then begin
+  bump t Req_received;
+  if not (request_authentic t req) then
     (* With contracts on, an unsigned or tampered request is dropped before
        it can spend anyone's R1 budget or install anything. *)
-    bump t Req_bad_auth;
-    Span.event t.sim ~node:t.node.Node.name ~corr:req.Message.corr
-      "req-bad-auth"
-  end
+    bump ~corr:req.Message.corr t Req_bad_auth
   else
     match req.Message.target with
   | Message.To_victim_gateway -> victim_role t req
@@ -1152,7 +1102,6 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       flagged = Hashtbl.create 4;
       blocklist = Hashtbl.create 8;
       counters = Hashtbl.create 16;
-      requests_received = 0;
       ttf;
     }
   in
@@ -1179,48 +1128,17 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       | Some mgr -> Overload.register_metrics mgr reg ~prefix:(p "overload")
       | None -> ());
       Shadow_cache.register_metrics t.shadow reg ~prefix:(p "shadow");
-      register_counter reg (p "requests_received") ~unit_:"requests"
-        ~help:"AITF filtering requests delivered to this gateway" (fun () ->
-          float_of_int t.requests_received);
-      register_counter reg (p "policer_drops") ~unit_:"requests"
-        ~help:"Requests dropped by the R1/R2 token-bucket policers" (fun () ->
-          float_of_int
-            (count t Req_policed
-            + count t Req_policed_client));
-      register_counter reg (p "escalations") ~unit_:"requests"
-        ~help:"Rounds escalated after a flow reappeared" (fun () ->
-          float_of_int (count t Escalated));
-      register_counter reg (p "handshakes_ok") ~unit_:"handshakes"
-        ~help:"Three-way handshakes that verified the victim" (fun () ->
-          float_of_int (count t Handshake_ok));
-      register_counter reg (p "handshakes_failed") ~unit_:"handshakes"
-        ~help:"Three-way handshakes that timed out or failed" (fun () ->
-          float_of_int (count t Handshake_fail));
-      register_counter reg (p "filters_temp_installed") ~unit_:"filters"
-        ~help:"Temporary (Ttmp) filter installs" (fun () ->
-          float_of_int (count t Filter_temp));
-      register_counter reg (p "filters_long_installed") ~unit_:"filters"
-        ~help:"Long (T) filter installs, local self-installs included"
-        (fun () ->
-          float_of_int
-            (count t Filter_long
-            + count t Filter_long_self));
+      List.iter
+        (fun c ->
+          register_counter reg
+            (p (counter_name c))
+            ~unit_:"decisions"
+            ~help:"Times this gateway took the decision (Gateway.counter)"
+            (fun () -> float_of_int (count t c)))
+        all_counters;
       register_gauge reg (p "tracked_requestors") ~unit_:"requestors"
         ~help:"Requestors with a dedicated policer bucket" (fun () ->
-          float_of_int (Hashtbl.length t.policers));
-      register_counter reg (p "ctrl_retransmits") ~unit_:"messages"
-        ~help:
-          "Filtering requests retransmitted because the temporary filter \
-           kept taking hits after the previous transmission" (fun () ->
-          float_of_int (count t Ctrl_retransmit));
-      register_counter reg (p "ctrl_gave_up") ~unit_:"flows"
-        ~help:
-          "Flows whose counterpart stayed silent through the whole retry \
-           budget (escalated or filtered terminally on silence)" (fun () ->
-          float_of_int (count t Ctrl_gave_up));
-      register_counter reg (p "handshake_retransmits") ~unit_:"messages"
-        ~help:"Verification queries retransmitted after a timeout" (fun () ->
-          float_of_int (Handshake.retransmits t.handshakes));
+          float_of_int (tracked_requestors t));
       register_counter reg (p "handshake_duplicate_replies")
         ~unit_:"messages"
         ~help:

@@ -79,9 +79,13 @@ val shadow_peak : t -> int
 val blocklisted : t -> Addr.t -> bool
 (** Is this host currently disconnected? *)
 
-(** One decision counter per protocol outcome. {!counter_name} gives the
-    name the [--stats] table prints (docs/OPERATIONS.md). *)
+(** One decision counter per protocol outcome. {!counter_name} is the
+    decision's one name: the [--stats] table prints it
+    (docs/OPERATIONS.md), the span event traced at the decision carries it
+    (docs/OBSERVABILITY.md), and the gateway registers the counter as the
+    metric [gateway.<node>.<name>] when a registry is attached. *)
 type counter =
+  | Req_received  (** request delivered to this gateway, before policing *)
   | Req_victim_role  (** request handled as victim's gateway *)
   | Req_attacker_role  (** request handled as attacker's gateway *)
   | Req_propagated  (** request sent on to this round's attacker side *)
@@ -99,6 +103,7 @@ type counter =
   | Handshake_ok
   | Handshake_fail
   | Handshake_unverifiable  (** no single victim to query *)
+  | Handshake_retransmit  (** verification query resent after a timeout *)
   | Filter_temp  (** temporary (Ttmp) filter installed *)
   | Filter_long  (** long (T) filter installed for a request *)
   | Filter_long_self  (** path climbed to us: long filter kept locally *)
@@ -132,9 +137,6 @@ val all_counters : counter list
 
 val count : t -> counter -> int
 (** How often this gateway took the decision so far. *)
-
-val requests_received : t -> int
-(** Filtering requests that reached this gateway (before policing). *)
 
 val active_flows : t -> (Flow_label.t * string) list
 (** The flows this gateway currently remembers as victim's gateway, with
@@ -197,9 +199,6 @@ val enable_contracts :
 val set_contract_behavior : t -> contract_behavior -> unit
 (** Corrupt (or heal) this gateway's compliance behaviour. Raises
     [Invalid_argument] when contracts are not enabled. *)
-
-val contract_behavior : t -> contract_behavior option
-(** [None] when the contract layer is off. *)
 
 val flag_peer : t -> Addr.t -> unit
 (** Record a Byzantine verdict against [peer]: engage will skip it on any

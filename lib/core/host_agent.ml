@@ -30,12 +30,11 @@ module Victim = struct
         (* flows with an armed retransmission schedule, to avoid overlap *)
     attack_meter : Rate_meter.t;
     good_meter : Rate_meter.t;
-    per_flow : (Flow_label.t, float ref) Hashtbl.t;
     corrs : (Flow_label.t, int) Hashtbl.t;
-        (* correlation id minted per attack flow — the key every span of the
-           flow's filtering request hangs from. Minted unconditionally (a
-           plain counter, no randomness) so traced and untraced runs make
-           identical random/scheduling decisions. *)
+        (* correlation id minted per attack flow seen — the key every span
+           of the flow's filtering request hangs from. Minted
+           unconditionally (a plain counter, no randomness) so traced and
+           untraced runs make identical random/scheduling decisions. *)
     mutable signer : (Bytes.t -> int64) option;
         (* contract layer: keyed digest over canonical request bytes *)
     mutable receipt_sink : (Message.receipt -> unit) option;
@@ -44,8 +43,6 @@ module Victim = struct
         (* the auditor's evidence feed: every attack arrival, with time *)
     mutable last_ppm_path : Addr.t list option;
     mutable ppm_stable : int;
-    mutable attack_packets : int;
-    mutable good_packets : int;
     mutable requests_sent : int;
     mutable requests_suppressed : int;
     mutable requests_retransmitted : int;
@@ -207,28 +204,20 @@ module Victim = struct
 
   let on_attack_packet t (pkt : Packet.t) =
     let now = Sim.now t.sim in
-    t.attack_packets <- t.attack_packets + 1;
     Rate_meter.add t.attack_meter ~now (float_of_int pkt.size);
     let label = Flow_label.host_pair pkt.src pkt.dst in
-    let cell =
-      match Hashtbl.find_opt t.per_flow label with
-      | Some c -> c
-      | None ->
-        let c = ref 0. in
-        Hashtbl.replace t.per_flow label c;
-        (* First attack packet of this flow: mint the flow's correlation id
-           and open its request tree. Detection starts counting here. *)
-        let corr = Span.mint t.sim in
-        Hashtbl.replace t.corrs label corr;
-        if Span.enabled t.sim then begin
-          Span.root t.sim ~corr
-            ~flow:(Format.asprintf "%a" Flow_label.pp label)
-            ~victim:t.node.Node.name;
-          Span.start t.sim ~corr ~stage:Span.Detect ~node:t.node.Node.name
-        end;
-        c
-    in
-    cell := !cell +. float_of_int pkt.size;
+    if not (Hashtbl.mem t.corrs label) then begin
+      (* First attack packet of this flow: mint the flow's correlation id
+         and open its request tree. Detection starts counting here. *)
+      let corr = Span.mint t.sim in
+      Hashtbl.replace t.corrs label corr;
+      if Span.enabled t.sim then begin
+        Span.root t.sim ~corr
+          ~flow:(Format.asprintf "%a" Flow_label.pp label)
+          ~victim:t.node.Node.name;
+        Span.start t.sim ~corr ~stage:Span.Detect ~node:t.node.Node.name
+      end
+    end;
     Hashtbl.replace t.last_seen label now;
     (match t.arrival_observer with Some f -> f label now | None -> ());
     (match t.path_source with
@@ -244,7 +233,6 @@ module Victim = struct
     match pkt.payload with
     | Packet.Data { attack = true; _ } -> on_attack_packet t pkt
     | Packet.Data _ ->
-      t.good_packets <- t.good_packets + 1;
       Rate_meter.add t.good_meter ~now:(Sim.now t.sim) (float_of_int pkt.size)
     | Message.Verification_query { flow; nonce } ->
       (* "Do you really not want this flow?" — confirm iff we asked. *)
@@ -279,7 +267,6 @@ module Victim = struct
         retrying = Hashtbl.create 8;
         attack_meter = Rate_meter.create ~window:1.0;
         good_meter = Rate_meter.create ~window:1.0;
-        per_flow = Hashtbl.create 32;
         corrs = Hashtbl.create 32;
         signer = None;
         receipt_sink = None;
@@ -287,8 +274,6 @@ module Victim = struct
         arrival_observer = None;
         last_ppm_path = None;
         ppm_stable = 0;
-        attack_packets = 0;
-        good_packets = 0;
         requests_sent = 0;
         requests_suppressed = 0;
         requests_retransmitted = 0;
@@ -337,18 +322,9 @@ module Victim = struct
     t
 
   let attack_bytes t = Rate_meter.total t.attack_meter
-  let attack_packets t = t.attack_packets
   let good_bytes t = Rate_meter.total t.good_meter
-  let good_packets t = t.good_packets
   let attack_meter t = t.attack_meter
-  let good_meter t = t.good_meter
-
-  let flow_bytes t flow =
-    match Hashtbl.find_opt t.per_flow flow with
-    | Some c -> !c
-    | None -> 0.
-
-  let attack_flows_seen t = Hashtbl.length t.per_flow
+  let attack_flows_seen t = Hashtbl.length t.corrs
   let set_signer t f = t.signer <- Some f
   let set_receipt_sink t f = t.receipt_sink <- Some f
   let set_request_observer t f = t.request_observer <- Some f
@@ -356,7 +332,6 @@ module Victim = struct
   let requests_sent t = t.requests_sent
   let requests_suppressed t = t.requests_suppressed
   let requests_retransmitted t = t.requests_retransmitted
-  let requests_gave_up t = t.requests_gave_up
   let queries_answered t = t.queries_answered
 end
 

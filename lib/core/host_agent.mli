@@ -44,14 +44,8 @@ module Victim : sig
   (* Measurement *)
 
   val attack_bytes : t -> float
-  val attack_packets : t -> int
   val good_bytes : t -> float
-  val good_packets : t -> int
   val attack_meter : t -> Aitf_stats.Rate_meter.t
-  val good_meter : t -> Aitf_stats.Rate_meter.t
-  val flow_bytes : t -> Flow_label.t -> float
-  (** Bytes received so far from one (undesired) flow. *)
-
   val attack_flows_seen : t -> int
 
   val requests_sent : t -> int
@@ -63,9 +57,6 @@ module Victim : sig
       [ctrl_retries]) because the flow kept arriving after a transmission —
       evidence the request, or its effect, was lost. Retransmissions
       consume the same R1 bucket as fresh requests. *)
-
-  val requests_gave_up : t -> int
-  (** Flows whose retry budget ran out with the attack still arriving. *)
 
   val queries_answered : t -> int
 

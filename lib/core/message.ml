@@ -36,21 +36,3 @@ let protocol_number = 253
 
 let packet ~src ~dst payload =
   Packet.make ~proto:protocol_number ~src ~dst ~size:message_size payload
-
-let pp_target fmt = function
-  | To_victim_gateway -> Format.pp_print_string fmt "to-victim-gw"
-  | To_attacker_gateway -> Format.pp_print_string fmt "to-attacker-gw"
-  | To_attacker -> Format.pp_print_string fmt "to-attacker"
-
-let pp_request fmt r =
-  Format.fprintf fmt "request{%a %a T=%g hops=%d path=[%a] from %a}"
-    Flow_label.pp r.flow pp_target r.target r.duration r.hops
-    (Format.pp_print_list
-       ~pp_sep:(fun f () -> Format.pp_print_string f ";")
-       Addr.pp)
-    r.path Addr.pp r.requestor
-
-let pp_receipt fmt r =
-  Format.fprintf fmt "receipt{%a gw=%a seq=%d [%g,%g] hits=%d}" Flow_label.pp
-    r.rc_flow Addr.pp r.rc_gateway r.rc_seq r.rc_installed_at r.rc_expires_at
-    r.rc_hits

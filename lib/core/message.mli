@@ -68,7 +68,3 @@ val protocol_number : int
 
 val packet : src:Addr.t -> dst:Addr.t -> Packet.payload -> Packet.t
 (** Wrap a payload in a correctly-sized AITF packet. *)
-
-val pp_target : Format.formatter -> target -> unit
-val pp_request : Format.formatter -> request -> unit
-val pp_receipt : Format.formatter -> receipt -> unit

@@ -2,10 +2,6 @@ type gateway_policy = Cooperative | Unresponsive
 
 type attacker_response = Complies | Ignores | On_off of { off_time : float }
 
-let pp_gateway fmt = function
-  | Cooperative -> Format.pp_print_string fmt "cooperative"
-  | Unresponsive -> Format.pp_print_string fmt "unresponsive"
-
 let pp_attacker fmt = function
   | Complies -> Format.pp_print_string fmt "complies"
   | Ignores -> Format.pp_print_string fmt "ignores"

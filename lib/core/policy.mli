@@ -19,5 +19,4 @@ type attacker_response =
       (** the on-off game of Section II-B: stops just long enough for the
           victim's gateway to drop its temporary filter, then resumes *)
 
-val pp_gateway : Format.formatter -> gateway_policy -> unit
 val pp_attacker : Format.formatter -> attacker_response -> unit

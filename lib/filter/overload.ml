@@ -314,7 +314,6 @@ let note_blocked t h (pkt : Packet.t) =
    metrics pull — sampling a run must not change it. *)
 let degraded t = t.degraded
 
-let degraded_entries t = t.degraded_entries
 let aggregations t = t.aggregations
 let evictions t = t.evictions
 let collateral_packets t = t.collateral_packets

@@ -69,7 +69,6 @@ val degraded : t -> bool
 (** Pure read; transitions happen on {!install} events only, never on a
     metrics pull. *)
 
-val degraded_entries : t -> int
 val aggregations : t -> int
 val evictions : t -> int
 val collateral_packets : t -> int

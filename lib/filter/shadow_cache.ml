@@ -3,7 +3,6 @@ open Aitf_net
 
 type 'a entry = {
   label : Flow_label.t;
-  inserted_at : float;
   mutable expires_at : float;
   mutable alive : bool;
   mutable data : 'a;
@@ -76,7 +75,6 @@ let insert t label ~ttl data =
       let e =
         {
           label;
-          inserted_at = now;
           expires_at = now +. ttl;
           alive = true;
           data;
@@ -130,14 +128,12 @@ let refresh t e ~ttl =
 
 let data e = e.data
 let label e = e.label
-let inserted_at e = e.inserted_at
 let expires_at e = e.expires_at
 let live e = e.alive
 
 let occupancy t = t.occupancy
 let capacity t = t.capacity
 let peak_occupancy t = t.peak
-let inserts t = t.inserts
 let rejected t = t.rejected
 let hits t = t.hits
 let misses t = t.misses

@@ -36,14 +36,12 @@ val refresh : 'a t -> 'a entry -> ttl:float -> unit
 
 val data : 'a entry -> 'a
 val label : 'a entry -> Flow_label.t
-val inserted_at : 'a entry -> float
 val expires_at : 'a entry -> float
 val live : 'a entry -> bool
 
 val occupancy : 'a t -> int
 val capacity : 'a t -> int
 val peak_occupancy : 'a t -> int
-val inserts : 'a t -> int
 val rejected : 'a t -> int
 
 val hits : 'a t -> int
@@ -51,9 +49,6 @@ val hits : 'a t -> int
 
 val misses : 'a t -> int
 (** {!match_packet} calls that found nothing. *)
-
-val hit_rate : 'a t -> float
-(** [hits / (hits + misses)]; 0 before any lookup. *)
 
 val register_metrics : 'a t -> Aitf_obs.Metrics.t -> prefix:string -> unit
 (** Register occupancy/peak/hit-rate gauges and insert/rejection/hit/miss

@@ -68,7 +68,6 @@ let prefix_of_string s =
 
 let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.base) p.len
 
-let pp_prefix fmt p = Format.pp_print_string fmt (prefix_to_string p)
 
 (* [a land mask = base], computed on sign-extended native ints (63 bits:
    OCaml 5 targets only 64-bit machines) so that no [int32] mask is boxed

@@ -51,8 +51,6 @@ val prefix_of_string : string -> prefix
 
 val prefix_to_string : prefix -> string
 
-val pp_prefix : Format.formatter -> prefix -> unit
-
 val prefix_mem : prefix -> t -> bool
 (** [prefix_mem p a] is [true] iff [a] falls inside [p]. *)
 

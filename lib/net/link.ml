@@ -333,9 +333,6 @@ let send t pkt =
     else accept t pkt now busy
   end
 
-let fluid_offered t = t.fluid_offered
-let fluid_admitted t = t.fluid_admitted
-let fluid_drops t = t.fluid_drops
 let name t = t.name
 let bandwidth t = t.bandwidth
 let delay t = t.delay

@@ -118,12 +118,3 @@ val utilization : t -> now:float -> float
 val set_fluid : t -> offered:float -> admitted:float -> unit
 (** Current fluid load in bits/s: what aggregates offer to this link and
     what the link admits of it ([admitted <= offered]). *)
-
-val fluid_offered : t -> float
-val fluid_admitted : t -> float
-
-val fluid_loss : t -> float
-(** [1 - admitted/offered], or [0.] when no fluid load is attached. *)
-
-val fluid_drops : t -> int
-(** Discrete packets dropped by fluid contention. *)

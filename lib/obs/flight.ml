@@ -13,8 +13,9 @@ type t = {
   buf : record option array;
   mutable next : int;  (* write cursor *)
   mutable total : int;
-  mutable shard : int option;  (* identity stamp for sharded runs *)
   mutable dump_path : string option;  (* auto-dump target (else stderr) *)
+  mutable split : bool;  (* shard worlds record into their own rings *)
+  mutable dump_due : bool;  (* auto-dumped while split: dump at the join *)
 }
 
 let create ~capacity =
@@ -23,8 +24,9 @@ let create ~capacity =
     buf = Array.make capacity None;
     next = 0;
     total = 0;
-    shard = None;
     dump_path = None;
+    split = false;
+    dump_due = false;
   }
 
 let set_dump_path t p = t.dump_path <- p
@@ -49,18 +51,16 @@ let recorded t = t.total
 
 (* [merge_into master rings] interleaves every shard ring's retained
    records into [master] in deterministic (time, shard, per-shard write
-   order) order. Within a ring, write order is virtual-time order (each
-   shard's sim executes monotonically), so the merged ring is globally
-   time-sorted with shard id breaking ties. [master]'s total afterwards
-   counts every record seen anywhere, mirroring the single-ring meaning
-   of {!recorded}. *)
+   order) order, [rings] being in shard order. Within a ring, write order
+   is virtual-time order (each shard's sim executes monotonically), so
+   the merged ring is globally time-sorted with shard id breaking ties.
+   [master]'s total afterwards counts every record seen anywhere,
+   mirroring the single-ring meaning of {!recorded}. *)
 let merge_into master rings =
-  let shard_of t i = match t.shard with Some s -> s | None -> i in
   let tagged =
     List.concat
       (List.mapi
-         (fun i t ->
-           List.mapi (fun j r -> (r.time, shard_of t i, j, r)) (records t))
+         (fun i t -> List.mapi (fun j r -> (r.time, i, j, r)) (records t))
          rings)
   in
   let tagged =
@@ -82,32 +82,6 @@ let merge_into master rings =
   let seen = List.fold_left (fun acc t -> acc + t.total) 0 rings in
   master.total <- master.total - written + seen
 
-module Sim = Aitf_engine.Sim
-
-(* A shard world records into its own ring, stamped with the shard and
-   dumping where the parent's ring dumps; the join interleaves the shard
-   rings into the parent's. *)
-let key : t option Sim.Key.t =
-  Sim.Key.create
-    ~fork:(fun _ ~shard ->
-      Option.map (fun m ->
-          let f = create ~capacity:(Array.length m.buf) in
-          f.shard <- Some shard;
-          f.dump_path <- m.dump_path;
-          f))
-    ~join:(fun master rings ->
-      Option.iter (fun m -> merge_into m (List.filter_map Fun.id rings)) master)
-    (fun () -> None)
-
-let attach t = Sim.set_ambient key (Some t)
-let detach () = Sim.set_ambient key None
-let enabled sim = Option.is_some (Sim.get sim key)
-
-let note sim ~time ~node ~link ~kind ~size ~queue_depth =
-  match Sim.get sim key with
-  | None -> ()
-  | Some t -> write t ~time ~node ~link ~kind ~size ~queue_depth
-
 let kind_name = function
   | Enqueue -> "enqueue"
   | Dequeue -> "dequeue"
@@ -123,21 +97,10 @@ let dump ?(out = Format.err_formatter) t =
     (List.length rs) t.total;
   List.iter (fun r -> Format.fprintf out "%a@." pp_record r) rs
 
-let auto_dump_target t =
-  Option.map
-    (fun p ->
-      match t.shard with
-      | Some i -> Printf.sprintf "%s.shard%d" p i
-      | None -> p)
-    t.dump_path
-
-let auto_dump t =
-  match auto_dump_target t with
+let dump_now t =
+  match t.dump_path with
   | None -> dump t
   | Some path ->
-    (* One whole-file write per dump: a per-shard-suffixed path means no
-       two recorders ever target the same file, so dumps cannot
-       interleave or clobber each other. *)
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -145,3 +108,39 @@ let auto_dump t =
         let out = Format.formatter_of_out_channel oc in
         dump ~out t;
         Format.pp_print_flush out ())
+
+(* While the shard worlds hold their own rings, this one lacks their
+   records: a breach found then (the span join finds every sharded one)
+   is dumped once the rings are joined. *)
+let auto_dump t = if t.split then t.dump_due <- true else dump_now t
+
+module Sim = Aitf_engine.Sim
+
+(* A shard world records into a ring of its own; the join interleaves the
+   shard rings into the parent's and does any dump the split held back. *)
+let key : t option Sim.Key.t =
+  Sim.Key.create
+    ~fork:(fun _ ~shard:_ ->
+      Option.map (fun m ->
+          m.split <- true;
+          create ~capacity:(Array.length m.buf)))
+    ~join:(fun master rings ->
+      Option.iter
+        (fun m ->
+          m.split <- false;
+          merge_into m (List.filter_map Fun.id rings);
+          if m.dump_due then begin
+            m.dump_due <- false;
+            dump_now m
+          end)
+        master)
+    (fun () -> None)
+
+let attach t = Sim.set_ambient key (Some t)
+let detach () = Sim.set_ambient key None
+let enabled sim = Option.is_some (Sim.get sim key)
+
+let note sim ~time ~node ~link ~kind ~size ~queue_depth =
+  match Sim.get sim key with
+  | None -> ()
+  | Some t -> write t ~time ~node ~link ~kind ~size ~queue_depth

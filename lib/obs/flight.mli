@@ -35,18 +35,19 @@ val create : capacity:int -> t
     @raise Invalid_argument if [capacity <= 0]. *)
 
 val set_dump_path : t -> string option -> unit
-(** File {!auto_dump} writes to. [None] (the default) dumps to stderr. A
-    shard world's ring dumps to the same path suffixed [".shard<i>"]. *)
+(** File {!auto_dump} writes to. [None] (the default) dumps to stderr. *)
 
 (** {1 Attachment} *)
 
 val key : t option Aitf_engine.Sim.Key.t
-(** The world's recorder slot. It forks into a ring of the same capacity
-    per shard world ({!Aitf_engine.Sim.fork}), stamped with the shard id
-    and the parent's dump path. The join appends the shard rings' records
-    to the parent's in (time, shard, write order) order — globally
-    time-sorted, since each shard writes in virtual-time order — and the
-    parent's {!recorded} then counts the records of every ring. *)
+(** The world's recorder slot. It forks into a fresh ring of the same
+    capacity per shard world ({!Aitf_engine.Sim.fork}). The join appends
+    the shard rings' records to the parent's in (time, shard, write
+    order) order — globally time-sorted, since each shard writes in
+    virtual-time order — and the parent's {!recorded} then counts the
+    records of every ring. An {!auto_dump} of the parent asked for
+    between the fork and the join is done by the join, on the joined
+    ring. *)
 
 val attach : t -> unit
 (** Make [t] the ambient recorder, copied by every world created while it
@@ -80,14 +81,14 @@ val records : t -> record list
 val recorded : t -> int
 (** Total records ever written (may exceed the capacity). *)
 
-val pp_record : Format.formatter -> record -> unit
-
 val dump : ?out:Format.formatter -> t -> unit
 (** Print every retained record, oldest first (default
     [Format.err_formatter]). *)
 
 val auto_dump : t -> unit
 (** The SLO-breach dump: write the retained records to the dump path
-    ({!set_dump_path}; suffixed [".shard<i>"] for a shard world's ring, so
-    concurrent dumps from different shards never share a file), or to
-    stderr when no path is set. Each call rewrites the file whole. *)
+    ({!set_dump_path}), or to stderr when no path is set. Each dump
+    rewrites the file whole. While the ring's world is split into shard
+    worlds the dump waits for the join, so it holds every shard's records;
+    several breaches before one join make one dump. A sharded run finds
+    its breaches at the span join, after the run. *)

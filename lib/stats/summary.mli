@@ -14,8 +14,6 @@ type t = {
 val of_list : float list -> t
 (** Zeros everywhere for an empty input. *)
 
-val of_array : float array -> t
-
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [0, 1]; nearest-rank on a sorted
     array. @raise Invalid_argument on empty input or q outside [0, 1]. *)

@@ -46,7 +46,6 @@ type t = {
 val build : Aitf_engine.Sim.t -> Aitf_engine.Rng.t -> spec -> t
 
 val host : t -> stub:int -> host:int -> Node.t
-val stub_prefix : stub:int -> Addr.prefix
 
 type deployed = {
   topo : t;

@@ -33,7 +33,6 @@ type t = {
   mutable installs : int;
   mutable reclaims : int;
   mutable pushes : int;
-  mutable evictions_observed : int;
 }
 
 let handle t = t.handle
@@ -41,7 +40,6 @@ let evidence t = Placement.reports t.handle
 let installs t = t.installs
 let reclaims t = t.reclaims
 let pushes t = t.pushes
-let evictions_observed t = t.evictions_observed
 
 let duration t = 2.0 *. t.config.Config.placement_epoch
 let root_label v = Flow_label.v Flow_label.Any (Flow_label.Host v)
@@ -301,7 +299,6 @@ let create ?(defer = fun f -> f ()) ?(suspect_rate = 10e6) ~policy ~fluid
       installs = 0;
       reclaims = 0;
       pushes = 0;
-      evictions_observed = 0;
     }
   in
   report_ref := on_evidence t;
@@ -324,10 +321,7 @@ let register_gateways ?(defer = fun f -> f ()) t gws =
             | Filter_table.Removed h ->
               defer (fun () ->
                   let key = (nid, Filter_table.label h) in
-                  if (not t.removing) && Hashtbl.mem t.owned key then begin
-                    t.evictions_observed <- t.evictions_observed + 1;
-                    Hashtbl.remove t.owned key
-                  end)
+                  if not t.removing then Hashtbl.remove t.owned key)
             | Filter_table.Installed _ -> ())
       end)
     gws

@@ -93,7 +93,3 @@ val reclaims : t -> int
 
 val pushes : t -> int
 (** Adaptive frontier moves towards the sources (0 for Optimal) *)
-
-val evictions_observed : t -> int
-(** controller-owned filters removed by someone else (expiry/eviction),
-    seen through the subscribe feed *)

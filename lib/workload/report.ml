@@ -64,9 +64,11 @@ let gateway_table gws =
   List.iter
     (fun gw ->
       let filters = Aitf_core.Gateway.filters gw in
+      (* [Req_received] has its own column. *)
       let counters =
         Aitf_core.Gateway.(
-          List.map (fun c -> (counter_name c, count gw c)) all_counters)
+          List.filter (( <> ) Req_received) all_counters
+          |> List.map (fun c -> (counter_name c, count gw c)))
         |> List.filter (fun (_, v) -> v > 0)
         |> List.sort compare
         |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
@@ -85,7 +87,7 @@ let gateway_table gws =
             (Aitf_filter.Filter_table.occupancy filters)
             (Aitf_filter.Filter_table.peak_occupancy filters);
           string_of_int (Aitf_core.Gateway.shadow_peak gw);
-          string_of_int (Aitf_core.Gateway.requests_received gw);
+          string_of_int Aitf_core.Gateway.(count gw Req_received);
           (if active = "" then "-"
            else
              Printf.sprintf "%d (%s)"

@@ -11,6 +11,7 @@ module Auditor = Aitf_contract.Auditor
 module Adversary = Aitf_adversary.Adversary
 module As_scenario = Aitf_workload.As_scenario
 module As_graph = Aitf_topo.As_graph
+module Span = Aitf_obs.Span
 open Aitf_net
 open Aitf_filter
 open Aitf_core
@@ -473,6 +474,47 @@ let test_acceptance_twenty_percent_forge () =
   in
   checkb (Printf.sprintf "goodput ratio %.3f >= 0.9" ratio) true (ratio >= 0.9)
 
+(* A lying gateway's receipts are traced under the counter that counts
+   them: a forging gateway traces [receipt-forged] and never
+   [receipt-issued], a replaying one traces [receipt-replayed]. *)
+let receipt_events mode =
+  let c = Span.create () in
+  Span.attach c;
+  let r =
+    Fun.protect ~finally:Span.detach (fun () ->
+        As_scenario.run
+          { (contract_params 0.3) with As_scenario.as_lying_mode = mode })
+  in
+  let seen = Hashtbl.create 16 in
+  let note (e : Span.event) =
+    match e.Span.by with
+    | Some node when String.starts_with ~prefix:"receipt-" e.Span.label ->
+      Hashtbl.replace seen (node, e.Span.label) ()
+    | Some _ | None -> ()
+  in
+  List.iter
+    (fun root ->
+      List.iter note root.Span.root_events;
+      List.iter (fun s -> List.iter note (Span.events_of s)) (Span.spans_of root))
+    (Span.roots c);
+  let liars =
+    List.map (fun (d, _) -> Printf.sprintf "as%d" d) r.As_scenario.r_byzantine
+  in
+  checkb "some gateways corrupted" true (liars <> []);
+  (liars, fun node label -> Hashtbl.mem seen (node, label))
+
+let test_lying_receipts_traced () =
+  let forgers, traced = receipt_events Adversary.Forge in
+  checkb "forged receipts traced" true
+    (List.exists (fun n -> traced n "receipt-forged") forgers);
+  List.iter
+    (fun n ->
+      checkb (n ^ " traces no receipt-issued") false (traced n "receipt-issued"))
+    forgers;
+  let replayers, traced = receipt_events Adversary.Replay in
+  checkb "replayed receipts traced" true
+    (List.exists (fun n -> traced n "receipt-replayed") replayers)
+
 (* --- Runner ------------------------------------------------------------------ *)
 
 let () =
@@ -516,5 +558,7 @@ let () =
             test_contracts_off_bit_identity;
           Alcotest.test_case "20% forge: flag, fail over, recover" `Quick
             test_acceptance_twenty_percent_forge;
+          Alcotest.test_case "lying receipts traced under their names" `Quick
+            test_lying_receipts_traced;
         ] );
     ]

@@ -380,6 +380,51 @@ let test_figure1_time_to_filter_observed () =
         checkb "handshake RTT is positive" true (sum > 0.)
       | _ -> Alcotest.fail "time_to_filter not registered")
 
+(* Every decision counter is a metric under its own name: with a registry
+   attached, a lossy on-off run against a non-cooperating gateway (which
+   escalates, retransmits requests and handshakes) leaves
+   [gateway.<node>.<counter_name c>] equal to [Gateway.count gw c] for
+   every gateway and every counter. *)
+let test_counter_metrics_equal_counts () =
+  let module Metrics = Aitf_obs.Metrics in
+  let reg = Metrics.create () in
+  Metrics.attach reg;
+  Fun.protect ~finally:Metrics.detach (fun () ->
+      let r =
+        Scenarios.run_chain
+          {
+            params with
+            Scenarios.config = { cfg with Config.ctrl_retries = 3 };
+            duration = 20.;
+            n_non_coop_gws = 1;
+            attacker_strategy = Policy.On_off { off_time = 1.0 };
+            ctrl_faults = [ Aitf_fault.Fault.Loss 0.2 ];
+          }
+      in
+      let d = r.Scenarios.deployed in
+      let gws = d.Chain.victim_gateways @ d.Chain.attacker_gateways in
+      List.iter
+        (fun gw ->
+          List.iter
+            (fun c ->
+              let name =
+                Printf.sprintf "gateway.%s.%s" (Gateway.node gw).Node.name
+                  (Gateway.counter_name c)
+              in
+              match Metrics.value reg name with
+              | Some (Metrics.Counter v) ->
+                checki name (Gateway.count gw c) (int_of_float v)
+              | _ -> Alcotest.failf "%s not registered as a counter" name)
+            Gateway.all_counters)
+        gws;
+      List.iter
+        (fun c ->
+          checkb
+            (Gateway.counter_name c ^ " exercised")
+            true
+            (Scenarios.counter_total gws c > 0))
+        Gateway.[ Escalated; Ctrl_retransmit; Handshake_retransmit ])
+
 (* --- Protocol-safety fuzz ------------------------------------------------------ *)
 
 (* Property (Section III-B): with the handshake enabled, no volley of forged
@@ -489,6 +534,8 @@ let () =
             test_figure1_gateway_counters;
           Alcotest.test_case "figure-1 time-to-filter observed" `Slow
             test_figure1_time_to_filter_observed;
+          Alcotest.test_case "counter metrics equal counts" `Slow
+            test_counter_metrics_equal_counts;
         ] );
       ("fuzz", [ QCheck_alcotest.to_alcotest forgery_never_installs ]);
     ]

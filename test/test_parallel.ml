@@ -497,6 +497,39 @@ let test_flight_recorder_composes_with_shards () =
   in
   checkb "merged records are time-sorted" true (sorted rs)
 
+(* A sharded run finds its SLO breaches when the span collectors join,
+   after the run; the auto-dump must then hold the joined flight ring,
+   not the parent's own (empty) one. *)
+let test_sharded_slo_dump_holds_records () =
+  let path = Filename.temp_file "aitf_flight" ".txt" in
+  let fl = Flight.create ~capacity:64 in
+  Flight.set_dump_path fl (Some path);
+  let c = Span.create () in
+  let breaches = ref 0 in
+  Span.set_slo c ~seconds:1e-3 (fun _ ->
+      incr breaches;
+      Flight.auto_dump fl);
+  Flight.attach fl;
+  Span.attach c;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Span.detach ();
+        Flight.detach ())
+      (fun () -> As_scenario.run (small_internet 2))
+  in
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Sys.remove path;
+  checki "ran sharded" 2 r.As_scenario.r_shards;
+  checkb "breaches fired" true (!breaches > 0);
+  checkb "dump holds records" true (List.length lines > 1);
+  checki "dump holds the whole ring" (List.length (Flight.records fl))
+    (List.length lines - 1)
+
 let test_parallel_report_section () =
   let r = As_scenario.run (small_internet 3) in
   match r.As_scenario.r_parallel with
@@ -558,6 +591,8 @@ let () =
             test_contracts_compose_with_shards;
           Alcotest.test_case "flight recorder composes with shards" `Quick
             test_flight_recorder_composes_with_shards;
+          Alcotest.test_case "sharded slo dump holds records" `Quick
+            test_sharded_slo_dump_holds_records;
           Alcotest.test_case "parallel report section" `Quick
             test_parallel_report_section;
           Alcotest.test_case "profiled sharded run counts every world" `Quick
