@@ -412,9 +412,6 @@ let e4 () =
       Table.cell_int (Filter_table.peak_occupancy (Gateway.filters b_gw1));
     ];
   let policed = Gateway.count b_gw1 Gateway.Req_policed in
-  let offered = float_of_int (policed) +. float_of_int
-    (Gateway.count b_gw1 Gateway.Req_attacker_role - policed) in
-  ignore offered;
   let total = Gateway.count b_gw1 Gateway.Req_attacker_role in
   Table.add_row table
     [

@@ -998,7 +998,7 @@ let capture_for_traceback t (pkt : Packet.t) =
     | Some _ | None -> ())
 
 let hook t (_node : Node.t) (pkt : Packet.t) =
-  if blocklisted t pkt.src then Node.Drop "aitf-disconnected"
+  if blocklisted t pkt.src then Node.Drop Aitf_obs.Ledger.Aitf_disconnected
   else
     match Filter_table.blocking_entry t.filters pkt with
     | Some h ->
@@ -1006,7 +1006,7 @@ let hook t (_node : Node.t) (pkt : Packet.t) =
       | Some mgr -> Overload.note_blocked mgr h pkt
       | None -> ());
       capture_for_traceback t pkt;
-      Node.Drop "aitf-filter"
+      Node.Drop Aitf_obs.Ledger.Aitf_filter
     | None -> begin
     (match Shadow_cache.match_packet t.shadow pkt with
     | Some entry -> (

@@ -24,7 +24,6 @@ type t = {
   mutable verified : int;
   mutable timed_out : int;
   mutable bogus : int;
-  mutable retransmits : int;
   mutable duplicates : int;
 }
 
@@ -43,7 +42,6 @@ let create ?(retries = 0) ?(backoff = 2.0) sim rng ~timeout =
     verified = 0;
     timed_out = 0;
     bogus = 0;
-    retransmits = 0;
     duplicates = 0;
   }
 
@@ -60,7 +58,6 @@ let rec arm t nonce (p : pending) rto =
       (Sim.after ~label:"handshake-rto" t.sim rto (fun () ->
            if Hashtbl.mem t.table nonce then begin
              if p.attempts - 1 < t.retries then begin
-               t.retransmits <- t.retransmits + 1;
                p.attempts <- p.attempts + 1;
                p.send nonce;
                arm t nonce p (rto *. t.backoff)
@@ -103,5 +100,4 @@ let started t = t.started
 let verified t = t.verified
 let timed_out t = t.timed_out
 let bogus_replies t = t.bogus
-let retransmits t = t.retransmits
 let duplicate_replies t = t.duplicates

@@ -59,5 +59,4 @@ val timed_out : t -> int
     many retransmissions it took. *)
 
 val bogus_replies : t -> int
-val retransmits : t -> int
 val duplicate_replies : t -> int

@@ -20,11 +20,11 @@ let hook t (_node : Node.t) (pkt : Packet.t) =
   let src_inside = in_cone t pkt.src in
   if t.check_egress && from_inside && not src_inside then begin
     t.egress_drops <- t.egress_drops + 1;
-    Node.Drop "egress-spoof"
+    Node.Drop Aitf_obs.Ledger.Egress_spoof
   end
   else if t.check_ingress && (not from_inside) && src_inside then begin
     t.ingress_drops <- t.ingress_drops + 1;
-    Node.Drop "ingress-spoof"
+    Node.Drop Aitf_obs.Ledger.Ingress_spoof
   end
   else Node.Continue
 

@@ -85,7 +85,7 @@ let hook t (_node : Node.t) (pkt : Packet.t) =
       t.queries_answered <- t.queries_answered + 1;
       send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
     end;
-    Node.Drop "legacy-proxy-query"
+    Node.Drop Aitf_obs.Ledger.Legacy_proxy_query
   | _ -> Node.Continue
 
 let attach ?(td = 0.1) ~protect ~gateway net =

@@ -32,7 +32,7 @@ let hook t (_node : Node.t) (pkt : Packet.t) =
   if feasible t pkt then Node.Continue
   else begin
     t.dropped <- t.dropped + 1;
-    Node.Drop "dpf-spoof"
+    Node.Drop Aitf_obs.Ledger.Dpf_spoof
   end
 
 let install ?(mode = Strict) net node =

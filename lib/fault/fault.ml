@@ -1,5 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
+module Ledger = Aitf_obs.Ledger
 open Aitf_net
 
 type model =
@@ -85,13 +86,22 @@ let note_ctrl_drop t (pkt : Packet.t) =
     Aitf_obs.Span.event_by_nonce t.sim ~nonce "fault-dropped-reply"
   | _ -> ()
 
-let process t next pkt =
+(* In the ledger the packet is in flight from its link until a node takes
+   it: a drop here lands it, each extra copy departs anew. *)
+let process t next (pkt : Packet.t) =
+  let ledger = Ledger.of_sim t.sim and cls = Packet.cls pkt in
   match decide t with
   | Dropped ->
     t.drops_injected <- t.drops_injected + 1;
+    Ledger.arrive ledger cls pkt.size;
+    Ledger.post ledger cls Ledger.Fault_loss pkt.size;
     if Aitf_obs.Span.enabled t.sim then note_ctrl_drop t pkt
   | Deliver { extra_delay; copies } ->
     if copies > 1 then t.dups_injected <- t.dups_injected + (copies - 1);
+    for _ = 2 to copies do
+      Ledger.post ledger cls Ledger.Fault_duplicate pkt.size;
+      Ledger.depart ledger cls pkt.size
+    done;
     if extra_delay > 0. then begin
       t.delayed <- t.delayed + 1;
       for _ = 1 to copies do

@@ -32,6 +32,11 @@ type agg = {
   mutable delivered_rate : float;  (* bits/s reaching dst, last recompute *)
   mutable new_delivered : float;  (* walk scratch *)
   mutable delivered_bits : float;  (* integral of delivered_rate *)
+  mutable n_lims : int;  (* walk scratch: sources in [lims] *)
+  fate_rate : float array;
+      (* bits/s per undelivered term ([term_*]), as of the last recompute *)
+  new_fate : float array;  (* walk scratch *)
+  fate_bits : float array;  (* integral of fate_rate *)
 }
 
 type t = {
@@ -55,6 +60,15 @@ type t = {
 
 let max_stages = 62  (* mask bits; far above any realistic AS path *)
 
+(* The ledger terms besides delivery, indexing [fate_rate]/[fate_bits]:
+   what the sources offer, and where the undelivered part dies. *)
+let term_offered = 0
+let term_gated = 1  (* blocked at stage 0, the source's own gate *)
+let term_filtered = 2  (* blocked at a later stage *)
+let term_limited = 3  (* cut down to a rate-limit filter's cap *)
+let term_lost = 4  (* a link's proportional drop-tail share *)
+let n_terms = 5
+
 (* --- integration ---------------------------------------------------------- *)
 
 let integrate t =
@@ -63,8 +77,12 @@ let integrate t =
     let dt = now -. t.last_integrate in
     List.iter
       (fun a ->
-        if a.active then
-          a.delivered_bits <- a.delivered_bits +. (a.delivered_rate *. dt))
+        if a.active then begin
+          a.delivered_bits <- a.delivered_bits +. (a.delivered_rate *. dt);
+          for i = 0 to n_terms - 1 do
+            a.fate_bits.(i) <- a.fate_bits.(i) +. (a.fate_rate.(i) *. dt)
+          done
+        end)
       t.aggs;
     t.last_integrate <- now
   end
@@ -82,6 +100,7 @@ let refresh_scratch agg =
     |> List.sort (fun (a, _) (b, _) -> compare (a : int) b);
   let k = Array.length agg.link_idx in
   Array.fill agg.lim_pass 0 k 0;
+  agg.n_lims <- List.length agg.lims;
   List.iter
     (fun (idx, _) ->
       let m = agg.mask.(idx) in
@@ -94,20 +113,31 @@ let refresh_scratch agg =
 
 (* One pass of one aggregate down its path: uniform sources in bulk via the
    per-stage counts, rate-limited sources individually (they are bounded by
-   live filters, not by population). *)
+   live filters, not by population). Alongside the delivered rate it splits
+   the rest of the offered rate into the [term_*] fates, so that they sum
+   to the offered rate up to rounding. *)
 let walk_agg t agg =
+  let fate = agg.new_fate in
+  Array.fill fate 0 n_terms 0.;
   if agg.active then begin
     let k = Array.length agg.link_idx in
+    let p = agg.per_src_rate in
     let blocked = ref 0 in
     let atten = ref 1.0 in
     let uni_delivered = ref 0. in
+    let prev_uni = ref (agg.n - agg.n_lims) in
     for s = 0 to k - 1 do
       blocked := !blocked + agg.cuts.(s);
       let uni = agg.n - !blocked - agg.lim_pass.(s) in
+      let cut = float_of_int (!prev_uni - uni) *. p *. !atten in
+      let term = if s = 0 then term_gated else term_filtered in
+      fate.(term) <- fate.(term) +. cut;
+      prev_uni := uni;
       let r = float_of_int uni *. agg.per_src_rate *. !atten in
       let li = agg.link_idx.(s) in
       t.offered.(li) <- t.offered.(li) +. r;
       atten := !atten *. t.factor.(li);
+      fate.(term_lost) <- fate.(term_lost) +. (r -. (r *. t.factor.(li)));
       if s = k - 1 then uni_delivered := r *. t.factor.(li)
     done;
     let lim_delivered = ref 0. in
@@ -117,18 +147,28 @@ let walk_agg t agg =
         let alive = ref true in
         let s = ref 0 in
         while !alive && !s < k do
-          if agg.mask.(idx) land (1 lsl !s) <> 0 then alive := false
+          if agg.mask.(idx) land (1 lsl !s) <> 0 then begin
+            alive := false;
+            let term = if !s = 0 then term_gated else term_filtered in
+            fate.(term) <- fate.(term) +. !r
+          end
           else begin
-            if caps.(!s) < !r then r := caps.(!s);
+            if caps.(!s) < !r then begin
+              fate.(term_limited) <- fate.(term_limited) +. (!r -. caps.(!s));
+              r := caps.(!s)
+            end;
             let li = agg.link_idx.(!s) in
             t.offered.(li) <- t.offered.(li) +. !r;
-            r := !r *. t.factor.(li);
+            let admitted = !r *. t.factor.(li) in
+            fate.(term_lost) <- fate.(term_lost) +. (!r -. admitted);
+            r := admitted;
             incr s
           end
         done;
         if !alive then lim_delivered := !lim_delivered +. !r)
       agg.lims;
-    agg.new_delivered <- !uni_delivered +. !lim_delivered
+    agg.new_delivered <- !uni_delivered +. !lim_delivered;
+    fate.(term_offered) <- float_of_int agg.n *. p
   end
 
 let recompute t =
@@ -157,7 +197,11 @@ let recompute t =
     incr iters
   done;
   t.last_iters <- !iters;
-  List.iter (fun a -> a.delivered_rate <- a.new_delivered) t.aggs;
+  List.iter
+    (fun a ->
+      a.delivered_rate <- a.new_delivered;
+      Array.blit a.new_fate 0 a.fate_rate 0 n_terms)
+    t.aggs;
   for i = 0 to nl - 1 do
     let bw = Link.bandwidth t.links.(i) in
     Link.set_fluid t.links.(i) ~offered:t.offered.(i)
@@ -323,6 +367,37 @@ let attach_table ?defer t ~node table =
       annotate_change (Filter_table.sim table) ev;
       mirror ev)
 
+(* --- reporting ----------------------------------------------------------- *)
+
+let bits_of t ~attack read =
+  integrate t;
+  List.fold_left
+    (fun acc a -> if a.attack = attack then acc +. read a else acc)
+    0. t.aggs
+
+let delivered_bits t ~attack = bits_of t ~attack (fun a -> a.delivered_bits)
+
+let ledger_plane t =
+  let module L = Aitf_obs.Ledger in
+  let bytes cls read =
+    match cls with
+    | L.Control -> 0.
+    | L.Attack | L.Legit -> bits_of t ~attack:(cls = L.Attack) read /. 8.
+  in
+  let term i a = a.fate_bits.(i) in
+  {
+    L.offered_bytes = (fun cls -> bytes cls (term term_offered));
+    fate_bytes =
+      (fun cls fate ->
+        match fate with
+        | L.Delivered -> bytes cls (fun a -> a.delivered_bits)
+        | L.Gated -> bytes cls (term term_gated)
+        | L.Aitf_filter -> bytes cls (term term_filtered)
+        | L.Rate_limited -> bytes cls (term term_limited)
+        | L.Queue_overflow -> bytes cls (term term_lost)
+        | _ -> 0.);
+  }
+
 (* --- construction --------------------------------------------------------- *)
 
 let create ?(epoch = 0.1) net =
@@ -348,6 +423,7 @@ let create ?(epoch = 0.1) net =
       last_integrate = Sim.now sim;
     }
   in
+  Aitf_obs.Ledger.add_plane (Aitf_obs.Ledger.of_sim sim) (ledger_plane t);
   let rec tick () =
     recompute t;
     ignore (Sim.after ~label:"fluid-epoch" t.sim t.epoch tick)
@@ -447,6 +523,10 @@ let add_aggregate ?(pkt_size = 1000) ?(flow_id = 0) ?(stop = infinity) t
       delivered_rate = 0.;
       new_delivered = 0.;
       delivered_bits = 0.;
+      n_lims = 0;
+      fate_rate = Array.make n_terms 0.;
+      new_fate = Array.make n_terms 0.;
+      fate_bits = Array.make n_terms 0.;
     }
   in
   t.next_id <- t.next_id + 1;
@@ -497,12 +577,6 @@ let set_block t agg ~idx ~stage blocked =
     if blocked then agg.mask.(idx) lor bit else agg.mask.(idx) land lnot bit
   in
   if set_mask agg idx nw then mark_dirty t
-
-let delivered_bits t ~attack =
-  integrate t;
-  List.fold_left
-    (fun acc a -> if a.attack = attack then acc +. a.delivered_bits else acc)
-    0. t.aggs
 
 let delivered_rate agg = agg.delivered_rate
 

@@ -1,5 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
+module Ledger = Aitf_obs.Ledger
 
 type discipline =
   | Drop_tail
@@ -50,7 +51,6 @@ type t = {
      Both stay 0.0 in packet-only runs, leaving behaviour untouched. *)
   mutable fluid_offered : float;  (* bits/s *)
   mutable fluid_admitted : float;  (* bits/s *)
-  mutable fluid_drops : int;
   (* Cross-shard delivery seam (parallel engine): when set, delivery is
      not scheduled on [sim] — the far end lives on another scheduler — but
      posted through this callback as a timestamped message. *)
@@ -153,7 +153,6 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
       early_drops = 0;
       fluid_offered = 0.;
       fluid_admitted = 0.;
-      fluid_drops = 0;
       remote = None;
     }
   in
@@ -194,13 +193,14 @@ let wrap_deliver t f =
   | None -> invalid_arg "Link.wrap_deliver: no deliver callback installed"
   | Some d -> t.deliver <- Some (f d)
 
-let drop t reason (pkt : Packet.t) =
+let drop t fate (pkt : Packet.t) =
   t.dropped_packets <- t.dropped_packets + 1;
   t.dropped_bytes <- t.dropped_bytes + pkt.size;
+  Ledger.post (Ledger.of_sim t.sim) (Packet.cls pkt) fate pkt.size;
   if Aitf_obs.Flight.enabled t.sim then
     Aitf_obs.Flight.note t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
       ~link:t.name
-      ~kind:(Aitf_obs.Flight.Drop reason)
+      ~kind:(Aitf_obs.Flight.Drop fate)
       ~size:pkt.size ~queue_depth:t.queued_bytes
 
 (* RED's update on a send, after [reclaim] has replayed every earlier
@@ -252,14 +252,17 @@ let set_fluid t ~offered ~admitted =
 let delivery_label = Some "link-delivery"
 
 (* Whether a delivered packet counts as transmitted or dropped is decided
-   once, at delivery time — never both. *)
+   once, at delivery time — never both. A transmitted packet stays in
+   flight in the ledger until the receiving node takes it. *)
 let arrive t (pkt : Packet.t) =
   match t.deliver with
   | Some f when t.is_up ->
     t.tx_packets <- t.tx_packets + 1;
     t.tx_bytes <- t.tx_bytes + pkt.size;
     f pkt
-  | Some _ | None -> drop t "link-down" pkt
+  | Some _ | None ->
+    Ledger.arrive (Ledger.of_sim t.sim) (Packet.cls pkt) pkt.size;
+    drop t Ledger.Link_down pkt
 
 (* Accept [pkt] at [now]: fix its transmission start (now on an idle link,
    else the end of the last accepted packet), its serialisation end and
@@ -292,6 +295,7 @@ let accept t (pkt : Packet.t) now busy =
   in
   match t.remote with
   | None ->
+    Ledger.depart (Ledger.of_sim t.sim) (Packet.cls pkt) pkt.size;
     ignore
       (Sim.at ?label:delivery_label t.sim
          (fin +. (t.delay +. fluid_wait))
@@ -304,31 +308,29 @@ let accept t (pkt : Packet.t) now busy =
     | Some f when t.is_up ->
       t.tx_packets <- t.tx_packets + 1;
       t.tx_bytes <- t.tx_bytes + pkt.size;
+      Ledger.depart (Ledger.of_sim t.sim) (Packet.cls pkt) pkt.size;
       post ~time:(fin +. t.delay +. fluid_wait) (fun () -> f pkt)
-    | Some _ | None -> drop t "link-down" pkt)
+    | Some _ | None -> drop t Ledger.Link_down pkt)
 
 let send t pkt =
   let now = Sim.now t.sim in
   reclaim t now;
-  if not t.is_up then drop t "link-down" pkt
+  if not t.is_up then drop t Ledger.Link_down pkt
   else if
     (* Discrete packets compete with the fluid load: a saturated link drops
        them with the same loss fraction the aggregates suffer. [bernoulli]
        consumes no randomness when p <= 0, so packet-only runs never touch
        the RNG here and stay bit-identical. *)
     Rng.bernoulli t.rng ~p:(fluid_loss t)
-  then begin
-    t.fluid_drops <- t.fluid_drops + 1;
-    drop t "fluid-loss" pkt
-  end
+  then drop t Ledger.Fluid_loss pkt
   else begin
     if is_red t then red_on_send t now;
     let busy = t.clock.busy_until >= now in
     if busy && t.queued_bytes + pkt.Packet.size > t.queue_capacity then
-      drop t "queue-overflow" pkt
+      drop t Ledger.Queue_overflow pkt
     else if busy && red_rejects t then begin
       t.early_drops <- t.early_drops + 1;
-      drop t "red-early-drop" pkt
+      drop t Ledger.Red_early_drop pkt
     end
     else accept t pkt now busy
   end

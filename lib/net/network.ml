@@ -1,5 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Heap = Aitf_engine.Heap
+module Ledger = Aitf_obs.Ledger
 
 type t = {
   sim : Sim.t;
@@ -15,6 +16,8 @@ type t = {
 }
 
 let create ?sim_of_as sim =
+  Aitf_obs.Metrics.if_attached sim
+    (Ledger.register_metrics (Ledger.of_sim sim));
   {
     sim;
     sim_of_as;
@@ -41,27 +44,37 @@ let rec run_hooks node pkt = function
     | Node.Continue -> run_hooks node pkt rest
     | Node.Drop _ as d -> d)
 
-let forward node (pkt : Packet.t) =
+(* [ledger] is that of the world owning [node], [cls] the packet's class. *)
+let drop ledger cls node fate (pkt : Packet.t) =
+  Node.count_drop node fate;
+  Ledger.post ledger cls fate pkt.size
+
+let forward ledger cls node (pkt : Packet.t) =
   match Lpm.lookup node.Node.fib pkt.dst with
-  | None -> Node.count_drop node "no-route"
+  | None -> drop ledger cls node Ledger.No_route pkt
   | Some port ->
     node.Node.forwarded_packets <- node.Node.forwarded_packets + 1;
     Link.send port.Node.link pkt
 
-let receive node (pkt : Packet.t) =
+let deliver ledger cls node (pkt : Packet.t) =
+  node.Node.delivered_packets <- node.Node.delivered_packets + 1;
+  Ledger.post ledger cls Ledger.Delivered pkt.size;
+  node.Node.local_deliver node pkt
+
+(* [sim] is the world owning [node]: the packet lands in its ledger. *)
+let receive sim node (pkt : Packet.t) =
+  let ledger = Ledger.of_sim sim and cls = Packet.cls pkt in
+  Ledger.arrive ledger cls pkt.size;
   node.Node.rx_packets <- node.Node.rx_packets + 1;
   node.Node.rx_bytes <- node.Node.rx_bytes + pkt.size;
-  if Addr.equal pkt.dst node.Node.addr then begin
-    node.Node.delivered_packets <- node.Node.delivered_packets + 1;
-    node.Node.local_deliver node pkt
-  end
+  if Addr.equal pkt.dst node.Node.addr then deliver ledger cls node pkt
   else
     match run_hooks node pkt node.Node.hooks with
-    | Node.Drop reason -> Node.count_drop node reason
+    | Node.Drop fate -> drop ledger cls node fate pkt
     | Node.Continue ->
       pkt.ttl <- pkt.ttl - 1;
-      if pkt.ttl <= 0 then Node.count_drop node "ttl-expired"
-      else forward node pkt
+      if pkt.ttl <= 0 then drop ledger cls node Ledger.Ttl_expired pkt
+      else forward ledger cls node pkt
 
 (* Topology -------------------------------------------------------------- *)
 
@@ -97,14 +110,13 @@ let connect ?(queue_capacity = 65536) ?discipline ?name t a b ~bandwidth
   (* Each directed link lives on the scheduler of its transmitting
      endpoint's AS: its queue, RED state and timers are then only ever
      touched by that shard. *)
+  let sim_a = sim_of_as t a.Node.as_id and sim_b = sim_of_as t b.Node.as_id in
   let ab =
-    Link.create ?discipline
-      (sim_of_as t a.Node.as_id)
-      ~name:(link_name "") ~bandwidth ~delay ~queue_capacity
+    Link.create ?discipline sim_a ~name:(link_name "") ~bandwidth ~delay
+      ~queue_capacity
   in
   let ba =
-    Link.create ?discipline
-      (sim_of_as t b.Node.as_id)
+    Link.create ?discipline sim_b
       ~name:(Printf.sprintf "%s->%s" b.Node.name a.Node.name)
       ~bandwidth ~delay ~queue_capacity
   in
@@ -113,10 +125,10 @@ let connect ?(queue_capacity = 65536) ?discipline ?name t a b ~bandwidth
   let from_a = Some a.Node.addr and from_b = Some b.Node.addr in
   Link.set_deliver ab (fun pkt ->
       pkt.Packet.last_hop <- from_a;
-      receive b pkt);
+      receive sim_b b pkt);
   Link.set_deliver ba (fun pkt ->
       pkt.Packet.last_hop <- from_b;
-      receive a pkt);
+      receive sim_a a pkt);
   let inter_as = a.Node.as_id <> b.Node.as_id in
   a.Node.ports <-
     a.Node.ports @ [ { Node.link = ab; peer_id = b.Node.id; inter_as } ];
@@ -209,12 +221,19 @@ let compute_routes t =
 (* Injection & admin ------------------------------------------------------ *)
 
 let originate t (node : Node.t) (pkt : Packet.t) =
-  if Addr.equal pkt.dst node.Node.addr then
+  let sim = sim_for t node in
+  let ledger = Ledger.of_sim sim and cls = Packet.cls pkt in
+  Ledger.offer ledger cls pkt.size;
+  if Addr.equal pkt.dst node.Node.addr then begin
+    (* In flight until the local-deliver event. *)
+    Ledger.depart ledger cls pkt.size;
     ignore
-      (Sim.after ~label:"local-deliver" (sim_for t node) 0. (fun () ->
-           node.Node.delivered_packets <- node.Node.delivered_packets + 1;
-           node.Node.local_deliver node pkt))
-  else forward node pkt
+      (Sim.after ~label:"local-deliver" sim 0. (fun () ->
+           let ledger = Ledger.of_sim sim in
+           Ledger.arrive ledger cls pkt.size;
+           deliver ledger cls node pkt))
+  end
+  else forward ledger cls node pkt
 
 let disconnect_port _t (node : Node.t) ~peer_id =
   match Node.port_to node ~peer_id with
@@ -234,6 +253,3 @@ let disconnect_port _t (node : Node.t) ~peer_id =
     | Some p -> Link.set_up p.Node.link false
     | None -> ());
     true
-
-let total_drops t ~reason =
-  List.fold_left (fun acc n -> acc + Node.drop_count n reason) 0 (nodes t)

@@ -72,6 +72,3 @@ val disconnect_port : t -> Node.t -> peer_id:int -> bool
 (** Administratively shut both directions of the link between [node] and
     [peer_id]. Returns [false] when they are not adjacent. Models AITF's
     last-resort "disconnect from the non-cooperating neighbor". *)
-
-val total_drops : t -> reason:string -> int
-(** Sum of per-node drop counters for one reason. *)

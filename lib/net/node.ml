@@ -1,6 +1,6 @@
 type kind = Host | Router | Border_router
 type scope = Global | As_local
-type hook_verdict = Continue | Drop of string
+type hook_verdict = Continue | Drop of Aitf_obs.Ledger.fate
 
 type port = { link : Link.t; peer_id : int; mutable inter_as : bool }
 
@@ -19,7 +19,7 @@ type t = {
   mutable rx_bytes : int;
   mutable forwarded_packets : int;
   mutable delivered_packets : int;
-  drops : (string, int) Hashtbl.t;
+  drops : int array;
 }
 
 let make ~id ~name ~addr ~as_id kind =
@@ -39,7 +39,7 @@ let make ~id ~name ~addr ~as_id kind =
       rx_bytes = 0;
       forwarded_packets = 0;
       delivered_packets = 0;
-      drops = Hashtbl.create 8;
+      drops = Array.make Aitf_obs.Ledger.n_fates 0;
     }
   in
   t
@@ -58,22 +58,19 @@ let register_metrics t reg =
     ~help:"Packets delivered to the local agent" (fun () ->
       float_of_int t.delivered_packets);
   register_counter reg (p "drops") ~unit_:"packets"
-    ~help:"Packets dropped at this node, all reasons" (fun () ->
-      float_of_int (Hashtbl.fold (fun _ n acc -> acc + n) t.drops 0))
+    ~help:"Packets dropped at this node, all fates" (fun () ->
+      float_of_int (Array.fold_left ( + ) 0 t.drops))
 
 let add_hook t h = t.hooks <- h :: t.hooks
 
 let port_to t ~peer_id =
   List.find_opt (fun p -> p.peer_id = peer_id) t.ports
 
-let count_drop t reason =
-  let n = match Hashtbl.find_opt t.drops reason with None -> 0 | Some n -> n in
-  Hashtbl.replace t.drops reason (n + 1)
+let count_drop t fate =
+  let i = Aitf_obs.Ledger.fate_index fate in
+  t.drops.(i) <- t.drops.(i) + 1
 
-let drop_count t reason =
-  match Hashtbl.find_opt t.drops reason with None -> 0 | Some n -> n
-
-let total_drops t = Hashtbl.fold (fun _ n acc -> acc + n) t.drops 0
+let drop_count t fate = t.drops.(Aitf_obs.Ledger.fate_index fate)
 
 let is_border t = t.kind = Border_router
 

@@ -18,7 +18,8 @@ type scope =
 
 type hook_verdict =
   | Continue  (** keep processing *)
-  | Drop of string  (** discard, accounting under the given reason *)
+  | Drop of Aitf_obs.Ledger.fate
+      (** discard; the node and the world's ledger count it under the fate *)
 
 type port = {
   link : Link.t;
@@ -41,7 +42,7 @@ type t = {
   mutable rx_bytes : int;
   mutable forwarded_packets : int;
   mutable delivered_packets : int;
-  drops : (string, int) Hashtbl.t;
+  drops : int array;  (** packets dropped here, by fate index *)
 }
 
 val make : id:int -> name:string -> addr:Addr.t -> as_id:int -> kind -> t
@@ -59,9 +60,9 @@ val add_hook : t -> (t -> Packet.t -> hook_verdict) -> unit
 val port_to : t -> peer_id:int -> port option
 (** The port whose link leads to [peer_id], if directly connected. *)
 
-val count_drop : t -> string -> unit
-val drop_count : t -> string -> int
-val total_drops : t -> int
+val count_drop : t -> Aitf_obs.Ledger.fate -> unit
+val drop_count : t -> Aitf_obs.Ledger.fate -> int
+(** Packets dropped at this node (hooks, TTL, no route) under one fate. *)
 
 val is_border : t -> bool
 

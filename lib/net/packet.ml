@@ -71,6 +71,12 @@ let make ?spoofed_src ?(proto = 17) ?(sport = 0) ?(dport = 0) ?(ttl = 64) ~src
 
 let is_control p = match p.payload with Data _ -> false | _ -> true
 
+let cls p =
+  match p.payload with
+  | Data { attack = true; _ } -> Aitf_obs.Ledger.Attack
+  | Data _ -> Aitf_obs.Ledger.Legit
+  | _ -> Aitf_obs.Ledger.Control
+
 (* Newest stamp first, so a stamp is one cons; the bounded length test
    stops after [route_record_limit] cells. *)
 let record_route p addr =

@@ -60,6 +60,10 @@ val make :
 val is_control : t -> bool
 (** [true] for anything that is not {!Data} — i.e. protocol messages. *)
 
+val cls : t -> Aitf_obs.Ledger.cls
+(** The packet's traffic class in the byte ledger: [Data] by its attack
+    flag, anything else [Control]. *)
+
 val record_route : t -> Addr.t -> unit
 (** Stamp a border-router address onto the route record (bounded; stamps
     beyond the bound are dropped, mirroring limited header space). Costs

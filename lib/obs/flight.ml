@@ -1,4 +1,4 @@
-type kind = Enqueue | Dequeue | Drop of string
+type kind = Enqueue | Dequeue | Drop of Ledger.fate
 
 type record = {
   time : float;
@@ -85,7 +85,7 @@ let merge_into master rings =
 let kind_name = function
   | Enqueue -> "enqueue"
   | Dequeue -> "dequeue"
-  | Drop reason -> "drop:" ^ reason
+  | Drop fate -> "drop:" ^ Ledger.fate_name fate
 
 let pp_record fmt r =
   Format.fprintf fmt "%10.6f  %-12s %-16s %-18s %5dB q=%dB" r.time r.node

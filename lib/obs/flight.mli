@@ -17,7 +17,7 @@
 type kind =
   | Enqueue  (** packet accepted into the link queue *)
   | Dequeue  (** packet starts transmission *)
-  | Drop of string  (** dropped, with the link's reason *)
+  | Drop of Ledger.fate  (** dropped, with the link's fate *)
 
 type record = {
   time : float;  (** virtual seconds *)

@@ -123,7 +123,7 @@ let hook r (_node : Node.t) (pkt : Packet.t) =
     else begin
       l.arrived_bytes <- l.arrived_bytes +. float_of_int pkt.size;
       if limiter_allow r l ~now ~size:pkt.size then Node.Continue
-      else Node.Drop "pushback-limit"
+      else Node.Drop Aitf_obs.Ledger.Pushback_limit
     end
 
 (* --- upstream propagation ----------------------------------------------- *)

@@ -331,7 +331,6 @@ let run p =
     end
   in
   let frng = Rng.split rng in
-  let absorbed = ref [] in
   let add_pools pools ~off ~total_sources ~total_rate ~attack ~start ~fid0 =
     let k = List.length pools in
     let base_n = total_sources / k and rem = total_sources mod k in
@@ -348,7 +347,7 @@ let run p =
               ~n:cnt ~rate ~dst:victim_addr ~attack ~start
           in
           if attack then begin
-            absorbed := Fluid_bridge.absorb_pool_requests pool :: !absorbed;
+            Fluid_bridge.absorb_pool_requests pool;
             Runner.attach_probe ~sim:(sim_of_as d) config frng eng agg
           end
         end)
@@ -375,7 +374,7 @@ let run p =
       0 gws
   in
   let good_offered = p.as_legit_rate *. p.as_duration /. 8. in
-  let good_received = Fluid.delivered_bits eng ~attack:false /. 8. in
+  let good_received = Runner.delivered sim (Some eng) ~attack:false in
   let time_to_filter =
     (* Seconds from attack start until the victim's attack rate falls below
        5% of the offered rate and stays there; [None] if it is still above
@@ -468,7 +467,7 @@ let run p =
     r_victim_domain = vdom;
     r_good_offered_bytes = good_offered;
     r_good_received_bytes = good_received;
-    r_attack_received_bytes = Fluid.delivered_bits eng ~attack:true /. 8.;
+    r_attack_received_bytes = Runner.delivered sim (Some eng) ~attack:true;
     r_collateral_fraction =
       (if good_offered > 0. then
          Float.max 0. (1. -. (good_received /. good_offered))
@@ -479,7 +478,7 @@ let run p =
     r_filters_installed = installed;
     r_requests_sent = Host_agent.Victim.requests_sent victim;
     r_reports = (match ctl with Some c -> Placement_ctl.evidence c | None -> 0);
-    r_absorbed = List.fold_left (fun acc r -> acc + !r) 0 !absorbed;
+    r_absorbed = Runner.absorbed sim;
     r_events = Sched.events_processed sched;
     r_auditor = Option.map (fun (a, _, _) -> a) contracts;
     r_byzantine = (match contracts with Some (_, b, _) -> b | None -> []);

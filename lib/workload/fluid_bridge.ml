@@ -43,15 +43,12 @@ let attach_attacker_strategy fluid agg agent =
         prev n pkt)
 
 (* Spoofed source pools have no hosts behind them: To_attacker requests
-   routed into the pool's advertised range are absorbed (and counted) at
-   the pool node instead of dying on a missing route. *)
+   routed into the pool's advertised range are absorbed at the pool node
+   instead of dying on a missing route. *)
 let absorb_pool_requests node =
-  let absorbed = ref 0 in
   Node.add_hook node (fun _ (pkt : Packet.t) ->
       match pkt.Packet.payload with
       | Message.Filtering_request { Message.target = Message.To_attacker; _ }
         ->
-        incr absorbed;
-        Node.Drop "fluid-pool-absorb"
-      | _ -> Node.Continue);
-  absorbed
+        Node.Drop Aitf_obs.Ledger.Pool_absorb
+      | _ -> Node.Continue)

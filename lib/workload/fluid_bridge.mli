@@ -12,7 +12,7 @@ val attach_attacker_strategy :
 (** Mirror the attacker host's response strategy ([Complies] / [Ignores] /
     [On_off]) onto the aggregate's stage 0 — the source's own gate. *)
 
-val absorb_pool_requests : Node.t -> int ref
+val absorb_pool_requests : Node.t -> unit
 (** Hook a spoofed-source pool node so To_attacker filtering requests
-    routed into its advertised range are absorbed (returned counter) rather
-    than dropped on a missing route. *)
+    routed into its advertised range are absorbed (the ledger's
+    [Pool_absorb] fate) rather than dropped on a missing route. *)

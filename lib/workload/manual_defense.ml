@@ -27,7 +27,8 @@ let deploy ?(filter_capacity = 1000) ?(filter_duration = 1e9) ~response_time
     }
   in
   Node.add_hook gateway (fun _ pkt ->
-      if Filter_table.blocks t.filters pkt then Node.Drop "manual-filter"
+      if Filter_table.blocks t.filters pkt then
+        Node.Drop Aitf_obs.Ledger.Manual_filter
       else Node.Continue);
   let prev = victim.Node.local_deliver in
   victim.Node.local_deliver <-

@@ -346,7 +346,7 @@ let run_cell ?(shards = 1) cell =
   let a0 = Gc.allocated_bytes () in
   let clock = Sim.ambient Sim.clock in
   let t0 = clock () in
-  let outcome, series =
+  let outcome, series, ledger =
     Fun.protect
       ~finally:(fun () ->
         Profile.detach ();
@@ -355,10 +355,15 @@ let run_cell ?(shards = 1) cell =
         match with_shards shards cell.scenario with
         | Scenario.Any s ->
           let o = Scenario.run s in
-          (o.Scenario.fields, o.Scenario.victim_rate))
+          (o.Scenario.fields, o.Scenario.victim_rate, o.Scenario.ledger))
   in
   let wall = clock () -. t0 in
   let alloc_bytes = Gc.allocated_bytes () -. a0 in
+  (* Every offered byte has one fate: a violation is a simulator bug, not
+     a golden drift. *)
+  Result.iter_error
+    (fun e -> failwith (Printf.sprintf "matrix cell %s: %s" cell.id e))
+    (Aitf_obs.Ledger.check ledger);
   let doc = doc_of cell outcome series sp in
   {
     cr_cell = cell;

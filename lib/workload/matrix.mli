@@ -108,7 +108,9 @@ val run :
     comparing (creating the directory if needed). {!perf}'s wall time is
     read off the ambient [Sim.clock]. Every cell runs in fresh worlds,
     whose correlation ids start at 1, so each document is independent
-    of execution order.
+    of execution order. Each cell ends with {!Aitf_obs.Ledger.check} on
+    its world's byte ledger (shard worlds joined in).
+    @raise Failure naming the cell when a ledger does not conserve.
 
     [?shards > 1] runs every unpinned internet cell (contract cells
     included — the auditor replays through the scheduler's defer seam) on

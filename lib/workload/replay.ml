@@ -360,6 +360,7 @@ type result = {
   rr_absorbed : int;
   rr_events : int;
   rr_victim_rate : Series.t;
+  rr_ledger : Aitf_obs.Ledger.t;
 }
 
 (* Smallest prefix covering the pool's contiguous source range — what the
@@ -414,7 +415,7 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
     deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
   in
   let victim_addr = topo.Chain.victim.Node.addr in
-  let absorbed = Array.map Fluid_bridge.absorb_pool_requests nodes in
+  Array.iter Fluid_bridge.absorb_pool_requests nodes;
   let states =
     Array.map (fun p -> { sending = false; active = p.p_n; live = 0 }) pools
   in
@@ -508,19 +509,16 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
       fluid_ctx deployed.Chain.victim_agent
   in
   Sim.run ~until:trace.tr_duration sim;
-  let received =
-    Runner.received_bytes fluid_ctx
-      ~packet:(Runner.victim_bytes deployed.Chain.victim_agent)
-  in
   {
     rr_attack_offered_bytes = offered_bytes trace ~attack:true;
-    rr_attack_received_bytes = received ~attack:true;
+    rr_attack_received_bytes = Runner.delivered sim fluid_ctx ~attack:true;
     rr_good_offered_bytes = offered_bytes trace ~attack:false;
-    rr_good_received_bytes = received ~attack:false;
+    rr_good_received_bytes = Runner.delivered sim fluid_ctx ~attack:false;
     rr_requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
     rr_filters = Runner.filter_installs all_gws;
-    rr_absorbed = Array.fold_left (fun acc r -> acc + !r) 0 absorbed;
+    rr_absorbed = Runner.absorbed sim;
     rr_events = Sim.events_processed sim;
     rr_victim_rate;
+    rr_ledger = Aitf_obs.Ledger.of_sim sim;
   }

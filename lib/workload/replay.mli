@@ -119,6 +119,7 @@ type result = {
   rr_victim_rate : Series.t;
       (** windowed attack bandwidth (bits/s) at the victim, identical
           smoothing under both engines *)
+  rr_ledger : Aitf_obs.Ledger.t;  (** the run's byte ledger *)
 }
 
 val offered_bytes : trace -> attack:bool -> float

@@ -3,10 +3,11 @@ module Table = Aitf_stats.Table
 open Aitf_net
 
 let drops_summary (n : Node.t) =
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) n.Node.drops [] in
-  entries
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+  Aitf_obs.Ledger.fates
+  |> List.filter_map (fun f ->
+         match Node.drop_count n f with
+         | 0 -> None
+         | k -> Some (Printf.sprintf "%s=%d" (Aitf_obs.Ledger.fate_name f) k))
   |> String.concat " "
 
 let node_table net =

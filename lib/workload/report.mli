@@ -7,8 +7,8 @@
 open Aitf_net
 
 val node_table : Network.t -> Aitf_stats.Table.t
-(** One row per node: received/forwarded/delivered packets and the drop
-    counters (reason=count, sorted). *)
+(** One row per node: received/forwarded/delivered packets and the
+    non-zero drop counts (fate=count, in {!Aitf_obs.Ledger.fates} order). *)
 
 val link_table : ?busy_only:bool -> Network.t -> Aitf_stats.Table.t
 (** One row per directed link: transmitted and dropped traffic plus

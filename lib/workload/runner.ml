@@ -4,6 +4,7 @@ module Series = Aitf_stats.Series
 module Rate_meter = Aitf_stats.Rate_meter
 module Fluid = Aitf_flowsim.Fluid
 module Sampler = Aitf_flowsim.Sampler
+module Ledger = Aitf_obs.Ledger
 open Aitf_net
 open Aitf_core
 open Aitf_topo
@@ -94,14 +95,15 @@ let start_metrics sim ~interval =
     (fun reg -> Aitf_obs.Sampler.start ~interval sim reg)
     (Sim.get sim Aitf_obs.Metrics.key)
 
-let victim_bytes victim ~attack =
-  if attack then Host_agent.Victim.attack_bytes victim
-  else Host_agent.Victim.good_bytes victim
-
-let received_bytes fluid ~packet ~attack =
+let delivered sim fluid ~attack =
+  let ledger = Ledger.of_sim sim
+  and cls = if attack then Ledger.Attack else Ledger.Legit in
   match fluid with
-  | Some eng -> Fluid.delivered_bits eng ~attack /. 8.
-  | None -> packet ~attack
+  | Some (_ : Fluid.t) -> Ledger.fluid_bytes ledger cls Ledger.Delivered
+  | None -> float_of_int (Ledger.packet_bytes ledger cls Ledger.Delivered)
+
+let absorbed sim =
+  Ledger.packets (Ledger.of_sim sim) Ledger.Control Ledger.Pool_absorb
 
 let filter_installs gws =
   List.fold_left

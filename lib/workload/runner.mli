@@ -66,13 +66,15 @@ val start_metrics :
 (** The run report's time series: a metrics sampler ticking every
     [interval], iff a registry was attached before the world was created. *)
 
-val victim_bytes : Host_agent.Victim.t -> attack:bool -> float
-(** Attack or legitimate bytes the victim agent received. *)
+val delivered : Aitf_engine.Sim.t -> Fluid.t option -> attack:bool -> float
+(** Attack or legitimate bytes the world's ledger saw delivered — every
+    data packet of a scenario is addressed to its victim. Under the hybrid
+    engine (given the fluid plane) it reads the fluid plane alone, whose
+    probes carry no bytes; under the packet engine, the packet plane. *)
 
-val received_bytes :
-  Fluid.t option -> packet:(attack:bool -> float) -> attack:bool -> float
-(** Bytes delivered to the victim: the fluid plane's integral under the
-    hybrid engine, [packet]'s count otherwise. *)
+val absorbed : Aitf_engine.Sim.t -> int
+(** To_attacker requests absorbed at spoofed-source pool nodes (the
+    ledger's [Pool_absorb] control packets). *)
 
 val filter_installs : Gateway.t list -> int
 (** Temporary plus long filter installs over the gateways. *)

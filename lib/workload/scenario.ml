@@ -16,6 +16,7 @@ type 'r outcome = {
   fields : (string * Json.t) list;
   victim_rate : Series.t;
   sampler : Aitf_obs.Sampler.t option;
+  ledger : Aitf_obs.Ledger.t;
   events : int;
   parallel : Json.t option;
 }
@@ -37,8 +38,10 @@ let duration : type r. r t -> float = function
 let fl x = Json.Float x
 let it n = Json.Int n
 
-let sequential result fields victim_rate sampler events =
-  { result; fields; victim_rate; sampler; events; parallel = None }
+let sequential result fields victim_rate sampler ledger events =
+  { result; fields; victim_rate; sampler; ledger; events; parallel = None }
+
+let ledger_of net = Aitf_obs.Ledger.of_sim (Aitf_net.Network.sim net)
 
 (* Outcome keys are shared across scenarios where the quantity is the same
    thing (attack/good received bytes), so engine pairs can compare them;
@@ -66,7 +69,9 @@ let run : type r. r t -> r outcome = function
         ("collateral_packets", it r.collateral_packets);
         ("events", it r.events_processed);
       ]
-      r.victim_rate r.sampler r.events_processed
+      r.victim_rate r.sampler
+      (ledger_of d.Aitf_topo.Chain.topo.Aitf_topo.Chain.net)
+      r.events_processed
   | Flood p ->
     let open Scenarios in
     let r = run_flood p in
@@ -81,7 +86,7 @@ let run : type r. r t -> r outcome = function
         ("events", it r.flood_events);
       ]
       (Series.create ~name:"victim-attack-rate" ())
-      r.flood_sampler r.flood_events
+      r.flood_sampler r.flood_ledger r.flood_events
   | Swarm p ->
     let open Scenarios in
     let r = run_swarm p in
@@ -95,7 +100,9 @@ let run : type r. r t -> r outcome = function
         ("absorbed", it r.swarm_absorbed);
         ("events", it r.swarm_events);
       ]
-      r.swarm_victim_rate r.swarm_sampler r.swarm_events
+      r.swarm_victim_rate r.swarm_sampler
+      (ledger_of r.swarm_deployed.Aitf_topo.Chain.topo.Aitf_topo.Chain.net)
+      r.swarm_events
   | Internet p ->
     let open As_scenario in
     let r = run p in
@@ -135,7 +142,9 @@ let run : type r. r t -> r outcome = function
           ("events", it r.r_events);
         ]
         @ audit)
-        r.r_victim_rate None r.r_events
+        r.r_victim_rate None
+        (ledger_of (Aitf_topo.As_graph.net r.r_graph))
+        r.r_events
     in
     { o with parallel = r.r_parallel }
   | Replay (trace, engine) ->
@@ -153,4 +162,4 @@ let run : type r. r t -> r outcome = function
         ("absorbed", it r.rr_absorbed);
         ("events", it r.rr_events);
       ]
-      r.rr_victim_rate None r.rr_events
+      r.rr_victim_rate None r.rr_ledger r.rr_events

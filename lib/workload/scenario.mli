@@ -38,6 +38,8 @@ type 'r outcome = {
   sampler : Aitf_obs.Sampler.t option;
       (** the metrics sampler, started iff a registry was attached before
           the run ([Internet] and [Replay] start none) *)
+  ledger : Aitf_obs.Ledger.t;
+      (** the run's byte ledger (the global world's, shards joined in) *)
   events : int;  (** discrete events executed *)
   parallel : Json.t option;
       (** the run report's ["parallel"] section; sharded [Internet] runs

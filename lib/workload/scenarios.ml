@@ -222,12 +222,8 @@ let run_chain params =
   let attack_offered_bytes =
     params.attack_rate *. (params.duration -. params.attack_start) /. 8.
   in
-  let received =
-    Runner.received_bytes fluid
-      ~packet:(Runner.victim_bytes deployed.Chain.victim_agent)
-  in
-  let attack_received_bytes = received ~attack:true in
-  let good_received_bytes = received ~attack:false in
+  let attack_received_bytes = Runner.delivered sim fluid ~attack:true in
+  let good_received_bytes = Runner.delivered sim fluid ~attack:false in
   let good_offered_bytes =
     (if legit_on then params.legit_rate *. params.duration /. 8. else 0.)
     +.
@@ -351,6 +347,7 @@ type flood_result = {
   flood_sampler : Aitf_obs.Sampler.t option;
   flood_fluid : Fluid.t option;
   flood_events : int;
+  flood_ledger : Aitf_obs.Ledger.t;
 }
 
 let check_flood p =
@@ -399,20 +396,6 @@ let run_flood p =
     Runner.host_flow ~sim config fluid_ctx ~dst:victim_node.Node.addr
       t.Hierarchy.net
   in
-  (* Without AITF there is no victim agent to count what reaches the
-     victim, so under the packet engine a wrapper on the victim node
-     counts it. *)
-  let legit = ref 0. and attack = ref 0. in
-  (if (not p.with_aitf) && Option.is_none fluid_ctx then
-     let prev = victim_node.Node.local_deliver in
-     victim_node.Node.local_deliver <-
-       (fun node (pkt : Packet.t) ->
-         (match pkt.Packet.payload with
-         | Packet.Data { attack = true; _ } ->
-           attack := !attack +. float_of_int pkt.Packet.size
-         | Packet.Data _ -> legit := !legit +. float_of_int pkt.Packet.size
-         | _ -> ());
-         prev node pkt));
   (* Legit clients inside the victim's ISP (excluding the victim's own
      host slot). *)
   let placed_clients = ref 0 in
@@ -467,27 +450,21 @@ let run_flood p =
           0 d.Hierarchy.net_gateways,
         filters_at d.Hierarchy.isp_gateways )
   in
-  let received =
-    Runner.received_bytes fluid
-      ~packet:
-        (match victim with
-        | Some v -> Runner.victim_bytes v
-        | None -> fun ~attack:a -> if a then !attack else !legit)
-  in
   {
     flood_params = p;
     hierarchy_deployed = deployed;
     victim;
     zombies_placed = !placed;
-    legit_received_bytes = received ~attack:false;
+    legit_received_bytes = Runner.delivered sim fluid ~attack:false;
     legit_offered_bytes =
       float_of_int !placed_clients *. p.legit_rate *. p.flood_duration /. 8.;
-    flood_attack_received_bytes = received ~attack:true;
+    flood_attack_received_bytes = Runner.delivered sim fluid ~attack:true;
     leaf_filters;
     isp_filters;
     flood_sampler;
     flood_fluid = fluid;
     flood_events = Sim.events_processed sim;
+    flood_ledger = Aitf_obs.Ledger.of_sim sim;
   }
 
 (* --- Massive-swarm scenario (hybrid engine only) ------------------------ *)
@@ -571,7 +548,6 @@ let run_swarm p =
   let victim_addr = topo.Chain.victim.Node.addr in
   let base = p.swarm_sources / p.swarm_pools in
   let rem = p.swarm_sources mod p.swarm_pools in
-  let absorbed = ref [] in
   Array.iteri
     (fun j pool ->
       let n = base + if j < rem then 1 else 0 in
@@ -583,7 +559,7 @@ let run_swarm p =
           ~src_base:(Addr.of_octets 32 (16 * j) 0 0)
           ~n ~rate ~dst:victim_addr ~attack:true ~start:p.swarm_attack_start
       in
-      absorbed := Fluid_bridge.absorb_pool_requests pool :: !absorbed;
+      Fluid_bridge.absorb_pool_requests pool;
       Runner.attach_probe ~sim config frng eng agg)
     pools;
   if p.swarm_legit_rate > 0. then
@@ -607,13 +583,13 @@ let run_swarm p =
       (if p.swarm_legit_rate > 0. then
          p.swarm_legit_rate *. p.swarm_duration /. 8.
        else 0.);
-    swarm_good_received_bytes = Fluid.delivered_bits eng ~attack:false /. 8.;
-    swarm_attack_received_bytes = Fluid.delivered_bits eng ~attack:true /. 8.;
+    swarm_good_received_bytes = Runner.delivered sim (Some eng) ~attack:false;
+    swarm_attack_received_bytes = Runner.delivered sim (Some eng) ~attack:true;
     swarm_victim_rate;
     swarm_requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
     swarm_filters = Runner.filter_installs all_gws;
-    swarm_absorbed = List.fold_left (fun acc r -> acc + !r) 0 !absorbed;
+    swarm_absorbed = Runner.absorbed sim;
     swarm_events = Sim.events_processed sim;
     swarm_sampler;
   }

@@ -146,6 +146,7 @@ type flood_result = {
   flood_fluid : Fluid.t option;
       (** the fluid engine, iff the config selected {!Config.Hybrid} *)
   flood_events : int;
+  flood_ledger : Aitf_obs.Ledger.t;  (** the run's byte ledger *)
 }
 
 val check_flood : flood_params -> (unit, string) result

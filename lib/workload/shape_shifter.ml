@@ -19,7 +19,6 @@ type t = {
   mutable max_shape : int;
   mutable halted : bool;
   mutable sent_packets : int;
-  mutable sent_bytes : int;
 }
 
 let sim t = Network.sim t.net
@@ -45,9 +44,9 @@ let emit t =
   in
   if t.gate pkt then begin
     t.sent_packets <- t.sent_packets + 1;
-    t.sent_bytes <- t.sent_bytes + t.pkt_size;
     Network.originate t.net t.node pkt
   end
+  else Traffic.refuse t.net t.node pkt
 
 let rec schedule t delay =
   ignore
@@ -82,7 +81,6 @@ let create ?(pkt_size = 1000) ?(rotate_ports = true) ?(rotate_proto = false)
       max_shape = -1;
       halted = false;
       sent_packets = 0;
-      sent_bytes = 0;
     }
   in
   let now = Sim.now (Network.sim net) in
@@ -91,5 +89,4 @@ let create ?(pkt_size = 1000) ?(rotate_ports = true) ?(rotate_proto = false)
 
 let halt t = t.halted <- true
 let sent_packets t = t.sent_packets
-let sent_bytes t = t.sent_bytes
 let shapes_used t = t.max_shape + 1

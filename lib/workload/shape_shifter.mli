@@ -38,7 +38,6 @@ val create :
 val halt : t -> unit
 
 val sent_packets : t -> int
-val sent_bytes : t -> int
 
 val shapes_used : t -> int
 (** Distinct identities presented so far. *)

@@ -1,5 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
+module Ledger = Aitf_obs.Ledger
 open Aitf_net
 open Aitf_filter
 
@@ -20,14 +21,17 @@ type t = {
   mutable halted : bool;
   mutable pending : Sim.handle option;
   mutable sent_packets : int;
-  mutable sent_bytes : int;
-  mutable gated : int;
 }
 
 let next_gap t =
   match t.arrival with
   | Constant gap -> gap
   | Exponential (rng, rate) -> Rng.exponential rng ~rate
+
+let refuse net node (pkt : Packet.t) =
+  let ledger = Ledger.of_sim (Network.sim_for net node) in
+  Ledger.offer ledger (Packet.cls pkt) pkt.size;
+  Ledger.post ledger (Packet.cls pkt) Ledger.Gated pkt.size
 
 let emit t =
   let pkt =
@@ -37,10 +41,9 @@ let emit t =
   in
   if t.gate pkt then begin
     t.sent_packets <- t.sent_packets + 1;
-    t.sent_bytes <- t.sent_bytes + t.pkt_size;
     Network.originate t.net t.node pkt
   end
-  else t.gated <- t.gated + 1
+  else refuse t.net t.node pkt
 
 (* Hoisted: one [Some] shared by every scheduled packet. *)
 let traffic_label = Some "traffic"
@@ -74,8 +77,6 @@ let launch ?(gate = fun _ -> true) ?(spoof = fun () -> None) ~start
       halted = false;
       pending = None;
       sent_packets = 0;
-      sent_bytes = 0;
-      gated = 0;
     }
   in
   let now = Sim.now (Network.sim net) in
@@ -110,7 +111,5 @@ let halt t =
   | None -> ()
 let flow_id t = t.flow_id
 let sent_packets t = t.sent_packets
-let sent_bytes t = t.sent_bytes
-let gated_packets t = t.gated
 
 let label t ~src = Flow_label.host_pair src t.dst

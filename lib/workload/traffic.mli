@@ -53,10 +53,10 @@ val halt : t -> unit
 
 val flow_id : t -> int
 val sent_packets : t -> int
-val sent_bytes : t -> int
 
-val gated_packets : t -> int
-(** Packets the gate suppressed. *)
+val refuse : Network.t -> Node.t -> Packet.t -> unit
+(** Account a packet its source's gate refused: offered and [Gated] in the
+    ledger of the node's world (what {!cbr}/{!poisson} sources do). *)
 
 val label : t -> src:Addr.t -> Flow_label.t
 (** The flow label this source's packets carry, given the header source it

@@ -278,7 +278,7 @@ let test_protocol_attacker_complies () =
     (Filter_table.occupancy (Host_agent.Attacker.filters r.d.Chain.attacker_agent)
     = 1);
   checkb "gated at source" true
-    (Aitf_workload.Traffic.gated_packets r.attack > 0)
+    Aitf_obs.Ledger.(packets (of_sim r.sim) Attack Gated > 0)
 
 let test_protocol_escalation_unresponsive_gw () =
   let r =
@@ -921,7 +921,9 @@ let test_ingress_egress_spoof_dropped () =
   Sim.run sim;
   checki "spoofed exit blocked" 0 !got;
   checki "egress drop counted" 1 (Ingress.egress_drops guard);
-  checki "node accounting" 1 (Node.drop_count gw "egress-spoof")
+  checki "node accounting" 1 (Node.drop_count gw Aitf_obs.Ledger.Egress_spoof);
+  checki "ledger accounting" 100
+    Aitf_obs.Ledger.(packet_bytes (of_sim sim) Legit Egress_spoof)
 
 let test_ingress_genuine_egress_passes () =
   let sim, net, inside, _, outside, guard = ingress_rig () in

@@ -56,7 +56,9 @@ let test_strict_drops_onpath_spoof () =
   Sim.run sim;
   checki "not delivered" 0 !got;
   checki "dropped" 1 (Dpf.dropped d);
-  checki "accounted on node" 1 (Node.drop_count r1 "dpf-spoof")
+  checki "accounted on node" 1 (Node.drop_count r1 Aitf_obs.Ledger.Dpf_spoof);
+  checki "accounted in the ledger" 1
+    Aitf_obs.Ledger.(packets (of_sim sim) Attack Dpf_spoof)
 
 let test_bogon_dropped_in_both_modes () =
   let run mode =

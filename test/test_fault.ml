@@ -184,7 +184,7 @@ let test_handshake_retransmit_backoff () =
     "send times with exponential backoff" [ 0.; 1.; 3.; 7. ]
     (List.rev !sends);
   check (Alcotest.list Alcotest.bool) "failed exactly once" [ false ] !results;
-  checki "retransmits counted" 3 (Handshake.retransmits h);
+  checki "three retransmissions sent" 3 (List.length !sends - 1);
   checki "one timeout however many attempts" 1 (Handshake.timed_out h)
 
 let test_handshake_reply_after_retransmit () =
@@ -194,9 +194,10 @@ let test_handshake_reply_after_retransmit () =
       ~timeout:1.0
   in
   let results = ref [] in
+  let sends = ref 0 in
   let nonce =
     Handshake.start h ~flow:flow_av
-      ~send:(fun _ -> ())
+      ~send:(fun _ -> incr sends)
       ~on_result:(fun r -> results := r :: !results)
   in
   (* Reply lands between the 2nd and 3rd retransmission. *)
@@ -204,7 +205,7 @@ let test_handshake_reply_after_retransmit () =
   Sim.run sim;
   check (Alcotest.list Alcotest.bool) "verified exactly once" [ true ] !results;
   checki "verified" 1 (Handshake.verified h);
-  checki "two retransmits before the reply" 2 (Handshake.retransmits h)
+  checki "two retransmits before the reply" 2 (!sends - 1)
 
 let test_handshake_duplicate_reply_noop () =
   let sim = Sim.create () in
@@ -387,7 +388,15 @@ let test_duplicated_control_plane_is_noop () =
   checki "handshakes verified unchanged" ok_clean ok_dup;
   checki "long filters installed unchanged" long_clean long_dup;
   checkb "both runs suppress the attack" true
-    (r_clean.Scenarios.r_measured < 0.2 && r_dup.Scenarios.r_measured < 0.2)
+    (r_clean.Scenarios.r_measured < 0.2 && r_dup.Scenarios.r_measured < 0.2);
+  (* Each copy is a source term in the ledger, which still conserves. *)
+  let ledger =
+    Aitf_obs.Ledger.of_sim
+      (Network.sim r_dup.Scenarios.deployed.Aitf_topo.Chain.topo.Aitf_topo.Chain.net)
+  in
+  checkb "copies in the ledger" true
+    Aitf_obs.Ledger.(packets ledger Control Fault_duplicate > 0);
+  checkb "ledger conserved" true (Aitf_obs.Ledger.check ledger = Ok ())
 
 (* --- Satellite regressions ------------------------------------------------ *)
 

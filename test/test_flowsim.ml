@@ -12,6 +12,7 @@ module Flow_label = Aitf_filter.Flow_label
 module Config = Aitf_core.Config
 module Scenarios = Aitf_workload.Scenarios
 module Traffic = Aitf_workload.Traffic
+module Ledger = Aitf_obs.Ledger
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -173,7 +174,7 @@ let range_setup ?(n = 64) ?(rate = 6.4e6) () =
    48 die; removing it leaves the block over all 64. *)
 let test_rate_limited_hole () =
   let n = 64 and rate = 6.4e6 in
-  let _, eng, table, a, victim = range_setup ~n ~rate () in
+  let sim, eng, table, a, victim = range_setup ~n ~rate () in
   let per_src = rate /. float_of_int n in
   let cap_bytes = 5000. in
   let install ?rate_limit label =
@@ -193,6 +194,18 @@ let test_rate_limited_hole () =
   close "16 capped sources delivered"
     (16. *. Float.min (cap_bytes *. 8.) per_src)
     (Fluid.delivered_rate a);
+  (* One second on, the ledger splits the undelivered second: the capped
+     sources' excess is rate-limited, the other 48 are filtered. *)
+  Sim.run ~until:2. sim;
+  let ledger = Ledger.of_sim sim in
+  let fluid fate = Ledger.fluid_bytes ledger Ledger.Attack fate in
+  close "offered" (rate *. 2. /. 8.) (Ledger.offered_bytes ledger Ledger.Attack);
+  close "delivered" ((rate +. (16. *. cap_bytes *. 8.)) /. 8.)
+    (fluid Ledger.Delivered);
+  close "rate-limited" (16. *. (per_src -. (cap_bytes *. 8.)) /. 8.)
+    (fluid Ledger.Rate_limited);
+  close "filtered" (48. *. per_src /. 8.) (fluid Ledger.Aitf_filter);
+  checkb "conserved" true (Ledger.check ledger = Ok ());
   Filter_table.remove table hole;
   checki "all blocked once the /28 goes" n (Fluid.blocked_sources a);
   Fluid.recompute eng;
@@ -354,6 +367,42 @@ let test_swarm_runs () =
     (r.Scenarios.swarm_attack_received_bytes
     < 20e6 *. 14. /. 8. *. 0.9)
 
+(* The fluid plane conserves its bytes within [Ledger.fluid_epsilon] of
+   what it offers; the bound is pinned here, on a run that gates, filters
+   and loses traffic. *)
+let test_ledger_fluid_epsilon () =
+  Alcotest.check (Alcotest.float 0.) "stated bound" 1e-9 Ledger.fluid_epsilon;
+  let r =
+    Scenarios.run_swarm
+      {
+        Scenarios.default_swarm with
+        Scenarios.swarm_sources = 512;
+        swarm_pools = 2;
+        swarm_duration = 10.;
+      }
+  in
+  let ledger =
+    Ledger.of_sim
+      (Network.sim
+         r.Scenarios.swarm_deployed.Aitf_topo.Chain.topo.Aitf_topo.Chain.net)
+  in
+  (match Ledger.check ledger with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let p = r.Scenarios.swarm_params in
+  close ~tol:1e-9 "attack offered is the analytic integral"
+    (p.Scenarios.swarm_attack_rate
+    *. (p.Scenarios.swarm_duration -. p.Scenarios.swarm_attack_start)
+    /. 8.)
+    (Ledger.offered_bytes ledger Ledger.Attack);
+  List.iter
+    (fun fate ->
+      checkb (Ledger.fate_name fate) true
+        (Ledger.fluid_bytes ledger Ledger.Attack fate > 0.))
+    [ Ledger.Delivered; Ledger.Aitf_filter; Ledger.Queue_overflow ];
+  close ~tol:0. "delivered is the outcome" r.Scenarios.swarm_attack_received_bytes
+    (Ledger.fluid_bytes ledger Ledger.Attack Ledger.Delivered)
+
 let test_traffic_halt_cancels () =
   let sim = Sim.create () in
   let net, s1, _, dst = line_topo sim in
@@ -394,6 +443,8 @@ let () =
           Alcotest.test_case "engine agreement" `Slow test_engine_agreement;
           Alcotest.test_case "determinism" `Slow test_hybrid_determinism;
           Alcotest.test_case "swarm scenario" `Slow test_swarm_runs;
+          Alcotest.test_case "ledger within fluid epsilon" `Slow
+            test_ledger_fluid_epsilon;
         ] );
       ( "workload",
         [

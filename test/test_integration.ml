@@ -275,7 +275,7 @@ let test_lossy_control_channel_converges () =
       if
         pkt.Packet.proto = Message.protocol_number
         && Rng.bernoulli loss_rng ~p:0.5
-      then Node.Drop "lossy-control"
+      then Node.Drop Aitf_obs.Ledger.Fault_loss
       else Node.Continue);
   let d = Chain.deploy ~victim_td:0.05 ~config:cfg ~rng topo in
   let (_ : Traffic.t) =
@@ -287,8 +287,10 @@ let test_lossy_control_channel_converges () =
   Sim.run ~until:30.0 sim;
   let received = Host_agent.Victim.attack_bytes d.Chain.victim_agent in
   let offered = 4e5 *. 29.5 /. 8. in
-  checkb "messages were actually lost" true
-    (Node.drop_count middle "lossy-control" > 0);
+  let lost = Node.drop_count middle Aitf_obs.Ledger.Fault_loss in
+  checkb "messages were actually lost" true (lost > 0);
+  checki "every loss is a control packet in the ledger" lost
+    Aitf_obs.Ledger.(packets (of_sim sim) Control Fault_loss);
   checkb "flow still mostly suppressed" true (received /. offered < 0.25);
   checkb "protocol retried" true
     (Host_agent.Victim.requests_sent d.Chain.victim_agent >= 2)

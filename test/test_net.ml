@@ -2,6 +2,7 @@
    forwarding and routing. *)
 
 module Sim = Aitf_engine.Sim
+module Ledger = Aitf_obs.Ledger
 open Aitf_net
 
 let check = Alcotest.check
@@ -891,7 +892,7 @@ let test_network_duplicate_addr_rejected () =
 
 let test_network_hook_drop () =
   let sim, net, a, b, c = line () in
-  Node.add_hook b (fun _ _ -> Node.Drop "test-drop");
+  Node.add_hook b (fun _ _ -> Node.Drop Ledger.Manual_filter);
   let delivered = ref false in
   c.Node.local_deliver <- (fun _ _ -> delivered := true);
   Network.originate net a
@@ -899,15 +900,21 @@ let test_network_hook_drop () =
        (Packet.Data { flow_id = 0; attack = false }));
   Sim.run sim;
   checkb "dropped at hook" false !delivered;
-  checki "drop counted" 1 (Node.drop_count b "test-drop");
-  checki "network-wide count" 1 (Network.total_drops net ~reason:"test-drop")
+  checki "drop counted" 1 (Node.drop_count b Ledger.Manual_filter);
+  checki "no other fate at b" 1 (Array.fold_left ( + ) 0 b.Node.drops);
+  let ledger = Ledger.of_sim sim in
+  checki "ledger packets" 1 (Ledger.packets ledger Ledger.Legit Ledger.Manual_filter);
+  checki "ledger bytes" 100
+    (Ledger.packet_bytes ledger Ledger.Legit Ledger.Manual_filter);
+  checki "nothing left in flight" 0
+    (Ledger.packets ledger Ledger.Legit Ledger.In_flight)
 
 let test_network_hook_order_first_drop_wins () =
   let sim, net, a, b, c = line () in
   let log = ref [] in
   Node.add_hook b (fun _ _ ->
       log := "first-added" :: !log;
-      Node.Drop "x");
+      Node.Drop Ledger.Manual_filter);
   Node.add_hook b (fun _ _ ->
       log := "second-added" :: !log;
       Node.Continue);
@@ -933,7 +940,9 @@ let test_network_ttl_expiry () =
   Network.originate net a p;
   Sim.run sim;
   checkb "ttl killed it" false !delivered;
-  checki "ttl drop at b" 1 (Node.drop_count b "ttl-expired")
+  checki "ttl drop at b" 1 (Node.drop_count b Ledger.Ttl_expired);
+  checki "ttl in the ledger" 1
+    (Ledger.packets (Ledger.of_sim sim) Ledger.Legit Ledger.Ttl_expired)
 
 let test_network_no_route () =
   let sim = Sim.create () in
@@ -946,7 +955,9 @@ let test_network_no_route () =
     (Packet.make ~src:a.Node.addr ~dst:(addr "2.0.0.2") ~size:10
        (Packet.Data { flow_id = 0; attack = false }));
   Sim.run sim;
-  checki "no-route counted" 1 (Node.drop_count a "no-route")
+  checki "no-route counted" 1 (Node.drop_count a Ledger.No_route);
+  checki "no-route bytes in the ledger" 10
+    (Ledger.packet_bytes (Ledger.of_sim sim) Ledger.Legit Ledger.No_route)
 
 let test_network_disconnect_port () =
   let sim, net, a, b, c = line () in
@@ -1020,6 +1031,203 @@ let test_network_as_local_scope () =
   (* And the remote's FIB must not contain the AS-local /32. *)
   checkb "remote lacks host route" true
     (Lpm.exact remote.Node.fib (Addr.host_prefix h.Node.addr) = None)
+
+(* --- Ledger ---------------------------------------------------------------- *)
+
+(* Two hosts and one link a -> b, for the ledger's link fates. *)
+let ledger_rig ?discipline ?(queue_capacity = 65536) ~bandwidth () =
+  let sim = Sim.create () in
+  let net = Network.create sim in
+  let a =
+    Network.add_node net ~name:"a" ~addr:(addr "1.0.0.1") ~as_id:1 Node.Host
+  in
+  let b =
+    Network.add_node net ~name:"b" ~addr:(addr "1.0.0.2") ~as_id:1 Node.Host
+  in
+  let ab, _ =
+    Network.connect ?discipline ~queue_capacity net a b ~bandwidth
+      ~delay:0.01
+  in
+  Network.compute_routes net;
+  let send ~size () =
+    Network.originate net a
+      (Packet.make ~src:a.Node.addr ~dst:b.Node.addr ~size
+         (Packet.Data { flow_id = 0; attack = true }))
+  in
+  (sim, ab, send, Ledger.of_sim sim)
+
+let conserved what ledger =
+  match Ledger.check ledger with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (what ^ ": " ^ e)
+
+(* The law must hold between events, not only once the links drained. *)
+let conserved_in_flight ledger =
+  checkb "bytes in flight" true
+    (Ledger.packet_bytes ledger Ledger.Attack Ledger.In_flight > 0);
+  conserved "mid-run" ledger
+
+let attack_cell ledger fate =
+  (Ledger.packets ledger Ledger.Attack fate,
+   Ledger.packet_bytes ledger Ledger.Attack fate)
+
+let check_cell what expected ledger fate =
+  check Alcotest.(pair int int) what expected (attack_cell ledger fate)
+
+let test_ledger_queue_overflow () =
+  (* One 1000 B packet in service, one waiting in the 1500 B queue. *)
+  let sim, _, send, ledger =
+    ledger_rig ~queue_capacity:1500 ~bandwidth:8000. ()
+  in
+  for _ = 1 to 5 do
+    send ~size:1000 ()
+  done;
+  check_cell "overflowed at once" (3, 3000) ledger Ledger.Queue_overflow;
+  conserved_in_flight ledger;
+  Sim.run sim;
+  check_cell "delivered" (2, 2000) ledger Ledger.Delivered;
+  check_cell "landed" (0, 0) ledger Ledger.In_flight;
+  conserved "drained" ledger
+
+let test_ledger_red_early_drop () =
+  let sim, ab, send, ledger =
+    ledger_rig
+      ~discipline:(Link.Red { min_th = 2000; max_th = 8000; max_p = 0.5 })
+      ~queue_capacity:16000 ~bandwidth:8e5 ()
+  in
+  (* Four times the link rate for 2 s. *)
+  let rec offer t =
+    if t < 2.0 then
+      ignore
+        (Sim.at sim t (fun () ->
+             send ~size:1000 ();
+             offer (t +. 0.0025)))
+  in
+  offer 0.;
+  ignore (Sim.at sim 1.0 (fun () -> conserved_in_flight ledger));
+  Sim.run sim;
+  let early = Link.early_drops ab in
+  checkb "early drops happened" true (early > 0);
+  check_cell "one cell per early drop" (early, 1000 * early) ledger
+    Ledger.Red_early_drop;
+  check_cell "the rest of the link's drops overflowed"
+    (Link.dropped_packets ab - early, Link.dropped_bytes ab - (1000 * early))
+    ledger Ledger.Queue_overflow;
+  conserved "drained" ledger
+
+let test_ledger_link_down () =
+  let sim, ab, send, ledger = ledger_rig ~bandwidth:1e6 () in
+  for _ = 1 to 3 do
+    send ~size:1000 ()
+  done;
+  ignore
+    (Sim.at sim 0.005 (fun () ->
+         conserved_in_flight ledger;
+         Link.set_up ab false));
+  (* Refused at the send, where the three above fail at their arrival. *)
+  ignore (Sim.at sim 0.006 (fun () -> send ~size:500 ()));
+  Sim.run sim;
+  check_cell "down at arrival and at send" (4, 3500) ledger Ledger.Link_down;
+  check_cell "nothing delivered" (0, 0) ledger Ledger.Delivered;
+  check_cell "landed" (0, 0) ledger Ledger.In_flight;
+  conserved "drained" ledger
+
+let test_ledger_fluid_loss () =
+  let sim, ab, send, ledger = ledger_rig ~bandwidth:1e6 () in
+  (* A saturated link: half the fluid load is lost, and a packet that gets
+     through waits a full queue's serialisation (about 0.5 s). *)
+  Link.set_fluid ab ~offered:2e6 ~admitted:1e6;
+  let rec offer i =
+    if i < 100 then
+      ignore
+        (Sim.at sim (0.01 *. float_of_int i) (fun () ->
+             send ~size:100 ();
+             offer (i + 1)))
+  in
+  offer 0;
+  ignore (Sim.at sim 0.5 (fun () -> conserved_in_flight ledger));
+  Sim.run sim;
+  let lost = Link.dropped_packets ab in
+  checkb "the fluid load dropped packets" true (lost > 0 && lost < 100);
+  check_cell "one cell per fluid drop" (lost, 100 * lost) ledger
+    Ledger.Fluid_loss;
+  check_cell "the rest delivered" (100 - lost, 100 * (100 - lost)) ledger
+    Ledger.Delivered;
+  conserved "drained" ledger
+
+let test_ledger_posts_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let sim = Sim.create () in
+    let node =
+      Node.make ~id:0 ~name:"gw" ~addr:(addr "4.0.0.1") ~as_id:0
+        Node.Border_router
+    in
+    let hook _ _ = Node.Drop Ledger.Aitf_filter in
+    let pkt =
+      Packet.make ~src:(addr "1.0.0.1") ~dst:(addr "2.0.0.1") ~size:100
+        (Packet.Data { flow_id = 0; attack = true })
+    in
+    (* The world makes its ledger on first use. *)
+    let ledger = Ledger.of_sim sim in
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      (match hook node pkt with
+      | Node.Drop fate ->
+        Node.count_drop node fate;
+        Ledger.post (Ledger.of_sim sim) (Packet.cls pkt) fate pkt.Packet.size
+      | Node.Continue -> ());
+      Ledger.post (Ledger.of_sim sim) (Packet.cls pkt) Ledger.Delivered
+        pkt.Packet.size
+    done;
+    let words = Gc.minor_words () -. before in
+    checki "drops at the node" 10_000 (Node.drop_count node Ledger.Aitf_filter);
+    check_cell "ledger drops" (10_000, 1_000_000) ledger Ledger.Aitf_filter;
+    checkf "minor words for 10^4 drops and 10^4 deliveries" 0. words
+  end
+
+let test_ledger_fork_join () =
+  let parent = Sim.create () in
+  Ledger.offer (Ledger.of_sim parent) Ledger.Control 50;
+  Ledger.post (Ledger.of_sim parent) Ledger.Control Ledger.Delivered 50;
+  let shards = List.init 2 (fun shard -> Sim.fork parent ~shard) in
+  let l0 = Ledger.of_sim (List.nth shards 0)
+  and l1 = Ledger.of_sim (List.nth shards 1) in
+  checki "a shard starts zeroed" 0
+    (Ledger.packets l0 Ledger.Control Ledger.Delivered);
+  (* A packet sent on shard 0 lands on shard 1. *)
+  Ledger.offer l0 Ledger.Control 30;
+  Ledger.depart l0 Ledger.Control 30;
+  Ledger.arrive l1 Ledger.Control 30;
+  Ledger.post l1 Ledger.Control Ledger.Delivered 30;
+  checkb "a shard alone lands what it never sent" true
+    (Result.is_error (Ledger.check l1));
+  Sim.join parent shards;
+  let l = Ledger.of_sim parent in
+  check Alcotest.(pair int int) "the join adds every shard's cells" (2, 80)
+    ( Ledger.packets l Ledger.Control Ledger.Delivered,
+      Ledger.packet_bytes l Ledger.Control Ledger.Delivered );
+  conserved "joined" l
+
+let test_ledger_metrics () =
+  let reg = Aitf_obs.Metrics.create () in
+  Aitf_obs.Metrics.attach reg;
+  let sim, _, send, _ =
+    Fun.protect ~finally:Aitf_obs.Metrics.detach (fun () ->
+        ledger_rig ~bandwidth:1e6 ())
+  in
+  send ~size:700 ();
+  Sim.run sim;
+  let ledger_names =
+    List.filter
+      (fun n -> String.length n > 7 && String.sub n 0 7 = "ledger.")
+      (Aitf_obs.Metrics.names reg)
+  in
+  checki "every class and fate, plus offered"
+    (3 * (Ledger.n_fates + 1))
+    (List.length ledger_names);
+  checkb "delivered bytes read back" true
+    (Aitf_obs.Metrics.value reg "ledger.attack.delivered"
+    = Some (Aitf_obs.Metrics.Counter 700.))
 
 (* --- Tap ------------------------------------------------------------------- *)
 
@@ -1159,6 +1367,17 @@ let () =
             test_network_disconnect_port;
           Alcotest.test_case "shortest path" `Quick test_network_shortest_path;
           Alcotest.test_case "as-local scope" `Quick test_network_as_local_scope;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "queue overflow" `Quick test_ledger_queue_overflow;
+          Alcotest.test_case "red early drop" `Quick test_ledger_red_early_drop;
+          Alcotest.test_case "link down" `Quick test_ledger_link_down;
+          Alcotest.test_case "fluid loss" `Quick test_ledger_fluid_loss;
+          Alcotest.test_case "posts allocate nothing" `Quick
+            test_ledger_posts_allocate_nothing;
+          Alcotest.test_case "fork and join" `Quick test_ledger_fork_join;
+          Alcotest.test_case "metrics" `Quick test_ledger_metrics;
         ] );
       ( "tap",
         [

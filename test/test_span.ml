@@ -310,7 +310,7 @@ let test_flight_note_without_recorder () =
   let sim = Sim.create () in
   checkb "disabled" false (Flight.enabled sim);
   (* one branch, no crash *)
-  Flight.note sim ~time:0. ~node:"A" ~link:"A->B" ~kind:(Flight.Drop "full")
+  Flight.note sim ~time:0. ~node:"A" ~link:"A->B" ~kind:(Flight.Drop Aitf_obs.Ledger.Queue_overflow)
     ~size:1 ~queue_depth:0
 
 (* --- engine profiler -------------------------------------------------------- *)

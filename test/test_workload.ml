@@ -3,6 +3,7 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
+module Ledger = Aitf_obs.Ledger
 open Aitf_net
 module Traffic = Aitf_workload.Traffic
 module Request_driver = Aitf_workload.Request_driver
@@ -36,7 +37,8 @@ let test_cbr_rate () =
   checkb "~1000 packets sent" true (abs (Traffic.sent_packets src - 1000) <= 1);
   checkb "all delivered" true
     (abs (List.length !received - Traffic.sent_packets src) <= 2);
-  checki "bytes" (Traffic.sent_packets src * 1000) (Traffic.sent_bytes src)
+  checki "bytes offered" (Traffic.sent_packets src * 1000)
+    (int_of_float Ledger.(offered_bytes (of_sim sim) Legit))
 
 let test_cbr_start_stop () =
   let sim, net, a, b, received = pair () in
@@ -66,7 +68,10 @@ let test_gate_suppression () =
   in
   let src = Traffic.cbr ~gate ~flow_id:1 ~rate:8e5 ~dst:b.Node.addr net a in
   Sim.run ~until:1.0 sim;
-  checkb "half gated" true (abs (Traffic.gated_packets src - 50) <= 2);
+  let gated = Ledger.(packets (of_sim sim) Legit Gated) in
+  checkb "half gated" true (abs (gated - 50) <= 2);
+  checki "every emission offered" (gated + Traffic.sent_packets src)
+    Ledger.(offered_packets (of_sim sim) Legit);
   checkb "half sent" true (abs (Traffic.sent_packets src - 50) <= 2);
   checkb "received matches sent" true
     (abs (List.length !received - Traffic.sent_packets src) <= 2)
@@ -320,7 +325,8 @@ let test_shifter_rate_and_halt () =
   Sim.run ~until:3.0 sim;
   checkb "rate honored until halt" true
     (abs (Shape_shifter.sent_packets s - 100) <= 2);
-  checki "bytes" (Shape_shifter.sent_packets s * 1000) (Shape_shifter.sent_bytes s)
+  checki "bytes offered" (Shape_shifter.sent_packets s * 1000)
+    (int_of_float Ledger.(offered_bytes (of_sim sim) Attack))
 
 (* --- Manual defense --------------------------------------------------------------- *)
 
