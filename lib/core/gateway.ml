@@ -1119,7 +1119,7 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
             Span.finish sim ~node:node.Node.name ~corr
               ~stage:Span.Permanent_filter
           | None -> ())
-        | Filter_table.Installed _ -> ());
+        | Filter_table.Installed _ | Filter_table.Refreshed _ -> ());
   Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = prefix ^ "." ^ metric in

@@ -17,7 +17,7 @@ type handle = {
          attribute install/removal to the right request *)
 }
 
-type change = Installed of handle | Removed of handle
+type change = Installed of handle | Refreshed of handle | Removed of handle
 
 type t = {
   sim : Sim.t;
@@ -113,15 +113,19 @@ let install ?rate_limit ?corr t label ~duration =
     (* A refresh that names a rate honors it (replacing a limiter only when
        the rate changed, so conforming state survives a same-rate refresh);
        a refresh without one keeps the original action. *)
-    (match (rate_limit, h.limiter) with
-    | None, _ -> ()
-    | Some rate, Some old when Token_bucket.rate old = rate -> ()
-    | Some rate, _ -> h.limiter <- Some (make_limiter rate));
+    let action_changed =
+      match (rate_limit, h.limiter) with
+      | None, _ -> false
+      | Some rate, Some old when Token_bucket.rate old = rate -> false
+      | Some rate, _ ->
+        h.limiter <- Some (make_limiter rate);
+        true
+    in
     arm_expiry t h;
     t.installs <- t.installs + 1;
-    (* A refresh can change the action (block <-> rate-limit), so observers
-       hear about it too. *)
-    notify t (Installed h);
+    (* Observers hear about every refresh; one that changed the action
+       (block <-> rate-limit, or a new rate) is reported as an install. *)
+    notify t (if action_changed then Installed h else Refreshed h);
     Ok h
   | None ->
     (* A full table is not final: a label subsuming live entries can make

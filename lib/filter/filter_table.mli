@@ -53,15 +53,25 @@ val install :
 val remove : t -> handle -> unit
 (** Uninstall now; idempotent, harmless after expiry. *)
 
-type change = Installed of handle | Removed of handle
+type change =
+  | Installed of handle
+      (** A new entry, or a refresh of a live one that changed its action:
+          block <-> rate-limit, or a new rate. *)
+  | Refreshed of handle
+      (** A refresh of a live entry that kept its action (no rate given, or
+          the same rate): only the expiry, and perhaps the [corr] stamp,
+          moved, so what the table does to any packet is unchanged. *)
+  | Removed of handle
+      (** The entry left the table. *)
 
 val subscribe : t -> (change -> unit) -> unit
-(** Observe the table: [Installed] fires on every successful {!install}
-    (refreshes included — a refresh can change the action), [Removed] fires
-    exactly once per entry however it leaves (explicit removal, expiry, or
-    subsumption eviction). The fluid engine uses this seam to mirror filter
-    state into the rate domain; with no subscribers the table's behaviour
-    and cost are unchanged. *)
+(** Observe the table. Every successful {!install} fires exactly one of
+    [Installed] or [Refreshed]; [Removed] fires exactly once per entry
+    however it leaves (explicit removal, expiry, or subsumption eviction).
+    Observers that mirror the table's answers (the fluid engine) can skip
+    [Refreshed]; observers that track entries (span closing, placement
+    ownership) treat it like [Installed]. With no subscribers the table's
+    behaviour and cost are unchanged. *)
 
 val find : t -> Flow_label.t -> handle option
 (** Live entry with exactly this label. *)

@@ -28,6 +28,8 @@ type agg = {
   lim_pass : int array;
       (* recompute scratch: #limited sources unblocked through stages <= s *)
   mutable lims : (int * float array) list;  (* recompute scratch *)
+  mutable stale : bool;
+      (* [mask] or [limited] changed since the scratch was last rebuilt *)
   mutable active : bool;
   mutable delivered_rate : float;  (* bits/s reaching dst, last recompute *)
   mutable new_delivered : float;  (* walk scratch *)
@@ -89,27 +91,33 @@ let integrate t =
 
 (* --- the fixed point ------------------------------------------------------ *)
 
+(* The limited-source scratch derives from [mask] and [limited] alone, so
+   only an aggregate whose filter state changed since the last recompute
+   rebuilds it; [lims] shares the cap arrays themselves. *)
 let refresh_scratch agg =
   agg.new_delivered <- 0.;
-  (* Sorted by source index: Hashtbl.fold order depends on hash-bucket
-     layout, and [lims] order decides the float-accumulation order of the
-     per-source offered rates in [walk_agg] — unsorted, the fixed point's
-     rounding (and so every golden) would vary across OCaml hash seeds. *)
-  agg.lims <-
-    Hashtbl.fold (fun i caps acc -> (i, caps) :: acc) agg.limited []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b);
-  let k = Array.length agg.link_idx in
-  Array.fill agg.lim_pass 0 k 0;
-  agg.n_lims <- List.length agg.lims;
-  List.iter
-    (fun (idx, _) ->
-      let m = agg.mask.(idx) in
-      let s = ref 0 in
-      while !s < k && m land (1 lsl !s) = 0 do
-        agg.lim_pass.(!s) <- agg.lim_pass.(!s) + 1;
-        incr s
-      done)
-    agg.lims
+  if agg.stale then begin
+    agg.stale <- false;
+    (* Sorted by source index: Hashtbl.fold order depends on hash-bucket
+       layout, and [lims] order decides the float-accumulation order of the
+       per-source offered rates in [walk_agg] — unsorted, the fixed point's
+       rounding (and so every golden) would vary across OCaml hash seeds. *)
+    agg.lims <-
+      Hashtbl.fold (fun i caps acc -> (i, caps) :: acc) agg.limited []
+      |> List.sort (fun (a, _) (b, _) -> compare (a : int) b);
+    let k = Array.length agg.link_idx in
+    Array.fill agg.lim_pass 0 k 0;
+    agg.n_lims <- List.length agg.lims;
+    List.iter
+      (fun (idx, _) ->
+        let m = agg.mask.(idx) in
+        let s = ref 0 in
+        while !s < k && m land (1 lsl !s) = 0 do
+          agg.lim_pass.(!s) <- agg.lim_pass.(!s) + 1;
+          incr s
+        done)
+      agg.lims
+  end
 
 (* One pass of one aggregate down its path: uniform sources in bulk via the
    per-stage counts, rate-limited sources individually (they are bounded by
@@ -239,6 +247,7 @@ let set_mask agg idx nw =
     if ob >= 0 then agg.cuts.(ob) <- agg.cuts.(ob) - 1;
     if nb >= 0 then agg.cuts.(nb) <- agg.cuts.(nb) + 1;
     agg.mask.(idx) <- nw;
+    agg.stale <- true;
     true
   end
 
@@ -250,6 +259,7 @@ let set_cap agg idx stage c =
       caps.(stage) <- c;
       if Array.for_all (fun x -> x = infinity) caps then
         Hashtbl.remove agg.limited idx;
+      agg.stale <- true;
       true
     end
   | None ->
@@ -258,6 +268,7 @@ let set_cap agg idx stage c =
       let caps = Array.make (Array.length agg.fnodes) infinity in
       caps.(stage) <- c;
       Hashtbl.replace agg.limited idx caps;
+      agg.stale <- true;
       true
     end
 
@@ -289,24 +300,24 @@ let src_range agg sel =
    context, never from a deferred replay — the span is open and the
    instant exact right where the change fires. *)
 let annotate_change sim change =
-  let h =
-    match change with
-    | Filter_table.Installed h | Filter_table.Removed h -> h
-  in
   if Aitf_obs.Span.enabled sim then
+    let h, event =
+      match change with
+      | Filter_table.Installed h | Filter_table.Refreshed h ->
+        (h, "fluid-mirror-install")
+      | Filter_table.Removed h -> (h, "fluid-mirror-remove")
+    in
     match Filter_table.corr h with
-    | Some corr ->
-      Aitf_obs.Span.root_event sim ~corr
-        (match change with
-        | Filter_table.Installed _ -> "fluid-mirror-install"
-        | Filter_table.Removed _ -> "fluid-mirror-remove")
+    | Some corr -> Aitf_obs.Span.root_event sim ~corr event
     | None -> ()
 
 (* Re-derive the fate at [stage] of every source in [lo..hi] from the
    stage's table itself — ground truth, so overlapping filters and
    refreshes that change the action need no bookkeeping of their own. The
    table classifies the range into runs sharing one entry; each run's fate
-   is worked out once and written over its sources. *)
+   is worked out once and written over its sources. A run that neither
+   blocks nor caps cannot touch an aggregate with no capped source, so it
+   skips the cap lookup. *)
 let reclassify table agg stage ~lo ~hi =
   let base = Addr.to_unsigned agg.src_base in
   let bit = 1 lsl stage in
@@ -321,20 +332,24 @@ let reclassify table agg stage ~lo ~hi =
           | None -> (true, infinity)
           | Some bytes_rate -> (false, bytes_rate *. 8.))
       in
+      let uncapped = cap = infinity && Hashtbl.length agg.limited = 0 in
       for idx = a - base to b - base do
         let m = agg.mask.(idx) in
         let nw = if block then m lor bit else m land lnot bit in
         let m_changed = set_mask agg idx nw in
-        let c_changed = set_cap agg idx stage cap in
+        let c_changed = (not uncapped) && set_cap agg idx stage cap in
         if m_changed || c_changed then changed := true
       done);
   !changed
 
-let on_change t node_id change =
-  let h =
-    match change with
-    | Filter_table.Installed h | Filter_table.Removed h -> h
-  in
+(* A stage joining a table that already holds filters starts in sync with
+   it: the mirror is change-driven, so nothing later would re-derive the
+   entries it joined. An empty table costs one comparison. *)
+let sweep table agg stage =
+  Filter_table.occupancy table > 0
+  && reclassify table agg stage ~lo:0 ~hi:(agg.n - 1)
+
+let on_change t node_id h =
   let label = Filter_table.label h in
   match (Hashtbl.find_opt t.subs node_id, Hashtbl.find_opt t.tables node_id) with
   | Some stages, Some table ->
@@ -349,8 +364,15 @@ let on_change t node_id change =
   | _ -> ()
 
 let attach_table ?defer t ~node table =
-  Hashtbl.replace t.tables node.Node.id table;
-  let mirror ev = on_change t node.Node.id ev in
+  let id = node.Node.id in
+  Hashtbl.replace t.tables id table;
+  (match Hashtbl.find_opt t.subs id with
+  | Some stages ->
+    List.iter
+      (fun (agg, stage) -> if sweep table agg stage then mark_dirty t)
+      stages
+  | None -> ());
+  let mirror h = on_change t id h in
   (* In sharded runs filter changes happen during shard windows while the
      fluid state is shared: the mirror update is deferred to the barrier
      (where [on_change] re-derives ground truth from the table,
@@ -361,11 +383,17 @@ let attach_table ?defer t ~node table =
   let mirror =
     match defer with
     | None -> mirror
-    | Some d -> fun ev -> d (fun () -> mirror ev)
+    | Some d -> fun h -> d (fun () -> mirror h)
   in
   Filter_table.subscribe table (fun ev ->
       annotate_change (Filter_table.sim table) ev;
-      mirror ev)
+      (* A refresh that kept the action leaves every answer the table
+         gives unchanged. Decided here, from the change itself: a deferred
+         replay reads the table as it stands at the barrier, by which time
+         a later refresh may have followed an install it must still apply. *)
+      match ev with
+      | Filter_table.Refreshed _ -> ()
+      | Filter_table.Installed h | Filter_table.Removed h -> mirror h)
 
 (* --- reporting ----------------------------------------------------------- *)
 
@@ -519,6 +547,7 @@ let add_aggregate ?(pkt_size = 1000) ?(flow_id = 0) ?(stop = infinity) t
       limited = Hashtbl.create 8;
       lim_pass = Array.make k 0;
       lims = [];
+      stale = false;
       active = false;
       delivered_rate = 0.;
       new_delivered = 0.;
@@ -538,7 +567,11 @@ let add_aggregate ?(pkt_size = 1000) ?(flow_id = 0) ?(stop = infinity) t
       let prev =
         match Hashtbl.find_opt t.subs id with Some l -> l | None -> []
       in
-      Hashtbl.replace t.subs id ((agg, s) :: prev))
+      Hashtbl.replace t.subs id ((agg, s) :: prev);
+      (* no recompute needed: the aggregate is inactive until [start] *)
+      match Hashtbl.find_opt t.tables id with
+      | Some table -> ignore (sweep table agg s)
+      | None -> ())
     fnodes;
   let now = Sim.now t.sim in
   ignore

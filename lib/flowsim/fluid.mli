@@ -12,7 +12,7 @@
     Filter state reaches the rate domain through
     {!Aitf_filter.Filter_table.subscribe}: attach each gateway's (or a
     compliant source's) table with {!attach_table} and installs, expiries
-    and evictions are mirrored onto the per-source block masks — blocking
+    and evictions (not refreshes that keep the action) are mirrored onto the per-source block masks — blocking
     filters zero a source's rate at that hop, rate-limit filters cap it.
 
     The engine never creates packets, not even to mirror a filter: it
@@ -62,13 +62,18 @@ val attach_table :
     table ({!Aitf_filter.Filter_table.classify_range}, header [proto] 17
     and ports 0, as on the sampler's probes): each run of sources sharing
     one matching entry gets that entry's fate — blocked, capped at its
-    rate limit, or passed — in one pass over the run. Attach tables
-    before they hold any entries (scenario setup time): only changes
-    after attachment are observed. [?defer] wraps the change callback
-    (default: run immediately); the parallel engine passes [Sched.defer]
-    so shard-phase filter changes mutate the shared fluid state only at
-    barriers — safe because the mirror re-derives ground truth from the
-    table on every change. *)
+    rate limit, or passed — in one pass over the run. A
+    {!Aitf_filter.Filter_table.Refreshed} change (a re-install that kept
+    the action) alters no answer and is skipped, O(1). Entries already in
+    the table when it is attached are classified then, once, for every
+    stage at [node] (and {!add_aggregate} does the same for a new
+    aggregate's stages at attached nodes), so the mirror starts in sync;
+    with an empty table this costs nothing. [?defer] wraps the change
+    callback (default: run immediately); the parallel engine passes
+    [Sched.defer] so shard-phase filter changes mutate the shared fluid
+    state only at barriers — safe because the mirror re-derives ground
+    truth from the table on every change it replays, and the refresh skip
+    is decided before deferral, from the change itself. *)
 
 val set_block : t -> agg -> idx:int -> stage:int -> bool -> unit
 (** Manually block/unblock one source at one stage — the bridge used by

@@ -322,6 +322,6 @@ let register_gateways ?(defer = fun f -> f ()) t gws =
               defer (fun () ->
                   let key = (nid, Filter_table.label h) in
                   if not t.removing then Hashtbl.remove t.owned key)
-            | Filter_table.Installed _ -> ())
+            | Filter_table.Installed _ | Filter_table.Refreshed _ -> ())
       end)
     gws

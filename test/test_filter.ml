@@ -474,17 +474,37 @@ let test_table_wildcard_tie_deterministic () =
 
 let test_table_refresh_applies_rate_limit () =
   (* A refresh that asks for a rate limit converts the blocking entry into a
-     rate limiter (the filter_action=Rate_limit escalation path). *)
+     rate limiter (the filter_action=Rate_limit escalation path). The change
+     feed reports a refresh as [Installed] only when it changed the action. *)
   let _sim, t = mk_table ~capacity:1 () in
-  ignore (Filter_table.install t l1 ~duration:100.);
+  let feed = ref [] in
+  Filter_table.subscribe t (fun ch ->
+      feed :=
+        (match ch with
+        | Filter_table.Installed _ -> "installed"
+        | Filter_table.Refreshed _ -> "refreshed"
+        | Filter_table.Removed _ -> "removed")
+        :: !feed);
+  let install ?rate_limit expect =
+    (match Filter_table.install ?rate_limit t l1 ~duration:100. with
+    | Ok _ -> ()
+    | Error `Table_full -> Alcotest.fail "refresh");
+    checks "change sent" expect (List.hd !feed)
+  in
+  install "installed";
   checkb "blocks before refresh" true (Filter_table.blocks t (p1 ()));
-  (match Filter_table.install ~rate_limit:2000. t l1 ~duration:100. with
-  | Ok _ -> ()
-  | Error `Table_full -> Alcotest.fail "refresh");
+  install "refreshed";
+  install ~rate_limit:2000. "installed";
+  install ~rate_limit:2000. "refreshed";
   (* 2000 B/s with a 2000 B burst: two 1000 B packets conform, then drop. *)
   checkb "conforming passes" false (Filter_table.blocks t (p1 ()));
   checkb "still conforming" false (Filter_table.blocks t (p1 ()));
-  checkb "over budget drops" true (Filter_table.blocks t (p1 ()))
+  checkb "over budget drops" true (Filter_table.blocks t (p1 ()));
+  install "refreshed";
+  checkb "no rate keeps the rate-limit" true
+    (Filter_table.rate_limit (Option.get (Filter_table.find t l1)) = Some 2000.);
+  install ~rate_limit:4000. "installed";
+  checki "one notice per install" 6 (List.length !feed)
 
 let test_table_accounting_mixed () =
   (* Occupancy / peak / rejected across a mixed install-evict-expire run. *)

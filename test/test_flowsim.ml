@@ -155,13 +155,13 @@ let test_multi_source_range () =
   checki "all blocked" 100 (Fluid.blocked_sources a)
 
 (* 64 sources at 2.0.0.0..63 behind one router table, aggregate active. *)
-let range_setup ?(n = 64) ?(rate = 6.4e6) () =
+let range_setup ?defer ?(n = 64) ?(rate = 6.4e6) () =
   let sim = Sim.create () in
   let net, s1, _, dst = line_topo sim in
   let eng = Fluid.create net in
   let router = Option.get (Network.node_by_addr net (Addr.of_string "1.0.0.1")) in
   let table = Filter_table.create sim ~capacity:64 in
-  Fluid.attach_table eng ~node:router table;
+  Fluid.attach_table ?defer eng ~node:router table;
   let a =
     Fluid.add_aggregate eng ~origin:s1 ~src_base:(Addr.of_string "2.0.0.0") ~n
       ~rate ~dst:dst.Node.addr ~attack:true ~start:0.
@@ -229,6 +229,112 @@ let test_mirror_mints_no_ids () =
        ~duration:1e6);
   checki "all 1000 mirrored" 1000 (Fluid.blocked_sources a);
   checki "consecutive ids" (before + 1) (mint ())
+
+(* The two ways a table reaches the mirror: directly, or through a [~defer]
+   that queues each update until [settle] — as a sharded run queues them
+   until the barrier, where they replay after every change of the window. *)
+let mirror_modes =
+  let deferred () =
+    let q = Queue.create () in
+    let settle () =
+      Queue.iter (fun f -> f ()) q;
+      Queue.clear q
+    in
+    (Some (fun f -> Queue.add f q), settle)
+  in
+  [ ("direct", fun () -> (None, ignore)); ("deferred", deferred) ]
+
+let each_mirror_mode f =
+  List.iter (fun (mode, make) -> f mode (make ())) mirror_modes
+
+let slash28 victim =
+  Flow_label.v
+    (Flow_label.Net (Addr.prefix_of_string "2.0.0.16/28"))
+    (Flow_label.Host victim)
+
+(* A refresh that keeps the action (no rate, or the same rate) leaves the
+   mirror as it was. Deferred, the refresh follows the install in the same
+   window, so whether to skip must come with each change, not be read off
+   the table when the queue replays. *)
+let test_same_action_refresh () =
+  let n = 64 and rate = 6.4e6 in
+  let per_src = rate /. float_of_int n in
+  each_mirror_mode (fun mode (defer, settle) ->
+      let _, eng, table, a, victim = range_setup ?defer ~n ~rate () in
+      let install ?rate_limit label =
+        ignore (Filter_table.install ?rate_limit table label ~duration:1e6)
+      in
+      let cap_bytes = 5000. in
+      let capped =
+        Flow_label.v
+          (Flow_label.Net (Addr.prefix_of_string "2.0.0.32/28"))
+          (Flow_label.Host victim)
+      in
+      install (slash28 victim);
+      install ~rate_limit:cap_bytes capped;
+      install (slash28 victim);
+      install ~rate_limit:cap_bytes capped;
+      install capped;
+      settle ();
+      let expect = (32. *. per_src) +. (16. *. cap_bytes *. 8.) in
+      checki (mode ^ ": the /28 blocked") 16 (Fluid.blocked_sources a);
+      Fluid.recompute eng;
+      close (mode ^ ": delivered") expect (Fluid.delivered_rate a);
+      install (slash28 victim);
+      install ~rate_limit:cap_bytes capped;
+      settle ();
+      checki (mode ^ ": still the /28") 16 (Fluid.blocked_sources a);
+      Fluid.recompute eng;
+      close (mode ^ ": delivered unchanged") expect (Fluid.delivered_rate a))
+
+(* A refresh that turns a block into a rate-limit is an install to the
+   mirror: the /28's sources pass, capped — also when a same-rate refresh
+   follows it in the same deferred window. *)
+let test_block_to_rate_limit_refresh () =
+  let n = 64 and rate = 6.4e6 in
+  let per_src = rate /. float_of_int n in
+  let cap_bytes = 5000. in
+  each_mirror_mode (fun mode (defer, settle) ->
+      let _, eng, table, a, victim = range_setup ?defer ~n ~rate () in
+      let install ?rate_limit () =
+        ignore
+          (Filter_table.install ?rate_limit table (slash28 victim)
+             ~duration:1e6)
+      in
+      install ();
+      settle ();
+      checki (mode ^ ": blocked") 16 (Fluid.blocked_sources a);
+      install ~rate_limit:cap_bytes ();
+      install ~rate_limit:cap_bytes ();
+      settle ();
+      checki (mode ^ ": none blocked") 0 (Fluid.blocked_sources a);
+      Fluid.recompute eng;
+      close (mode ^ ": 16 capped")
+        ((48. *. per_src) +. (16. *. Float.min (cap_bytes *. 8.) per_src))
+        (Fluid.delivered_rate a))
+
+(* Filters already in a table when the mirror learns of it count: both a
+   table attached after its filters and an aggregate added after a table's
+   filters start in sync. *)
+let test_filters_before_attach () =
+  let sim = Sim.create () in
+  let net, s1, _, dst = line_topo sim in
+  let eng = Fluid.create net in
+  let router = Option.get (Network.node_by_addr net (Addr.of_string "1.0.0.1")) in
+  let table = Filter_table.create sim ~capacity:4 in
+  ignore (Filter_table.install table (slash28 dst.Node.addr) ~duration:1e6);
+  let add () =
+    Fluid.add_aggregate eng ~origin:s1 ~src_base:(Addr.of_string "2.0.0.0")
+      ~n:64 ~rate:6.4e6 ~dst:dst.Node.addr ~attack:true ~start:0.
+  in
+  let before = add () in
+  Fluid.attach_table eng ~node:router table;
+  checki "attached after the filter" 16 (Fluid.blocked_sources before);
+  let after = add () in
+  checki "added after the filter" 16 (Fluid.blocked_sources after);
+  Sim.run ~until:1. sim;
+  close "48 sources each" (2. *. 48. *. 1e5)
+    (Fluid.delivered_rate before +. Fluid.delivered_rate after)
 
 (* Source addresses are unsigned: a range must end by 255.255.255.255. *)
 let test_wrapping_range_rejected () =
@@ -434,6 +540,12 @@ let () =
             test_rate_limited_hole;
           Alcotest.test_case "mirror mints no packet ids" `Quick
             test_mirror_mints_no_ids;
+          Alcotest.test_case "same-action refresh" `Quick
+            test_same_action_refresh;
+          Alcotest.test_case "block to rate-limit refresh" `Quick
+            test_block_to_rate_limit_refresh;
+          Alcotest.test_case "filters before attach" `Quick
+            test_filters_before_attach;
           Alcotest.test_case "wrapping range rejected" `Quick
             test_wrapping_range_rejected;
           Alcotest.test_case "sampler probes" `Quick test_sampler_probes;
