@@ -11,7 +11,6 @@ module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Span = Aitf_obs.Span
 module Table = Aitf_stats.Table
-module Rate_meter = Aitf_stats.Rate_meter
 open Aitf_net
 open Aitf_filter
 open Aitf_core
@@ -19,6 +18,7 @@ open Aitf_topo
 module Traffic = Aitf_workload.Traffic
 module Request_driver = Aitf_workload.Request_driver
 module Scenarios = Aitf_workload.Scenarios
+module Runner = Aitf_workload.Runner
 module Formulas = Aitf_model.Formulas
 module Pushback = Aitf_pushback.Pushback
 
@@ -615,7 +615,7 @@ let e7 () =
     done;
     Sim.run ~until:12.0 sim;
     let b_gw1 = List.hd d.Chain.attacker_gateways in
-    ( Host_agent.Victim.good_bytes d.Chain.victim_agent,
+    ( Runner.delivered sim None ~attack:false,
       1e6 *. 12.0 /. 8.,
       Gateway.count b_gw1 Gateway.Handshake_fail,
       Gateway.count b_gw1 Gateway.Filter_long )
@@ -662,20 +662,11 @@ let e8 () =
   let spec =
     { Chain.default_spec with Chain.tail_bw = 1e6; attacker_tail_bw = 1e7 }
   in
-  let measure sim topo =
-    let legit = ref 0. and attack = ref 0. in
-    let victim = topo.Chain.victim in
-    let prev = victim.Node.local_deliver in
-    victim.Node.local_deliver <-
-      (fun node (pkt : Packet.t) ->
-        (match pkt.Packet.payload with
-        | Packet.Data { attack = true; _ } ->
-          attack := !attack +. float_of_int pkt.Packet.size
-        | Packet.Data _ -> legit := !legit +. float_of_int pkt.Packet.size
-        | _ -> ());
-        prev node pkt);
-    ignore sim;
-    (legit, attack)
+  (* Every data packet is addressed to the victim, so the ledger's
+     delivered bytes are what the victim received. *)
+  let delivered sim =
+    ( Runner.delivered sim None ~attack:false,
+      Runner.delivered sim None ~attack:true )
   in
   let traffic ?gate topo =
     ignore
@@ -688,12 +679,11 @@ let e8 () =
   (* none *)
   let sim = Sim.create () in
   let topo = Chain.build sim spec in
-  let legit0, attack0 = measure sim topo in
   traffic topo;
   Sim.run ~until:duration sim;
-  let base = (!legit0, !attack0, 0, 0, 0) in
-  (* aitf — the victim agent already meters good/attack bytes, and its
-     delivery handler shadows any wrapper installed before deployment. *)
+  let legit0, attack0 = delivered sim in
+  let base = (legit0, attack0, 0, 0, 0) in
+  (* aitf *)
   let sim = Sim.create () in
   let rng = Rng.create ~seed:5 in
   let topo = Chain.build sim spec in
@@ -711,8 +701,9 @@ let e8 () =
     + Host_agent.Victim.requests_sent d.Chain.victim_agent
   in
   let aitf =
-    ( Host_agent.Victim.good_bytes d.Chain.victim_agent,
-      Host_agent.Victim.attack_bytes d.Chain.victim_agent,
+    let legit, attack = delivered sim in
+    ( legit,
+      attack,
       aitf_nodes,
       aitf_msgs,
       0 )
@@ -720,15 +711,15 @@ let e8 () =
   (* pushback *)
   let sim = Sim.create () in
   let topo = Chain.build sim spec in
-  let legit2, attack2 = measure sim topo in
   let pb =
     Pushback.deploy topo.Chain.net (topo.Chain.victim_gws @ topo.Chain.attacker_gws)
   in
   traffic topo;
   Sim.run ~until:duration sim;
   let push =
-    ( !legit2,
-      !attack2,
+    let legit, attack = delivered sim in
+    ( legit,
+      attack,
       Pushback.routers_limiting pb,
       Pushback.messages_sent pb,
       Pushback.limiters_installed pb )
@@ -931,8 +922,7 @@ let a1 () =
         (match !landed with
         | Some t -> Printf.sprintf "%.2f" (t -. 1.0)
         | None -> "never");
-        Printf.sprintf "%.0f"
-          (Host_agent.Victim.attack_bytes d.Chain.victim_agent);
+        Printf.sprintf "%.0f" (Runner.delivered sim None ~attack:true);
         extra ();
       ]
   in
@@ -1044,7 +1034,7 @@ let e10 () =
          ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker);
     Sim.run ~until:8.0 sim;
     let b_gw1 = List.hd d.Chain.attacker_gateways in
-    ( Host_agent.Victim.attack_bytes d.Chain.victim_agent,
+    ( Runner.delivered sim None ~attack:true,
       Host_agent.Victim.requests_sent d.Chain.victim_agent,
       Gateway.count b_gw1 Gateway.Req_attacker_role,
       Gateway.count b_gw1 Gateway.Filter_long,
@@ -1317,8 +1307,8 @@ let a3 () =
          ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.bystander);
     Sim.run ~until:6.0 sim;
     let vgw = List.hd d.Chain.victim_gateways in
-    ( Host_agent.Victim.attack_bytes d.Chain.victim_agent,
-      Host_agent.Victim.good_bytes d.Chain.victim_agent,
+    ( Runner.delivered sim None ~attack:true,
+      Runner.delivered sim None ~attack:false,
       Gateway.count vgw Gateway.Filter_full,
       Gateway.count vgw Gateway.Filter_aggregated )
   in

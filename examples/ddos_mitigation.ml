@@ -72,9 +72,13 @@ let () =
     let value_at points t =
       match List.assoc_opt t points with Some v -> v | None -> 0.
     in
+    (* Attack bytes the ledger saw delivered (all to the victim), per
+       second of the grid. *)
     let attack_rate =
-      Option.map grid (Sampler.find_series sampler "victim.h0_0_0.attack_rate_bps")
+      Option.map grid (Sampler.find_series sampler "ledger.attack.delivered")
       |> Option.value ~default:[]
+      |> List.fold_left_map (fun prev (t, b) -> (b, (t, 8. *. (b -. prev)))) 0.
+      |> snd
     in
     (* Long-filter installs, local self-installs included, summed over
        every gateway in the hierarchy. *)

@@ -16,7 +16,9 @@ module Span = Aitf_obs.Span
 open Aitf_net
 open Aitf_core
 open Aitf_topo
+module Series = Aitf_stats.Series
 module Traffic = Aitf_workload.Traffic
+module Runner = Aitf_workload.Runner
 
 let () =
   let spans = Span.create () in
@@ -54,6 +56,7 @@ let () =
     Traffic.cbr ~start:0. ~flow_id:2 ~rate:2e5
       ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.bystander
   in
+  let rate = Runner.victim_rate sim ~period:0.5 ~until:8.0 None in
   print_endline "=== escalation with a fully non-cooperative attacker side ===\n";
   Sim.run ~until:8.0 sim;
   Span.detach ();
@@ -73,9 +76,8 @@ let () =
       Printf.printf "B_gw%d: requests ignored=%d\n" (i + 1)
         (Gateway.count gw Gateway.Ignored_unresponsive))
     d.Chain.attacker_gateways;
-  let meter = Host_agent.Victim.attack_meter d.Chain.victim_agent in
   Printf.printf "\nattack bandwidth at the victim now: %.0f bit/s\n"
-    (8. *. Aitf_stats.Rate_meter.rate meter ~now:(Sim.now sim));
+    (match Series.last rate with Some (_, bps) -> bps | None -> 0.);
   Printf.printf "bystander packets that still got through: %d\n"
     !bystander_delivered;
   print_endline

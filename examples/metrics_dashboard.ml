@@ -58,7 +58,15 @@ let () =
       | Some s -> Series.resample s ~step:2. ~until:duration
       | None -> []
     in
-    let attack = col "victim.G_host.attack_rate_bps" in
+    (* Attack bytes the ledger saw delivered (all to the victim), as the
+       mean bit rate over each grid step. *)
+    let attack =
+      col "ledger.attack.delivered"
+      |> List.fold_left_map
+           (fun prev (t, b) -> (b, (t, 8. *. (b -. prev) /. 2.)))
+           0.
+      |> snd
+    in
     let filters = col "gateway.B_gw1.filters.occupancy" in
     let shadow = col "gateway.G_gw1.shadow.occupancy" in
     let blocked = col "gateway.B_gw1.filters.blocked_packets" in
@@ -68,7 +76,7 @@ let () =
     let dash =
       Table.create ~title:"attack timeline (sampled every 0.25 s, shown every 2 s)"
         ~columns:
-          [ "t (s)"; "attack at victim (Mbit/s)"; "B_gw1 filters";
+          [ "t (s)"; "attack at victim, 2 s mean (Mbit/s)"; "B_gw1 filters";
             "G_gw1 shadow"; "B_gw1 blocked pkts" ]
     in
     List.iter

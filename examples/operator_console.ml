@@ -10,11 +10,13 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Table = Aitf_stats.Table
+module Series = Aitf_stats.Series
 open Aitf_net
 open Aitf_core
 open Aitf_topo
 module Traffic = Aitf_workload.Traffic
 module Report = Aitf_workload.Report
+module Runner = Aitf_workload.Runner
 
 let () =
   let sim = Sim.create () in
@@ -52,18 +54,19 @@ let () =
     Array.to_list d.Hierarchy.isp_gateways
     @ List.concat_map Array.to_list (Array.to_list (Array.map Fun.id d.Hierarchy.net_gateways))
   in
-  let snapshot at =
-    ignore
-      (Sim.at sim at (fun () ->
-           Printf.printf "\n########## t = %.0f s ##########\n" at;
-           let meter = Host_agent.Victim.attack_meter victim in
-           Printf.printf "attack bandwidth at victim: %.0f bit/s; requests sent: %d\n\n"
-             (8. *. Aitf_stats.Rate_meter.rate meter ~now:at)
-             (Host_agent.Victim.requests_sent victim);
-           Table.print (Report.gateway_table gateways)))
-  in
-  List.iter snapshot [ 2.; 5.; 10.; 15. ];
+  (* The attack bits/s reaching the victim over the last second, sampled
+     every second. *)
+  let rate = Runner.victim_rate sim ~period:1.0 ~until:16.0 None in
   print_endline "=== operator console: 4 zombies hit at t = 3 s ===";
+  List.iter
+    (fun at ->
+      Sim.run ~until:at sim;
+      Printf.printf "\n########## t = %.0f s ##########\n" at;
+      Printf.printf "attack bandwidth at victim: %.0f bit/s; requests sent: %d\n\n"
+        (List.assoc at (Series.points rate))
+        (Host_agent.Victim.requests_sent victim);
+      Table.print (Report.gateway_table gateways))
+    [ 2.; 5.; 10.; 15. ];
   Sim.run ~until:16.0 sim;
   print_endline
     "\nBetween t = 2 and t = 5 the zombies' own enterprise gateways pick up\n\

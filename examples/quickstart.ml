@@ -10,11 +10,12 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Span = Aitf_obs.Span
-module Rate_meter = Aitf_stats.Rate_meter
+module Series = Aitf_stats.Series
 open Aitf_net
 open Aitf_core
 open Aitf_topo
 module Traffic = Aitf_workload.Traffic
+module Runner = Aitf_workload.Runner
 
 let () =
   (* Collect the causal span forest; its timeline is printed after the run. *)
@@ -44,6 +45,9 @@ let () =
       ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker
   in
 
+  (* The attack bits/s reaching the victim, over a 1 s window. *)
+  let rate = Runner.victim_rate sim ~period:0.5 ~until:10.0 None in
+
   print_endline "=== AITF quickstart: Figure-1 attack path ===";
   print_endline "    (timeline below: time [node] #request event)";
   Sim.run ~until:10.0 sim;
@@ -51,14 +55,13 @@ let () =
   print_string (Span.timeline spans);
 
   let victim = d.Chain.victim_agent in
-  let meter = Host_agent.Victim.attack_meter victim in
   Printf.printf "\n--- after 10 simulated seconds ---\n";
   Printf.printf "attack bytes that reached the victim : %8.0f B\n"
-    (Host_agent.Victim.attack_bytes victim);
+    (Runner.delivered sim None ~attack:true);
   Printf.printf "attack bytes offered by the attacker : %8.0f B\n"
     (2e6 *. 9.0 /. 8.);
   Printf.printf "effective bandwidth right now        : %8.0f bit/s\n"
-    (8. *. Rate_meter.rate meter ~now:(Sim.now sim));
+    (match Series.last rate with Some (_, bps) -> bps | None -> 0.);
   Printf.printf "filtering requests sent by the victim: %8d\n"
     (Host_agent.Victim.requests_sent victim);
   Printf.printf "flow stopped at the source           : %8s\n"

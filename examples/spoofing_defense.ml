@@ -17,6 +17,7 @@ open Aitf_filter
 open Aitf_core
 open Aitf_topo
 module Traffic = Aitf_workload.Traffic
+module Runner = Aitf_workload.Runner
 
 let run ~handshake =
   let sim = Sim.create () in
@@ -70,7 +71,7 @@ let run ~handshake =
   done;
   Sim.run ~until:12.0 sim;
   let b_gw1 = List.hd d.Chain.attacker_gateways in
-  let received = Host_agent.Victim.good_bytes d.Chain.victim_agent in
+  let received = Runner.delivered sim None ~attack:false in
   let offered = 1e6 *. 12.0 /. 8. in
   (received, offered, Gateway.count b_gw1 Gateway.Handshake_fail,
    Filter_table.occupancy (Gateway.filters b_gw1))

@@ -15,6 +15,7 @@ open Aitf_net
 open Aitf_core
 open Aitf_topo
 module Traffic = Aitf_workload.Traffic
+module Runner = Aitf_workload.Runner
 
 let base_config =
   { (Config.with_timescale Config.default 0.1) with Config.grace = 0.3 }
@@ -54,7 +55,7 @@ let run ~make =
   Sim.run ~until:10.0 sim;
   {
     landed_after = !landed;
-    leaked = Host_agent.Victim.attack_bytes d.Chain.victim_agent;
+    leaked = Runner.delivered sim None ~attack:true;
     requests = Host_agent.Victim.requests_sent d.Chain.victim_agent;
     cost = cost ();
   }

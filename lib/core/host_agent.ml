@@ -1,5 +1,4 @@
 module Sim = Aitf_engine.Sim
-module Rate_meter = Aitf_stats.Rate_meter
 module Ppm = Aitf_traceback.Ppm
 module Span = Aitf_obs.Span
 open Aitf_net
@@ -28,8 +27,6 @@ module Victim = struct
            the retransmitter reads: still arriving => request had no effect *)
     retrying : (Flow_label.t, unit) Hashtbl.t;
         (* flows with an armed retransmission schedule, to avoid overlap *)
-    attack_meter : Rate_meter.t;
-    good_meter : Rate_meter.t;
     corrs : (Flow_label.t, int) Hashtbl.t;
         (* correlation id minted per attack flow seen — the key every span
            of the flow's filtering request hangs from. Minted
@@ -204,7 +201,6 @@ module Victim = struct
 
   let on_attack_packet t (pkt : Packet.t) =
     let now = Sim.now t.sim in
-    Rate_meter.add t.attack_meter ~now (float_of_int pkt.size);
     let label = Flow_label.host_pair pkt.src pkt.dst in
     if not (Hashtbl.mem t.corrs label) then begin
       (* First attack packet of this flow: mint the flow's correlation id
@@ -232,8 +228,7 @@ module Victim = struct
   let deliver t prev (node : Node.t) (pkt : Packet.t) =
     match pkt.payload with
     | Packet.Data { attack = true; _ } -> on_attack_packet t pkt
-    | Packet.Data _ ->
-      Rate_meter.add t.good_meter ~now:(Sim.now t.sim) (float_of_int pkt.size)
+    | Packet.Data _ -> ()
     | Message.Verification_query { flow; nonce } ->
       (* "Do you really not want this flow?" — confirm iff we asked. *)
       if requested_live t flow then begin
@@ -265,8 +260,6 @@ module Victim = struct
         awaiting_path = Hashtbl.create 8;
         last_seen = Hashtbl.create 32;
         retrying = Hashtbl.create 8;
-        attack_meter = Rate_meter.create ~window:1.0;
-        good_meter = Rate_meter.create ~window:1.0;
         corrs = Hashtbl.create 32;
         signer = None;
         receipt_sink = None;
@@ -307,23 +300,11 @@ module Victim = struct
              arriving" (fun () -> float_of_int t.requests_gave_up);
         register_counter reg (p "queries_answered") ~unit_:"queries"
           ~help:"Handshake verification queries confirmed" (fun () ->
-            float_of_int t.queries_answered);
-        register_counter reg (p "attack_bytes") ~unit_:"bytes"
-          ~help:"Attack bytes delivered to this host" (fun () ->
-            Rate_meter.total t.attack_meter);
-        register_counter reg (p "good_bytes") ~unit_:"bytes"
-          ~help:"Legitimate bytes delivered to this host" (fun () ->
-            Rate_meter.total t.good_meter);
-        register_gauge reg (p "attack_rate_bps") ~unit_:"bit/s"
-          ~help:"Attack traffic rate over the meter window" (fun () ->
-            8. *. Rate_meter.rate t.attack_meter ~now:(Sim.now t.sim)));
+            float_of_int t.queries_answered));
     let prev = node.Node.local_deliver in
     node.Node.local_deliver <- deliver t prev;
     t
 
-  let attack_bytes t = Rate_meter.total t.attack_meter
-  let good_bytes t = Rate_meter.total t.good_meter
-  let attack_meter t = t.attack_meter
   let attack_flows_seen t = Hashtbl.length t.corrs
   let set_signer t f = t.signer <- Some f
   let set_receipt_sink t f = t.receipt_sink <- Some f

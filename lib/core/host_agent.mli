@@ -1,9 +1,11 @@
 (** End-host AITF agents.
 
-    {!Victim} turns a host into an AITF client: it meters the traffic it
+    {!Victim} turns a host into an AITF client: it watches the traffic it
     receives, detects undesired flows (via {!Detection}), sends filtering
     requests to its gateway — self-policed against its R1 contract — and
     answers the 3-way-handshake queries attacker-side gateways send it.
+    It counts no bytes: what reached the host is the world's byte ledger's
+    [Delivered] cells ({!Aitf_obs.Ledger}).
 
     {!Attacker} models the source side: it receives [To_attacker] requests
     and reacts per its {!Policy.attacker_response} — a compliant host
@@ -43,9 +45,6 @@ module Victim : sig
 
   (* Measurement *)
 
-  val attack_bytes : t -> float
-  val good_bytes : t -> float
-  val attack_meter : t -> Aitf_stats.Rate_meter.t
   val attack_flows_seen : t -> int
 
   val requests_sent : t -> int

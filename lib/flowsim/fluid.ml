@@ -403,8 +403,6 @@ let bits_of t ~attack read =
     (fun acc a -> if a.attack = attack then acc +. read a else acc)
     0. t.aggs
 
-let delivered_bits t ~attack = bits_of t ~attack (fun a -> a.delivered_bits)
-
 let ledger_plane t =
   let module L = Aitf_obs.Ledger in
   let bytes cls read =

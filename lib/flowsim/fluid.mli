@@ -85,10 +85,6 @@ val recompute : t -> unit
 
 (** {2 Reporting} *)
 
-val delivered_bits : t -> attack:bool -> float
-(** Cumulative bits delivered to destinations by attack (resp. legitimate)
-    aggregates, integrated up to the current simulation time. *)
-
 val delivered_rate : agg -> float
 (** Current delivery rate (bits/s) as of the last recompute. *)
 

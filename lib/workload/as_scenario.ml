@@ -360,7 +360,7 @@ let run p =
     ~total_rate:p.as_legit_rate ~attack:false ~start:0. ~fid0:2000;
   let series =
     Runner.victim_rate sim ~period:p.as_sample_period ~until:p.as_duration
-      (Some eng) victim
+      (Some eng)
   in
   Sched.run ~until:p.as_duration sched;
   let slots_peak =

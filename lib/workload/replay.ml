@@ -506,7 +506,7 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
     trace.tr_events;
   let rr_victim_rate =
     Runner.victim_rate sim ~period:sample_period ~until:trace.tr_duration
-      fluid_ctx deployed.Chain.victim_agent
+      fluid_ctx
   in
   Sim.run ~until:trace.tr_duration sim;
   {

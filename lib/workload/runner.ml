@@ -1,7 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Series = Aitf_stats.Series
-module Rate_meter = Aitf_stats.Rate_meter
 module Fluid = Aitf_flowsim.Fluid
 module Sampler = Aitf_flowsim.Sampler
 module Ledger = Aitf_obs.Ledger
@@ -65,31 +64,6 @@ let spoofed_pools (topo : Chain.t) (spec : Chain.spec) ~rate pools =
   Network.compute_routes net;
   nodes
 
-let victim_rate sim ~period ~until fluid victim =
-  let rate =
-    match fluid with
-    | Some eng ->
-      let meter = Rate_meter.create ~window:1.0 and last = ref 0. in
-      fun now ->
-        let bits = Fluid.delivered_bits eng ~attack:true in
-        Rate_meter.add meter ~now ((bits -. !last) /. 8.);
-        last := bits;
-        8. *. Rate_meter.rate meter ~now
-    | None ->
-      let meter = Host_agent.Victim.attack_meter victim in
-      fun now -> 8. *. Rate_meter.rate meter ~now
-  in
-  let series = Series.create ~name:"victim-attack-rate" () in
-  let rec sample t =
-    if t <= until then
-      ignore
-        (Sim.at sim t (fun () ->
-             Series.add series ~time:t (rate t);
-             sample (t +. period)))
-  in
-  sample period;
-  series
-
 let start_metrics sim ~interval =
   Option.map
     (fun reg -> Aitf_obs.Sampler.start ~interval sim reg)
@@ -101,6 +75,29 @@ let delivered sim fluid ~attack =
   match fluid with
   | Some (_ : Fluid.t) -> Ledger.fluid_bytes ledger cls Ledger.Delivered
   | None -> float_of_int (Ledger.packet_bytes ledger cls Ledger.Delivered)
+
+let victim_rate sim ~period ~until fluid =
+  let k = max 1 (Float.to_int (Float.round (1.0 /. period))) in
+  let window = Array.make k 0. and i = ref 0 in
+  let sum = ref 0. and last = ref 0. in
+  let series = Series.create ~name:"victim-attack-rate" () in
+  let rec sample t =
+    if t <= until then
+      ignore
+        (Sim.at sim t (fun () ->
+             let bytes = delivered sim fluid ~attack:true in
+             let d = bytes -. !last in
+             last := bytes;
+             sum := !sum -. window.(!i);
+             window.(!i) <- d;
+             sum := !sum +. d;
+             i := (!i + 1) mod k;
+             Series.add series ~time:t
+               (8. *. !sum /. (float_of_int k *. period));
+             sample (t +. period)))
+  in
+  sample period;
+  series
 
 let absorbed sim =
   Ledger.packets (Ledger.of_sim sim) Ledger.Control Ledger.Pool_absorb

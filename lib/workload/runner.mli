@@ -49,18 +49,6 @@ val spoofed_pools :
     offered [rate] (at least the core bandwidth), so the victim's tail
     stays the only bottleneck. Recomputes routes. *)
 
-val victim_rate :
-  Aitf_engine.Sim.t ->
-  period:float ->
-  until:float ->
-  Fluid.t option ->
-  Host_agent.Victim.t ->
-  Aitf_stats.Series.t
-(** The attack bits/s the victim sees, sampled every [period] up to
-    [until]: the victim's own meter under the packet engine, the fluid
-    delivery through the same 1-second window under the hybrid one, so
-    time-to-suppress sees the same smoothing lag under both. *)
-
 val start_metrics :
   Aitf_engine.Sim.t -> interval:float -> Aitf_obs.Sampler.t option
 (** The run report's time series: a metrics sampler ticking every
@@ -71,6 +59,20 @@ val delivered : Aitf_engine.Sim.t -> Fluid.t option -> attack:bool -> float
     data packet of a scenario is addressed to its victim. Under the hybrid
     engine (given the fluid plane) it reads the fluid plane alone, whose
     probes carry no bytes; under the packet engine, the packet plane. *)
+
+val victim_rate :
+  Aitf_engine.Sim.t ->
+  period:float ->
+  until:float ->
+  Fluid.t option ->
+  Aitf_stats.Series.t
+(** The attack bits/s the victim sees, sampled every [period] up to
+    [until]. Each sample reads the ledger cell {!delivered} reads (the
+    fluid plane given the hybrid engine's fluid plane, else the packet
+    plane) and records the bytes of the last k = max 1 (round (1 /
+    [period])) intervals over k·[period] seconds: a window that counts
+    intervals, so both engines see the same 1-second smoothing lag
+    whatever the float drift of the sample times. *)
 
 val absorbed : Aitf_engine.Sim.t -> int
 (** To_attacker requests absorbed at spoofed-source pool nodes (the

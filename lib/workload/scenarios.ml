@@ -212,7 +212,7 @@ let run_chain params =
       ~start:0. topo.Chain.bystander;
   let victim_rate =
     Runner.victim_rate sim ~period:params.sample_period ~until:params.duration
-      fluid deployed.Chain.victim_agent
+      fluid
   in
   (* When a metrics registry is attached, every component above has already
      self-registered; the sampler adds the sim-level metrics and the
@@ -569,7 +569,7 @@ let run_swarm p =
       ~attack:false ~start:0. topo.Chain.net topo.Chain.bystander;
   let swarm_victim_rate =
     Runner.victim_rate sim ~period:p.swarm_sample_period
-      ~until:p.swarm_duration (Some eng) deployed.Chain.victim_agent
+      ~until:p.swarm_duration (Some eng)
   in
   let swarm_sampler =
     Runner.start_metrics sim ~interval:p.swarm_sample_period

@@ -236,9 +236,22 @@ let make_rig ?(config = fast_config) ?(attacker_strategy = Policy.Ignores)
 let victim_gw r = List.hd r.d.Chain.victim_gateways
 let attacker_gw r i = List.nth r.d.Chain.attacker_gateways i
 
+(* Bytes the ledger saw delivered; every data packet of a chain rig is
+   addressed to its victim. *)
+let delivered sim ~attack = Aitf_workload.Runner.delivered sim None ~attack
+
+(* Run to [until]; true iff no attack byte reached the victim in the last
+   second: the ledger's attack bytes read at [until - 1] and at [until]
+   are equal. *)
+let run_quiet_last_second r ~until =
+  Sim.run ~until:(until -. 1.) r.sim;
+  let before = delivered r.sim ~attack:true in
+  Sim.run ~until r.sim;
+  delivered r.sim ~attack:true = before
+
 let test_protocol_basic_block () =
   let r = make_rig () in
-  Sim.run ~until:3.0 r.sim;
+  let quiet = run_quiet_last_second r ~until:3.0 in
   (* Victim detected, requested; victim gw temp-filtered and propagated;
      attacker gw installed the long filter. *)
   checkb "victim sent request" true
@@ -252,9 +265,7 @@ let test_protocol_basic_block () =
   checki "handshake ok" 1
     (Gateway.count (attacker_gw r 0) Gateway.Handshake_ok);
   (* The flow is actually dead at the victim: no packets in the last second. *)
-  let meter = Host_agent.Victim.attack_meter r.d.Chain.victim_agent in
-  checkb "flow suppressed" true
-    (Aitf_stats.Rate_meter.rate meter ~now:(Sim.now r.sim) = 0.)
+  checkb "flow suppressed" true quiet
 
 let test_protocol_temp_filter_expires () =
   let r = make_rig () in
@@ -299,15 +310,13 @@ let test_protocol_escalation_unresponsive_gw () =
 
 let test_protocol_terminal_when_all_unresponsive () =
   let r = make_rig ~n_non_coop:3 ~attacker_strategy:Policy.Ignores () in
-  Sim.run ~until:6.0 r.sim;
+  let quiet = run_quiet_last_second r ~until:6.0 in
   let top = List.nth r.d.Chain.victim_gateways 2 in
   (* The top victim-side gateway ends up holding a long filter itself. *)
   checkb "terminal filtering at G_gw3" true
     (Gateway.count top Gateway.Filter_long_self >= 1
     || Gateway.count top Gateway.Terminal_filter >= 1);
-  let meter = Host_agent.Victim.attack_meter r.d.Chain.victim_agent in
-  checkb "flow still suppressed" true
-    (Aitf_stats.Rate_meter.rate meter ~now:(Sim.now r.sim) = 0.)
+  checkb "flow still suppressed" true quiet
 
 let test_protocol_disconnection () =
   let config = { fast_config with Config.disconnect = true } in
@@ -391,7 +400,7 @@ let test_protocol_handshake_blocks_forgery () =
   checki "verification failed" 1 (Gateway.count bgw1 Gateway.Handshake_fail);
   checki "no filter installed" 0 (Filter_table.occupancy (Gateway.filters bgw1));
   checkb "legit flow unharmed" true
-    (Host_agent.Victim.good_bytes d.Chain.victim_agent > 30_000.)
+    (delivered sim ~attack:false > 30_000.)
 
 let test_protocol_forgery_succeeds_without_handshake () =
   (* Same forgery with the handshake disabled: the filter IS installed and
@@ -437,7 +446,7 @@ let test_protocol_forgery_succeeds_without_handshake () =
   let bgw1 = List.hd d.Chain.attacker_gateways in
   checki "filter installed" 1 (Filter_table.occupancy (Gateway.filters bgw1));
   (* ~1 s of traffic got through before the forgery landed; then silence. *)
-  let received = Host_agent.Victim.good_bytes d.Chain.victim_agent in
+  let received = delivered sim ~attack:false in
   checkb "legit flow mostly killed" true (received < 20_000.)
 
 let test_protocol_policing_r1 () =
@@ -1239,13 +1248,9 @@ let test_protocol_matrix () =
           let r =
             make_rig ~attacker_strategy:strategy ~n_non_coop:k ()
           in
-          Sim.run ~until:5.0 r.sim;
+          let quiet = run_quiet_last_second r ~until:5.0 in
           let label = Printf.sprintf "%s/k=%d" sname k in
-          let meter =
-            Host_agent.Victim.attack_meter r.d.Chain.victim_agent
-          in
-          checkb (label ^ ": suppressed") true
-            (Aitf_stats.Rate_meter.rate meter ~now:(Sim.now r.sim) = 0.);
+          checkb (label ^ ": suppressed") true quiet;
           let holder = attacker_gw r k in
           checkb (label ^ ": filter at k-th gateway") true
             (Gateway.count holder Gateway.Filter_long >= 1);

@@ -43,6 +43,10 @@ let line_topo sim =
   Network.compute_routes net;
   (net, s1, s2, dst)
 
+(* Bits the world's ledger saw the fluid plane deliver for a class. *)
+let delivered_bits sim cls =
+  8. *. Ledger.fluid_bytes (Ledger.of_sim sim) cls Ledger.Delivered
+
 let test_proportional_share () =
   let sim = Sim.create () in
   let net, s1, s2, dst = line_topo sim in
@@ -61,8 +65,8 @@ let test_proportional_share () =
   close "attack share" 7.5e6 (Fluid.delivered_rate a);
   close "legit share" 2.5e6 (Fluid.delivered_rate b);
   (* Delivery integrates from t = 0 over 10 s. *)
-  close ~tol:1e-3 "attack bits" 75e6 (Fluid.delivered_bits eng ~attack:true);
-  close ~tol:1e-3 "legit bits" 25e6 (Fluid.delivered_bits eng ~attack:false)
+  close ~tol:1e-3 "attack bits" 75e6 (delivered_bits sim Ledger.Attack);
+  close ~tol:1e-3 "legit bits" 25e6 (delivered_bits sim Ledger.Legit)
 
 let test_filter_mirroring () =
   let sim = Sim.create () in
@@ -92,9 +96,9 @@ let test_filter_mirroring () =
   close "legit unthrottled" 5e6 (Fluid.delivered_rate b);
   checki "one source blocked" 1 (Fluid.blocked_sources a);
   (* 2 s of 7.5 Mbit/s then 8 s of nothing. *)
-  close ~tol:1e-3 "attack bits" 15e6 (Fluid.delivered_bits eng ~attack:true);
+  close ~tol:1e-3 "attack bits" 15e6 (delivered_bits sim Ledger.Attack);
   close ~tol:1e-3 "legit bits" (2. *. 2.5e6 +. 8. *. 5e6)
-    (Fluid.delivered_bits eng ~attack:false)
+    (delivered_bits sim Ledger.Legit)
 
 let test_filter_expiry_unblocks () =
   let sim = Sim.create () in
@@ -117,7 +121,7 @@ let test_filter_expiry_unblocks () =
   (* Blocked from 1 to 3, flowing otherwise: 8 s at 4 Mbit/s. *)
   close "flowing again" 4e6 (Fluid.delivered_rate a);
   checki "unblocked" 0 (Fluid.blocked_sources a);
-  close ~tol:1e-3 "bits" 32e6 (Fluid.delivered_bits eng ~attack:true)
+  close ~tol:1e-3 "bits" 32e6 (delivered_bits sim Ledger.Attack)
 
 let test_multi_source_range () =
   let sim = Sim.create () in

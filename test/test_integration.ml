@@ -3,7 +3,6 @@
 
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
-module Rate_meter = Aitf_stats.Rate_meter
 open Aitf_net
 open Aitf_core
 open Aitf_topo
@@ -285,7 +284,7 @@ let test_lossy_control_channel_converges () =
       ~dst:topo.Chain.victim.Node.addr topo.Chain.net topo.Chain.attacker
   in
   Sim.run ~until:30.0 sim;
-  let received = Host_agent.Victim.attack_bytes d.Chain.victim_agent in
+  let received = Aitf_workload.Runner.delivered sim None ~attack:true in
   let offered = 4e5 *. 29.5 /. 8. in
   let lost = Node.drop_count middle Aitf_obs.Ledger.Fault_loss in
   checkb "messages were actually lost" true (lost > 0);
@@ -497,7 +496,7 @@ let forgery_never_installs =
       Sim.run ~until:10.0 sim;
       let b_gw1 = List.hd d.Chain.attacker_gateways in
       Aitf_filter.Filter_table.occupancy (Gateway.filters b_gw1) = 0
-      && Host_agent.Victim.good_bytes d.Chain.victim_agent > 100_000.)
+      && Aitf_workload.Runner.delivered sim None ~attack:false > 100_000.)
 
 let () =
   Alcotest.run "aitf_integration"

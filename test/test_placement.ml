@@ -70,6 +70,41 @@ let test_vanilla_runs () =
     && r.As_scenario.r_collateral_fraction <= 1.);
   checkb "events processed" true (r.As_scenario.r_events > 0)
 
+(* The victim's rate window counts sample intervals. Under vanilla
+   placement this run's victim tail stays saturated, so once the window
+   has filled the delivered attack rate is steady. A window cut off by
+   float time over sample times summed from [+. 0.1] would hold 11
+   intervals from t = 4.2 s and step the series up by a tenth. *)
+let test_victim_rate_window_steady () =
+  let p =
+    {
+      As_scenario.default with
+      As_scenario.as_spec = small_spec;
+      as_config = { Config.default with Config.engine = Config.Hybrid };
+      as_duration = 8.;
+      as_sources = 4_000;
+      as_attack_domains = 8;
+      as_legit_domains = 4;
+      as_legit_sources = 800;
+      as_sample_period = 0.1;
+    }
+  in
+  let r = As_scenario.run p in
+  let filled = p.As_scenario.as_attack_start +. 1. +. 0.05 in
+  let rec steady = function
+    | (t0, v0) :: ((t1, v1) :: _ as rest) ->
+      if Float.abs (v1 -. v0) > 0.01 *. v0 then
+        Alcotest.failf "rate moved from %.0f at %.2f s to %.0f at %.2f s" v0
+          t0 v1 t1;
+      steady rest
+    | _ -> ()
+  in
+  let points =
+    List.filter (fun (t, _) -> t > filled) (Series.points r.As_scenario.r_victim_rate)
+  in
+  checkb "saturated" true (List.for_all (fun (_, v) -> v > 50e6) points);
+  steady points
+
 let test_optimal_suppresses () =
   let r = As_scenario.run (small_params Placement.Optimal) in
   let ctl =
@@ -195,6 +230,8 @@ let () =
       ( "as_scenario",
         [
           Alcotest.test_case "vanilla" `Quick test_vanilla_runs;
+          Alcotest.test_case "victim rate window steady" `Quick
+            test_victim_rate_window_steady;
           Alcotest.test_case "optimal" `Quick test_optimal_suppresses;
           Alcotest.test_case "adaptive" `Quick
             test_adaptive_walks_and_suppresses;

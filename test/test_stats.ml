@@ -1,6 +1,5 @@
-(* Tests for aitf_stats: rate meters, series, summaries, tables. *)
+(* Tests for aitf_stats: series, summaries, tables. *)
 
-module Rate_meter = Aitf_stats.Rate_meter
 module Series = Aitf_stats.Series
 module Summary = Aitf_stats.Summary
 module Table = Aitf_stats.Table
@@ -10,32 +9,6 @@ let checki = check Alcotest.int
 let checkb = check Alcotest.bool
 let checks = check Alcotest.string
 let checkf = check (Alcotest.float 1e-9)
-
-(* --- Rate meter ------------------------------------------------------------ *)
-
-let test_meter_windowed_rate () =
-  let m = Rate_meter.create ~window:1.0 in
-  Rate_meter.add m ~now:0.1 100.;
-  Rate_meter.add m ~now:0.5 100.;
-  checkf "both in window" 200. (Rate_meter.rate m ~now:0.9);
-  (* At t=1.2 the first sample (t=0.1) ages out. *)
-  checkf "first expired" 100. (Rate_meter.rate m ~now:1.2);
-  checkf "all expired" 0. (Rate_meter.rate m ~now:5.0)
-
-let test_meter_totals () =
-  let m = Rate_meter.create ~window:0.5 in
-  Rate_meter.add m ~now:0.0 10.;
-  Rate_meter.add m ~now:10.0 30.;
-  checkf "total survives window" 40. (Rate_meter.total m);
-  checkf "mean rate" 4. (Rate_meter.mean_rate m ~now:10.0);
-  checkf "mean rate at t=0" 0. (Rate_meter.mean_rate (Rate_meter.create ~window:1.) ~now:0.)
-
-let test_meter_validation () =
-  checkb "bad window" true
-    (try
-       ignore (Rate_meter.create ~window:0.);
-       false
-     with Invalid_argument _ -> true)
 
 (* --- Series ----------------------------------------------------------------- *)
 
@@ -204,12 +177,6 @@ let test_table_cells () =
 let () =
   Alcotest.run "aitf_stats"
     [
-      ( "rate_meter",
-        [
-          Alcotest.test_case "windowed rate" `Quick test_meter_windowed_rate;
-          Alcotest.test_case "totals" `Quick test_meter_totals;
-          Alcotest.test_case "validation" `Quick test_meter_validation;
-        ] );
       ( "series",
         [
           Alcotest.test_case "points order" `Quick test_series_points_in_order;
