@@ -7,20 +7,44 @@
 
     The queue is its own 4-ary min-heap over unboxed (time, insertion
     number) keys: ordering compares two array slots inline, with no
-    comparison closure and no boxed entry to dereference. Storage stays
-    proportional to the live queue, and a taken event is not retained. *)
+    comparison closure and no boxed entry to dereference. The heap moves
+    int indices into a slab of events, so a sift writes no pointer. Storage
+    stays proportional to the live queue, and a taken event is not
+    retained.
+
+    A caller can take an event's insertion number before it knows the
+    event ({!reserve}) and schedule under it later ({!schedule_ticket}):
+    the event then sits in the order exactly where it would have had it
+    been scheduled at the reservation. A link ([Aitf_net.Link]) keeps its
+    in-flight packets this way, only the earliest of them in the queue. *)
 
 type t
 
 type handle
 (** Token identifying a scheduled event; used to cancel it. *)
 
+type ticket [@@immediate]
+(** A reserved insertion number: the tie-break an event scheduled with it
+    gets, whenever it is scheduled. *)
+
 val create : unit -> t
 
 val schedule : ?label:string -> t -> time:float -> (unit -> unit) -> handle
 (** [schedule q ~time f] arranges for [f ()] to run when the queue is drained
     past [time]. [time] must be finite. [?label] names the event's category
-    for the opt-in profiler; it never affects ordering or execution. *)
+    for the opt-in profiler; it never affects ordering or execution. It is
+    [schedule_ticket q (reserve q) ~time f]. *)
+
+val reserve : t -> ticket
+(** Take the next insertion number, for one {!schedule_ticket} later. It
+    counts in {!total_scheduled} at once. *)
+
+val schedule_ticket :
+  ?label:string -> t -> ticket -> time:float -> (unit -> unit) -> handle
+(** Schedule under a reserved number: among events at the same [time], it
+    fires after those scheduled (or reserved) before the ticket was
+    reserved and before those scheduled (or reserved) after. Schedule each
+    ticket at most once. *)
 
 val cancel : handle -> unit
 (** Cancel the event if it is still pending; idempotent. A handle whose
@@ -45,14 +69,16 @@ val is_empty : t -> bool
 (** [true] iff no pending (non-cancelled) events remain. *)
 
 val total_scheduled : t -> int
-(** Monotone count of every event ever scheduled on this queue. *)
+(** Monotone count of every event ever scheduled on this queue, a
+    {!schedule_ticket} counted when its ticket was reserved. *)
 
 val total_cancelled : t -> int
 (** Monotone count of every cancellation that took effect (at most once per
     handle). With {!total_scheduled} this yields the cancelled fraction. *)
 
 val max_length : t -> int
-(** Peak live (non-cancelled) queue length observed so far. *)
+(** Peak live (non-cancelled) queue length observed so far. Events not
+    yet scheduled under a reserved ticket do not count. *)
 
 (** {1 Allocation-free access}
 

@@ -131,11 +131,22 @@ let join parent children =
 
 let now sim = sim.now
 
-let at ?label sim time f =
+let check_future sim time =
   if time < sim.now then
     invalid_arg
-      (Printf.sprintf "Sim.at: time %g is in the past (now %g)" time sim.now);
+      (Printf.sprintf "Sim.at: time %g is in the past (now %g)" time sim.now)
+
+let at ?label sim time f =
+  check_future sim time;
   Event_queue.schedule ?label sim.queue ~time f
+
+type ticket = Event_queue.ticket
+
+let reserve sim = Event_queue.reserve sim.queue
+
+let at_ticket ?label sim ticket time f =
+  check_future sim time;
+  Event_queue.schedule_ticket ?label sim.queue ticket ~time f
 
 let after ?label sim delay f =
   let delay = if delay < 0. then 0. else delay in

@@ -87,6 +87,18 @@ val at : ?label:string -> t -> float -> (unit -> unit) -> handle
     never affects ordering or execution.
     @raise Invalid_argument if [time] is in the past or not finite. *)
 
+type ticket = Event_queue.ticket
+
+val reserve : t -> ticket
+(** Take the tie-break that an {!at} here would take, for an event to be
+    scheduled later with {!at_ticket}. *)
+
+val at_ticket : ?label:string -> t -> ticket -> float -> (unit -> unit) -> handle
+(** [at_ticket sim ticket time f] is {!at}, except that among events at
+    [time] [f] fires where an {!at} made at the reservation would have
+    fired. Use each ticket once.
+    @raise Invalid_argument if [time] is in the past or not finite. *)
+
 val after : ?label:string -> t -> float -> (unit -> unit) -> handle
 (** [after sim delay f] schedules [f] at [now sim +. delay]. A negative
     [delay] is clamped to [0.] (fires "immediately", after already-queued
@@ -131,13 +143,17 @@ val events_processed : t -> int
 (** Total number of events executed so far (for tests and reporting). *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled, uncollected ones). *)
+(** Number of live (non-cancelled) events queued. A busy link queues one
+    event, its head packet's delivery, however many packets it has in
+    flight ({!reserve}). *)
 
 val peak_pending : t -> int
-(** Peak live (non-cancelled) event-queue length observed so far. *)
+(** Peak live (non-cancelled) event-queue length observed so far, counted
+    as {!pending} is. *)
 
 val total_scheduled : t -> int
-(** Monotone count of every event ever scheduled. *)
+(** Monotone count of every event ever scheduled, an {!at_ticket} counted
+    at its {!reserve}. *)
 
 val total_cancelled : t -> int
 (** Monotone count of cancellations that took effect; with

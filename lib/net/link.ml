@@ -36,6 +36,16 @@ type t = {
   mutable head : int;
   mutable count : int;
   mutable queued_bytes : int;
+  (* In flight on a same-shard link: a FIFO ring of accepted packets with
+     their delivery keys (time and reserved tie-break), in increasing key
+     order. Only the head has an event queued, [on_head]; it schedules the
+     next head as it fires. A vacated slot holds [vacant]. *)
+  mutable flight_times : float array;
+  mutable flight_tickets : Sim.ticket array;
+  mutable flight_pkts : Packet.t array;
+  mutable flight_head : int;
+  mutable flight_count : int;
+  mutable on_head : unit -> unit;  (* [deliver_head] of this link *)
   mutable is_up : bool;
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -117,6 +127,96 @@ let queued_bytes t =
   reclaim t (Sim.now t.sim);
   t.queued_bytes
 
+(* Fills the ring's vacated slots: never delivered, and built without
+   [Packet.make], so it takes no packet id. *)
+let vacant : Packet.t =
+  {
+    id = -1;
+    src = 0l;
+    true_src = 0l;
+    dst = 0l;
+    proto = 0;
+    sport = 0;
+    dport = 0;
+    size = 0;
+    ttl = 0;
+    route_record = [];
+    ppm_mark = None;
+    last_hop = None;
+    payload = Packet.Data { flow_id = -1; attack = false };
+  }
+
+let grow_flight t ticket =
+  let cap = Array.length t.flight_pkts in
+  let cap' = if cap = 0 then 8 else 2 * cap in
+  let times = Array.make cap' 0. and pkts = Array.make cap' vacant in
+  let tickets = Array.make cap' ticket in
+  for i = 0 to t.flight_count - 1 do
+    let j = (t.flight_head + i) land (cap - 1) in
+    times.(i) <- t.flight_times.(j);
+    tickets.(i) <- t.flight_tickets.(j);
+    pkts.(i) <- t.flight_pkts.(j)
+  done;
+  t.flight_times <- times;
+  t.flight_tickets <- tickets;
+  t.flight_pkts <- pkts;
+  t.flight_head <- 0
+
+(* Inlined, so that [time] is stored without being boxed. *)
+let[@inline always] push_flight t time ticket pkt =
+  if t.flight_count = Array.length t.flight_pkts then grow_flight t ticket;
+  let i =
+    (t.flight_head + t.flight_count) land (Array.length t.flight_pkts - 1)
+  in
+  Array.unsafe_set t.flight_times i time;
+  Array.unsafe_set t.flight_tickets i ticket;
+  Array.unsafe_set t.flight_pkts i pkt;
+  t.flight_count <- t.flight_count + 1
+
+let drop t fate (pkt : Packet.t) =
+  t.dropped_packets <- t.dropped_packets + 1;
+  t.dropped_bytes <- t.dropped_bytes + pkt.size;
+  Ledger.post (Ledger.of_sim t.sim) (Packet.cls pkt) fate pkt.size;
+  if Aitf_obs.Flight.enabled t.sim then
+    Aitf_obs.Flight.note t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
+      ~link:t.name
+      ~kind:(Aitf_obs.Flight.Drop fate)
+      ~size:pkt.size ~queue_depth:t.queued_bytes
+
+(* Hoisted so the hot path does not allocate a [Some] per event. *)
+let delivery_label = Some "link-delivery"
+
+(* Whether a delivered packet counts as transmitted or dropped is decided
+   once, at delivery time — never both. A transmitted packet stays in
+   flight in the ledger until the receiving node takes it. *)
+let arrive t (pkt : Packet.t) =
+  match t.deliver with
+  | Some f when t.is_up ->
+    t.tx_packets <- t.tx_packets + 1;
+    t.tx_bytes <- t.tx_bytes + pkt.size;
+    f pkt
+  | Some _ | None ->
+    Ledger.arrive (Ledger.of_sim t.sim) (Packet.cls pkt) pkt.size;
+    drop t Ledger.Link_down pkt
+
+(* The head packet's delivery: pop it, schedule the next head under its
+   own key, then deliver. *)
+let deliver_head t =
+  let i = t.flight_head in
+  let pkt = Array.unsafe_get t.flight_pkts i in
+  Array.unsafe_set t.flight_pkts i vacant;
+  t.flight_head <- (i + 1) land (Array.length t.flight_pkts - 1);
+  t.flight_count <- t.flight_count - 1;
+  if t.flight_count > 0 then begin
+    let j = t.flight_head in
+    ignore
+      (Sim.at_ticket ?label:delivery_label t.sim
+         (Array.unsafe_get t.flight_tickets j)
+         (Array.unsafe_get t.flight_times j)
+         t.on_head)
+  end;
+  arrive t pkt
+
 let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
     ~queue_capacity =
   if bandwidth <= 0. then invalid_arg "Link.create: bandwidth must be positive";
@@ -143,6 +243,12 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
       head = 0;
       count = 0;
       queued_bytes = 0;
+      flight_times = [||];
+      flight_tickets = [||];
+      flight_pkts = [||];
+      flight_head = 0;
+      flight_count = 0;
+      on_head = ignore;
       is_up = true;
       tx_packets = 0;
       tx_bytes = 0;
@@ -156,6 +262,7 @@ let create ?(discipline = Drop_tail) sim ~name ~bandwidth ~delay
       remote = None;
     }
   in
+  t.on_head <- (fun () -> deliver_head t);
   Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = Printf.sprintf "link.%s.%s" name metric in
@@ -192,16 +299,6 @@ let wrap_deliver t f =
   match t.deliver with
   | None -> invalid_arg "Link.wrap_deliver: no deliver callback installed"
   | Some d -> t.deliver <- Some (f d)
-
-let drop t fate (pkt : Packet.t) =
-  t.dropped_packets <- t.dropped_packets + 1;
-  t.dropped_bytes <- t.dropped_bytes + pkt.size;
-  Ledger.post (Ledger.of_sim t.sim) (Packet.cls pkt) fate pkt.size;
-  if Aitf_obs.Flight.enabled t.sim then
-    Aitf_obs.Flight.note t.sim ~time:(Sim.now t.sim) ~node:t.tx_node
-      ~link:t.name
-      ~kind:(Aitf_obs.Flight.Drop fate)
-      ~size:pkt.size ~queue_depth:t.queued_bytes
 
 (* RED's update on a send, after [reclaim] has replayed every earlier
    serialisation end. An idle spell first decays the average as if [m]
@@ -248,25 +345,10 @@ let set_fluid t ~offered ~admitted =
   t.fluid_offered <- offered;
   t.fluid_admitted <- admitted
 
-(* Hoisted so the hot path does not allocate a [Some] per event. *)
-let delivery_label = Some "link-delivery"
-
-(* Whether a delivered packet counts as transmitted or dropped is decided
-   once, at delivery time — never both. A transmitted packet stays in
-   flight in the ledger until the receiving node takes it. *)
-let arrive t (pkt : Packet.t) =
-  match t.deliver with
-  | Some f when t.is_up ->
-    t.tx_packets <- t.tx_packets + 1;
-    t.tx_bytes <- t.tx_bytes + pkt.size;
-    f pkt
-  | Some _ | None ->
-    Ledger.arrive (Ledger.of_sim t.sim) (Packet.cls pkt) pkt.size;
-    drop t Ledger.Link_down pkt
-
 (* Accept [pkt] at [now]: fix its transmission start (now on an idle link,
    else the end of the last accepted packet), its serialisation end and
-   its delivery time, and schedule the delivery, the packet's only event. *)
+   its delivery time, and queue the delivery, the packet's only event:
+   in the ring, under a ticket reserved now, or on its own. *)
 let accept t (pkt : Packet.t) now busy =
   let c = t.clock in
   let start = if busy then c.busy_until else now in
@@ -296,10 +378,24 @@ let accept t (pkt : Packet.t) now busy =
   match t.remote with
   | None ->
     Ledger.depart (Ledger.of_sim t.sim) (Packet.cls pkt) pkt.size;
-    ignore
-      (Sim.at ?label:delivery_label t.sim
-         (fin +. (t.delay +. fluid_wait))
-         (fun () -> arrive t pkt))
+    let time = fin +. (t.delay +. fluid_wait) in
+    let n = t.flight_count in
+    if
+      n > 0
+      && time
+         < Array.unsafe_get t.flight_times
+             ((t.flight_head + n - 1) land (Array.length t.flight_pkts - 1))
+    then
+      (* Due before the ring's tail (the fluid wait dropped since that
+         send): a ring must stay in key order, so this one goes alone. *)
+      ignore
+        (Sim.at ?label:delivery_label t.sim time (fun () -> arrive t pkt))
+    else begin
+      let ticket = Sim.reserve t.sim in
+      push_flight t time ticket pkt;
+      if n = 0 then
+        ignore (Sim.at_ticket ?label:delivery_label t.sim ticket time t.on_head)
+    end
   | Some post -> (
     (* Cross-shard link: decide transmitted-vs-dropped now, because the
        link's own state must not be touched from the far end's scheduler

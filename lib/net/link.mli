@@ -16,6 +16,15 @@
     their start time has passed. A send at the very instant the packet
     in service ends finds the transmitter still busy.
 
+    Packets in flight wait in a FIFO ring with their delivery keys, and
+    only the head has an event queued: the link's one delivery action
+    delivers it and schedules the next. Each packet reserves its
+    tie-break at {!send} ({!Aitf_engine.Sim.reserve}), so it fires exactly
+    where an event of its own would have; a packet due before the ring's
+    tail (a fluid wait that dropped since the last send) gets an event of
+    its own. A busy link thus holds one event in the queue, however many
+    packets it has in flight, and a delivered packet is not retained.
+
     Bidirectional connectivity is two links (see {!Network.connect}). *)
 
 type t
@@ -70,9 +79,10 @@ val set_remote : t -> (time:float -> (unit -> unit) -> unit) -> unit
     receiving shard. *)
 
 val send : t -> Packet.t -> unit
-(** Accept a packet for transmission and schedule its delivery; drops it
-    (and counts the drop) if the queue cannot hold it. A packet on a
-    same-shard link is still checked against {!up} at delivery. *)
+(** Accept a packet for transmission and schedule its delivery (behind
+    the link's head packet, see above); drops it (and counts the drop) if
+    the queue cannot hold it. A packet on a same-shard link is still
+    checked against {!up} at delivery. *)
 
 val name : t -> string
 val bandwidth : t -> float

@@ -48,7 +48,9 @@ val seconds : t -> float
     {!Aitf_engine.Sim.clock}). *)
 
 val peak_pending : t -> int
-(** Highest live event-queue depth observed by the probe. *)
+(** Highest live event-queue depth observed by the probe. A busy link
+    counts one event, its head packet's delivery, however many packets it
+    has in flight ({!Aitf_engine.Sim.pending}). *)
 
 val buckets : t -> (string * (int * float)) list
 (** [(label, (events, seconds))], sorted by seconds, costliest first. *)

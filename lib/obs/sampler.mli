@@ -11,8 +11,10 @@
     from the simulation world itself:
 
     - [sim.events_processed] (counter) — events executed so far;
-    - [sim.pending_events] (gauge) — event-queue depth;
-    - [sim.peak_pending_events] (gauge) — peak live queue depth;
+    - [sim.pending_events] (gauge) — live event-queue depth, one event
+      per busy link however many packets it has in flight;
+    - [sim.peak_pending_events] (gauge) — peak live queue depth, counted
+      the same way;
     - [sim.cancelled_events] (counter) — events cancelled before firing.
 
     A sampler re-arms itself forever; run the simulation with [~until]

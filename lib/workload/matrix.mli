@@ -53,7 +53,9 @@ val agreement_threshold : float
 type perf = {
   wall : float;  (** seconds, by the ambient [Sim.clock] *)
   alloc_bytes : float;  (** GC-allocated bytes during the cell *)
-  peak_queue : int;  (** peak event-queue depth (engine profiler) *)
+  peak_queue : int;
+      (** peak event-queue depth (engine profiler), one event per busy
+          link: [peak_queue_depth] in the bench JSON *)
   engine_events : int;  (** discrete events executed *)
 }
 

@@ -81,8 +81,15 @@ let victim_rate sim ~period ~until fluid =
   let window = Array.make k 0. and i = ref 0 in
   let sum = ref 0. and last = ref 0. in
   let series = Series.create ~name:"victim-attack-rate" () in
-  let rec sample t =
-    if t <= until then
+  (* The n-th sample is at n periods, computed rather than summed, so the
+     times do not drift. Sampling stops at the last whole period in
+     [until], to within float rounding: a run of 30 s at 0.1 s has 300
+     samples. The last is at [until] even where [n *. period] overshoots
+     it by an ulp ([3. *. 0.1 > 0.3]). *)
+  let samples = Float.to_int (Float.floor ((until /. period) +. 1e-9)) in
+  let rec sample n =
+    if n <= samples then
+      let t = Float.min until (float_of_int n *. period) in
       ignore
         (Sim.at sim t (fun () ->
              let bytes = delivered sim fluid ~attack:true in
@@ -94,9 +101,9 @@ let victim_rate sim ~period ~until fluid =
              i := (!i + 1) mod k;
              Series.add series ~time:t
                (8. *. !sum /. (float_of_int k *. period));
-             sample (t +. period)))
+             sample (n + 1)))
   in
-  sample period;
+  sample 1;
   series
 
 let absorbed sim =

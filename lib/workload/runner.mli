@@ -66,13 +66,13 @@ val victim_rate :
   until:float ->
   Fluid.t option ->
   Aitf_stats.Series.t
-(** The attack bits/s the victim sees, sampled every [period] up to
-    [until]. Each sample reads the ledger cell {!delivered} reads (the
+(** The attack bits/s the victim sees, sampled at every whole multiple
+    of [period] up to [until] (the n-th at [n *. period], so a 30 s run
+    at 0.1 s has 300 samples, the last at 30 s). Each sample reads the ledger cell {!delivered} reads (the
     fluid plane given the hybrid engine's fluid plane, else the packet
     plane) and records the bytes of the last k = max 1 (round (1 /
     [period])) intervals over k·[period] seconds: a window that counts
-    intervals, so both engines see the same 1-second smoothing lag
-    whatever the float drift of the sample times. *)
+    intervals, so both engines see the same 1-second smoothing lag. *)
 
 val absorbed : Aitf_engine.Sim.t -> int
 (** To_attacker requests absorbed at spoofed-source pool nodes (the

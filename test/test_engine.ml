@@ -158,8 +158,11 @@ let test_eq_rejects_nonfinite () =
    2000 operations, growing the queue to a few hundred events (past the
    4-ary heap's fourth level and several doublings) and, in the final
    drain, back down through the shrink points. [Cancel] picks any handle
-   ever scheduled: pending, already cancelled or already taken. *)
-type eq_op = Schedule of int | Take | Cancel of int
+   ever scheduled: pending, already cancelled or already taken. [Reserve]
+   takes a ticket and [Redeem] schedules the oldest outstanding one, often
+   after events scheduled later have been scheduled and taken: it must
+   still sit where its reserved seq puts it. *)
+type eq_op = Schedule of int | Take | Cancel of int | Reserve | Redeem of int
 
 let eq_times = [| 0.; 0.5; 1.; 1.5; 2. |]
 
@@ -171,12 +174,16 @@ let eq_model_agrees =
           (6, map (fun k -> Schedule k) (int_bound 4));
           (3, return Take);
           (2, map (fun i -> Cancel i) nat);
+          (1, return Reserve);
+          (1, map (fun k -> Redeem k) (int_bound 4));
         ])
   in
   let show = function
     | Schedule k -> Printf.sprintf "S%g" eq_times.(k)
     | Take -> "T"
     | Cancel i -> Printf.sprintf "C%d" i
+    | Reserve -> "R"
+    | Redeem k -> Printf.sprintf "D%g" eq_times.(k)
   in
   QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:60
     (QCheck.make
@@ -187,7 +194,10 @@ let eq_model_agrees =
       let fired = ref (-1) in
       (* Pending events as (time, seq), sorted by time then seq. *)
       let model = ref [] in
-      let handles = ref [||] and scheduled = ref 0 in
+      (* Every handle ever scheduled, with its seq; seqs ever minted. *)
+      let handles = ref [||] and n_handles = ref 0 and seqs = ref 0 in
+      (* Reserved tickets not yet scheduled, oldest first, with their seq. *)
+      let tickets = Queue.create () in
       let cancelled = ref 0 and peak = ref 0 in
       let ok = ref true in
       let expect b = if not b then ok := false in
@@ -200,22 +210,38 @@ let eq_model_agrees =
           expect (!fired = seq && Event_queue.time e = t);
           model := rest
       in
+      let add t seq h =
+        if !n_handles = Array.length !handles then
+          handles := Array.append !handles (Array.make (max 16 !n_handles) (h, seq));
+        !handles.(!n_handles) <- (h, seq);
+        incr n_handles;
+        let before, after =
+          List.partition (fun key -> compare key (t, seq) < 0) !model
+        in
+        model := before @ ((t, seq) :: after);
+        peak := max !peak (List.length !model)
+      in
       let step = function
         | Schedule k ->
-          let t = eq_times.(k) and seq = !scheduled in
-          let h = Event_queue.schedule q ~time:t (fun () -> fired := seq) in
-          if seq = Array.length !handles then
-            handles := Array.append !handles (Array.make (max 16 seq) h);
-          !handles.(seq) <- h;
-          incr scheduled;
-          let before, after = List.partition (fun (t', _) -> t' <= t) !model in
-          model := before @ ((t, seq) :: after);
-          peak := max !peak (List.length !model)
+          let t = eq_times.(k) and seq = !seqs in
+          incr seqs;
+          add t seq (Event_queue.schedule q ~time:t (fun () -> fired := seq))
+        | Reserve ->
+          Queue.push (Event_queue.reserve q, !seqs) tickets;
+          incr seqs
+        | Redeem k -> (
+          match Queue.take_opt tickets with
+          | None -> ()
+          | Some (ticket, seq) ->
+            let t = eq_times.(k) in
+            add t seq
+              (Event_queue.schedule_ticket q ticket ~time:t (fun () ->
+                   fired := seq)))
         | Take -> take_one ()
         | Cancel i ->
-          if !scheduled > 0 then begin
-            let seq = i mod !scheduled in
-            Event_queue.cancel !handles.(seq);
+          if !n_handles > 0 then begin
+            let h, seq = !handles.(i mod !n_handles) in
+            Event_queue.cancel h;
             if List.exists (fun (_, s) -> s = seq) !model then begin
               incr cancelled;
               model := List.filter (fun (_, s) -> s <> seq) !model
@@ -226,7 +252,7 @@ let eq_model_agrees =
         expect (Event_queue.length q = List.length !model);
         expect (Event_queue.max_length q = !peak);
         expect (Event_queue.total_cancelled q = !cancelled);
-        expect (Event_queue.total_scheduled q = !scheduled)
+        expect (Event_queue.total_scheduled q = !seqs)
       in
       List.iter
         (fun op ->

@@ -835,6 +835,101 @@ let test_link_no_tx_event () =
   checkb "only link-delivery events" true
     (List.of_seq (Hashtbl.to_seq_keys labels) = [ Some "link-delivery" ])
 
+(* A busy link keeps one event queued, its head packet's delivery, and
+   the rest of its packets in flight in a ring behind it. A delivered
+   packet must not stay in its vacated ring slot while later packets are
+   still in flight. *)
+let test_link_ring_no_retention () =
+  let sim = Sim.create () in
+  let l =
+    Link.create sim ~name:"l" ~bandwidth:8000. ~delay:0.5 ~queue_capacity:10000
+  in
+  Link.set_deliver l ignore;
+  let w = Weak.create 1 in
+  (let first = mk_packet () in
+   Weak.set w 0 (Some first);
+   Link.send l first);
+  for _ = 1 to 3 do
+    Link.send l (mk_packet ())
+  done;
+  checki "one event for four packets" 1 (Sim.pending sim);
+  Sim.run ~until:1.6 sim;
+  checki "first delivered" 1 (Link.tx_packets l);
+  checki "the next head queued" 1 (Sim.pending sim);
+  Gc.full_major ();
+  checkb "delivered packet collected" false (Weak.check w 0);
+  Sim.run sim;
+  checki "all delivered" 4 (Link.tx_packets l)
+
+(* A saturated fluid load delays a packet by a full queue's serialisation;
+   once the load is gone, the next packet is due before the first. Each
+   must arrive at its own computed time, the two in (time, seq) order
+   among other events at the same instants: an event scheduled at a
+   packet's arrival time just before its send fires before it, one
+   scheduled just after fires after it. *)
+let test_link_fluid_wait_drop () =
+  let sim = Sim.create () in
+  (* 1000 B at 8 kbit/s is 1 s; a 10,000 B queue is 10 s of wait. *)
+  let l =
+    Link.create sim ~name:"l" ~bandwidth:8000. ~delay:0.5 ~queue_capacity:10000
+  in
+  let log = ref [] in
+  let note what = log := (what, Sim.now sim) :: !log in
+  let a = mk_packet () and b = mk_packet () in
+  Link.set_deliver l (fun p -> note (if p == a then "a" else "b"));
+  let around time send =
+    ignore (Sim.at sim time (fun () -> note "before"));
+    send ();
+    ignore (Sim.at sim time (fun () -> note "after"))
+  in
+  Link.set_fluid l ~offered:1e6 ~admitted:1e6;
+  around 11.5 (fun () -> Link.send l a);
+  Link.set_fluid l ~offered:0. ~admitted:0.;
+  around 2.5 (fun () -> Link.send l b);
+  Sim.run sim;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
+    "each at its own time, in (time, seq) order"
+    [
+      ("before", 2.5);
+      ("b", 2.5);
+      ("after", 2.5);
+      ("before", 11.5);
+      ("a", 11.5);
+      ("after", 11.5);
+    ]
+    (List.rev !log)
+
+(* Packets in flight when the link goes down are each dropped as
+   [Link_down] at their own delivery time, one by one. *)
+let test_link_down_in_flight () =
+  let sim = Sim.create () in
+  let ledger = Ledger.of_sim sim in
+  let l =
+    Link.create sim ~name:"l" ~bandwidth:8000. ~delay:0.5 ~queue_capacity:10000
+  in
+  let received = ref 0 in
+  Link.set_deliver l (fun _ -> incr received);
+  for _ = 1 to 3 do
+    Link.send l (mk_packet ())
+  done;
+  ignore (Sim.at sim 1.0 (fun () -> Link.set_up l false));
+  (* Deliveries fall due at 1.5, 2.5 and 3.5 s. *)
+  List.iteri
+    (fun i until ->
+      Sim.run ~until sim;
+      checki (Printf.sprintf "dropped by %g s" until) i (Link.dropped_packets l);
+      checki
+        (Printf.sprintf "link-down packets by %g s" until)
+        i
+        (Ledger.packets ledger Ledger.Legit Ledger.Link_down))
+    [ 1.4999; 2.4999; 3.4999 ];
+  Sim.run sim;
+  checki "all three dropped" 3 (Link.dropped_packets l);
+  checki "all three link-down" 3
+    (Ledger.packets ledger Ledger.Legit Ledger.Link_down);
+  checki "nothing delivered" 0 !received
+
 (* --- Network ------------------------------------------------------------- *)
 
 (* A -- B -- C line with a host on each end. *)
@@ -1349,6 +1444,12 @@ let () =
           Alcotest.test_case "one event per hop" `Quick
             test_link_one_event_per_hop;
           Alcotest.test_case "no link-tx event" `Quick test_link_no_tx_event;
+          Alcotest.test_case "ring does not retain delivered packets" `Quick
+            test_link_ring_no_retention;
+          Alcotest.test_case "fluid wait drops between sends" `Quick
+            test_link_fluid_wait_drop;
+          Alcotest.test_case "down with packets in flight" `Quick
+            test_link_down_in_flight;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 17 |])
             link_matches_two_event_reference;
