@@ -122,7 +122,8 @@ let f1 () =
     [
       "attacker stopped at the source";
       "yes";
-      Table.cell_bool (Host_agent.Attacker.flows_stopped d.Chain.attacker_agent >= 1);
+      Table.cell_bool
+        (Host_agent.Attacker.(count d.Chain.attacker_agent Flow_stopped) >= 1);
     ];
   Table.add_row verdict
     [
@@ -481,8 +482,8 @@ let e5 () =
       "requests honored";
       "all";
       Printf.sprintf "%d / %d"
-        (Host_agent.Attacker.flows_stopped agent)
-        (Host_agent.Attacker.requests_received agent);
+        (Host_agent.Attacker.count agent Flow_stopped)
+        (Host_agent.Attacker.count agent Request_received);
     ];
   emit table
 
@@ -801,16 +802,7 @@ let e9 () =
       let (_ : Host_agent.Victim.t) =
         Hierarchy.attach_victim ~td:0.05 d ~config:cfg ~isp:0 ~net:0 ~host:0
       in
-      let legit = ref 0. in
-      let prev = victim_node.Node.local_deliver in
-      victim_node.Node.local_deliver <-
-        (fun node (pkt : Packet.t) ->
-          (match pkt.Packet.payload with
-          | Packet.Data { attack = false; _ } ->
-            legit := !legit +. float_of_int pkt.Packet.size
-          | _ -> ());
-          prev node pkt);
-      (* Legit flow from the same enterprise. *)
+      (* Legit flow from the same enterprise: the only legit traffic. *)
       ignore
         (Traffic.cbr ~start:0. ~flow_id:1 ~rate:2e5 ~dst:victim_node.Node.addr
            t.Hierarchy.net
@@ -858,7 +850,8 @@ let e9 () =
           Table.cell_int max_leaf;
           Table.cell_int isp_filters;
           "0 (core runs no AITF)";
-          Printf.sprintf "%.0f%%" (pct !legit offered);
+          Printf.sprintf "%.0f%%"
+            (pct (Runner.delivered sim None ~attack:false) offered);
         ])
     [ 2; 4; 8 ];
   emit table;
@@ -1228,11 +1221,6 @@ let e12 () =
     in
     let at_stubs = count_filters d.Random_net.stub_gateways in
     let at_transits = count_filters d.Random_net.transit_gateways in
-    let victim_agent_bytes =
-      (* victim agent was shadowed by attach; count received via node stats *)
-      float_of_int victim_node.Node.rx_bytes
-    in
-    ignore victim_agent_bytes;
     (at_stubs, at_transits)
   in
   let table =
@@ -1593,16 +1581,6 @@ let e14 () =
              topo.Chain.net)
       | `None | `Aitf -> None
     in
-    (* Count attack bytes at the victim node (below any agent). *)
-    let received = ref 0. in
-    let prev = topo.Chain.victim.Node.local_deliver in
-    topo.Chain.victim.Node.local_deliver <-
-      (fun node (pkt : Packet.t) ->
-        (match pkt.Packet.payload with
-        | Packet.Data { attack = true; _ } ->
-          received := !received +. float_of_int pkt.Packet.size
-        | _ -> ());
-        prev node pkt);
     let shifter =
       Aitf_workload.Shape_shifter.create ~pool ~shift_period ~start:1.
         ?gate:
@@ -1622,7 +1600,7 @@ let e14 () =
       | _, Some m -> Aitf_workload.Manual_defense.filters_installed m
       | _ -> 0
     in
-    ( 100. *. !received /. offered,
+    ( 100. *. Runner.delivered sim None ~attack:true /. offered,
       Aitf_workload.Shape_shifter.shapes_used shifter,
       filters )
   in

@@ -5,49 +5,17 @@
      dune exec bench/main.exe -- list    # what exists
 
    Experiment tables live in Experiments (one per paper table/figure, see
-   DESIGN.md); the `micro` target runs Bechamel microbenchmarks of the hot
-   data structures — one Test.make per structure under test. *)
+   DESIGN.md); the `micro` target runs Bechamel microbenchmarks of the
+   structures perfbench's micro ledger does not cover — one Test.make per
+   structure under test. *)
 
-module Sim = Aitf_engine.Sim
-module Heap = Aitf_engine.Heap
-open Aitf_net
 open Aitf_filter
 
 (* --- Bechamel microbenchmarks -------------------------------------------- *)
 
-let addr_a = Addr.of_octets 10 1 2 3
-let addr_b = Addr.of_octets 20 4 5 6
-
-let probe_packet =
-  Packet.make ~src:addr_a ~dst:addr_b ~size:1000
-    (Packet.Data { flow_id = 0; attack = true })
-
-let miss_packet =
-  Packet.make ~src:(Addr.of_octets 10 9 9 9) ~dst:(Addr.of_octets 20 9 9 9)
-    ~size:1000
-    (Packet.Data { flow_id = 0; attack = false })
-
-(* A filter table holding 1000 exact filters — the paper's "several
-   thousand wire-speed filters" regime. *)
-let loaded_filter_table () =
-  let sim = Sim.create () in
-  let t = Filter_table.create sim ~capacity:2048 in
-  for i = 0 to 999 do
-    ignore
-      (Filter_table.install t
-         (Flow_label.host_pair (Addr.add addr_a i) addr_b)
-         ~duration:1e9)
-  done;
-  ignore (Filter_table.install t (Flow_label.host_pair addr_a addr_b) ~duration:1e9);
-  t
-
-let loaded_lpm () =
-  let t = Lpm.create () in
-  for i = 0 to 999 do
-    Lpm.insert t (Addr.prefix (Addr.add (Addr.of_octets 10 0 0 0) (i * 256)) 24) i
-  done;
-  Lpm.insert t (Addr.prefix (Addr.of_octets 20 0 0 0) 8) (-1);
-  t
+(* The hot-path structures (filter table, LPM, event queue, link, gateway
+   hop) are measured in perfbench/micro.ml, in ns and words per operation;
+   these two have no counterpart there. *)
 
 let loaded_bloom () =
   let b = Aitf_traceback.Bloom.create ~bits:(1 lsl 17) ~hashes:4 in
@@ -58,31 +26,6 @@ let loaded_bloom () =
 
 let micro_tests () =
   let open Bechamel in
-  let filter_hit =
-    let t = loaded_filter_table () in
-    Test.make ~name:"filter_table.match/hit (1k filters)"
-      (Staged.stage (fun () -> ignore (Filter_table.would_block t probe_packet)))
-  in
-  let filter_miss =
-    let t = loaded_filter_table () in
-    Test.make ~name:"filter_table.match/miss (1k filters)"
-      (Staged.stage (fun () -> ignore (Filter_table.would_block t miss_packet)))
-  in
-  let lpm_lookup =
-    let t = loaded_lpm () in
-    Test.make ~name:"lpm.lookup (1k prefixes)"
-      (Staged.stage (fun () -> ignore (Lpm.lookup t addr_b)))
-  in
-  let heap_cycle =
-    let h = Heap.create ~cmp:Float.compare in
-    for i = 0 to 1023 do
-      Heap.push h (float_of_int (i * 7919 mod 1024))
-    done;
-    Test.make ~name:"heap.push+pop (1k entries)"
-      (Staged.stage (fun () ->
-           Heap.push h 512.5;
-           ignore (Heap.pop h)))
-  in
   let bloom_query =
     let b = loaded_bloom () in
     Test.make ~name:"bloom.mem (10k inserted)"
@@ -96,14 +39,7 @@ let micro_tests () =
            now := !now +. 0.01;
            ignore (Token_bucket.allow b ~now:!now)))
   in
-  let schedule =
-    let sim = Sim.create () in
-    Test.make ~name:"sim.schedule+run one event"
-      (Staged.stage (fun () ->
-           ignore (Sim.after sim 0.001 (fun () -> ()));
-           ignore (Sim.step sim)))
-  in
-  [ filter_hit; filter_miss; lpm_lookup; heap_cycle; bloom_query; bucket; schedule ]
+  [ bloom_query; bucket ]
 
 (* ns/op estimates of the last `micro` run, for the --json report. *)
 let micro_results : (string * float) list ref = ref []

@@ -614,8 +614,9 @@ let run_cmd =
             let module A = Aitf_adversary.Adversary in
             ( Printf.sprintf "adversary %s" (A.kind (A.playbook h)),
               Printf.sprintf "pkts=%d reqs=%d replays=%d guesses=%d forged=%d"
-                (A.packets_sent h) (A.requests_sent h) (A.replays_sent h)
-                (A.guesses_sent h) (A.stamps_forged h) ))
+                (A.count h A.Packet_sent) (A.count h A.Request_sent)
+                (A.count h A.Replay_sent) (A.count h A.Guess_sent)
+                (A.count h A.Stamp_forged) ))
           r.Scenarios.adversary_handles
       @
       if overload then
@@ -1242,10 +1243,8 @@ let replay_cmd =
       `Ok ()
     end
     else
-      let engine, name =
-        match engine with
-        | Config.Packet -> (`Packet, "packet")
-        | Config.Hybrid -> (`Hybrid, "hybrid")
+      let name =
+        match engine with Config.Packet -> "packet" | Config.Hybrid -> "hybrid"
       in
       cli
         (execute { quiet with csv }

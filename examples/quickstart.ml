@@ -65,9 +65,10 @@ let () =
   Printf.printf "filtering requests sent by the victim: %8d\n"
     (Host_agent.Victim.requests_sent victim);
   Printf.printf "flow stopped at the source           : %8s\n"
-    (if Host_agent.Attacker.flows_stopped d.Chain.attacker_agent > 0 then
-       "yes"
-     else "no");
+    (let stopped =
+       Host_agent.Attacker.(count d.Chain.attacker_agent Flow_stopped)
+     in
+     if stopped > 0 then "yes" else "no");
   let b_gw1 = List.hd d.Chain.attacker_gateways in
   Printf.printf "filters held at B_gw1                : %8d (peak %d)\n"
     (Aitf_filter.Filter_table.occupancy (Gateway.filters b_gw1))

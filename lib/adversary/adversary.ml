@@ -1,5 +1,6 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
+module Counters = Aitf_obs.Counters
 open Aitf_net
 open Aitf_filter
 open Aitf_core
@@ -24,15 +25,20 @@ type env = {
   spoof_base : Addr.t;
 }
 
+type counter =
+  | Packet_sent | Request_sent | Replay_sent | Guess_sent | Stamp_forged
+
+let counter_name = function
+  | Packet_sent -> "packet-sent"
+  | Request_sent -> "request-sent"
+  | Replay_sent -> "replay-sent"
+  | Guess_sent -> "guess-sent"
+  | Stamp_forged -> "stamp-forged"
+
 type t = {
   sim : Sim.t;
   playbook : playbook;
-  mutable halted : bool;
-  mutable packets_sent : int;
-  mutable requests_sent : int;
-  mutable replays_sent : int;
-  mutable guesses_sent : int;
-  mutable stamps_forged : int;
+  counters : counter Counters.t;
 }
 
 let kind = function
@@ -67,10 +73,8 @@ let every t ~start ~gap f =
   let rec arm at =
     ignore
       (Sim.at t.sim at (fun () ->
-           if not t.halted then begin
-             f ();
-             arm (at +. gap)
-           end))
+           f ();
+           arm (at +. gap)))
   in
   arm start
 
@@ -83,7 +87,7 @@ let launch_slot_exhaustion t ~rng ~start env ~sources ~rate =
   let gap = float_of_int (attack_pkt_size * 8) /. rate in
   every t ~start ~gap (fun () ->
       let spoofed = Addr.add env.spoof_base (Rng.int rng sources) in
-      t.packets_sent <- t.packets_sent + 1;
+      Counters.bump t.counters Packet_sent;
       Network.originate env.net env.attacker
         (Packet.make ~spoofed_src:spoofed ~src:env.attacker.Node.addr
            ~dst:env.victim ~size:attack_pkt_size
@@ -101,7 +105,7 @@ let launch_request_flood t ~rng ~start env ~pool ~rate =
       let flow =
         Flow_label.host_pair src env.insider.Node.addr
       in
-      t.requests_sent <- t.requests_sent + 1;
+      Counters.bump t.counters Request_sent;
       Network.originate env.net env.insider
         (Message.packet ~src:env.insider.Node.addr ~dst:env.victim_gw
            (Message.Filtering_request
@@ -133,14 +137,12 @@ let launch_reply_replay t ~rng ~start env ~delay ~guess_rate =
         let src = pkt.Packet.src and dst = pkt.Packet.dst in
         ignore
           (Sim.after t.sim delay (fun () ->
-               if not t.halted then begin
-                 t.replays_sent <- t.replays_sent + 1;
-                 Network.originate env.net env.tap
-                   (Packet.make ~spoofed_src:src
-                      ~src:env.tap.Node.addr ~dst ~proto:Message.protocol_number
-                      ~size:Message.message_size
-                      (Message.Verification_reply { flow; nonce }))
-               end))
+               Counters.bump t.counters Replay_sent;
+               Network.originate env.net env.tap
+                 (Packet.make ~spoofed_src:src
+                    ~src:env.tap.Node.addr ~dst ~proto:Message.protocol_number
+                    ~size:Message.message_size
+                    (Message.Verification_reply { flow; nonce }))))
       | Message.Verification_query { flow; _ } ->
         if
           not
@@ -156,7 +158,7 @@ let launch_reply_replay t ~rng ~start env ~delay ~guess_rate =
         | [] -> ()
         | l ->
           let flow, querier = List.nth l (Rng.int rng (List.length l)) in
-          t.guesses_sent <- t.guesses_sent + 1;
+          Counters.bump t.counters Guess_sent;
           Network.originate env.net env.tap
             (Packet.make ~spoofed_src:env.victim ~src:env.tap.Node.addr
                ~dst:querier ~proto:Message.protocol_number
@@ -172,47 +174,20 @@ let launch_route_forgery t env ~innocent =
   Node.add_hook env.tap (fun _node (pkt : Packet.t) ->
       (match pkt.Packet.payload with
       | Packet.Data { attack = true; _ } ->
-        t.stamps_forged <- t.stamps_forged + 1;
+        Counters.bump t.counters Stamp_forged;
         (* A single stamp reads the same in either order. *)
         pkt.Packet.route_record <- [ innocent ]
       | _ -> ());
       Node.Continue)
 
-let register_metrics t =
-  Aitf_obs.Metrics.if_attached t.sim (fun reg ->
-      let open Aitf_obs.Metrics in
-      let p metric =
-        Printf.sprintf "adversary.%s.%s" (kind t.playbook) metric
-      in
-      register_counter reg (p "packets_sent") ~unit_:"packets"
-        ~help:"Attack data packets emitted by this playbook" (fun () ->
-          float_of_int t.packets_sent);
-      register_counter reg (p "requests_sent") ~unit_:"requests"
-        ~help:"Forged/abusive filtering requests emitted" (fun () ->
-          float_of_int t.requests_sent);
-      register_counter reg (p "replays_sent") ~unit_:"messages"
-        ~help:"Snooped verification replies replayed" (fun () ->
-          float_of_int t.replays_sent);
-      register_counter reg (p "guesses_sent") ~unit_:"messages"
-        ~help:"Verification replies sent with guessed nonces" (fun () ->
-          float_of_int t.guesses_sent);
-      register_counter reg (p "stamps_forged") ~unit_:"packets"
-        ~help:"Attack packets whose route record was rewritten" (fun () ->
-          float_of_int t.stamps_forged))
-
 let launch ?(start = 1.) ~rng env playbook =
-  let t =
-    {
-      sim = Network.sim env.net;
-      playbook;
-      halted = false;
-      packets_sent = 0;
-      requests_sent = 0;
-      replays_sent = 0;
-      guesses_sent = 0;
-      stamps_forged = 0;
-    }
+  let sim = Network.sim env.net in
+  let counters =
+    Counters.create ~prefix:("adversary." ^ kind playbook) ~name:counter_name
+      ~all:[ Packet_sent; Request_sent; Replay_sent; Guess_sent; Stamp_forged ]
+      sim
   in
+  let t = { sim; playbook; counters } in
   (match playbook with
   | Slot_exhaustion { sources; rate } ->
     launch_slot_exhaustion t ~rng ~start env ~sources ~rate
@@ -230,16 +205,11 @@ let launch ?(start = 1.) ~rng env playbook =
       "Adversary.launch: lying-filter-node corrupts contracted gateways at \
        scenario setup (aitf_sim internet --contracts --byzantine-fraction); \
        use Adversary.corrupt");
-  register_metrics t;
   t
 
-let halt t = t.halted <- true
 let playbook t = t.playbook
-let packets_sent t = t.packets_sent
-let requests_sent t = t.requests_sent
-let replays_sent t = t.replays_sent
-let guesses_sent t = t.guesses_sent
-let stamps_forged t = t.stamps_forged
+let count t c = Counters.count t.counters c
+let counters t = t.counters
 
 (* --- CLI spec parsing ----------------------------------------------------- *)
 

@@ -4,8 +4,8 @@
     not just the victim's link — is the target. These playbooks reproduce
     that adversary: each one aims at a different piece of protocol state,
     draws randomness only from the seeded [Aitf_engine.Rng] it is launched
-    with (identical seeds replay bit-identically), and exports what it did
-    through the metrics registry under ["adversary.<kind>.*"].
+    with (identical seeds replay bit-identically), and counts what it did
+    ({!counter}), exported under ["adversary.<kind>.<name>"].
 
     - {b slot-exhaustion}: a botnet rotating [sources] spoofed header
       sources at [rate] bits/s towards the victim, forcing one temporary
@@ -64,6 +64,16 @@ type env = {
   spoof_base : Addr.t;  (** base of the spoofed-source pool *)
 }
 
+(** What a launched playbook did ({!Aitf_obs.Counters}); not traced. *)
+type counter =
+  | Packet_sent  (** attack data packet emitted *)
+  | Request_sent  (** forged or abusive filtering request emitted *)
+  | Replay_sent  (** snooped verification reply replayed *)
+  | Guess_sent  (** verification reply sent with a guessed nonce *)
+  | Stamp_forged  (** attack packet whose route record was rewritten *)
+
+val counter_name : counter -> string  (** e.g. ["packet-sent"] *)
+
 type t
 
 val launch : ?start:float -> rng:Aitf_engine.Rng.t -> env -> playbook -> t
@@ -79,14 +89,10 @@ val corrupt : mode:lying_mode -> Gateway.t list -> int
     The caller decides {e which} gateways — e.g. a seeded
     [byzantine-fraction] pick of the on-path ASes. *)
 
-val halt : t -> unit
 val playbook : t -> playbook
 
-val packets_sent : t -> int
-val requests_sent : t -> int
-val replays_sent : t -> int
-val guesses_sent : t -> int
-val stamps_forged : t -> int
+val count : t -> counter -> int
+val counters : t -> counter Aitf_obs.Counters.t
 
 val kind : playbook -> string
 

@@ -1,6 +1,7 @@
 module Sim = Aitf_engine.Sim
 module Message = Aitf_core.Message
 module Wire = Aitf_core.Wire
+module Counters = Aitf_obs.Counters
 open Aitf_net
 open Aitf_filter
 
@@ -42,6 +43,12 @@ type expectation = {
          tail of its install path. *)
 }
 
+type counter = Receipt_verified | Receipt_rejected
+
+let counter_name = function
+  | Receipt_verified -> "receipt-verified"
+  | Receipt_rejected -> "receipt-rejected"
+
 type t = {
   sim : Sim.t;
   config : config;
@@ -52,12 +59,11 @@ type t = {
   violation_counts : (Addr.t, int) Hashtbl.t;
   flagged_tbl : (Addr.t, unit) Hashtbl.t;
   seen_seq : (Addr.t * int, unit) Hashtbl.t;  (* replay detection per issuer *)
-  mutable receipts_verified : int;
-  mutable receipts_rejected : int;
+  counters : counter Counters.t;
 }
 
-let receipts_verified t = t.receipts_verified
-let receipts_rejected t = t.receipts_rejected
+let count t c = Counters.count t.counters c
+let counters t = t.counters
 let flagged_gateway t a = Hashtbl.mem t.flagged_tbl a
 
 let flagged t =
@@ -220,7 +226,7 @@ let on_receipt ?now t (r : Message.receipt) =
     | Error _ -> false
   in
   if not authentic then begin
-    t.receipts_rejected <- t.receipts_rejected + 1;
+    Counters.bump t.counters Receipt_rejected;
     (* A receipt in a gateway's name that fails under that gateway's key:
        either a forger without key material or tampering in flight. The
        named issuer claimed to police and provably is not. *)
@@ -233,7 +239,7 @@ let on_receipt ?now t (r : Message.receipt) =
       Hashtbl.mem t.seen_seq (r.Message.rc_gateway, r.Message.rc_seq)
     in
     if stale then begin
-      t.receipts_rejected <- t.receipts_rejected + 1;
+      Counters.bump t.counters Receipt_rejected;
       (* Same discipline as the handshake's nonce cache: a re-used sequence
          number is a replay, never fresh evidence of policing. Membership,
          not a high-water mark — receipts for different flows from one
@@ -244,7 +250,7 @@ let on_receipt ?now t (r : Message.receipt) =
     end
     else begin
       Hashtbl.replace t.seen_seq (r.Message.rc_gateway, r.Message.rc_seq) ();
-      t.receipts_verified <- t.receipts_verified + 1;
+      Counters.bump t.counters Receipt_verified;
       if not (Hashtbl.mem t.flagged_tbl r.Message.rc_gateway) then begin
         match Hashtbl.find_opt t.expectations r.Message.rc_flow with
         | None -> ()
@@ -273,8 +279,9 @@ let create ?(config = default_config) ~verify ~gateway ~on_flag sim =
       violation_counts = Hashtbl.create 8;
       flagged_tbl = Hashtbl.create 4;
       seen_seq = Hashtbl.create 64;
-      receipts_verified = 0;
-      receipts_rejected = 0;
+      counters =
+        Counters.create ~prefix:"auditor" ~name:counter_name
+          ~all:[ Receipt_verified; Receipt_rejected ] sim;
     }
   in
   let rec arm () =
@@ -287,12 +294,6 @@ let create ?(config = default_config) ~verify ~gateway ~on_flag sim =
   Aitf_obs.Metrics.if_attached sim (fun reg ->
       let open Aitf_obs.Metrics in
       let p metric = "auditor." ^ metric in
-      register_counter reg (p "receipts_verified") ~unit_:"receipts"
-        ~help:"Receipts whose keyed digest and sequence number checked out"
-        (fun () -> float_of_int t.receipts_verified);
-      register_counter reg (p "receipts_rejected") ~unit_:"receipts"
-        ~help:"Receipts rejected (bad digest or replayed sequence number)"
-        (fun () -> float_of_int t.receipts_rejected);
       register_counter reg (p "violations") ~unit_:"violations"
         ~help:"Contract violations recorded across all gateways" (fun () ->
           float_of_int

@@ -93,5 +93,13 @@ val flagged_gateway : t -> Addr.t -> bool
 val violations : t -> (Addr.t * int) list
 (** Per-gateway violation counts, sorted by address. *)
 
-val receipts_verified : t -> int
-val receipts_rejected : t -> int
+(** Receipt verdicts ({!Aitf_obs.Counters}), registered as
+    [auditor.<name>] beside the [auditor.violations] sum and the
+    [auditor.gateways_flagged] gauge; not traced. *)
+type counter =
+  | Receipt_verified  (** keyed digest and sequence number checked out *)
+  | Receipt_rejected  (** bad digest, or a replayed sequence number *)
+
+val counter_name : counter -> string
+val count : t -> counter -> int
+val counters : t -> counter Aitf_obs.Counters.t

@@ -12,7 +12,6 @@ type t = {
   handshake_timeout : float;
   disconnect : bool;
   disconnect_duration : float;
-  max_rounds : int;
   r1 : float;
   r1_burst : float;
   r2 : float;
@@ -20,24 +19,24 @@ type t = {
   remote_rate : float;
   remote_burst : float;
   filter_capacity : int;
-  shadow_capacity : int;
   traceback : traceback_mode;
   min_report_gap : float;
   aggregate_on_pressure : bool;
   filter_action : filter_action;
   ctrl_retries : int;
   ctrl_rto : float;
-  ctrl_backoff : float;
   overload_manager : bool;
-  overload_high : float;
   overload_low : float;
-  overload_max_per_requestor : int;
   engine : engine;
   hybrid_epoch : float;
   hybrid_probe_rate : float;
   placement : Placement.policy;
   placement_epoch : float;
 }
+
+let max_rounds = 8
+let shadow_capacity = 100_000
+let ctrl_backoff = 2.0
 
 let default =
   {
@@ -48,7 +47,6 @@ let default =
     handshake_timeout = 1.0;
     disconnect = false;
     disconnect_duration = 300.0;
-    max_rounds = 8;
     r1 = 100.0;
     r1_burst = 100.0;
     r2 = 1.0;
@@ -56,18 +54,14 @@ let default =
     remote_rate = 1000.0;
     remote_burst = 1000.0;
     filter_capacity = 1000;
-    shadow_capacity = 100_000;
     traceback = Path_in_request;
     min_report_gap = 1.0;
     aggregate_on_pressure = false;
     filter_action = Block;
     ctrl_retries = 0;
     ctrl_rto = 0.5;
-    ctrl_backoff = 2.0;
     overload_manager = false;
-    overload_high = 0.9;
     overload_low = 0.6;
-    overload_max_per_requestor = max_int;
     engine = Packet;
     hybrid_epoch = 0.1;
     hybrid_probe_rate = 0.0;

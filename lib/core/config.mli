@@ -45,7 +45,6 @@ type t = {
   handshake_timeout : float;  (** (s) *)
   disconnect : bool;  (** enforce disconnection on non-compliance *)
   disconnect_duration : float;  (** how long a blocklist entry lasts (s) *)
-  max_rounds : int;  (** escalation bound *)
   r1 : float;  (** default client->provider request rate (1/s) *)
   r1_burst : float;
   r2 : float;  (** default provider->client request rate (1/s) *)
@@ -54,7 +53,6 @@ type t = {
       (** policing rate for requests from remote (non-contract) gateways *)
   remote_burst : float;
   filter_capacity : int;  (** hardware filter slots per gateway *)
-  shadow_capacity : int;  (** DRAM shadow entries per gateway *)
   traceback : traceback_mode;
   min_report_gap : float;
       (** victim-side damper between repeated requests for one flow (s) *)
@@ -70,21 +68,16 @@ type t = {
           and reproduces single-shot behaviour bit-for-bit *)
   ctrl_rto : float;
       (** initial control-plane retransmission timeout (s); doubles (times
-          [ctrl_backoff]) on every retry *)
-  ctrl_backoff : float;  (** multiplicative backoff factor (default 2) *)
+          {!ctrl_backoff}) on every retry *)
   overload_manager : bool;
       (** wrap every gateway's filter table in the
           {!Aitf_filter.Overload} manager: watermark-driven degraded mode
           with prefix aggregation, per-requestor caps and priority eviction
-          instead of bare [`Table_full] refusals. Off (the default) keeps
-          installs byte-identical to the unmanaged table. *)
-  overload_high : float;
-      (** occupancy fraction that engages degraded mode (default 0.9) *)
+          instead of bare [`Table_full] refusals (the high watermark and
+          cap of {!Aitf_filter.Overload.default_policy}). Off (the default)
+          keeps installs byte-identical to the unmanaged table. *)
   overload_low : float;
       (** occupancy fraction that disengages it (default 0.6) *)
-  overload_max_per_requestor : int;
-      (** outstanding filters one requestor may hold while degraded;
-          [max_int] (the default) disables the cap *)
   engine : engine;
       (** which data-plane substrate scenario runners build (default
           {!Packet}; the choice never alters packet-engine behaviour) *)
@@ -102,6 +95,12 @@ type t = {
   placement_epoch : float;
       (** managed-placement controller decision period (s, default 0.5) *)
 }
+
+val max_rounds : int  (** escalation bound (8) *)
+
+val shadow_capacity : int  (** DRAM shadow entries per gateway (100k) *)
+
+val ctrl_backoff : float  (** control-plane backoff factor (2) *)
 
 val default : t
 (** The paper's running example where it gives numbers: T = 60 s,

@@ -38,5 +38,5 @@ let sufficient t ~config =
     provision t ~t_filter:config.Config.t_filter ~t_tmp:config.Config.t_tmp
   in
   p.provider_filters <= config.Config.filter_capacity
-  && p.provider_shadow <= config.Config.shadow_capacity
+  && p.provider_shadow <= Config.shadow_capacity
   && p.client_side_filters <= config.Config.filter_capacity

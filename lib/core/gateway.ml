@@ -57,8 +57,9 @@ type counter =
   | Req_not_on_path | Req_no_path | Req_bad_auth | Req_to_attacker
   | Req_to_attacker_ignored | Policer_overflow | Ignored_unresponsive
   | Handshake_ok | Handshake_fail | Handshake_unverifiable
-  | Handshake_retransmit | Filter_temp | Filter_long | Filter_long_self
-  | Filter_full | Filter_aggregated | Shadow_full | Escalated
+  | Handshake_retransmit | Handshake_duplicate_reply | Handshake_bogus_reply
+  | Filter_temp | Filter_long | Filter_long_self | Filter_full
+  | Filter_aggregated | Shadow_full | Escalated
   | Terminal_filter | Disconnect_host | Disconnect_peer | Ctrl_retransmit
   | Ctrl_gave_up | Traceback_pending | Traceback_done | Traceback_failed
   | Placement_report | Receipt_issued | Receipt_forged | Receipt_replayed
@@ -85,6 +86,8 @@ let counter_name = function
   | Handshake_fail -> "handshake-fail"
   | Handshake_unverifiable -> "handshake-unverifiable"
   | Handshake_retransmit -> "handshake-retransmit"
+  | Handshake_duplicate_reply -> "handshake-duplicate-reply"
+  | Handshake_bogus_reply -> "handshake-bogus-reply"
   | Filter_temp -> "filter-temp"
   | Filter_long -> "filter-long"
   | Filter_long_self -> "filter-long-self"
@@ -117,8 +120,9 @@ let all_counters =
     Req_not_on_path; Req_no_path; Req_bad_auth; Req_to_attacker;
     Req_to_attacker_ignored; Policer_overflow; Ignored_unresponsive;
     Handshake_ok; Handshake_fail; Handshake_unverifiable;
-    Handshake_retransmit; Filter_temp; Filter_long; Filter_long_self;
-    Filter_full; Filter_aggregated; Shadow_full; Escalated; Terminal_filter;
+    Handshake_retransmit; Handshake_duplicate_reply; Handshake_bogus_reply;
+    Filter_temp; Filter_long; Filter_long_self; Filter_full;
+    Filter_aggregated; Shadow_full; Escalated; Terminal_filter;
     Disconnect_host; Disconnect_peer; Ctrl_retransmit; Ctrl_gave_up;
     Traceback_pending; Traceback_done; Traceback_failed; Placement_report;
     Receipt_issued; Receipt_forged; Receipt_replayed; Contract_ignored;
@@ -158,7 +162,7 @@ type t = {
   flagged : (Addr.t, unit) Hashtbl.t;
       (* peers the auditor convicted of lying; engage skips them *)
   blocklist : (Addr.t, float) Hashtbl.t;
-  counters : (counter, int) Hashtbl.t;
+  counters : counter Aitf_obs.Counters.t;
   ttf : Aitf_obs.Metrics.timer option;
       (* time-to-filter histogram; None when no registry was attached *)
 }
@@ -179,15 +183,11 @@ let filter_install ?rate_limit ?corr ?requestor t label ~duration =
     Overload.install ?rate_limit ?corr ?requestor mgr label ~duration
   | None -> Filter_table.install ?rate_limit ?corr t.filters label ~duration
 let shadow_peak t = Shadow_cache.peak_occupancy t.shadow
-let count t c = Option.value ~default:0 (Hashtbl.find_opt t.counters c)
+let count t c = Aitf_obs.Counters.count t.counters c
 
 (* Count a decision; given the request's correlation id, also trace it as
    a span event under the same name. *)
-let bump ?corr t c =
-  Hashtbl.replace t.counters c (count t c + 1);
-  match corr with
-  | Some corr -> Span.event t.sim ~node:t.node.Node.name ~corr (counter_name c)
-  | None -> ()
+let bump ?corr t c = Aitf_obs.Counters.bump ?corr t.counters c
 
 let tracked_requestors t = Hashtbl.length t.policers
 
@@ -484,7 +484,7 @@ let rec engage t (e : flow_entry) =
   end;
   e.engaged_at <- Sim.now t.sim;
   install_temp t e;
-  if e.round >= t.config.Config.max_rounds then terminal t e
+  if e.round >= Config.max_rounds then terminal t e
   else
     match List.nth_opt e.path e.round with
     | None -> terminal t e
@@ -521,7 +521,7 @@ let rec engage t (e : flow_entry) =
 and escalate t (e : flow_entry) =
   e.round <- e.round + 1;
   bump ~corr:e.corr t Escalated;
-  if e.round >= t.config.Config.max_rounds then terminal t e
+  if e.round >= Config.max_rounds then terminal t e
   else
     match managed_placement t with
     | Some p ->
@@ -582,7 +582,7 @@ and arm_ctrl_retry t (e : flow_entry) ~resend ~gave_up =
                    bump ~corr:e.corr t Ctrl_retransmit;
                    e.sent_hits <- hits;
                    resend ();
-                   arm (rto *. t.config.Config.ctrl_backoff) (attempt + 1)
+                   arm (rto *. Config.ctrl_backoff) (attempt + 1)
                  end
                  else begin
                    bump ~corr:e.corr t Ctrl_gave_up;
@@ -1033,7 +1033,10 @@ let deliver t prev (node : Node.t) (pkt : Packet.t) =
   match pkt.payload with
   | Message.Filtering_request req -> on_request t req
   | Message.Verification_reply { flow; nonce } ->
-    Handshake.handle_reply t.handshakes ~flow ~nonce
+    (match Handshake.handle_reply t.handshakes ~flow ~nonce with
+    | Handshake.Verified -> ()
+    | Handshake.Duplicate -> bump t Handshake_duplicate_reply
+    | Handshake.Bogus -> bump t Handshake_bogus_reply)
   | Message.Verification_query { flow; nonce } ->
     (* Only meaningful if the "victim" of an escalated round is this
        gateway itself; confirm iff we logged the request. *)
@@ -1064,10 +1067,8 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
         (Overload.create
            ~policy:
              {
-               Overload.high_watermark = config.Config.overload_high;
+               Overload.default_policy with
                low_watermark = config.Config.overload_low;
-               max_per_requestor = config.Config.overload_max_per_requestor;
-               min_aggregate = 2;
              }
            sim filters)
     else None
@@ -1084,10 +1085,9 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       client_cone = cone;
       filters;
       overload;
-      shadow = Shadow_cache.create sim ~capacity:config.Config.shadow_capacity;
+      shadow = Shadow_cache.create sim ~capacity:Config.shadow_capacity;
       handshakes =
-        Handshake.create ~retries:config.Config.ctrl_retries
-          ~backoff:config.Config.ctrl_backoff sim rng
+        Handshake.create ~retries:config.Config.ctrl_retries sim rng
           ~timeout:config.Config.handshake_timeout;
       rng;
       policers = Hashtbl.create 16;
@@ -1101,7 +1101,9 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       contracts = None;
       flagged = Hashtbl.create 4;
       blocklist = Hashtbl.create 8;
-      counters = Hashtbl.create 16;
+      counters =
+        Aitf_obs.Counters.create ~node:node.Node.name ~prefix
+          ~name:counter_name ~all:all_counters sim;
       ttf;
     }
   in
@@ -1128,23 +1130,9 @@ let create ?(policy = Policy.Cooperative) ?upstream ?placement ~clients
       | Some mgr -> Overload.register_metrics mgr reg ~prefix:(p "overload")
       | None -> ());
       Shadow_cache.register_metrics t.shadow reg ~prefix:(p "shadow");
-      List.iter
-        (fun c ->
-          register_counter reg
-            (p (counter_name c))
-            ~unit_:"decisions"
-            ~help:"Times this gateway took the decision (Gateway.counter)"
-            (fun () -> float_of_int (count t c)))
-        all_counters;
       register_gauge reg (p "tracked_requestors") ~unit_:"requestors"
         ~help:"Requestors with a dedicated policer bucket" (fun () ->
-          float_of_int (tracked_requestors t));
-      register_counter reg (p "handshake_duplicate_replies")
-        ~unit_:"messages"
-        ~help:
-          "Replayed verification replies recognised as duplicates and \
-           ignored" (fun () ->
-          float_of_int (Handshake.duplicate_replies t.handshakes)));
+          float_of_int (tracked_requestors t)));
   Node.add_hook node (hook t);
   let prev = node.Node.local_deliver in
   node.Node.local_deliver <- deliver t prev;

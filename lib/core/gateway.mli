@@ -79,11 +79,11 @@ val shadow_peak : t -> int
 val blocklisted : t -> Addr.t -> bool
 (** Is this host currently disconnected? *)
 
-(** One decision counter per protocol outcome. {!counter_name} is the
-    decision's one name: the [--stats] table prints it
-    (docs/OPERATIONS.md), the span event traced at the decision carries it
-    (docs/OBSERVABILITY.md), and the gateway registers the counter as the
-    metric [gateway.<node>.<name>] when a registry is attached. *)
+(** One decision counter per protocol outcome ({!Aitf_obs.Counters}).
+    {!counter_name} is the decision's one name: the [--stats] table prints
+    it (docs/OPERATIONS.md), the span event traced at the decision carries
+    it (docs/OBSERVABILITY.md), and the gateway registers the counter as
+    the metric [gateway.<node>.<name>] when a registry is attached. *)
 type counter =
   | Req_received  (** request delivered to this gateway, before policing *)
   | Req_victim_role  (** request handled as victim's gateway *)
@@ -104,6 +104,8 @@ type counter =
   | Handshake_fail
   | Handshake_unverifiable  (** no single victim to query *)
   | Handshake_retransmit  (** verification query resent after a timeout *)
+  | Handshake_duplicate_reply  (** replayed reply to a verified nonce *)
+  | Handshake_bogus_reply  (** reply with an unknown nonce or wrong flow *)
   | Filter_temp  (** temporary (Ttmp) filter installed *)
   | Filter_long  (** long (T) filter installed for a request *)
   | Filter_long_self  (** path climbed to us: long filter kept locally *)

@@ -15,34 +15,23 @@ type t = {
   rng : Rng.t;
   timeout : float;
   retries : int;
-  backoff : float;
   table : (int64, pending) Hashtbl.t;
   completed : (int64, Flow_label.t) Hashtbl.t;
       (* verified nonces, kept so a replayed reply is recognised as a
          duplicate (a no-op) rather than a forgery *)
-  mutable started : int;
-  mutable verified : int;
-  mutable timed_out : int;
-  mutable bogus : int;
-  mutable duplicates : int;
 }
 
-let create ?(retries = 0) ?(backoff = 2.0) sim rng ~timeout =
+type reply = Verified | Duplicate | Bogus
+
+let create ?(retries = 0) sim rng ~timeout =
   if retries < 0 then invalid_arg "Handshake.create: negative retries";
-  if backoff < 1.0 then invalid_arg "Handshake.create: backoff must be >= 1";
   {
     sim;
     rng;
     timeout;
     retries;
-    backoff;
     table = Hashtbl.create 32;
     completed = Hashtbl.create 32;
-    started = 0;
-    verified = 0;
-    timed_out = 0;
-    bogus = 0;
-    duplicates = 0;
   }
 
 let rec fresh_nonce t =
@@ -60,11 +49,10 @@ let rec arm t nonce (p : pending) rto =
              if p.attempts - 1 < t.retries then begin
                p.attempts <- p.attempts + 1;
                p.send nonce;
-               arm t nonce p (rto *. t.backoff)
+               arm t nonce p (rto *. Config.ctrl_backoff)
              end
              else begin
                Hashtbl.remove t.table nonce;
-               t.timed_out <- t.timed_out + 1;
                p.on_result false
              end
            end))
@@ -73,7 +61,6 @@ let start t ~flow ~send ~on_result =
   let nonce = fresh_nonce t in
   let p = { flow; on_result; send; attempts = 1; timeout_event = None } in
   Hashtbl.replace t.table nonce p;
-  t.started <- t.started + 1;
   send nonce;
   arm t nonce p t.timeout;
   nonce
@@ -84,20 +71,15 @@ let handle_reply t ~flow ~nonce =
     Hashtbl.remove t.table nonce;
     Option.iter Sim.cancel p.timeout_event;
     Hashtbl.replace t.completed nonce p.flow;
-    t.verified <- t.verified + 1;
-    p.on_result true
-  | Some _ -> t.bogus <- t.bogus + 1
+    p.on_result true;
+    Verified
+  | Some _ -> Bogus
   | None -> (
     match Hashtbl.find_opt t.completed nonce with
     | Some f when Flow_label.equal f flow ->
       (* Replay of an already-verified reply (retransmitted query answered
          twice, or a duplicated packet): a no-op by design. *)
-      t.duplicates <- t.duplicates + 1
-    | Some _ | None -> t.bogus <- t.bogus + 1)
+      Duplicate
+    | Some _ | None -> Bogus)
 
 let pending t = Hashtbl.length t.table
-let started t = t.started
-let verified t = t.verified
-let timed_out t = t.timed_out
-let bogus_replies t = t.bogus
-let duplicate_replies t = t.duplicates

@@ -13,24 +13,20 @@
     [send] callback, fires it immediately, and — when created with
     [retries > 0] — again on every timeout with exponential backoff, before
     declaring failure exactly once. Receipt is idempotent: a replayed reply
-    to an already-verified nonce is counted as a duplicate and changes
-    nothing. *)
+    to an already-verified nonce is classified a duplicate and changes
+    nothing. The module counts nothing: its caller counts the outcomes
+    ([on_result]) and the reply classes ({!reply}). *)
 
 open Aitf_filter
 
 type t
 
 val create :
-  ?retries:int ->
-  ?backoff:float ->
-  Aitf_engine.Sim.t ->
-  Aitf_engine.Rng.t ->
-  timeout:float ->
-  t
+  ?retries:int -> Aitf_engine.Sim.t -> Aitf_engine.Rng.t -> timeout:float -> t
 (** [timeout] is the per-attempt wait; [retries] (default 0: single-shot)
     bounds retransmissions beyond the first send; each retry multiplies the
-    wait by [backoff] (default 2).
-    @raise Invalid_argument if [retries < 0] or [backoff < 1]. *)
+    wait by {!Config.ctrl_backoff}.
+    @raise Invalid_argument if [retries < 0]. *)
 
 val start :
   t ->
@@ -44,19 +40,16 @@ val start :
     attempt times out — exactly one of the two, exactly once. Concurrent
     verifications of the same flow are independent (distinct nonces). *)
 
-val handle_reply : t -> flow:Flow_label.t -> nonce:int64 -> unit
+(** What a received reply was. *)
+type reply =
+  | Verified  (** completed a pending verification ([on_result true]) *)
+  | Duplicate  (** replay for a nonce that already verified, same flow *)
+  | Bogus  (** unknown nonce or mismatched flow label *)
+
+val handle_reply : t -> flow:Flow_label.t -> nonce:int64 -> reply
 (** Feed a received reply; completes the matching pending verification, if
-    any. A replay for a nonce that already verified (same flow) is counted
-    as a duplicate and otherwise ignored; replies with unknown nonces or
-    mismatched flow labels are counted as bogus, without consuming any
-    pending entry. *)
+    any. Duplicates and bogus replies change nothing and consume no pending
+    entry. *)
 
 val pending : t -> int
-val started : t -> int
-val verified : t -> int
-val timed_out : t -> int
-(** Verifications that exhausted every attempt — one per {!start}, however
-    many retransmissions it took. *)
-
-val bogus_replies : t -> int
-val duplicate_replies : t -> int
+(** Verifications still awaiting a reply. *)

@@ -1,6 +1,7 @@
 module Sim = Aitf_engine.Sim
 module Ppm = Aitf_traceback.Ppm
 module Span = Aitf_obs.Span
+module Counters = Aitf_obs.Counters
 open Aitf_net
 open Aitf_filter
 
@@ -10,6 +11,21 @@ type path_source =
   | Gateway_traceback
 
 module Victim = struct
+  type counter =
+    | Request_sent | Request_suppressed | Victim_retransmit | Victim_gave_up
+    | Victim_confirmed
+
+  let counter_name = function
+    | Request_sent -> "request-sent"
+    | Request_suppressed -> "request-suppressed"
+    | Victim_retransmit -> "victim-retransmit"
+    | Victim_gave_up -> "victim-gave-up"
+    | Victim_confirmed -> "victim-confirmed"
+
+  let all_counters =
+    [ Request_sent; Request_suppressed; Victim_retransmit; Victim_gave_up;
+      Victim_confirmed ]
+
   type t = {
     net : Network.t;
     sim : Sim.t;
@@ -40,14 +56,12 @@ module Victim = struct
         (* the auditor's evidence feed: every attack arrival, with time *)
     mutable last_ppm_path : Addr.t list option;
     mutable ppm_stable : int;
-    mutable requests_sent : int;
-    mutable requests_suppressed : int;
-    mutable requests_retransmitted : int;
-    mutable requests_gave_up : int;
-    mutable queries_answered : int;
+    counters : counter Counters.t;
   }
 
   let node t = t.node
+  let counters t = t.counters
+  let count t c = Counters.count t.counters c
 
   let send t ~dst payload =
     Network.originate t.net t.node
@@ -63,6 +77,9 @@ module Victim = struct
 
   let corr_of t flow =
     match Hashtbl.find_opt t.corrs flow with Some c -> c | None -> 0
+
+  (* Count a decision about [flow] and trace it on the flow's request. *)
+  let bump t flow c = Counters.bump ~corr:(corr_of t flow) t.counters c
 
   let request_message t flow path =
     let req =
@@ -109,23 +126,15 @@ module Victim = struct
                if requested_live t flow && still_arriving then
                  if attempt <= t.config.Config.ctrl_retries then begin
                    if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
-                     t.requests_retransmitted <- t.requests_retransmitted + 1;
-                     Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
-                       "victim-retransmit";
+                     bump t flow Victim_retransmit;
                      send t ~dst:t.gateway (request_message t flow path)
                    end
-                   else begin
-                     t.requests_suppressed <- t.requests_suppressed + 1;
-                     Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
-                       "request-suppressed"
-                   end;
+                   else bump t flow Request_suppressed;
                    sent_at := Sim.now t.sim;
-                   arm (rto *. t.config.Config.ctrl_backoff) (attempt + 1)
+                   arm (rto *. Config.ctrl_backoff) (attempt + 1)
                  end
                  else begin
-                   t.requests_gave_up <- t.requests_gave_up + 1;
-                   Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
-                     "victim-gave-up";
+                   bump t flow Victim_gave_up;
                    Hashtbl.remove t.retrying flow
                  end
                else Hashtbl.remove t.retrying flow))
@@ -135,7 +144,7 @@ module Victim = struct
 
   let send_request t flow path =
     if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
-      t.requests_sent <- t.requests_sent + 1;
+      Counters.bump t.counters Request_sent;
       Hashtbl.replace t.requested flow
         (Sim.now t.sim +. t.config.Config.t_filter);
       Span.start t.sim ~corr:(corr_of t flow) ~stage:Span.Request
@@ -147,11 +156,7 @@ module Victim = struct
       send t ~dst:t.gateway payload;
       arm_retry t flow path
     end
-    else begin
-      t.requests_suppressed <- t.requests_suppressed + 1;
-      Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
-        "request-suppressed"
-    end
+    else bump t flow Request_suppressed
 
   (* PPM reconstructions start as prefixes of the true path (the victim-
      nearest edges converge first), so a path is only trusted once it has
@@ -232,9 +237,7 @@ module Victim = struct
     | Message.Verification_query { flow; nonce } ->
       (* "Do you really not want this flow?" — confirm iff we asked. *)
       if requested_live t flow then begin
-        t.queries_answered <- t.queries_answered + 1;
-        Span.event t.sim ~node:t.node.Node.name ~corr:(corr_of t flow)
-          "victim-confirmed";
+        bump t flow Victim_confirmed;
         send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
       end
     | Message.Install_receipt r -> (
@@ -267,40 +270,16 @@ module Victim = struct
         arrival_observer = None;
         last_ppm_path = None;
         ppm_stable = 0;
-        requests_sent = 0;
-        requests_suppressed = 0;
-        requests_retransmitted = 0;
-        requests_gave_up = 0;
-        queries_answered = 0;
+        counters =
+          Counters.create ~node:node.Node.name
+            ~prefix:("victim." ^ node.Node.name) ~name:counter_name
+            ~all:all_counters sim;
       }
     in
     t.detection :=
       Some
         (Detection.create sim ~td ~min_report_gap:config.Config.min_report_gap
            ~on_detect:(fun flow pkt -> on_detect t flow pkt));
-    Aitf_obs.Metrics.if_attached t.sim (fun reg ->
-        let open Aitf_obs.Metrics in
-        let p metric =
-          Printf.sprintf "victim.%s.%s" node.Node.name metric
-        in
-        register_counter reg (p "requests_sent") ~unit_:"requests"
-          ~help:"Filtering requests sent to the gateway" (fun () ->
-            float_of_int t.requests_sent);
-        register_counter reg (p "requests_suppressed") ~unit_:"requests"
-          ~help:"Requests withheld by the local R1 bucket" (fun () ->
-            float_of_int t.requests_suppressed);
-        register_counter reg (p "requests_retransmitted") ~unit_:"requests"
-          ~help:
-            "Requests resent because the flow kept arriving after a \
-             transmission" (fun () ->
-            float_of_int t.requests_retransmitted);
-        register_counter reg (p "requests_gave_up") ~unit_:"flows"
-          ~help:
-            "Flows whose retry budget ran out with the attack still \
-             arriving" (fun () -> float_of_int t.requests_gave_up);
-        register_counter reg (p "queries_answered") ~unit_:"queries"
-          ~help:"Handshake verification queries confirmed" (fun () ->
-            float_of_int t.queries_answered));
     let prev = node.Node.local_deliver in
     node.Node.local_deliver <- deliver t prev;
     t
@@ -310,28 +289,30 @@ module Victim = struct
   let set_receipt_sink t f = t.receipt_sink <- Some f
   let set_request_observer t f = t.request_observer <- Some f
   let set_arrival_observer t f = t.arrival_observer <- Some f
-  let requests_sent t = t.requests_sent
-  let requests_suppressed t = t.requests_suppressed
-  let requests_retransmitted t = t.requests_retransmitted
-  let queries_answered t = t.queries_answered
+  let requests_sent t = count t Request_sent
 end
 
 module Attacker = struct
+  type counter = Request_received | Flow_stopped
+
+  let counter_name = function
+    | Request_received -> "request-received"
+    | Flow_stopped -> "flow-stopped"
+
   type t = {
     sim : Sim.t;
     node : Node.t;
     strategy : Policy.attacker_response;
     filters : Filter_table.t;
     off_until : (Flow_label.t, float) Hashtbl.t;
-    mutable requests_received : int;
-    mutable flows_stopped : int;
+    counters : counter Counters.t;
   }
 
   let node t = t.node
   let strategy t = t.strategy
   let filters t = t.filters
-  let requests_received t = t.requests_received
-  let flows_stopped t = t.flows_stopped
+  let counters t = t.counters
+  let count t c = Counters.count t.counters c
 
   let gate t (pkt : Packet.t) =
     match t.strategy with
@@ -347,7 +328,7 @@ module Attacker = struct
       | None -> true)
 
   let on_request t (req : Message.request) =
-    t.requests_received <- t.requests_received + 1;
+    Counters.bump t.counters Request_received;
     (* The counter-request reached the attacking host — however it responds,
        the Counter_request leg (gateway -> attacker) is over. *)
     Span.finish t.sim ~corr:req.Message.corr ~stage:Span.Counter_request;
@@ -358,10 +339,10 @@ module Attacker = struct
         Filter_table.install t.filters req.Message.flow
           ~duration:req.Message.duration
       with
-      | Ok _ -> t.flows_stopped <- t.flows_stopped + 1
+      | Ok _ -> Counters.bump t.counters Flow_stopped
       | Error `Table_full -> ())
     | Policy.On_off { off_time } ->
-      t.flows_stopped <- t.flows_stopped + 1;
+      Counters.bump t.counters Flow_stopped;
       Hashtbl.replace t.off_until req.Message.flow
         (Sim.now t.sim +. off_time)
 
@@ -384,21 +365,11 @@ module Attacker = struct
         strategy;
         filters = Filter_table.create sim ~capacity;
         off_until = Hashtbl.create 8;
-        requests_received = 0;
-        flows_stopped = 0;
+        counters =
+          Counters.create ~prefix:("attacker." ^ node.Node.name)
+            ~name:counter_name ~all:[ Request_received; Flow_stopped ] sim;
       }
     in
-    Aitf_obs.Metrics.if_attached t.sim (fun reg ->
-        let open Aitf_obs.Metrics in
-        let p metric =
-          Printf.sprintf "attacker.%s.%s" node.Node.name metric
-        in
-        register_counter reg (p "requests_received") ~unit_:"requests"
-          ~help:"To-attacker filtering requests delivered" (fun () ->
-            float_of_int t.requests_received);
-        register_counter reg (p "flows_stopped") ~unit_:"flows"
-          ~help:"Flows this host stopped (honestly or on-off)" (fun () ->
-            float_of_int t.flows_stopped));
     let prev = node.Node.local_deliver in
     node.Node.local_deliver <- deliver t prev;
     t

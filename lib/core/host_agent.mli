@@ -26,6 +26,21 @@ type path_source =
       (** send an empty path; the gateway runs SPIE itself *)
 
 module Victim : sig
+  (** The victim's decisions ({!Aitf_obs.Counters}), registered as
+      [victim.<node>.<name>]; all but [Request_sent] are also traced as span
+      events on the flow's request. *)
+  type counter =
+    | Request_sent  (** filtering request sent to the gateway *)
+    | Request_suppressed  (** withheld by the local R1 bucket *)
+    | Victim_retransmit
+        (** resent, with exponential backoff up to [ctrl_retries], because
+            the flow kept arriving; charged to the same R1 bucket *)
+    | Victim_gave_up  (** retry budget ran out, attack still arriving *)
+    | Victim_confirmed  (** handshake verification query confirmed *)
+
+  val counter_name : counter -> string
+  val all_counters : counter list
+
   type t
 
   val create :
@@ -47,17 +62,9 @@ module Victim : sig
 
   val attack_flows_seen : t -> int
 
-  val requests_sent : t -> int
-  val requests_suppressed : t -> int
-  (** Requests the agent wanted to send but withheld (R1 self-policing). *)
-
-  val requests_retransmitted : t -> int
-  (** Requests resent (with exponential backoff, up to the config's
-      [ctrl_retries]) because the flow kept arriving after a transmission —
-      evidence the request, or its effect, was lost. Retransmissions
-      consume the same R1 bucket as fresh requests. *)
-
-  val queries_answered : t -> int
+  val count : t -> counter -> int
+  val counters : t -> counter Aitf_obs.Counters.t
+  val requests_sent : t -> int  (** [count t Request_sent] *)
 
   (* Verifiable-contract hooks (docs/CONTRACTS.md). All unset by default,
      leaving behaviour bit-identical to the pre-contract agent. *)
@@ -81,6 +88,13 @@ module Victim : sig
 end
 
 module Attacker : sig
+  (** Registered as [attacker.<node>.<name>]; not traced. *)
+  type counter =
+    | Request_received  (** to-attacker filtering request delivered *)
+    | Flow_stopped  (** flow stopped, honestly or on-off *)
+
+  val counter_name : counter -> string
+
   type t
 
   val create :
@@ -102,6 +116,6 @@ module Attacker : sig
   val filters : t -> Filter_table.t
   (** The compliant host's outbound filters (peak = measured na). *)
 
-  val requests_received : t -> int
-  val flows_stopped : t -> int
+  val count : t -> counter -> int
+  val counters : t -> counter Aitf_obs.Counters.t
 end

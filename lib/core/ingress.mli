@@ -27,7 +27,10 @@ val install :
     are accounted on the node under ["egress-spoof"] / ["ingress-spoof"]. *)
 
 val egress_drops : t -> int
+(** The node's [Egress_spoof] drop count ({!Aitf_net.Node.drop_count}). *)
+
 val ingress_drops : t -> int
+(** The node's [Ingress_spoof] drop count. *)
 
 val spoofed_exits_prevented : t -> int
 (** Alias of {!egress_drops} — the quantity Section III-A's incentive

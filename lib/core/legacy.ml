@@ -1,4 +1,6 @@
 module Sim = Aitf_engine.Sim
+module Counters = Aitf_obs.Counters
+module Victim = Host_agent.Victim
 open Aitf_net
 open Aitf_filter
 
@@ -13,8 +15,8 @@ type t = {
   corrs : (Flow_label.t, int) Hashtbl.t;
       (* per-flow correlation id for span tracing, minted on first request
          since the proxy fills the victim's role for a legacy host *)
-  mutable requests_sent : int;
-  mutable queries_answered : int;
+  counters : Victim.counter Counters.t;
+      (* the victim's decisions, taken on the legacy host's behalf *)
 }
 
 let protects t a = Option.is_some (Lpm.lookup t.protected_prefixes a)
@@ -33,14 +35,12 @@ let requested_live t flow =
     false
   | None -> false
 
-let watching = requested_live
-
 (* Originate a request exactly as the victim would have; the gateway node
    delivers it to its own AITF agent locally. *)
 let on_detect t flow (pkt : Packet.t) =
   if Token_bucket.allow t.bucket ~now:(Sim.now t.sim) then begin
     let config = Gateway.config t.gateway in
-    t.requests_sent <- t.requests_sent + 1;
+    Counters.bump t.counters Victim.Request_sent;
     Hashtbl.replace t.requested flow (Sim.now t.sim +. config.Config.t_filter);
     let corr =
       match Hashtbl.find_opt t.corrs flow with
@@ -82,7 +82,7 @@ let hook t (_node : Node.t) (pkt : Packet.t) =
        which is all the handshake verifies — and consume the query so the
        AITF-oblivious host never sees it. *)
     if requested_live t flow then begin
-      t.queries_answered <- t.queries_answered + 1;
+      Counters.bump t.counters Victim.Victim_confirmed;
       send t ~dst:pkt.src (Message.Verification_reply { flow; nonce })
     end;
     Node.Drop Aitf_obs.Ledger.Legacy_proxy_query
@@ -104,8 +104,10 @@ let attach ?(td = 0.1) ~protect ~gateway net =
         Token_bucket.create ~rate:config.Config.r1 ~burst:config.Config.r1_burst;
       requested = Hashtbl.create 32;
       corrs = Hashtbl.create 32;
-      requests_sent = 0;
-      queries_answered = 0;
+      counters =
+        Counters.create
+          ~prefix:("legacy." ^ (Gateway.node gateway).Node.name)
+          ~name:Victim.counter_name ~all:Victim.all_counters sim;
     }
   in
   t.detection :=
@@ -115,8 +117,8 @@ let attach ?(td = 0.1) ~protect ~gateway net =
   Node.add_hook (node t) (hook t);
   t
 
-let requests_sent t = t.requests_sent
-let queries_answered t = t.queries_answered
+let count t c = Counters.count t.counters c
+let counters t = t.counters
 
 let flows_detected t =
   match !(t.detection) with Some d -> Detection.flows_seen d | None -> 0

@@ -18,7 +18,6 @@
     Attach it to the same border router as the {!Gateway}. *)
 
 open Aitf_net
-open Aitf_filter
 
 type t
 
@@ -31,12 +30,13 @@ val attach :
 (** Watch traffic through the gateway's node towards [protect] and defend
     it. [td] is the first-detection delay (default 0.1 s). *)
 
-val requests_sent : t -> int
-val queries_answered : t -> int
+val count : t -> Host_agent.Victim.counter -> int
+(** The proxy takes the victim's decisions ([Request_sent],
+    [Victim_confirmed]), so it counts them under the victim's names,
+    registered as [legacy.<gateway node>.<name>]; not traced. *)
+
+val counters : t -> Host_agent.Victim.counter Aitf_obs.Counters.t
 val flows_detected : t -> int
 
 val protects : t -> Addr.t -> bool
 (** Is this destination covered? *)
-
-val watching : t -> Flow_label.t -> bool
-(** Is this flow currently in the protector's outstanding-request set? *)

@@ -7,7 +7,6 @@ type t = {
   node : Node.t;
   mode : mode;
   mutable checked : int;
-  mutable dropped : int;
 }
 
 (* The reverse-path check: would this router route towards [pkt.src] out of
@@ -29,18 +28,15 @@ let feasible t (pkt : Packet.t) =
 
 let hook t (_node : Node.t) (pkt : Packet.t) =
   t.checked <- t.checked + 1;
-  if feasible t pkt then Node.Continue
-  else begin
-    t.dropped <- t.dropped + 1;
-    Node.Drop Aitf_obs.Ledger.Dpf_spoof
-  end
+  if feasible t pkt then Node.Continue else Node.Drop Aitf_obs.Ledger.Dpf_spoof
 
 let install ?(mode = Strict) net node =
-  let t = { net; node; mode; checked = 0; dropped = 0 } in
+  let t = { net; node; mode; checked = 0 } in
   Node.add_hook node (hook t);
   t
 
 let deploy ?mode net nodes = List.map (fun n -> install ?mode net n) nodes
 
 let checked t = t.checked
-let dropped t = t.dropped
+(* Only this hook returns [Dpf_spoof], and the node counts every one. *)
+let dropped t = Node.drop_count t.node Aitf_obs.Ledger.Dpf_spoof

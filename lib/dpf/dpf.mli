@@ -34,4 +34,5 @@ val checked : t -> int
 (** Packets inspected. *)
 
 val dropped : t -> int
-(** Packets rejected as infeasible. *)
+(** Packets rejected as infeasible: the node's [Dpf_spoof] drop count
+    ({!Aitf_net.Node.drop_count}). *)

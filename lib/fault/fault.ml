@@ -1,6 +1,7 @@
 module Sim = Aitf_engine.Sim
 module Rng = Aitf_engine.Rng
 module Ledger = Aitf_obs.Ledger
+module Counters = Aitf_obs.Counters
 open Aitf_net
 
 type model =
@@ -21,16 +22,28 @@ let burst ?(loss_good = 0.) ?(loss_bad = 1.) ~p_enter ~p_exit () =
 
 let ctrl_only = Packet.is_control
 
+type counter =
+  | Dropped_request | Dropped_query | Dropped_reply | Dropped_other
+  | Duplicated | Delayed | Flap
+
+let counter_name = function
+  | Dropped_request -> "fault-dropped-request"
+  | Dropped_query -> "fault-dropped-query"
+  | Dropped_reply -> "fault-dropped-reply"
+  | Dropped_other -> "fault-dropped-other"
+  | Duplicated -> "fault-duplicated"
+  | Delayed -> "fault-delayed"
+  | Flap -> "fault-flap"
+
+let dropped = [ Dropped_request; Dropped_query; Dropped_reply; Dropped_other ]
+
 type t = {
   sim : Sim.t;
   rng : Rng.t;
-  link : Link.t;
   models : model list;
   only : Packet.t -> bool;
   mutable bad_state : bool;
-  mutable drops_injected : int;
-  mutable dups_injected : int;
-  mutable delayed : int;
+  counters : counter Counters.t;
 }
 
 let validate = function
@@ -75,16 +88,17 @@ let decide t =
    annotate the right request so the trace explains the retransmission that
    follows. Requests carry their correlation id; handshake messages only
    carry the nonce, resolved through the binding the gateway registered. *)
-let note_ctrl_drop t (pkt : Packet.t) =
+let count_drop t (pkt : Packet.t) =
   let module Message = Aitf_core.Message in
   match pkt.Packet.payload with
   | Message.Filtering_request req when req.Message.corr <> 0 ->
-    Aitf_obs.Span.event t.sim ~corr:req.Message.corr "fault-dropped-request"
+    Counters.bump ~corr:req.Message.corr t.counters Dropped_request
+  | Message.Filtering_request _ -> Counters.bump t.counters Dropped_request
   | Message.Verification_query { nonce; _ } ->
-    Aitf_obs.Span.event_by_nonce t.sim ~nonce "fault-dropped-query"
+    Counters.bump_nonce t.counters ~nonce Dropped_query
   | Message.Verification_reply { nonce; _ } ->
-    Aitf_obs.Span.event_by_nonce t.sim ~nonce "fault-dropped-reply"
-  | _ -> ()
+    Counters.bump_nonce t.counters ~nonce Dropped_reply
+  | _ -> Counters.bump t.counters Dropped_other
 
 (* In the ledger the packet is in flight from its link until a node takes
    it: a drop here lands it, each extra copy departs anew. *)
@@ -92,18 +106,17 @@ let process t next (pkt : Packet.t) =
   let ledger = Ledger.of_sim t.sim and cls = Packet.cls pkt in
   match decide t with
   | Dropped ->
-    t.drops_injected <- t.drops_injected + 1;
     Ledger.arrive ledger cls pkt.size;
     Ledger.post ledger cls Ledger.Fault_loss pkt.size;
-    if Aitf_obs.Span.enabled t.sim then note_ctrl_drop t pkt
+    count_drop t pkt
   | Deliver { extra_delay; copies } ->
-    if copies > 1 then t.dups_injected <- t.dups_injected + (copies - 1);
     for _ = 2 to copies do
+      Counters.bump t.counters Duplicated;
       Ledger.post ledger cls Ledger.Fault_duplicate pkt.size;
       Ledger.depart ledger cls pkt.size
     done;
     if extra_delay > 0. then begin
-      t.delayed <- t.delayed + 1;
+      Counters.bump t.counters Delayed;
       for _ = 1 to copies do
         ignore (Sim.after t.sim extra_delay (fun () -> next pkt))
       done
@@ -115,41 +128,17 @@ let process t next (pkt : Packet.t) =
 
 let inject ?(only = fun _ -> true) ~rng sim link models =
   List.iter validate models;
-  let t =
-    {
-      sim;
-      rng;
-      link;
-      models;
-      only;
-      bad_state = false;
-      drops_injected = 0;
-      dups_injected = 0;
-      delayed = 0;
-    }
-  in
+  let all = dropped @ [ Duplicated; Delayed ] in
+  let prefix = "fault." ^ Link.name link in
+  let counters = Counters.create ~prefix ~name:counter_name ~all sim in
+  let t = { sim; rng; models; only; bad_state = false; counters } in
   Link.wrap_deliver link (fun next pkt ->
       if t.only pkt then process t next pkt else next pkt);
-  Aitf_obs.Metrics.if_attached sim (fun reg ->
-      let open Aitf_obs.Metrics in
-      let p metric =
-        Printf.sprintf "fault.%s.%s" (Link.name link) metric
-      in
-      register_counter reg (p "drops_injected") ~unit_:"packets"
-        ~help:"Packets discarded by the injected fault models" (fun () ->
-          float_of_int t.drops_injected);
-      register_counter reg (p "dups_injected") ~unit_:"packets"
-        ~help:"Extra packet copies created by the duplication model" (fun () ->
-          float_of_int t.dups_injected);
-      register_counter reg (p "delayed") ~unit_:"packets"
-        ~help:"Packets whose delivery the jitter model postponed" (fun () ->
-          float_of_int t.delayed));
   t
 
-let link t = t.link
-let drops_injected t = t.drops_injected
-let dups_injected t = t.dups_injected
-let delayed t = t.delayed
+let count t c = Counters.count t.counters c
+let counters t = t.counters
+let drops t = Counters.sum t.counters dropped
 let in_bad_state t = t.bad_state
 
 (* --- Scheduled link flaps ------------------------------------------------- *)
@@ -159,7 +148,7 @@ type flapper = {
   f_links : Link.t list;
   period : float;
   down_for : float;
-  mutable flaps : int;
+  flaps : counter Counters.t;
   mutable stopped : bool;
 }
 
@@ -167,7 +156,7 @@ let rec flap_cycle f at =
   ignore
     (Sim.at f.f_sim at (fun () ->
          if not f.stopped then begin
-           f.flaps <- f.flaps + 1;
+           Counters.bump f.flaps Flap;
            List.iter (fun l -> Link.set_up l false) f.f_links;
            ignore
              (Sim.after f.f_sim f.down_for (fun () ->
@@ -179,22 +168,18 @@ let rec flap_cycle f at =
 let flap ?(start = 0.) sim links ~period ~down_for =
   if period <= down_for then
     invalid_arg "Fault.flap: period must exceed down_for";
+  let prefix =
+    match links with first :: _ -> Some ("fault." ^ Link.name first) | [] -> None
+  in
+  let flaps = Counters.create ?prefix ~name:counter_name ~all:[ Flap ] sim in
   let f =
-    { f_sim = sim; f_links = links; period; down_for; flaps = 0; stopped = false }
+    { f_sim = sim; f_links = links; period; down_for; flaps; stopped = false }
   in
   flap_cycle f (Float.max start (Sim.now sim));
-  Aitf_obs.Metrics.if_attached sim (fun reg ->
-      match links with
-      | first :: _ ->
-        Aitf_obs.Metrics.register_counter reg
-          (Printf.sprintf "fault.%s.flaps" (Link.name first))
-          ~unit_:"flaps" ~help:"Scheduled link-down episodes begun" (fun () ->
-            float_of_int f.flaps)
-      | [] -> ());
   f
 
 let stop_flapping f =
   f.stopped <- true;
   List.iter (fun l -> Link.set_up l true) f.f_links
 
-let flaps f = f.flaps
+let flapper_count f c = Counters.count f.flaps c

@@ -22,7 +22,8 @@
     testing.
 
     Injected drops happen {e after} the link's own accounting (the wire was
-    genuinely occupied), and are counted by the injector, not the link. *)
+    genuinely occupied), and are counted by the injector ({!counter}), not
+    the link. *)
 
 open Aitf_net
 
@@ -51,6 +52,21 @@ val ctrl_only : Packet.t -> bool
     data) — the usual [?only] argument when attacking the protocol rather
     than the traffic. *)
 
+(** What an injector or a flapper did ({!Aitf_obs.Counters}). A dropped
+    control message is also traced as a span event of its counter's name
+    on its request: by correlation id, or through the handshake nonce. *)
+type counter =
+  | Dropped_request  (** filtering request discarded *)
+  | Dropped_query  (** verification query discarded *)
+  | Dropped_reply  (** verification reply discarded *)
+  | Dropped_other  (** any other packet discarded (data, receipts) *)
+  | Duplicated  (** extra copy created by the duplication model *)
+  | Delayed  (** delivery postponed by the jitter model *)
+  | Flap  (** link-down episode begun: a {!flapper}'s only counter *)
+
+val counter_name : counter -> string
+(** ["fault-dropped-request"], ..., ["fault-flap"]. *)
+
 type t
 (** One injector, bound to one link. *)
 
@@ -63,15 +79,15 @@ val inject :
   t
 (** Interpose [models] on the link's delivery path. Packets failing [only]
     (default: all pass) bypass the models entirely. Registers
-    [fault.<link>.drops_injected / dups_injected / delayed] counters when a
-    metrics registry is attached.
+    [fault.<link>.<name>] for every counter but [Flap] when a metrics
+    registry is attached.
     @raise Invalid_argument on a probability outside [0,1], negative
     jitter, or a link with no deliver callback installed yet. *)
 
-val link : t -> Link.t
-val drops_injected : t -> int
-val dups_injected : t -> int
-val delayed : t -> int
+val count : t -> counter -> int
+val counters : t -> counter Aitf_obs.Counters.t
+
+val drops : t -> int  (** the four [Dropped_*] counts *)
 
 val in_bad_state : t -> bool
 (** Current Gilbert–Elliott channel state (meaningful only with a
@@ -89,12 +105,12 @@ val flap :
   down_for:float ->
   flapper
 (** Every [period] seconds starting at [start], take all [links] down for
-    [down_for] seconds (e.g. both directions of a circuit). Registers a
-    [fault.<link>.flaps] counter when a registry is attached.
+    [down_for] seconds (e.g. both directions of a circuit). Registers
+    [fault.<first link>.fault-flap] when a registry is attached.
     @raise Invalid_argument unless [period > down_for]. *)
 
 val stop_flapping : flapper -> unit
 (** Cancel the schedule and restore the links up. *)
 
-val flaps : flapper -> int
-(** Down episodes begun so far. *)
+val flapper_count : flapper -> counter -> int
+(** Down episodes begun so far under [Flap]; 0 for every other counter. *)

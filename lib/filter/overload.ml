@@ -1,4 +1,5 @@
 module Sim = Aitf_engine.Sim
+module Counters = Aitf_obs.Counters
 open Aitf_net
 
 type policy = {
@@ -16,14 +17,28 @@ let default_policy =
     min_aggregate = 2;
   }
 
+type counter =
+  | Degraded
+  | Aggregate
+  | Evict
+  | Evict_requestor_cap
+  | Evict_subsumed
+
+let counter_name = function
+  | Degraded -> "overload-degraded"
+  | Aggregate -> "overload-aggregate"
+  | Evict -> "overload-evict"
+  | Evict_requestor_cap -> "overload-evict-requestor-cap"
+  | Evict_subsumed -> "overload-evict-subsumed"
+
+let evicted = [ Evict; Evict_requestor_cap; Evict_subsumed ]
+
 type t = {
   sim : Sim.t;
   table : Filter_table.t;
   policy : policy;
   mutable degraded : bool;
-  mutable degraded_entries : int;
-  mutable aggregations : int;
-  mutable evictions : int;
+  counters : counter Counters.t;
   mutable collateral_packets : int;
   mutable collateral_bytes : int;
   aggregates : (Flow_label.t, unit) Hashtbl.t;
@@ -46,9 +61,9 @@ let create ?(policy = default_policy) sim table =
     table;
     policy;
     degraded = false;
-    degraded_entries = 0;
-    aggregations = 0;
-    evictions = 0;
+    counters =
+      Counters.create ~name:counter_name ~all:(Degraded :: Aggregate :: evicted)
+        sim;
     collateral_packets = 0;
     collateral_bytes = 0;
     aggregates = Hashtbl.create 8;
@@ -62,52 +77,49 @@ let occupancy_frac t =
 (* Eviction priority: lowest observed hit rate first (a filter that blocks
    nothing protects nobody), nearest expiry breaking ties, then the label's
    total order so the choice is deterministic. *)
-let score h ~now =
-  let age = Float.max (now -. Filter_table.installed_at h) 1e-9 in
-  float_of_int (Filter_table.hits h) /. age
+let cheapest t hs =
+  let now = Sim.now t.sim in
+  let score h =
+    let age = Float.max (now -. Filter_table.installed_at h) 1e-9 in
+    float_of_int (Filter_table.hits h) /. age
+  in
+  let order h b =
+    let c = Float.compare (score h) (score b) in
+    let c =
+      if c <> 0 then c
+      else Float.compare (Filter_table.expires_at h) (Filter_table.expires_at b)
+    in
+    if c <> 0 then c
+    else Flow_label.compare (Filter_table.label h) (Filter_table.label b)
+  in
+  List.fold_left
+    (fun best h ->
+      match best with Some b when order h b >= 0 -> best | _ -> Some h)
+    None hs
 
 let eviction_candidate ?sparing t =
-  let now = Sim.now t.sim in
   let keep h =
     match sparing with
     | Some l -> not (Flow_label.equal (Filter_table.label h) l)
     | None -> true
   in
-  List.filter keep (Filter_table.live_entries t.table)
-  |> List.fold_left
-       (fun best h ->
-         match best with
-         | None -> Some h
-         | Some b ->
-           let c = Float.compare (score h ~now) (score b ~now) in
-           let c =
-             if c <> 0 then c
-             else
-               Float.compare (Filter_table.expires_at h)
-                 (Filter_table.expires_at b)
-           in
-           if c < 0 then Some h else best)
-       None
+  cheapest t (List.filter keep (Filter_table.live_entries t.table))
 
-(* Span-trace the eviction against the request that installed the filter,
-   so the victim's trace shows who paid for the table pressure. Recorded
-   on the root, not an open span: the eviction happens at the table's
-   gateway while the request's open spans may live on other nodes (and,
-   sharded, in other collectors), so root attachment is the only placement
-   independent of the shard layout. *)
-let note_eviction t reason h =
-  match Filter_table.corr h with
-  | Some corr ->
-    Aitf_obs.Span.root_event t.sim ~corr reason
-  | None -> ()
+(* Count the eviction and span-trace it against the request that installed
+   the filter, so the victim's trace shows who paid for the table pressure.
+   Recorded on the root, not an open span: the eviction happens at the
+   table's gateway while the request's open spans may live on other nodes
+   (and, sharded, in other collectors), so root attachment is the only
+   placement independent of the shard layout. *)
+let evict t c h =
+  Counters.bump_root ?corr:(Filter_table.corr h) t.counters c;
+  Filter_table.remove t.table h
 
 let priority_evict ?sparing t =
   match eviction_candidate ?sparing t with
   | None -> false
   | Some h ->
-    note_eviction t "overload-evict" h;
-    Filter_table.remove t.table h;
-    t.evictions <- t.evictions + 1;
+    evict t Evict h;
     true
 
 (* Length of the common prefix of two addresses, MSB first. *)
@@ -168,8 +180,8 @@ let try_aggregate t =
     let evicted = Filter_table.evict_subsumed t.table agg in
     (match Filter_table.install t.table agg ~duration with
     | Ok h ->
-      t.aggregations <- t.aggregations + 1;
-      t.evictions <- t.evictions + evicted;
+      Counters.bump t.counters Aggregate;
+      for _ = 1 to evicted do Counters.bump t.counters Evict_subsumed done;
       Hashtbl.replace t.aggregates agg ();
       Some h
     | Error `Table_full -> None)
@@ -181,7 +193,7 @@ let try_aggregate t =
 let rec refresh_mode t =
   if (not t.degraded) && occupancy_frac t >= t.policy.high_watermark then begin
     t.degraded <- true;
-    t.degraded_entries <- t.degraded_entries + 1;
+    Counters.bump t.counters Degraded;
     compact t
   end
   else if t.degraded && occupancy_frac t <= t.policy.low_watermark then
@@ -222,38 +234,12 @@ let owned t requestor =
    valuable one, instead of squeezing everyone else out of the table. *)
 let enforce_requestor_cap t requestor =
   let cell = owned t requestor in
-  if List.length !cell >= t.policy.max_per_requestor then begin
-    let now = Sim.now t.sim in
-    let victim =
-      List.fold_left
-        (fun best h ->
-          match best with
-          | None -> Some h
-          | Some b ->
-            let c = Float.compare (score h ~now) (score b ~now) in
-            let c =
-              if c <> 0 then c
-              else
-                Float.compare (Filter_table.expires_at h)
-                  (Filter_table.expires_at b)
-            in
-            let c =
-              if c <> 0 then c
-              else
-                Flow_label.compare (Filter_table.label h)
-                  (Filter_table.label b)
-            in
-            if c < 0 then Some h else best)
-        None !cell
-    in
-    match victim with
+  if List.length !cell >= t.policy.max_per_requestor then
+    match cheapest t !cell with
     | Some h ->
-      note_eviction t "overload-evict-requestor-cap" h;
-      Filter_table.remove t.table h;
-      t.evictions <- t.evictions + 1;
+      evict t Evict_requestor_cap h;
       cell := List.filter Filter_table.live !cell
     | None -> ()
-  end
 
 let install ?rate_limit ?corr ?requestor t label ~duration =
   refresh_mode t;
@@ -314,8 +300,9 @@ let note_blocked t h (pkt : Packet.t) =
    metrics pull — sampling a run must not change it. *)
 let degraded t = t.degraded
 
-let aggregations t = t.aggregations
-let evictions t = t.evictions
+let count t c = Counters.count t.counters c
+let counters t = t.counters
+let evictions t = Counters.sum t.counters evicted
 let collateral_packets t = t.collateral_packets
 let collateral_bytes t = t.collateral_bytes
 
@@ -325,17 +312,7 @@ let register_metrics t reg ~prefix =
   register_gauge reg (p "degraded") ~unit_:"bool"
     ~help:"1 while the table sits between its watermarks in degraded mode"
     (fun () -> if degraded t then 1. else 0.);
-  register_counter reg (p "degraded_entries") ~unit_:"times"
-    ~help:"Times the high watermark was crossed" (fun () ->
-      float_of_int t.degraded_entries);
-  register_counter reg (p "aggregations") ~unit_:"filters"
-    ~help:"Exact-filter groups folded into one prefix wildcard" (fun () ->
-      float_of_int t.aggregations);
-  register_counter reg (p "evictions") ~unit_:"filters"
-    ~help:
-      "Live filters evicted under pressure (subsumed by an aggregate, \
-       priority-evicted, or over a requestor's cap)" (fun () ->
-      float_of_int t.evictions);
+  Counters.register t.counters reg ~prefix;
   register_counter reg (p "collateral_packets") ~unit_:"packets"
     ~help:
       "Estimated legitimate packets dropped by manager-installed aggregates"

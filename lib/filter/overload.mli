@@ -17,9 +17,10 @@
       entry with the lowest hit rate (nearest expiry, then label order,
       breaking ties) rather than refuse the install.
 
-    Every decision is counted and exported through {!register_metrics},
-    including a collateral-damage estimate: legitimate packets dropped by
-    manager-installed aggregates. All choices are deterministic — no
+    Every decision is counted ({!counter}) and exported through
+    {!register_metrics}, including a collateral-damage estimate: legitimate
+    packets dropped by manager-installed aggregates. All choices are
+    deterministic — no
     randomness, total-order tie-breaks — so seeded runs replay exactly. *)
 
 open Aitf_net
@@ -37,6 +38,18 @@ type policy = {
 
 val default_policy : policy
 (** 0.9 / 0.6 watermarks, no per-requestor cap, aggregates of >= 2. *)
+
+(** The manager's decisions ({!Aitf_obs.Counters}). [Evict] and
+    [Evict_requestor_cap] are also traced on the root of the request that
+    installed the evicted filter. *)
+type counter =
+  | Degraded  (** high watermark crossed: degraded mode entered *)
+  | Aggregate  (** exact-filter group folded into one prefix wildcard *)
+  | Evict  (** lowest-hit-rate live filter evicted to make room *)
+  | Evict_requestor_cap  (** a capped requestor paid with its own filter *)
+  | Evict_subsumed  (** live filter evicted into a new aggregate *)
+
+val counter_name : counter -> string  (** e.g. ["overload-evict"] *)
 
 type t
 
@@ -57,7 +70,7 @@ val install :
     and works through its degradation moves before ever reporting
     [`Table_full]. [?requestor] attributes the entry for the per-requestor
     cap; [?corr] stamps it for span tracing (evictions under pressure emit
-    an [overload-evict] span event against the installing request). Below
+    an [overload-evict*] span event against the installing request). Below
     the high watermark this is exactly a plain table install. *)
 
 val note_blocked : t -> Filter_table.handle -> Packet.t -> unit
@@ -69,11 +82,13 @@ val degraded : t -> bool
 (** Pure read; transitions happen on {!install} events only, never on a
     metrics pull. *)
 
-val aggregations : t -> int
-val evictions : t -> int
+val count : t -> counter -> int
+val counters : t -> counter Aitf_obs.Counters.t
+val evictions : t -> int  (** the three [Evict*] counts *)
+
 val collateral_packets : t -> int
 val collateral_bytes : t -> int
 
 val register_metrics : t -> Aitf_obs.Metrics.t -> prefix:string -> unit
-(** Degraded-mode gauge plus aggregation/eviction/collateral counters under
+(** Every counter, the [degraded] gauge and the collateral sums under
     [prefix] (e.g. ["gateway.G_gw1.overload"]). *)

@@ -199,14 +199,14 @@ let cells =
     mk ~adversary:"lying" "internet" "hybrid" (contract 0.25);
     mk ~shards:4 "internet" "hybrid" (internet Placement.Vanilla);
     mk ~shards:4 ~adversary:"contract" "internet" "hybrid" (contract 0.);
-    mk ~smoke:true "replay-pulse" "packet" (replay pulse `Packet);
-    mk ~smoke:true "replay-pulse" "hybrid" (replay pulse `Hybrid);
-    mk "replay-churn" "packet" (replay churn `Packet);
-    mk "replay-churn" "hybrid" (replay churn `Hybrid);
-    mk "replay-booter" "packet" (replay booter `Packet);
-    mk "replay-booter" "hybrid" (replay booter `Hybrid);
-    mk "replay-carpet" "packet" (replay carpet `Packet);
-    mk "replay-carpet" "hybrid" (replay carpet `Hybrid);
+    mk ~smoke:true "replay-pulse" "packet" (replay pulse Config.Packet);
+    mk ~smoke:true "replay-pulse" "hybrid" (replay pulse Config.Hybrid);
+    mk "replay-churn" "packet" (replay churn Config.Packet);
+    mk "replay-churn" "hybrid" (replay churn Config.Hybrid);
+    mk "replay-booter" "packet" (replay booter Config.Packet);
+    mk "replay-booter" "hybrid" (replay booter Config.Hybrid);
+    mk "replay-carpet" "packet" (replay carpet Config.Packet);
+    mk "replay-carpet" "hybrid" (replay carpet Config.Hybrid);
   ]
 
 (* Shard counts apply to internet cells only; the fixed topologies are

@@ -348,8 +348,6 @@ let offered_bytes trace ~attack =
 
 (* --- running --------------------------------------------------------------- *)
 
-type engine = [ `Packet | `Hybrid ]
-
 type result = {
   rr_attack_offered_bytes : float;
   rr_attack_received_bytes : float;
@@ -387,7 +385,7 @@ let check trace =
   | None -> Ok ()
 
 let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
-    ?(sample_period = 0.5) ~engine trace =
+    ?(sample_period = 0.5) trace =
   Result.iter_error invalid_arg (check trace);
   let sim = Sim.create () in
   let rng = Rng.create ~seed:trace.tr_seed in
@@ -403,13 +401,6 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
     Runner.spoofed_pools topo spec ~rate:total_rate
       (Array.map (fun p -> ("replay-" ^ p.p_id, cover p)) pools)
   in
-  let config =
-    {
-      config with
-      Config.engine =
-        (match engine with `Packet -> Config.Packet | `Hybrid -> Config.Hybrid);
-    }
-  in
   let deployed = Chain.deploy ~victim_td:td ~config ~rng topo in
   let all_gws =
     deployed.Chain.victim_gateways @ deployed.Chain.attacker_gateways
@@ -422,8 +413,8 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
   (* Engine-specific data plane; [apply j] re-syncs pool j's wire state
      after a membership event. *)
   let fluid_ctx, apply =
-    match engine with
-    | `Hybrid ->
+    match config.Config.engine with
+    | Config.Hybrid ->
       let eng, frng = Runner.fluid_plane config net all_gws rng in
       let aggs =
         Array.mapi
@@ -456,7 +447,7 @@ let run ?(spec = Chain.default_spec) ?(config = Config.default) ?(td = 0.1)
         st.live <- e
       in
       (Some eng, apply)
-    | `Packet ->
+    | Config.Packet ->
       let counters = Array.make (Array.length pools) 0 in
       Array.iteri
         (fun j p ->

@@ -104,8 +104,6 @@ val synth_carpet :
 
 (** {1 Running} *)
 
-type engine = [ `Packet | `Hybrid ]
-
 type result = {
   rr_attack_offered_bytes : float;
       (** analytic integral of the trace's active attack rate *)
@@ -131,14 +129,13 @@ val run :
   ?config:Config.t ->
   ?td:float ->
   ?sample_period:float ->
-  engine:engine ->
   trace ->
   result
 (** Replay [trace] on the Figure-1 chain augmented with one origin node
     per pool (each advertising the smallest prefix covering its source
-    range, requests into it absorbed). [config]'s [engine] field is
-    overridden by [engine]. Deterministic: same trace, same engine, same
-    result — bit-identical serialized reports.
+    range, requests into it absorbed) under [config]'s [engine].
+    Deterministic: same trace, same config, same result — bit-identical
+    serialized reports.
 
     @raise Invalid_argument when {!check} fails. *)
 

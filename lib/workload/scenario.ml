@@ -7,7 +7,7 @@ type _ t =
   | Flood : Scenarios.flood_params -> Scenarios.flood_result t
   | Swarm : Scenarios.swarm_params -> Scenarios.swarm_result t
   | Internet : As_scenario.params -> As_scenario.result t
-  | Replay : Replay.trace * Replay.engine -> Replay.result t
+  | Replay : Replay.trace * Aitf_core.Config.engine -> Replay.result t
 
 type any = Any : _ t -> any
 
@@ -119,8 +119,8 @@ let run : type r. r t -> r outcome = function
           ("flagged", it (List.length flagged));
           ("missed", it (List.length missed));
           ("false_positives", it (List.length false_pos));
-          ("receipts_verified", it (Auditor.receipts_verified a));
-          ("receipts_rejected", it (Auditor.receipts_rejected a));
+          ("receipts_verified", it (Auditor.count a Auditor.Receipt_verified));
+          ("receipts_rejected", it (Auditor.count a Auditor.Receipt_rejected));
           ("failovers", it r.r_failovers);
         ]
     in
@@ -149,7 +149,8 @@ let run : type r. r t -> r outcome = function
     { o with parallel = r.r_parallel }
   | Replay (trace, engine) ->
     let open Replay in
-    let r = run ~engine trace in
+    let config = { Aitf_core.Config.default with engine } in
+    let r = run ~config trace in
     sequential r
       [
         ("trace", Json.String (to_string trace));

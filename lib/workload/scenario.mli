@@ -20,7 +20,7 @@ type _ t =
       (** spoofed-source pools over fluid aggregates on the chain *)
   | Internet : As_scenario.params -> As_scenario.result t
       (** a generated AS-level Internet under DDoS *)
-  | Replay : Replay.trace * Replay.engine -> Replay.result t
+  | Replay : Replay.trace * Aitf_core.Config.engine -> Replay.result t
       (** a trace-driven attack on the chain, through either engine *)
 
 type any = Any : _ t -> any

@@ -259,15 +259,17 @@ let run_chain params =
     requests_sent =
       Host_agent.Victim.requests_sent deployed.Chain.victim_agent;
     requests_retransmitted =
-      Host_agent.Victim.requests_retransmitted deployed.Chain.victim_agent;
+      Host_agent.Victim.count deployed.Chain.victim_agent
+        Host_agent.Victim.Victim_retransmit;
     ctrl_retransmits = counter_total all_gateways Gateway.Ctrl_retransmit;
     ctrl_gave_up = counter_total all_gateways Gateway.Ctrl_gave_up;
     faults_injected =
       List.fold_left
-        (fun acc i -> acc + Aitf_fault.Fault.drops_injected i)
+        (fun acc i -> acc + Aitf_fault.Fault.drops i)
         0 injectors;
     adversary_handles;
-    overload_aggregations = overload_total Aitf_filter.Overload.aggregations;
+    overload_aggregations =
+      overload_total (fun m -> Aitf_filter.Overload.(count m Aggregate));
     overload_evictions = overload_total Aitf_filter.Overload.evictions;
     collateral_packets = overload_total Aitf_filter.Overload.collateral_packets;
     collateral_bytes = overload_total Aitf_filter.Overload.collateral_bytes;

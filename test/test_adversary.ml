@@ -5,6 +5,7 @@
 open Aitf_net
 open Aitf_core
 module Adversary = Aitf_adversary.Adversary
+module Overload = Aitf_filter.Overload
 module Scenarios = Aitf_workload.Scenarios
 module Chain = Aitf_topo.Chain
 module Metrics = Aitf_obs.Metrics
@@ -87,15 +88,21 @@ let test_json_report_surfaces_overload () =
   let g = value "gateway.G_gw1.overload.degraded" in
   checkb "degraded gauge is boolean" true (g = 0. || g = 1.);
   checkb "aggregations exported" true
-    (value "gateway.G_gw1.overload.aggregations" > 0.);
+    (value "gateway.G_gw1.overload.overload-aggregate" > 0.);
   checkb "evictions exported" true
-    (value "gateway.G_gw1.overload.evictions" > 0.);
+    (List.fold_left
+       (fun acc c ->
+         acc
+         +. value ("gateway.G_gw1.overload." ^ Overload.counter_name c))
+       0.
+       Overload.[ Evict; Evict_requestor_cap; Evict_subsumed ]
+    > 0.);
   checkb "collateral exported and matches the run" true
     (value "gateway.G_gw1.overload.collateral_packets"
      +. value "gateway.B_gw1.overload.collateral_packets"
     = float_of_int r.Scenarios.collateral_packets);
   checkb "adversary instrumented" true
-    (value "adversary.slot-exhaustion.packets_sent" > 0.)
+    (value "adversary.slot-exhaustion.packet-sent" > 0.)
 
 (* --- Determinism ----------------------------------------------------------- *)
 
@@ -109,11 +116,12 @@ let fingerprint (r : Scenarios.chain_result) =
     r.Scenarios.collateral_packets,
     List.map
       (fun h ->
-        ( Adversary.packets_sent h,
-          Adversary.requests_sent h,
-          Adversary.replays_sent h,
-          Adversary.guesses_sent h,
-          Adversary.stamps_forged h ))
+        Adversary.
+          ( count h Packet_sent,
+            count h Request_sent,
+            count h Replay_sent,
+            count h Guess_sent,
+            count h Stamp_forged ))
       r.Scenarios.adversary_handles )
 
 let test_seeded_replay_bit_identical () =
@@ -174,20 +182,20 @@ let test_shadow_exhaustion_burns_r1 () =
     run_with (Adversary.Shadow_exhaustion { flows = 4096; rate = 500. })
   in
   let adv = List.hd r.Scenarios.adversary_handles in
-  checkb "flood emitted" true (Adversary.requests_sent adv > 1000);
+  checkb "flood emitted" true (Adversary.(count adv Request_sent) > 1000);
   let policer_drops =
     Scenarios.counter_total r.Scenarios.deployed.Chain.victim_gateways
       Gateway.Req_policed
   in
   checkb "policer sheds most of the flood" true
-    (policer_drops > Adversary.requests_sent adv / 2);
+    (policer_drops > Adversary.(count adv Request_sent) / 2);
   checkb "real attack still suppressed" true (r.Scenarios.r_measured < 0.1)
 
 let test_reply_replay_defeated () =
   let r = run_with (Adversary.Reply_replay { delay = 0.3; guess_rate = 50. }) in
   let adv = List.hd r.Scenarios.adversary_handles in
   checkb "replays fired" true
-    (Adversary.replays_sent adv + Adversary.guesses_sent adv > 0);
+    (Adversary.(count adv Replay_sent + count adv Guess_sent) > 0);
   (* The nonce table eats replays and guesses; filtering still converges. *)
   checkb "attack still suppressed" true (r.Scenarios.r_measured < 0.1)
 
@@ -196,7 +204,7 @@ let test_route_forgery_recovered () =
     run_with (Adversary.Route_forgery { innocent = Addr.of_string "192.0.2.1" })
   in
   let adv = List.hd r.Scenarios.adversary_handles in
-  checkb "stamps rewritten" true (Adversary.stamps_forged adv > 0);
+  checkb "stamps rewritten" true (Adversary.(count adv Stamp_forged) > 0);
   (* Traceback is poisoned, so attacker-side cooperation is lost — but the
      victim's own gateways still bound the damage. *)
   checkb "protection still lands victim-side" true

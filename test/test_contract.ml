@@ -260,8 +260,8 @@ let test_auditor_forged_receipt_convicts_at_two () =
   ignore (Sim.after sim 0.6 (fun () -> Auditor.on_receipt a (forged 2)));
   Sim.run ~until:2.0 sim;
   checkb "forger flagged" true (Auditor.flagged_gateway a forger);
-  checki "both receipts rejected" 2 (Auditor.receipts_rejected a);
-  checki "none verified" 0 (Auditor.receipts_verified a)
+  checki "both receipts rejected" 2 (Auditor.count a Auditor.Receipt_rejected);
+  checki "none verified" 0 (Auditor.count a Auditor.Receipt_verified)
 
 let test_auditor_replayed_receipt_convicts_at_two () =
   (* A genuine receipt re-sent under its old sequence number is caught by
@@ -281,8 +281,8 @@ let test_auditor_replayed_receipt_convicts_at_two () =
   ignore (Sim.after sim 0.8 (fun () -> Auditor.on_receipt a rc));
   Sim.run ~until:2.0 sim;
   checkb "replayer flagged" true (Auditor.flagged_gateway a gw);
-  checki "original verified once" 1 (Auditor.receipts_verified a);
-  checki "both replays rejected" 2 (Auditor.receipts_rejected a)
+  checki "original verified once" 1 (Auditor.count a Auditor.Receipt_verified);
+  checki "both replays rejected" 2 (Auditor.count a Auditor.Receipt_rejected)
 
 let test_auditor_fresh_seqs_never_rejected () =
   (* Distinct sequence numbers from one issuer — interleaved or not — are
@@ -300,8 +300,8 @@ let test_auditor_fresh_seqs_never_rejected () =
            (fun () -> Auditor.on_receipt a (signed_receipt kc gw ~seq ~at:0.1))))
     [ 3; 1; 2; 5; 4 ];
   Sim.run ~until:2.0 sim;
-  checki "all verified" 5 (Auditor.receipts_verified a);
-  checki "none rejected" 0 (Auditor.receipts_rejected a);
+  checki "all verified" 5 (Auditor.count a Auditor.Receipt_verified);
+  checki "none rejected" 0 (Auditor.count a Auditor.Receipt_rejected);
   checkb "not flagged" false (Auditor.flagged_gateway a gw)
 
 let test_auditor_failover_rearms_after_flag () =
@@ -443,8 +443,8 @@ let test_acceptance_twenty_percent_forge () =
   | None -> Alcotest.fail "honest run has no auditor"
   | Some a ->
     checkb "honest: zero false positives" true (Auditor.flagged a = []);
-    checkb "honest: receipts flowed" true (Auditor.receipts_verified a > 0);
-    checki "honest: none rejected" 0 (Auditor.receipts_rejected a));
+    checkb "honest: receipts flowed" true (Auditor.count a Auditor.Receipt_verified > 0);
+    checki "honest: none rejected" 0 (Auditor.count a Auditor.Receipt_rejected));
   (* Byzantine run: every corrupted gateway flagged, zero honest ones. *)
   let corrupted = List.map snd byz.As_scenario.r_byzantine in
   checkb "some gateways corrupted" true (corrupted <> []);
@@ -464,7 +464,7 @@ let test_acceptance_twenty_percent_forge () =
           (Printf.sprintf "flagged %s is corrupted" (Addr.to_string g))
           true (List.mem g corrupted))
       flagged;
-    checkb "forged receipts rejected" true (Auditor.receipts_rejected a > 0));
+    checkb "forged receipts rejected" true (Auditor.count a Auditor.Receipt_rejected > 0));
   checkb "failover engaged" true (byz.As_scenario.r_failovers > 0);
   checkb "victim recovers" true (byz.As_scenario.r_time_to_filter <> None);
   (* Failover restores >= 90% of the honest goodput. *)

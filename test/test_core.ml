@@ -54,44 +54,51 @@ let mk_handshake ?(timeout = 1.0) () =
   let rng = Rng.create ~seed:1 in
   (sim, Handshake.create sim rng ~timeout)
 
+(* The handshake counts nothing itself: tests count its [on_result]
+   outcomes and the classes [handle_reply] returns, as the gateway does. *)
+let occurrences x l = List.length (List.filter (( = ) x) l)
+
+let reply_into replies h ~flow ~nonce () =
+  replies := Handshake.handle_reply h ~flow ~nonce :: !replies
+
 let test_handshake_success () =
   let sim, h = mk_handshake () in
-  let result = ref None in
-  let nonce = Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> result := Some r) in
-  ignore (Sim.at sim 0.5 (fun () -> Handshake.handle_reply h ~flow:flow_av ~nonce));
+  let results = ref [] in
+  let nonce = Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> results := r :: !results) in
+  ignore (Sim.at sim 0.5 (reply_into (ref []) h ~flow:flow_av ~nonce));
   Sim.run sim;
-  checkb "verified" true (!result = Some true);
-  checki "verified count" 1 (Handshake.verified h);
-  checki "no timeouts" 0 (Handshake.timed_out h)
+  checkb "verified" true (!results = [ true ]);
+  checki "verified count" 1 (occurrences true !results);
+  checki "no timeouts" 0 (occurrences false !results)
 
 let test_handshake_timeout () =
   let sim, h = mk_handshake ~timeout:1.0 () in
-  let result = ref None in
-  ignore (Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> result := Some r));
+  let results = ref [] in
+  ignore (Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> results := r :: !results));
   Sim.run sim;
-  checkb "failed" true (!result = Some false);
-  checki "timed out" 1 (Handshake.timed_out h)
+  checkb "failed" true (!results = [ false ]);
+  checki "timed out" 1 (occurrences false !results)
 
 let test_handshake_wrong_nonce () =
   let sim, h = mk_handshake () in
-  let result = ref None in
+  let result = ref None and replies = ref [] in
   let nonce = Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> result := Some r) in
   ignore
-    (Sim.at sim 0.5 (fun () ->
-         Handshake.handle_reply h ~flow:flow_av ~nonce:(Int64.add nonce 1L)));
+    (Sim.at sim 0.5
+       (reply_into replies h ~flow:flow_av ~nonce:(Int64.add nonce 1L)));
   Sim.run sim;
   checkb "timeout wins" true (!result = Some false);
-  checki "bogus counted" 1 (Handshake.bogus_replies h)
+  checki "bogus counted" 1 (occurrences Handshake.Bogus !replies)
 
 let test_handshake_wrong_flow () =
   let sim, h = mk_handshake () in
-  let result = ref None in
+  let result = ref None and replies = ref [] in
   let nonce = Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> result := Some r) in
   let other = Flow_label.host_pair (addr "9.0.0.9") (addr "2.0.0.2") in
-  ignore (Sim.at sim 0.5 (fun () -> Handshake.handle_reply h ~flow:other ~nonce));
+  ignore (Sim.at sim 0.5 (reply_into replies h ~flow:other ~nonce));
   Sim.run sim;
   checkb "rejected" true (!result = Some false);
-  checki "bogus counted" 1 (Handshake.bogus_replies h)
+  checki "bogus counted" 1 (occurrences Handshake.Bogus !replies)
 
 let test_handshake_reply_after_timeout_ignored () =
   let sim, h = mk_handshake ~timeout:0.5 () in
@@ -99,7 +106,7 @@ let test_handshake_reply_after_timeout_ignored () =
   let nonce =
     Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> results := r :: !results)
   in
-  ignore (Sim.at sim 1.0 (fun () -> Handshake.handle_reply h ~flow:flow_av ~nonce));
+  ignore (Sim.at sim 1.0 (reply_into (ref []) h ~flow:flow_av ~nonce));
   Sim.run sim;
   check (Alcotest.list Alcotest.bool) "only the timeout fired" [ false ] !results
 
@@ -110,7 +117,7 @@ let test_handshake_concurrent_independent () =
   let n2 = Handshake.start h ~flow:flow_av ~send:(fun _ -> ()) ~on_result:(fun r -> r2 := Some r) in
   checkb "nonces differ" true (n1 <> n2);
   checki "both pending" 2 (Handshake.pending h);
-  ignore (Sim.at sim 0.2 (fun () -> Handshake.handle_reply h ~flow:flow_av ~nonce:n2));
+  ignore (Sim.at sim 0.2 (reply_into (ref []) h ~flow:flow_av ~nonce:n2));
   Sim.run sim;
   checkb "second verified" true (!r2 = Some true);
   checkb "first timed out" true (!r1 = Some false)
@@ -282,9 +289,9 @@ let test_protocol_attacker_complies () =
   let r = make_rig ~attacker_strategy:Policy.Complies () in
   Sim.run ~until:3.0 r.sim;
   checkb "attacker got request" true
-    (Host_agent.Attacker.requests_received r.d.Chain.attacker_agent >= 1);
+    (Host_agent.Attacker.(count r.d.Chain.attacker_agent Request_received) >= 1);
   checkb "flow stopped at source" true
-    (Host_agent.Attacker.flows_stopped r.d.Chain.attacker_agent >= 1);
+    (Host_agent.Attacker.(count r.d.Chain.attacker_agent Flow_stopped) >= 1);
   checkb "host filter installed" true
     (Filter_table.occupancy (Host_agent.Attacker.filters r.d.Chain.attacker_agent)
     = 1);
@@ -468,7 +475,7 @@ let test_protocol_policing_r1 () =
   Sim.run ~until:1.2 sim;
   let v = d.Chain.victim_agent in
   let sent = Host_agent.Victim.requests_sent v in
-  let suppressed = Host_agent.Victim.requests_suppressed v in
+  let suppressed = Host_agent.Victim.(count v Request_suppressed) in
   checkb "self-policed" true (suppressed > 0);
   (* burst 2 + ~0.7 s at 2/s -> at most 4 sends *)
   checkb "rate respected" true (sent <= 4);
@@ -721,7 +728,7 @@ let test_protocol_victim_answers_queries () =
   let r = make_rig () in
   Sim.run ~until:3.0 r.sim;
   checkb "victim answered handshake" true
-    (Host_agent.Victim.queries_answered r.d.Chain.victim_agent >= 1)
+    (Host_agent.Victim.(count r.d.Chain.victim_agent Victim_confirmed) >= 1)
 
 let test_protocol_onoff_detected_by_shadow () =
   (* Attacker complies briefly then resumes: the shadow cache must catch the
@@ -1193,10 +1200,10 @@ let test_legacy_protection_end_to_end () =
   in
   Sim.run ~until:4.0 sim;
   checkb "protector detected and requested" true
-    (Legacy.requests_sent protector >= 1);
+    (Legacy.count protector Host_agent.Victim.Request_sent >= 1);
   checki "flow detected once" 1 (Legacy.flows_detected protector);
   checkb "protector answered the handshake" true
-    (Legacy.queries_answered protector >= 1);
+    (Legacy.count protector Host_agent.Victim.Victim_confirmed >= 1);
   checki "attacker-side filter installed" 1
     (Gateway.count b Gateway.Handshake_ok);
   checkb "flow suppressed (leak under 15% of offered)" true
@@ -1223,7 +1230,7 @@ let test_legacy_ignores_unprotected () =
       ~dst:outside.Node.addr net attacker
   in
   Sim.run ~until:2.0 sim;
-  checki "no requests" 0 (Legacy.requests_sent protector);
+  checki "no requests" 0 (Legacy.count protector Host_agent.Victim.Request_sent);
   checkb "covers only the /28" true
     (Legacy.protects protector (addr "10.0.0.10")
     && not (Legacy.protects protector (addr "10.0.0.200")))

@@ -559,7 +559,7 @@ let test_overload_transparent_below_watermark () =
     ignore (ok (Overload.install m (host_to (Printf.sprintf "1.0.0.%d" i)) ~duration:10.))
   done;
   checkb "not degraded" false (Overload.degraded m);
-  checki "no aggregation" 0 (Overload.aggregations m);
+  checki "no aggregation" 0 (Overload.count m Overload.Aggregate);
   checki "no eviction" 0 (Overload.evictions m);
   checki "plain occupancy" 5 (Filter_table.occupancy table)
 
@@ -599,8 +599,9 @@ let test_overload_aggregates_under_pressure () =
     ignore (ok (Overload.install m (host_to (Printf.sprintf "1.0.0.%d" i)) ~duration:10.))
   done;
   let h = ok (Overload.install m (host_to "1.0.0.4") ~duration:10.) in
-  checki "one aggregation" 1 (Overload.aggregations m);
+  checki "one aggregation" 1 (Overload.count m Overload.Aggregate);
   checki "four evicted into it" 4 (Overload.evictions m);
+  checki "all subsumed" 4 (Overload.count m Overload.Evict_subsumed);
   checki "aggregate + newcomer" 2 (Filter_table.occupancy table);
   checkb "newcomer got its own exact entry" true
     (Flow_label.is_exact (Filter_table.label h));
@@ -645,7 +646,8 @@ let test_overload_priority_eviction () =
   checkb "useless entry evicted" false (Filter_table.live a);
   checkb "working entry spared" true (Filter_table.live b);
   checkb "newcomer live" true (Filter_table.live c);
-  checki "one eviction" 1 (Overload.evictions m)
+  checki "one eviction" 1 (Overload.evictions m);
+  checki "a priority eviction" 1 (Overload.count m Overload.Evict)
 
 let test_overload_requestor_cap () =
   (* A requestor at its cap pays with its own least valuable entry. *)
@@ -672,6 +674,8 @@ let test_overload_requestor_cap () =
   let c = inst "1.0.0.3" "8.0.0.3" in
   checki "cap held at 2" 2 (Filter_table.occupancy table);
   checki "own entry evicted" 1 (Overload.evictions m);
+  checki "under the requestor cap" 1
+    (Overload.count m Overload.Evict_requestor_cap);
   checkb "newcomer live" true (Filter_table.live c);
   checkb "exactly one elder survived" true
     (Filter_table.live a <> Filter_table.live b)

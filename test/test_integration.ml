@@ -381,16 +381,37 @@ let test_figure1_time_to_filter_observed () =
         checkb "handshake RTT is positive" true (sum > 0.)
       | _ -> Alcotest.fail "time_to_filter not registered")
 
+(* An agent's decision set has distinct names, and with a registry
+   attached each [<prefix>.<name c>] is a counter reading [count c]. *)
+let check_counters reg ~prefix set =
+  let module Counters = Aitf_obs.Counters in
+  let module Metrics = Aitf_obs.Metrics in
+  let names = List.map (Counters.name set) (Counters.all set) in
+  checki (prefix ^ ": every counter has its own name") (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun c ->
+      let name = prefix ^ "." ^ Counters.name set c in
+      match Metrics.value reg name with
+      | Some (Metrics.Counter v) -> checki name (Counters.count set c) (int_of_float v)
+      | _ -> Alcotest.failf "%s not registered as a counter" name)
+    (Counters.all set)
+
+let with_registry f =
+  let module Metrics = Aitf_obs.Metrics in
+  let reg = Metrics.create () in
+  Metrics.with_attached reg (fun () -> f reg)
+
 (* Every decision counter is a metric under its own name: with a registry
    attached, a lossy on-off run against a non-cooperating gateway (which
    escalates, retransmits requests and handshakes) leaves
    [gateway.<node>.<counter_name c>] equal to [Gateway.count gw c] for
-   every gateway and every counter. *)
+   every gateway and every counter, and the same holds for the victim,
+   attacker, overload managers, adversary, fault injector and flapper,
+   auditor and legacy proxy. *)
 let test_counter_metrics_equal_counts () =
   let module Metrics = Aitf_obs.Metrics in
-  let reg = Metrics.create () in
-  Metrics.attach reg;
-  Fun.protect ~finally:Metrics.detach (fun () ->
+  with_registry (fun reg ->
       let r =
         Scenarios.run_chain
           {
@@ -424,7 +445,130 @@ let test_counter_metrics_equal_counts () =
             (Gateway.counter_name c ^ " exercised")
             true
             (Scenarios.counter_total gws c > 0))
-        Gateway.[ Escalated; Ctrl_retransmit; Handshake_retransmit ])
+        Gateway.[ Escalated; Ctrl_retransmit; Handshake_retransmit ];
+      let victim = d.Chain.victim_agent and attacker = d.Chain.attacker_agent in
+      check_counters reg
+        ~prefix:("victim." ^ (Host_agent.Victim.node victim).Node.name)
+        (Host_agent.Victim.counters victim);
+      check_counters reg
+        ~prefix:("attacker." ^ (Host_agent.Attacker.node attacker).Node.name)
+        (Host_agent.Attacker.counters attacker);
+      checkb "victim retransmitted" true
+        (Host_agent.Victim.(count victim Victim_retransmit) > 0);
+      checkb "attacker stopped a flow" true
+        (Host_agent.Attacker.(count attacker Flow_stopped) > 0));
+  (* The overload manager and an adversary playbook, under slot pressure. *)
+  with_registry (fun reg ->
+      let r =
+        Scenarios.run_chain
+          {
+            params with
+            Scenarios.spec = { Chain.default_spec with Chain.depth = 1 };
+            config =
+              {
+                cfg with
+                Config.filter_capacity = 32;
+                overload_manager = true;
+                overload_low = 0.5;
+              };
+            duration = 10.;
+            attack_rate = 2e7;
+            adversaries =
+              [
+                Aitf_adversary.Adversary.Slot_exhaustion
+                  { sources = 128; rate = 2e7 };
+              ];
+          }
+      in
+      let d = r.Scenarios.deployed in
+      List.iter
+        (fun gw ->
+          match Gateway.overload gw with
+          | Some m ->
+            check_counters reg
+              ~prefix:
+                (Printf.sprintf "gateway.%s.overload" (Gateway.node gw).Node.name)
+              (Aitf_filter.Overload.counters m)
+          | None -> Alcotest.fail "overload manager missing")
+        (d.Chain.victim_gateways @ d.Chain.attacker_gateways);
+      checkb "manager aggregated" true (r.Scenarios.overload_aggregations > 0);
+      List.iter
+        (fun h ->
+          let module Adversary = Aitf_adversary.Adversary in
+          check_counters reg
+            ~prefix:("adversary." ^ Adversary.kind (Adversary.playbook h))
+            (Adversary.counters h);
+          checkb "adversary sent packets" true
+            (Adversary.count h Adversary.Packet_sent > 0))
+        r.Scenarios.adversary_handles);
+  (* Fault injector and flapper on one link, the auditor and a legacy
+     proxy, each in a world created while the registry is attached. *)
+  with_registry (fun reg ->
+      let module Fault = Aitf_fault.Fault in
+      let sim = Sim.create () in
+      let link =
+        Link.create sim ~name:"faulty" ~bandwidth:1e6 ~delay:0.01
+          ~queue_capacity:1_000_000
+      in
+      Link.set_deliver link (fun _ -> ());
+      let inj =
+        Fault.inject ~rng:(Rng.create ~seed:4) sim link
+          Fault.[ Loss 0.3; Jitter { max_jitter = 0.1 }; Duplicate 0.3 ]
+      in
+      let flapper = Fault.flap ~start:2.0 sim [ link ] ~period:3.0 ~down_for:1.0 in
+      for _ = 1 to 50 do
+        Link.send link
+          (Packet.make ~src:(Addr.of_string "1.0.0.1")
+             ~dst:(Addr.of_string "2.0.0.2") ~size:500
+             (Packet.Data { flow_id = 0; attack = false }))
+      done;
+      let auditor =
+        Aitf_contract.Auditor.create
+          ~verify:(fun _ _ _ -> false)
+          ~gateway:(Addr.of_string "10.0.0.1") ~on_flag:ignore sim
+      in
+      Aitf_contract.Auditor.on_receipt auditor
+        {
+          Message.rc_flow =
+            Aitf_filter.Flow_label.host_pair (Addr.of_string "20.0.0.66")
+              (Addr.of_string "10.0.0.10");
+          rc_gateway = Addr.of_string "20.0.0.1";
+          rc_victim = Addr.of_string "10.0.0.10";
+          rc_seq = 1;
+          rc_installed_at = 0.;
+          rc_expires_at = 60.;
+          rc_hits = 0;
+          rc_auth = 0L;
+        };
+      Sim.run ~until:6.0 sim;
+      check_counters reg ~prefix:"fault.faulty" (Fault.counters inj);
+      checkb "injector dropped, delayed and copied" true
+        (Fault.drops inj > 0
+        && Fault.count inj Fault.Delayed > 0
+        && Fault.count inj Fault.Duplicated > 0);
+      (match Metrics.value reg "fault.faulty.fault-flap" with
+      | Some (Metrics.Counter v) ->
+        checki "fault.faulty.fault-flap" (Fault.flapper_count flapper Fault.Flap)
+          (int_of_float v)
+      | _ -> Alcotest.fail "fault.faulty.fault-flap not registered");
+      check_counters reg ~prefix:"auditor"
+        (Aitf_contract.Auditor.counters auditor);
+      checki "receipt rejected" 1
+        Aitf_contract.Auditor.(count auditor Receipt_rejected);
+      let net = Network.create sim in
+      let g_gw =
+        Network.add_node net ~name:"g_gw" ~addr:(Addr.of_string "10.0.0.1")
+          ~as_id:1 Node.Border_router
+      in
+      let gateway =
+        Gateway.create ~clients:[ Addr.prefix_of_string "10.0.0.0/24" ]
+          ~config:cfg ~rng:(Rng.create ~seed:5) net g_gw
+      in
+      let legacy =
+        Legacy.attach ~protect:[ Addr.prefix_of_string "10.0.0.0/28" ] ~gateway
+          net
+      in
+      check_counters reg ~prefix:"legacy.g_gw" (Legacy.counters legacy))
 
 (* --- Protocol-safety fuzz ------------------------------------------------------ *)
 

@@ -309,6 +309,57 @@ let test_report_deterministic () =
   | Ok parsed ->
     checkb "parses back" true (Report.values_of_json parsed |> Result.is_ok)
 
+(* --- Counters ----------------------------------------------------------------- *)
+
+type decision = Sent | Dropped | Unlisted
+
+let decision_name = function
+  | Sent -> "sent"
+  | Dropped -> "dropped"
+  | Unlisted -> "unlisted"
+
+(* One set counts, traces and registers each decision under one name. *)
+let test_counter_set () =
+  let module Counters = Aitf_obs.Counters in
+  let module Span = Aitf_obs.Span in
+  let reg = Metrics.create () and spans = Span.create () in
+  Span.attach spans;
+  let sim =
+    Fun.protect ~finally:Span.detach (fun () ->
+        Metrics.with_attached reg Sim.create)
+  in
+  let set =
+    Counters.create ~node:"n" ~prefix:"agent.n" ~name:decision_name
+      ~all:[ Sent; Dropped ] sim
+  in
+  let corr = Span.mint sim in
+  Span.root sim ~corr ~flow:"f" ~victim:"n";
+  Counters.bump set Sent;
+  Counters.bump ~corr set Sent;
+  Counters.bump_root ~corr set Dropped;
+  Counters.bump set Dropped;
+  checki "sent counted" 2 (Counters.count set Sent);
+  checki "dropped counted" 2 (Counters.count set Dropped);
+  checki "sum" 4 (Counters.sum set [ Sent; Dropped ]);
+  checki "a counter outside the set reads 0" 0 (Counters.count set Unlisted);
+  checkb "counting a counter outside the set raises" true
+    (match Counters.bump set Unlisted with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  check
+    (Alcotest.list Alcotest.string)
+    "one metric per counter"
+    [ "agent.n.dropped"; "agent.n.sent" ]
+    (Metrics.names reg);
+  checkb "metric reads the count" true
+    (Metrics.value reg "agent.n.dropped" = Some (Metrics.Counter 2.));
+  let r = Option.get (Span.find_root spans corr) in
+  check
+    (Alcotest.list Alcotest.string)
+    "traced under the counters' names, only when given a corr id"
+    [ "dropped"; "sent" ]
+    (List.map (fun e -> e.Span.label) r.Span.root_events)
+
 let () =
   Alcotest.run "aitf_obs"
     [
@@ -325,6 +376,9 @@ let () =
           Alcotest.test_case "cross-domain stress" `Quick
             test_cross_domain_stress;
         ] );
+      ( "counters",
+        [ Alcotest.test_case "count, trace and register" `Quick test_counter_set ]
+      );
       ( "json",
         [
           Alcotest.test_case "print and escape" `Quick

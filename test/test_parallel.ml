@@ -476,10 +476,10 @@ let test_contracts_compose_with_shards () =
       | None -> Alcotest.fail "auditor missing from repeat run"
     in
     checkb "receipts flowed through the defer seam" true
-      (Aitf_contract.Auditor.receipts_verified aud > 0);
+      (Aitf_contract.Auditor.(count aud Receipt_verified) > 0);
     checki "auditor outcomes reproduce"
-      (Aitf_contract.Auditor.receipts_verified aud)
-      (Aitf_contract.Auditor.receipts_verified bud)
+      (Aitf_contract.Auditor.(count aud Receipt_verified))
+      (Aitf_contract.Auditor.(count bud Receipt_verified))
 
 let test_flight_recorder_composes_with_shards () =
   let fl = Flight.create ~capacity:4096 in

@@ -6,6 +6,7 @@
 
 module Replay = Aitf_workload.Replay
 module Series = Aitf_stats.Series
+module Config = Aitf_core.Config
 open Aitf_net
 
 let check = Alcotest.check
@@ -169,8 +170,11 @@ let tiny =
   | Ok t -> t
   | Error e -> failwith e
 
+let run_on engine trace =
+  Replay.run ~config:{ Config.default with Config.engine } trace
+
 let run_fingerprint engine =
-  let r = Replay.run ~engine tiny in
+  let r = run_on engine tiny in
   ( r.Replay.rr_attack_received_bytes,
     r.Replay.rr_good_received_bytes,
     r.Replay.rr_requests_sent,
@@ -183,7 +187,7 @@ let test_run_deterministic () =
     (fun (name, engine) ->
       checkb (name ^ ": same trace, same result") true
         (run_fingerprint engine = run_fingerprint engine))
-    [ ("packet", `Packet); ("hybrid", `Hybrid) ]
+    [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ]
 
 let test_run_suppresses () =
   (* 8 Mbit/s for 2.5 s on, against the default chain: some bytes get
@@ -193,13 +197,13 @@ let test_run_suppresses () =
   checkb "offered positive" true (offered > 0.);
   List.iter
     (fun (name, engine) ->
-      let r = Replay.run ~engine tiny in
+      let r = run_on engine tiny in
       checkb (name ^ ": something arrived") true
         (r.Replay.rr_attack_received_bytes > 0.);
       checkb (name ^ ": most of the attack was filtered") true
         (r.Replay.rr_attack_received_bytes < 0.5 *. offered);
       checkb (name ^ ": a filter landed") true (r.Replay.rr_filters > 0))
-    [ ("packet", `Packet); ("hybrid", `Hybrid) ]
+    [ ("packet", Config.Packet); ("hybrid", Config.Hybrid) ]
 
 let test_offered_bytes () =
   (* One pool, 4 sources x 2 Mbit/s each (the trace's rate field is per
